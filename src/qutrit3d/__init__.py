@@ -12,6 +12,7 @@ symmetric two-qubit picture and evolves states under spin-1 unitaries.
 from .errors import (
     DegenerateMeshError,
     InconsistentParamsError,
+    InternalCheckError,
     InvalidStateError,
     MetricUndefinedError,
     NotHermitianError,
@@ -28,9 +29,8 @@ from .linalg import (
     eig_hermitian3,
     eig_sym3,
     eigvals_hermitian4,
-    exp_i_hermitian3,
     partial_transpose,
-    principal_minors3,
+    unitary_from_eigensystem,
 )
 from .state import (
     FULL_3D,
@@ -38,10 +38,12 @@ from .state import (
     SEGMENT_ENDPOINT,
     SEGMENT_INTERIOR,
     SURFACE_3D,
+    Analysis,
     MetricTensor,
     RankReport,
     StateParams,
     ValidityReport,
+    analyse,
     classify_rank,
     compose,
     decompose,
@@ -74,7 +76,6 @@ from .purestates import (
     orthogonal_state,
     pseudo_overlap,
     pseudo_qubit,
-    pure_params,
     reference_state,
     rik_decompose,
 )

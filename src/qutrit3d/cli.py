@@ -3,11 +3,12 @@
 Subcommands analyze, scene, mub, pseudo, evolve, bridge, ortho and
 random wrap the library operations over simple JSON files.
 
-Exit codes: 0 success; 1 I/O or parse failure (including files that are
-not Hermitian / trace-one / normalized); 2 structurally well-formed but
-invalid state (not positive semidefinite, out of the admissible ball, or
-a degenerate-scene export request); 3 internal inconsistency (library
-self-checks disagree).
+Exit codes: 0 success; 1 I/O or parse failure (including non-finite
+numbers and files that are not Hermitian / trace-one / normalized); 2
+structurally well-formed but invalid state (not positive semidefinite,
+out of the admissible ball, or a degenerate-scene export request); 3
+internal inconsistency (a library self-check failed; not an assert, so
+it also holds under python -O).
 
 Sign convention: evolution uses U = exp(-i theta G).
 """
@@ -16,51 +17,47 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    custom,
-    evolve,
-    one_axis_twist,
-    rotation,
-    trajectory,
-    two_axis_counter,
-)
+from .dynamics import custom, one_axis_twist, rotation, trajectory, two_axis_counter
 from .errors import (
     DegenerateMeshError,
+    InternalCheckError,
     InvalidStateError,
     MetricUndefinedError,
     NotHermitianError,
     NotNormalizedError,
-    NotPositiveError,
     NotSymmetricError,
     OutOfBallError,
     QutritError,
     TraceError,
 )
-from .geometry import build_scene, export_scene_json, export_scene_obj, scene_to_dict
-from .linalg import eig_hermitian3, eig_sym3
-from .purestates import mub_bases, rik_decompose
+from .geometry import (
+    RANK_CASE_TO_SCENE,
+    build_scene,
+    export_scene_json,
+    export_scene_obj,
+    scene_to_dict,
+)
+from .linalg import assert_hermitian, eig_hermitian3
+from .purestates import PureState, density_from_pure, mub_bases, orthogonal, rik_decompose
 from .spin1 import from_two_qubit, to_two_qubit
 from .state import (
-    RankReport,
-    StateParams,
+    Analysis,
     ValidityReport,
-    classify_rank,
+    analyse,
+    assert_density,
     compose,
-    decompose,
     gamma_norm,
     metric_tensor,
     params_from_bloch_tensor,
     random_density,
-    semi_axes,
-    validate,
 )
-from .tolerances import RANK_TOL
+from .tolerances import RANK_TOL, TWO_QUBIT_TRACE_TOL
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -70,10 +67,6 @@ EXIT_INTERNAL = 3
 
 class CliIOError(QutritError):
     """File, JSON or structural parse failure (exit code 1)."""
-
-
-class InternalCheckError(QutritError):
-    """Two independent library routes disagree (exit code 3)."""
 
 
 def _fmt(x: float) -> str:
@@ -88,7 +81,24 @@ def _vec(v) -> str:
 def _float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CliIOError(f"{where} is not a number")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise CliIOError(f"{where} is not a finite number")
+    return x
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the numeric flags: a finite float."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
 
 
 def _grid(obj, key: str, n: int):
@@ -117,8 +127,33 @@ def _read_json(path: str) -> dict:
     return obj
 
 
-def _matrix_from_obj(obj: dict, path: str, n: int) -> np.ndarray:
-    M = _grid(obj, "re", n) + 1j * _grid(obj, "im", n)
+def _matrix_from_obj(obj: dict, n: int) -> np.ndarray:
+    return _grid(obj, "re", n) + 1j * _grid(obj, "im", n)
+
+
+def _pure_from_obj(obj: dict, path: str) -> PureState:
+    amps = obj["amplitudes"]
+    if not isinstance(amps, list) or len(amps) != 3:
+        raise CliIOError('"amplitudes" must hold 3 [re, im] pairs')
+    psi = np.zeros(3, dtype=complex)
+    for i, pair in enumerate(amps):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise CliIOError(f'"amplitudes"[{i}] must be an [re, im] pair')
+        psi[i] = _float(pair[0], f'"amplitudes"[{i}][0]') + 1j * _float(
+            pair[1], f'"amplitudes"[{i}][1]'
+        )
+    try:
+        return rik_decompose(psi)
+    except NotNormalizedError as exc:
+        raise CliIOError(f"{path}: {exc}") from exc
+
+
+def _checked(path: str, check, M: np.ndarray) -> np.ndarray:
+    """M once check(M) passes; its Hermiticity or trace error is a parse failure."""
+    try:
+        check(M)
+    except (NotHermitianError, TraceError) as exc:
+        raise CliIOError(f"{path}: {exc}") from exc
     return M
 
 
@@ -131,52 +166,22 @@ def load_state_file(path: str) -> np.ndarray:
     """
     obj = _read_json(path)
     if "amplitudes" in obj:
-        amps = obj["amplitudes"]
-        if not isinstance(amps, list) or len(amps) != 3:
-            raise CliIOError('"amplitudes" must hold 3 [re, im] pairs')
-        psi = np.zeros(3, dtype=complex)
-        for i, pair in enumerate(amps):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise CliIOError(f'"amplitudes"[{i}] must be an [re, im] pair')
-            psi[i] = _float(pair[0], f'"amplitudes"[{i}][0]') + 1j * _float(
-                pair[1], f'"amplitudes"[{i}][1]'
-            )
-        try:
-            p = rik_decompose(psi)
-        except NotNormalizedError as exc:
-            raise CliIOError(f"{path}: {exc}") from exc
-        return np.outer(p.amp, p.amp.conj())
+        return density_from_pure(_pure_from_obj(obj, path))
     if "re" in obj or "im" in obj:
-        M = _matrix_from_obj(obj, path, 3)
-        try:
-            from .state import assert_density
-
-            assert_density(M)
-        except (NotHermitianError, TraceError) as exc:
-            raise CliIOError(f"{path}: {exc}") from exc
-        return M
+        return _checked(path, assert_density, _matrix_from_obj(obj, 3))
     raise CliIOError(f'{path}: expected "re"/"im" or "amplitudes" keys')
 
 
 def load_two_qubit_file(path: str) -> np.ndarray:
-    obj = _read_json(path)
-    M = _matrix_from_obj(obj, path, 4)
-    dev = float(np.max(np.abs(M - M.conj().T)))
-    if dev > 1e-10:
-        raise CliIOError(f"{path}: matrix is not Hermitian (deviation {dev:.3e})")
+    M = _checked(path, assert_hermitian, _matrix_from_obj(_read_json(path), 4))
     tr = complex(np.trace(M))
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > TWO_QUBIT_TRACE_TOL:
         raise CliIOError(f"{path}: trace = {tr.real:.15g}, expected 1")
     return M
 
 
 def load_hermitian_file(path: str) -> np.ndarray:
-    obj = _read_json(path)
-    M = _matrix_from_obj(obj, path, 3)
-    dev = float(np.max(np.abs(M - M.conj().T)))
-    if dev > 1e-10:
-        raise CliIOError(f"{path}: matrix is not Hermitian (deviation {dev:.3e})")
-    return M
+    return _checked(path, assert_hermitian, _matrix_from_obj(_read_json(path), 3))
 
 
 def density_payload(rho: np.ndarray) -> dict:
@@ -205,17 +210,6 @@ def _emit(text: str, out: str | None) -> None:
 # report assembly
 
 
-@dataclass
-class Report:
-    params: StateParams
-    validity: ValidityReport
-    tensor_eigenvalues: np.ndarray
-    axes: np.ndarray
-    gamma: float | None
-    rank: RankReport | None
-    scene_case: str | None
-
-
 _C1_TEXT = "diagonal weight outside [0, 1] (c1)"
 _C2_TEXT = "2x2 principal minor negative (c2)"
 _C3_TEXT = "determinant minor negative (c3)"
@@ -234,46 +228,32 @@ def first_violation(v: ValidityReport) -> str | None:
     return _SPECTRUM_TEXT
 
 
-def build_report(rho: np.ndarray) -> Report:
-    p = decompose(rho)
-    v = validate(p)
-    tvals, _ = eig_sym3(p.T)
-    axes = semi_axes(tvals)
+def build_report(rho: np.ndarray) -> tuple[Analysis, float | None]:
+    """analyse(rho) and the metric norm a.Gamma.a (None where Gamma is undefined)."""
+    an = analyse(rho)
     try:
-        gamma = gamma_norm(p.a, p.T)
+        gamma = gamma_norm(an.params.a, an.params.T)
     except MetricUndefinedError:
         gamma = None
-    rank = None
-    scene_case = None
-    if v.overall:
-        rank = classify_rank(rho)
-        scene_case = build_scene(rho).case
-    return Report(
-        params=p,
-        validity=v,
-        tensor_eigenvalues=tvals,
-        axes=axes,
-        gamma=gamma,
-        rank=rank,
-        scene_case=scene_case,
-    )
+    return an, gamma
 
 
-def report_text(r: Report) -> str:
+def report_text(report: tuple[Analysis, float | None]) -> str:
+    an, gamma = report
     lines = [
-        f"a: {_vec(r.params.a)}",
-        f"q: {_vec(r.params.q)}",
-        f"omega: {_vec(r.params.omega)}",
-        f"tensor eigenvalues: {_vec(r.tensor_eigenvalues)}",
-        f"semi-axes: {_vec(r.axes)}",
-        f"gamma-norm: {'degenerate' if r.gamma is None else _fmt(r.gamma)}",
+        f"a: {_vec(an.params.a)}",
+        f"q: {_vec(an.params.q)}",
+        f"omega: {_vec(an.params.omega)}",
+        f"tensor eigenvalues: {_vec(an.tensor_eigenvalues)}",
+        f"semi-axes: {_vec(an.semi_axes)}",
+        f"gamma-norm: {'degenerate' if gamma is None else _fmt(gamma)}",
     ]
-    bad = first_violation(r.validity)
+    bad = first_violation(an.validity)
     lines.append("validity: ok" if bad is None else f"validity: violated: {bad}")
-    if r.rank is not None:
-        lines.append(f"rank: {r.rank.rank}")
-        lines.append(f"case: {r.rank.case}")
-        lines.append(f"scene: {r.scene_case}")
+    if an.rank is not None:
+        lines.append(f"rank: {an.rank.rank}")
+        lines.append(f"case: {an.rank.case}")
+        lines.append(f"scene: {RANK_CASE_TO_SCENE[an.rank.case]}")
     else:
         lines.append("rank: n/a")
         lines.append("case: n/a")
@@ -281,35 +261,37 @@ def report_text(r: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_dict(r: Report) -> dict:
-    m = metric_tensor(r.params.T)
+def report_dict(report: tuple[Analysis, float | None]) -> dict:
+    an, gamma = report
+    p = an.params
+    m = metric_tensor(p.T)
     return {
         "params": {
-            "a": [float(x) for x in r.params.a],
-            "q": [float(x) for x in r.params.q],
-            "omega": [float(x) for x in r.params.omega],
-            "tensor": [[float(x) for x in row] for row in r.params.T],
+            "a": [float(x) for x in p.a],
+            "q": [float(x) for x in p.q],
+            "omega": [float(x) for x in p.omega],
+            "tensor": [[float(x) for x in row] for row in p.T],
         },
         "validity": {
-            "c1_ok": r.validity.c1_ok,
-            "c2_ok": r.validity.c2_ok,
-            "c3_ok": r.validity.c3_ok,
-            "overall": r.validity.overall,
+            "c1_ok": an.validity.c1_ok,
+            "c2_ok": an.validity.c2_ok,
+            "c3_ok": an.validity.c3_ok,
+            "overall": an.validity.overall,
         },
-        "tensor_eigenvalues": [float(x) for x in r.tensor_eigenvalues],
-        "semi_axes": [float(x) for x in r.axes],
-        "gamma_norm": None if r.gamma is None else float(r.gamma),
+        "tensor_eigenvalues": [float(x) for x in an.tensor_eigenvalues],
+        "semi_axes": [float(x) for x in an.semi_axes],
+        "gamma_norm": None if gamma is None else float(gamma),
         "metric": "degenerate"
         if not m.defined
         else [[float(x) for x in row] for row in m.gamma],
         "rank": None
-        if r.rank is None
+        if an.rank is None
         else {
-            "rank": r.rank.rank,
-            "case": r.rank.case,
-            "eigenvalues": [float(x) for x in r.rank.eigenvalues],
+            "rank": an.rank.rank,
+            "case": an.rank.case,
+            "eigenvalues": [float(x) for x in an.rank.eigenvalues],
         },
-        "scene_case": r.scene_case,
+        "scene_case": None if an.rank is None else RANK_CASE_TO_SCENE[an.rank.case],
     }
 
 
@@ -326,7 +308,7 @@ def cmd_analyze(args) -> int:
         else report_text(report)
     )
     _emit(text, args.out)
-    return EXIT_OK if report.validity.overall else EXIT_INVALID
+    return EXIT_OK if report[0].validity.overall else EXIT_INVALID
 
 
 def cmd_scene(args) -> int:
@@ -375,7 +357,7 @@ def cmd_pseudo(args) -> int:
     out = json.dumps(density_payload(rho), indent=2) + "\n"
     out += report_text(report)
     _emit(out, args.out)
-    return EXIT_OK if report.validity.overall else EXIT_INVALID
+    return EXIT_OK if report[0].validity.overall else EXIT_INVALID
 
 
 def _generator_from_flag(flag: str):
@@ -423,31 +405,16 @@ def cmd_bridge(args) -> int:
     return EXIT_OK
 
 
-def _load_pure(path: str):
+def _load_pure(path: str) -> PureState:
     obj = _read_json(path)
     if "amplitudes" not in obj:
         raise CliIOError(f'{path}: pure-state file needs an "amplitudes" key')
-    amps = obj["amplitudes"]
-    if not isinstance(amps, list) or len(amps) != 3:
-        raise CliIOError('"amplitudes" must hold 3 [re, im] pairs')
-    psi = np.zeros(3, dtype=complex)
-    for i, pair in enumerate(amps):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise CliIOError(f'"amplitudes"[{i}] must be an [re, im] pair')
-        psi[i] = _float(pair[0], f'"amplitudes"[{i}][0]') + 1j * _float(
-            pair[1], f'"amplitudes"[{i}][1]'
-        )
-    try:
-        return rik_decompose(psi)
-    except NotNormalizedError as exc:
-        raise CliIOError(f"{path}: {exc}") from exc
+    return _pure_from_obj(obj, path)
 
 
 def cmd_ortho(args) -> int:
     p = _load_pure(args.path_a)
     q = _load_pure(args.path_b)
-    from .purestates import orthogonal
-
     overlap = abs(complex(p.amp.conj() @ q.amp))
     inner_verdict = overlap < 1e-10
     rk_verdict = orthogonal(p, q)
@@ -520,9 +487,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mub)
 
     p = sub.add_parser("pseudo", help="emit a pseudo-qubit state (tensor = identity/3)")
-    p.add_argument("--ax", type=float, default=0.0)
-    p.add_argument("--ay", type=float, default=0.0)
-    p.add_argument("--az", type=float, default=0.0)
+    p.add_argument("--ax", type=_finite_float, default=0.0)
+    p.add_argument("--ay", type=_finite_float, default=0.0)
+    p.add_argument("--az", type=_finite_float, default=0.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pseudo)
 
@@ -533,7 +500,9 @@ def make_parser() -> argparse.ArgumentParser:
         required=True,
         help="rot:x|y|z, twist:x|y|z, counter:x|y|z or custom:<hermitian-json>",
     )
-    p.add_argument("--theta", type=float, required=True, help="grid end point (radians)")
+    p.add_argument(
+        "--theta", type=_finite_float, required=True, help="grid end point (radians)"
+    )
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--scenes", action="store_true", help="attach a scene per sample")
     p.add_argument("--out", default=None)
@@ -567,20 +536,11 @@ def main(argv=None) -> int:
     except CliIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        NotPositiveError,
-        InvalidStateError,
-        OutOfBallError,
-        NotSymmetricError,
-        DegenerateMeshError,
-    ) as exc:
+    except (InvalidStateError, OutOfBallError, NotSymmetricError, DegenerateMeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InternalCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

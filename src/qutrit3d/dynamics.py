@@ -17,12 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidStateError
 from .geometry import EllipsoidScene, build_scene
 from .linalg import assert_hermitian, eig_hermitian3, unitary_from_eigensystem
 from .spin1 import spin_set
-from .state import assert_density
-from .tolerances import RANK_TOL
+from .state import check_state
 
 ROTATION = "rotation"
 ONE_AXIS_TWIST = "one_axis_twist"
@@ -105,17 +103,9 @@ def generator_matrix(g: Generator) -> np.ndarray:
     raise ValueError(f"unknown generator kind {g.kind!r}")
 
 
-def _check_state(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    assert_density(rho)
-    if float(eig_hermitian3(rho).values[-1]) < -RANK_TOL:
-        raise InvalidStateError("state is not positive semidefinite")
-    return rho
-
-
 def evolve(rho: np.ndarray, g: Generator, theta: float) -> np.ndarray:
     """rho' = U rho U^dag with U = exp(-i theta G)."""
-    rho = _check_state(rho)
+    rho = check_state(rho)
     es = eig_hermitian3(generator_matrix(g))
     U = unitary_from_eigensystem(es, float(theta))
     out = U @ rho @ U.conj().T
@@ -137,7 +127,7 @@ def trajectory(
     """
     if n < 2:
         raise ValueError(f"trajectory needs at least 2 samples, got {n}")
-    rho0 = _check_state(rho0)
+    rho0 = check_state(rho0)
     es = eig_hermitian3(generator_matrix(g))
     thetas = np.linspace(0.0, float(theta_max), n)
     states: list[np.ndarray] = []

@@ -13,12 +13,12 @@ class TraceError(QutritError):
     """Density matrix trace differs from 1 beyond tolerance."""
 
 
-class NotPositiveError(QutritError):
-    """Matrix has an eigenvalue below the positivity tolerance."""
-
-
 class InvalidStateError(QutritError):
     """Input is not a valid density matrix."""
+
+
+class NotPositiveError(InvalidStateError):
+    """Density matrix has an eigenvalue below the positivity tolerance."""
 
 
 class InconsistentParamsError(QutritError):
@@ -52,3 +52,7 @@ class OutOfBallError(QutritError):
 
 class DegenerateMeshError(QutritError):
     """Surface mesh requested for a degenerate (segment/point) scene."""
+
+
+class InternalCheckError(QutritError):
+    """A library self-check failed: two routes to one result disagree."""

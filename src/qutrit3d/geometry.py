@@ -16,20 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMeshError, InvalidStateError
-from .linalg import eig_hermitian3, eig_sym3
+from .errors import DegenerateMeshError, InternalCheckError, InvalidStateError
 from .state import (
     FULL_3D,
     POINT,
     SEGMENT_ENDPOINT,
     SEGMENT_INTERIOR,
     SURFACE_3D,
-    assert_density,
-    classify_rank,
-    decompose,
-    semi_axes,
+    analyse,
 )
-from .tolerances import AXIS_TOL, RANK_TOL
+from .tolerances import AXIS_TOL
 
 CASE_THREE_D = "three_d"
 CASE_SEGMENT = "segment"
@@ -40,7 +36,7 @@ DASHED = "dashed"
 
 _LINE_EPS = 1e-12  # Bloch vectors shorter than this get no line record
 
-_RANK_CASE_TO_SCENE = {
+RANK_CASE_TO_SCENE = {
     FULL_3D: CASE_THREE_D,
     SURFACE_3D: CASE_THREE_D,
     SEGMENT_INTERIOR: CASE_SEGMENT,
@@ -70,47 +66,34 @@ class EllipsoidScene:
 def build_scene(rho: np.ndarray) -> EllipsoidScene:
     """Scene of a valid state: ellipsoid frame, Bloch vector, rays.
 
-    Case selection counts semi-axes above the axis tolerance (all live:
-    three_d, exactly one: segment, none: point); when that count
-    disagrees with the rank taxonomy near a threshold, the rank verdict
-    wins so both views of the state stay consistent.
+    The case is the rank taxonomy's (see RANK_CASE_TO_SCENE): three_d
+    when all three semi-axes are alive, segment for exactly one, point
+    for none.
     """
-    rho = np.asarray(rho, dtype=complex)
-    assert_density(rho)
-    if float(eig_hermitian3(rho).values[-1]) < -RANK_TOL:
+    an = analyse(rho)
+    if an.rank is None:
         raise InvalidStateError("state is not positive semidefinite")
-
-    p = decompose(rho)
-    tvals, frame = eig_sym3(p.T)
-    eps = semi_axes(tvals)
-    alive = int(np.sum(eps > AXIS_TOL))
-    if alive == 3:
-        case = CASE_THREE_D
-    elif alive == 1:
-        case = CASE_SEGMENT
-    else:
-        case = CASE_POINT
-    from_rank = _RANK_CASE_TO_SCENE[classify_rank(rho).case]
-    if case != from_rank:
-        case = from_rank
-
-    a = p.a
+    case = RANK_CASE_TO_SCENE[an.rank.case]
+    frame = an.frame
+    a = an.params.a
     rays: list[Ray] = []
     if case == CASE_SEGMENT:
         residual = float(np.linalg.norm(a - (a @ frame[:, 0]) * frame[:, 0]))
-        assert residual < 1e-8, "segment Bloch vector is not parallel to the u-axis"
+        if residual >= 1e-8:
+            raise InternalCheckError("segment Bloch vector is not parallel to the u-axis")
         rays = [
             Ray(dir=frame[:, 1].copy(), style=SOLID, label="v"),
             Ray(dir=frame[:, 2].copy(), style=DASHED, label="w"),
         ]
     elif case == CASE_POINT:
-        assert float(np.linalg.norm(a)) < 1e-8, "point case requires a vanishing Bloch vector"
+        if float(np.linalg.norm(a)) >= 1e-8:
+            raise InternalCheckError("point case requires a vanishing Bloch vector")
         rays = [
             Ray(dir=frame[:, 0].copy(), style=SOLID, label="u"),
             Ray(dir=frame[:, 1].copy(), style=SOLID, label="v"),
             Ray(dir=frame[:, 2].copy(), style=DASHED, label="w"),
         ]
-    return EllipsoidScene(case=case, semi_axes=eps, frame=frame, bloch=a, rays=rays)
+    return EllipsoidScene(case=case, semi_axes=an.semi_axes, frame=frame, bloch=a, rays=rays)
 
 
 def scene_to_dict(s: EllipsoidScene) -> dict:

@@ -1,8 +1,8 @@
 """Dense linear algebra for fixed dimensions 3 and 4.
 
 Self-contained complex Hermitian eigendecomposition (cyclic Jacobi),
-determinants, principal minors, the unitary matrix exponential and the
-two-qubit partial transpose.  Everything here is a pure function over
+determinants, the unitary matrix exponential and the two-qubit partial
+transpose.  Everything here is a pure function over
 small numpy arrays; no shared state.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianError
+from .errors import InternalCheckError, NotHermitianError
 from .tolerances import DEGEN_GAP, HERM_TOL
 
 # Residual threshold accepted when Gram-Schmidting a degenerate cluster;
@@ -33,13 +33,9 @@ class EigenSystem3:
     vectors: np.ndarray
 
 
-def is_hermitian(M: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return float(np.max(np.abs(M - M.conj().T))) <= tol
-
-
 def assert_hermitian(M: np.ndarray, tol: float = HERM_TOL, what: str = "matrix") -> None:
     dev = float(np.max(np.abs(M - M.conj().T)))
-    if dev > tol:
+    if not dev <= tol:  # also rejects NaN
         raise NotHermitianError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e}")
 
 
@@ -109,7 +105,8 @@ def _reorthonormalize_cluster(vectors: np.ndarray, idx: list[int]) -> None:
             chosen.append(w / norm)
         if len(chosen) == len(idx):
             break
-    assert len(chosen) == len(idx), "degenerate cluster re-orthonormalization failed"
+    if len(chosen) != len(idx):
+        raise InternalCheckError("degenerate cluster re-orthonormalization failed")
     # one polish pass restores orthonormality to machine precision
     for k, w in enumerate(chosen):
         for u in chosen[:k]:
@@ -167,34 +164,6 @@ def det3(M: np.ndarray) -> complex:
     d, e, f = M[1]
     g, h, i = M[2]
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def principal_minors3(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """All principal minors of a 3x3 Hermitian matrix.
-
-    Returns (d1, d2, d3): the three diagonal entries, the determinants of
-    the three 2x2 principal submatrices (d2[j] is the minor on the two
-    indices complementary to j), and det(M).  Hermiticity makes every
-    minor real; imaginary rounding residue is discarded.
-    """
-    M = np.asarray(M, dtype=complex)
-    assert_hermitian(M)
-    d1 = np.real(np.diag(M)).copy()
-    d2 = np.empty(3)
-    for j in range(3):
-        k, l = [i for i in range(3) if i != j]
-        d2[j] = M[k, k].real * M[l, l].real - abs(M[k, l]) ** 2
-    d3 = float(np.real(det3(M)))
-    return d1, d2, d3
-
-
-def exp_i_hermitian3(G: np.ndarray, theta: float) -> np.ndarray:
-    """Unitary U = exp(-i * theta * G) for Hermitian G, via eigendecomposition."""
-    if theta == 0.0:
-        return np.eye(3, dtype=complex)
-    es = eig_hermitian3(G)
-    phases = np.exp(-1j * theta * es.values)
-    return (es.vectors * phases) @ es.vectors.conj().T
 
 
 def unitary_from_eigensystem(es: EigenSystem3, theta: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalizedError, OutOfBallError
-from .state import StateParams, compose, params_from_bloch_tensor
+from .state import compose, params_from_bloch_tensor
 from .tolerances import GAUGE_EPS
 
 _ORTHO_TOL = 1e-10  # per-condition tolerance of the r/k orthogonality test
@@ -171,11 +171,3 @@ def haar_pure(rng: np.random.Generator | int | None = None) -> np.ndarray:
         rng = np.random.default_rng(rng)
     psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     return psi / np.linalg.norm(psi)
-
-
-def pure_params(amp: np.ndarray) -> StateParams:
-    """Parametrization of the projector onto the given amplitudes."""
-    from .state import decompose
-
-    p = rik_decompose(amp)
-    return decompose(density_from_pure(p))

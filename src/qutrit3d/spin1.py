@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NotSymmetricError
-from .linalg import assert_hermitian, eig_hermitian3, eigvals_hermitian4, partial_transpose
-from .state import StateParams, assert_density, compose, params_from_bloch_tensor
-from .tolerances import HERM_TOL, RANK_TOL
+from .linalg import assert_hermitian, eigvals_hermitian4, partial_transpose
+from .state import StateParams, assert_density, check_state, compose, params_from_bloch_tensor
+from .tolerances import HERM_TOL, RANK_TOL, TWO_QUBIT_TRACE_TOL
 
 _EPS = np.zeros((3, 3, 3))
 for _j, _k, _l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -75,10 +75,7 @@ def to_two_qubit(rho: np.ndarray) -> np.ndarray:
     The image has the same spectrum plus one extra zero, and zero overlap
     with the singlet.
     """
-    rho = np.asarray(rho, dtype=complex)
-    assert_density(rho)
-    if float(eig_hermitian3(rho).values[-1]) < -RANK_TOL:
-        raise InvalidStateError("input is not positive semidefinite")
+    rho = check_state(rho)
     ops = spin_set()
     a = np.array([np.trace(rho @ Sj).real for Sj in ops.S])
     T = np.eye(3) - 2.0 * rho.real
@@ -111,7 +108,7 @@ def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
         raise InvalidStateError(f"expected a 4x4 matrix, got {rho4.shape}")
     assert_hermitian(rho4, what="two-qubit state")
     tr = complex(np.trace(rho4))
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > TWO_QUBIT_TRACE_TOL:
         raise InvalidStateError(f"two-qubit trace = {tr.real:.15g}, expected 1")
     eye2 = np.eye(2, dtype=complex)
     a1 = np.array([np.trace(rho4 @ np.kron(PAULI[j], eye2)).real for j in range(3)])

@@ -1,9 +1,10 @@
 """Core qutrit parametrization.
 
 Maps a 3x3 density matrix to and from the (Bloch vector a, off-diagonal
-correlations q, diagonal weights omega, correlation tensor T) picture,
-checks positivity through principal minors, derives the metric tensor
-and classifies rank and geometry case.
+correlations q, diagonal weights omega, correlation tensor T) picture
+and derives the metric tensor.  analyse() reads everything else from two
+spectra: rho's (positivity, rank) and T's (frame, semi-axes,
+principal-minor diagnostics, geometry case).
 
 Conventions (fixed wire format):
   T = 1 - 2 Re(rho)
@@ -19,11 +20,12 @@ import numpy as np
 
 from .errors import (
     InconsistentParamsError,
+    InternalCheckError,
     MetricUndefinedError,
     NotPositiveError,
     TraceError,
 )
-from .linalg import assert_hermitian, det3, eig_hermitian3, eig_sym3
+from .linalg import EigenSystem3, assert_hermitian, det3, eig_hermitian3, eig_sym3
 from .tolerances import AXIS_TOL, RANK_TOL, SING_TOL, TRACE_TOL
 
 # Rank/geometry taxonomy labels.
@@ -134,40 +136,16 @@ def params_from_bloch_tensor(a: np.ndarray, T: np.ndarray) -> StateParams:
 
 
 def validate(p: StateParams) -> ValidityReport:
-    """Positivity verdict with principal-minor diagnostics in T's eigenbasis.
+    """Positivity verdict and minor diagnostics of a parameter bundle.
 
-    In the eigenbasis the matrix takes the diagonal-tensor form, so the
-    three minor levels reduce to
-        c1:  0 <= omega_j <= 1
-        c2:  4 omega_j omega_k >= a_l^2
-        c3:  4 omega_x omega_y omega_z >= sum_j omega_j a_j^2
-    with eigenbasis weights and Bloch components.  The determinant form
-    never divides, so boundary states (where the metric tensor is
-    singular) are handled without special cases.
-
-    The three flags carry a fixed slack on the minor *values*, which near
-    a double root of the spectrum is a much looser cut than the same
-    slack on the eigenvalues (minors scale like products of small roots).
-    The overall verdict therefore comes from the spectrum itself, so it
-    agrees with min-eigenvalue >= -RANK_TOL exactly; the flags localize
-    which condition a clear violation breaks.  Reports, never raises.
+    The validity analyse() gives compose(p).  It skips the rank and
+    geometry case, so it reports, never raises, where their self-checks
+    fail.
     """
+    _, _, positive = _spectrum(compose(p))
     T = np.asarray(p.T, dtype=float)
-    T = (T + T.T) / 2.0
-    vals, vecs = eig_sym3(T)
-    om = (1.0 - vals) / 2.0
-    at = vecs.T @ np.asarray(p.a, dtype=float)
-
-    c1 = bool(np.all(om >= -RANK_TOL) and np.all(om <= 1.0 + RANK_TOL))
-    c2 = True
-    for j in range(3):
-        k, l = [i for i in range(3) if i != j]
-        if 4.0 * om[k] * om[l] - at[j] ** 2 < -RANK_TOL:
-            c2 = False
-            break
-    c3 = bool(4.0 * om[0] * om[1] * om[2] - float(np.dot(om, at**2)) >= -RANK_TOL)
-    overall = bool(eig_hermitian3(compose(p)).values[-1] >= -RANK_TOL)
-    return ValidityReport(c1_ok=c1, c2_ok=c2, c3_ok=c3, overall=overall)
+    tvals, frame = eig_sym3((T + T.T) / 2.0)
+    return _validity(tvals, frame, np.asarray(p.a, dtype=float), positive)
 
 
 def metric_tensor(T: np.ndarray) -> MetricTensor:
@@ -201,47 +179,145 @@ def semi_axes(tensor_eigenvalues: np.ndarray) -> np.ndarray:
     return eps
 
 
-def classify_rank(rho: np.ndarray) -> RankReport:
-    """Rank and geometry case of a valid state.
+def _spectrum(rho: np.ndarray) -> tuple[np.ndarray, EigenSystem3, bool]:
+    """rho as a checked complex density matrix, its spectrum, its positivity.
 
-    Rank counts density eigenvalues above the positivity tolerance; the
-    case follows the ellipsoid taxonomy: full-rank states live strictly
-    inside a 3D ellipsoid, rank-2 states sit on its surface or strictly
-    inside a line segment, pure states are a segment endpoint or (when
-    real, up to phase) a single point at the origin.
+    The package's one positivity verdict: rho is positive semidefinite
+    when its smallest eigenvalue is at least -RANK_TOL.
     """
     rho = np.asarray(rho, dtype=complex)
     assert_density(rho)
     es = eig_hermitian3(rho)
-    if es.values[-1] < -RANK_TOL:
-        raise NotPositiveError(f"min eigenvalue {es.values[-1]:.3e} < -{RANK_TOL:g}")
-    rank = int(np.sum(es.values > RANK_TOL))
+    return rho, es, bool(es.values[-1] >= -RANK_TOL)
 
+
+def check_state(rho: np.ndarray) -> np.ndarray:
+    """rho as a complex density matrix; NotPositiveError unless it is a state."""
+    rho, es, positive = _spectrum(rho)
+    if not positive:
+        raise _not_positive(es.values)
+    return rho
+
+
+def _not_positive(eigenvalues: np.ndarray) -> NotPositiveError:
+    return NotPositiveError(f"not positive: min eigenvalue {eigenvalues[-1]:.3e} < -{RANK_TOL:g}")
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Everything reported about one Hermitian trace-one matrix.
+
+    ``eigenvalues`` are rho's, ``tensor_eigenvalues`` and the matching
+    real eigenvector columns ``frame`` are T's, all descending;
+    ``semi_axes`` are the ellipsoid's.  ``rank`` is None when rho is not
+    positive semidefinite.
+    """
+
+    params: StateParams
+    eigenvalues: np.ndarray
+    tensor_eigenvalues: np.ndarray
+    frame: np.ndarray
+    semi_axes: np.ndarray
+    validity: ValidityReport
+    rank: RankReport | None
+
+
+def _validity(
+    tvals: np.ndarray, frame: np.ndarray, a: np.ndarray, positive: bool
+) -> ValidityReport:
+    """The positivity verdict with principal-minor diagnostics in T's eigenbasis.
+
+    In the eigenbasis the matrix takes the diagonal-tensor form, so the
+    three minor levels reduce to
+        c1:  0 <= omega_j <= 1
+        c2:  4 omega_j omega_k >= a_l^2
+        c3:  4 omega_x omega_y omega_z >= sum_j omega_j a_j^2
+    with eigenbasis weights and Bloch components.  The determinant form
+    never divides, so boundary states (where the metric tensor is
+    singular) are handled without special cases.
+
+    The three flags carry a fixed slack on the minor *values*, which near
+    a double root of the spectrum is a much looser cut than the same
+    slack on the eigenvalues (minors scale like products of small roots).
+    The overall verdict therefore is the spectrum's, so it agrees with
+    min-eigenvalue >= -RANK_TOL exactly; the flags localize which
+    condition a clear violation breaks.
+    """
+    om = (1.0 - tvals) / 2.0
+    at = frame.T @ a
+    c1 = bool(np.all(om >= -RANK_TOL) and np.all(om <= 1.0 + RANK_TOL))
+    c2 = True
+    for j in range(3):
+        k, l = [i for i in range(3) if i != j]
+        if 4.0 * om[k] * om[l] - at[j] ** 2 < -RANK_TOL:
+            c2 = False
+            break
+    c3 = bool(4.0 * om[0] * om[1] * om[2] - float(np.dot(om, at**2)) >= -RANK_TOL)
+    return ValidityReport(c1_ok=c1, c2_ok=c2, c3_ok=c3, overall=positive)
+
+
+def analyse(rho: np.ndarray) -> Analysis:
+    """Analyse a Hermitian trace-one matrix with one eigensolve of rho and one of T.
+
+    Positivity and rank come from rho's spectrum; the frame, semi-axes,
+    minor diagnostics and geometry case from T's.  A matrix that is not
+    positive is reported, not raised; InternalCheckError means the
+    geometry case failed its own consistency checks.
+    """
+    rho, es, positive = _spectrum(rho)
     p = decompose(rho)
-    tvals, tvecs = eig_sym3(p.T)
+    tvals, frame = eig_sym3(p.T)
     eps = semi_axes(tvals)
-    alive = int(np.sum(eps > AXIS_TOL))
-    a_len = float(np.linalg.norm(p.a))
+    rank = None
+    if positive:
+        n = int(np.sum(es.values > RANK_TOL))
+        rank = RankReport(rank=n, case=_rank_case(n, tvals, eps, p.a), eigenvalues=es.values)
+    return Analysis(
+        params=p,
+        eigenvalues=es.values,
+        tensor_eigenvalues=tvals,
+        frame=frame,
+        semi_axes=eps,
+        validity=_validity(tvals, frame, p.a, positive),
+        rank=rank,
+    )
 
+
+def _rank_case(rank: int, tvals: np.ndarray, eps: np.ndarray, a: np.ndarray) -> str:
+    """Geometry case of a positive state from its rank and T's spectrum.
+
+    Full-rank states live strictly inside a 3D ellipsoid, rank-2 states
+    sit on its surface or strictly inside a line segment, pure states are
+    a segment endpoint or (when real, up to phase) a single point at the
+    origin.
+    """
+    alive = int(np.sum(eps > AXIS_TOL))
     if rank == 3:
-        case = FULL_3D
-    elif rank == 2:
-        if alive == 3:
-            case = SURFACE_3D
-        else:
-            assert alive == 1, f"rank-2 segment state with {alive} live axes"
-            assert abs(tvals[1] + tvals[2]) < 1e-7, "segment requires lambda_v = -lambda_w"
-            assert a_len < eps[0] + 1e-7, "segment-interior Bloch vector exceeds eps_u"
-            case = SEGMENT_INTERIOR
-    else:
-        if alive == 0:
-            case = POINT
-        else:
-            assert alive == 1, f"pure state with {alive} live axes"
-            assert abs(tvals[1] + tvals[2]) < 1e-7, "segment requires lambda_v = -lambda_w"
-            assert abs(a_len - eps[0]) < 1e-7, "pure segment state requires |a| = eps_u"
-            case = SEGMENT_ENDPOINT
-    return RankReport(rank=rank, case=case, eigenvalues=es.values)
+        return FULL_3D
+    if rank == 2 and alive == 3:
+        return SURFACE_3D
+    if rank < 2 and alive == 0:
+        return POINT
+    if alive != 1:
+        raise InternalCheckError(f"rank-{rank} state with {alive} live axes")
+    if abs(tvals[1] + tvals[2]) >= 1e-7:
+        raise InternalCheckError("segment requires lambda_v = -lambda_w")
+    a_len = float(np.linalg.norm(a))
+    if rank == 2:
+        if a_len >= eps[0] + 1e-7:
+            raise InternalCheckError("segment-interior Bloch vector exceeds eps_u")
+        return SEGMENT_INTERIOR
+    if abs(a_len - eps[0]) >= 1e-7:
+        raise InternalCheckError("pure segment state requires |a| = eps_u")
+    return SEGMENT_ENDPOINT
+
+
+def classify_rank(rho: np.ndarray) -> RankReport:
+    """Rank and geometry case of a valid state; NotPositiveError otherwise."""
+    an = analyse(rho)
+    if an.rank is None:
+        raise _not_positive(an.eigenvalues)
+    return an.rank
 
 
 def random_density(rank: int = 3, rng: np.random.Generator | int | None = None) -> np.ndarray:

@@ -27,6 +27,9 @@ DEGEN_GAP = 1e-9
 
 TRACE_TOL = 1e-12
 
+# Trace acceptance of a two-qubit density matrix.
+TWO_QUBIT_TRACE_TOL = 1e-10
+
 # Smallest amplitude modulus eligible to anchor the global-phase gauge
 # of a pure state.
 GAUGE_EPS = 1e-12

@@ -1,0 +1,154 @@
+"""One analysis per state: the record, its consumers and its cost.
+
+Every verdict the package reports about a state (validity, rank, case,
+scene, the CLI report) reads one record built from one spectrum of rho
+and one of T; these tests pin that the consumers agree with the record,
+that the record costs exactly two eigensolves, and that a state on the
+positivity threshold gets one consistent verdict end to end.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import qutrit3d
+from qutrit3d import cli, dynamics, geometry, linalg, spin1, state
+from qutrit3d.errors import NotPositiveError
+from qutrit3d.geometry import RANK_CASE_TO_SCENE, build_scene
+from qutrit3d.state import (
+    analyse,
+    check_state,
+    classify_rank,
+    compose,
+    decompose,
+    random_density,
+    validate,
+)
+
+MODULES = (linalg, state, geometry, dynamics, spin1, cli, qutrit3d)
+
+
+def threshold_density():
+    """Rank-2 state pushed to eigenvalue -1e-9, plus an in-tolerance skew.
+
+    The skew (3e-11 i on one off-diagonal, inside HERM_TOL) makes rho and
+    compose(decompose(rho)) differ, so two positivity verdicts on the two
+    matrices used to disagree here.
+    """
+    c, s = np.cos(0.3), np.sin(0.3)
+    R = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    rho = (R @ np.diag([0.6, 0.4 + 1e-9, -1e-9]) @ R.T).astype(complex)
+    rho[1, 2] += 3e-11j
+    return rho
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Count eig_hermitian3 calls made anywhere in the package."""
+    calls = []
+    original = linalg.eig_hermitian3
+
+    def counted(M):
+        calls.append(1)
+        return original(M)
+
+    for mod in MODULES:
+        if getattr(mod, "eig_hermitian3", None) is original:
+            monkeypatch.setattr(mod, "eig_hermitian3", counted)
+    return calls
+
+
+def test_consumers_read_the_record():
+    rng = np.random.default_rng(601)
+    for _ in range(150):
+        rho = random_density(rank=int(rng.integers(1, 4)), rng=rng)
+        an = analyse(rho)
+        assert an.validity.overall
+        assert np.allclose(an.eigenvalues, np.linalg.eigvalsh(rho)[::-1], atol=1e-12)
+        rank = classify_rank(rho)
+        assert (rank.rank, rank.case) == (an.rank.rank, an.rank.case)
+        scene = build_scene(rho)
+        assert scene.case == RANK_CASE_TO_SCENE[an.rank.case]
+        assert np.array_equal(scene.semi_axes, an.semi_axes)
+        assert np.array_equal(scene.frame, an.frame)
+        assert np.array_equal(scene.bloch, an.params.a)
+
+
+def test_validate_reports_the_validity_of_compose():
+    rng = np.random.default_rng(607)
+    for _ in range(300):
+        X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        H = 0.5 * (X + X.conj().T) / 2.0
+        H = H + (1.0 - np.trace(H).real) / 3.0 * np.eye(3)
+        p = decompose(H)
+        assert validate(p) == analyse(compose(p)).validity
+        an = analyse(H)
+        assert an.validity.overall == (np.linalg.eigvalsh(H)[0] >= -1e-9)
+        assert (an.rank is None) == (not an.validity.overall)
+
+
+def test_not_positive_is_reported_by_analyse_and_raised_by_the_rest():
+    rho = np.diag([1.2, 0.1, -0.3]).astype(complex)
+    an = analyse(rho)
+    assert not an.validity.overall and an.rank is None
+    with pytest.raises(NotPositiveError):
+        classify_rank(rho)
+    with pytest.raises(NotPositiveError):
+        check_state(rho)
+
+
+def test_threshold_state_gets_one_verdict(tmp_path):
+    rho = threshold_density()
+    an = analyse(rho)
+    assert an.validity.overall == (an.rank is not None)
+
+    path = tmp_path / "threshold.json"
+    path.write_text(json.dumps({"re": rho.real.tolist(), "im": rho.imag.tolist()}))
+    env = dict(os.environ)
+    env.pop("QUTRIT_SEED", None)
+    res = subprocess.run(
+        [sys.executable, "-m", "qutrit3d", "analyze", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert res.stderr == ""
+    lines = res.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "a", "q", "omega", "tensor eigenvalues", "semi-axes", "gamma-norm",
+        "validity", "rank", "case", "scene",
+    ]
+    valid = lines[6] == "validity: ok"
+    assert res.returncode == (0 if valid else 2)
+    assert (lines[7] == "rank: n/a") == (not valid)
+
+
+def test_eigensolve_counts(eig_calls, monkeypatch):
+    rng = np.random.default_rng(613)
+    valid = random_density(rank=3, rng=rng)
+    invalid = np.diag([0.8, 0.8, -0.6]).astype(complex)
+
+    def count(fn, *args, **kwargs):
+        eig_calls.clear()
+        fn(*args, **kwargs)
+        return len(eig_calls)
+
+    assert count(cli.build_report, valid) == 2
+    assert count(cli.build_report, invalid) == 2
+    assert count(build_scene, valid) == 2
+    n = 10
+    g = dynamics.one_axis_twist("x")
+    assert count(dynamics.trajectory, valid, g, 1.0, n, with_scenes=True) == 2 + 2 * n
+    assert count(dynamics.trajectory, valid, g, 1.0, n) == 2
+    assert count(dynamics.evolve, valid, g, 1.0) == 2
+    assert count(spin1.to_two_qubit, valid) == 1
+
+    eig4 = []
+    original4 = linalg.eigvals_hermitian4
+    monkeypatch.setattr(spin1, "eigvals_hermitian4", lambda M: eig4.append(1) or original4(M))
+    assert count(spin1.ppt_separable, valid) == 1
+    assert len(eig4) == 1

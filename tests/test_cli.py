@@ -4,29 +4,34 @@ Golden-file comparisons are byte-level; everything else checks the
 documented exit-code contract and output invariants via subprocesses.
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from qutrit3d import cli
+from qutrit3d import cli, state
+from qutrit3d.errors import InternalCheckError
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src", "qutrit3d")
 DATA = os.path.join(HERE, "data")
 GOLDEN = os.path.join(HERE, "golden")
 
 CANONICAL = ("mixed", "ket0", "pseudo_boundary")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, flags=()):
     env = dict(os.environ)
     env.pop("QUTRIT_SEED", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "qutrit3d", *args],
+        [sys.executable, *flags, "-m", "qutrit3d", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -421,3 +426,95 @@ def test_help_documents_exit_codes():
     assert "2 invalid state" in flat
     assert "3 internal inconsistency" in flat
     assert "exp(-i theta G)" in flat
+
+
+def _grid_payload(n, value, where=(0, 0)):
+    re = np.eye(n) / n
+    payload = {"re": re.tolist(), "im": np.zeros((n, n)).tolist()}
+    payload["re"][where[0]][where[1]] = value
+    return payload
+
+
+# (file name, file payload or None, argv with {f} for the file); every
+# non-finite number must be rejected as a parse failure, exit 1
+NONFINITE_CASES = {
+    "state_nan": ("s.json", _grid_payload(3, float("nan")), ["analyze", "{f}"]),
+    "state_inf_off_diagonal": (
+        "s.json",
+        _grid_payload(3, float("inf"), (0, 1)),
+        ["scene", "{f}"],
+    ),
+    "amplitude_inf": (
+        "s.json",
+        {"amplitudes": [[float("inf"), 0.0], [0.0, 0.0], [0.0, 0.0]]},
+        ["analyze", "{f}"],
+    ),
+    "amplitude_huge_int": (
+        "s.json",
+        {"amplitudes": [[10**400, 0], [0, 0], [0, 0]]},
+        ["analyze", "{f}"],
+    ),
+    "two_qubit_nan": (
+        "q.json",
+        _grid_payload(4, float("nan")),
+        ["bridge", "{f}", "--direction", "from2q"],
+    ),
+    "generator_inf": (
+        "g.json",
+        _grid_payload(3, float("-inf"), (2, 2)),
+        ["evolve", os.path.join(DATA, "mixed.json"), "--generator", "custom:{f}", "--theta", "1"],
+    ),
+    "pseudo_flag_nan": (None, None, ["pseudo", "--ax", "nan"]),
+    "pseudo_flag_inf": (None, None, ["pseudo", "--az=-inf"]),
+    "theta_flag_inf": (
+        None,
+        None,
+        ["evolve", os.path.join(DATA, "mixed.json"), "--generator", "rot:z", "--theta", "inf"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONFINITE_CASES))
+def test_nonfinite_input_exits_1(tmp_path, case):
+    name, payload, argv = NONFINITE_CASES[case]
+    if name is not None:
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        argv = [a.replace("{f}", str(path)) for a in argv]
+    res = run_cli(*argv)
+    assert res.returncode == 1, (res.stdout, res.stderr)
+    assert res.stdout == ""
+    assert "error: " in res.stderr and "Traceback" not in res.stderr
+
+
+def test_internal_check_failure_exits_3(monkeypatch, capsys):
+    # a pure-looking axis count on a rank-2 state breaks the segment checks
+    monkeypatch.setattr(state, "semi_axes", lambda lam: np.array([0.5, 0.0, 0.0]))
+    rho = cli.load_state_file(data_path("pseudo_boundary"))
+    with pytest.raises(InternalCheckError):
+        state.analyse(rho)
+    code = cli.main(["analyze", data_path("pseudo_boundary")])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_no_assert_statements_in_src():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
+
+
+def test_analyze_golden_bytes_under_optimize():
+    for name in CANONICAL:
+        res = run_cli("analyze", data_path(name), flags=("-O",))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == read_golden(f"analyze_{name}.txt"), name

@@ -22,7 +22,7 @@ from qutrit3d.geometry import (
     export_scene_obj,
     scene_from_json,
 )
-from qutrit3d.linalg import eig_sym3, exp_i_hermitian3
+from qutrit3d.linalg import eig_hermitian3, eig_sym3, unitary_from_eigensystem
 from qutrit3d.spin1 import spin_set
 from qutrit3d.state import decompose, gamma_norm, random_density
 
@@ -122,7 +122,7 @@ def test_scene_rotation_invariance_of_axes():
         rho = random_density(rank=3, rng=rng)
         base = np.sort(build_scene(rho).semi_axes)
         for j in range(3):
-            U = exp_i_hermitian3(S[j], float(rng.uniform(0, 2 * np.pi)))
+            U = unitary_from_eigensystem(eig_hermitian3(S[j]), float(rng.uniform(0, 2 * np.pi)))
             rotated = U @ rho @ U.conj().T
             rotated = (rotated + rotated.conj().T) / 2.0
             got = np.sort(build_scene(rotated).semi_axes)

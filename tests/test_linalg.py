@@ -1,20 +1,22 @@
 """Linear algebra kernel tests against independent references.
 
 Eigen routines are checked against numpy's LAPACK-backed solvers, the
-matrix exponential against a raw Taylor series, determinants against
+matrix exponential exp(-i theta G) = unitary_from_eigensystem(eig(G), theta)
+against a raw Taylor series, determinants against
 numpy, and the partial transpose against hand-built tensor products.
 """
 
 import numpy as np
+import pytest
 
+from qutrit3d.errors import NotHermitianError
 from qutrit3d.linalg import (
+    assert_hermitian,
     det3,
     eig_hermitian3,
     eig_sym3,
     eigvals_hermitian4,
-    exp_i_hermitian3,
     partial_transpose,
-    principal_minors3,
     unitary_from_eigensystem,
 )
 
@@ -22,6 +24,10 @@ from qutrit3d.linalg import (
 def random_hermitian(rng, n=3, scale=1.0):
     X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (X + X.conj().T) / 2.0
+
+
+def exp_i(G, theta):
+    return unitary_from_eigensystem(eig_hermitian3(G), theta)
 
 
 def taylor_exp(A, terms=60):
@@ -119,6 +125,17 @@ def test_eigvals_hermitian4_matches_lapack():
         assert np.max(np.abs(vals - ref)) < 1e-12 * scale
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_assert_hermitian_rejects_nonfinite(value):
+    M = np.eye(3, dtype=complex) / 3.0
+    M[1, 1] = value
+    with pytest.raises(NotHermitianError):
+        assert_hermitian(M)
+    with pytest.raises(NotHermitianError):
+        eig_hermitian3(M)
+
+
 def test_det3_matches_numpy():
     rng = np.random.default_rng(29)
     for _ in range(300):
@@ -127,47 +144,10 @@ def test_det3_matches_numpy():
         assert abs(det3(M) - ref) < 1e-12 * max(1.0, abs(ref))
 
 
-def test_principal_minors_hand_cases():
-    d1, d2, d3 = principal_minors3(np.eye(3))
-    assert np.array_equal(d1, [1.0, 1.0, 1.0])
-    assert np.array_equal(d2, [1.0, 1.0, 1.0])
-    assert d3 == 1.0
-
-    d1, d2, d3 = principal_minors3(np.diag([1.0, 2.0, 3.0]))
-    assert np.array_equal(d1, [1.0, 2.0, 3.0])
-    # d2[j] is the minor on the indices complementary to j
-    assert np.array_equal(d2, [6.0, 3.0, 2.0])
-    assert abs(d3 - 6.0) < 1e-15
-
-    # boundary state: diagonal 1/3 with a z Bloch component of 2/3
-    rho = np.array(
-        [
-            [1 / 3, -1j / 3, 0],
-            [1j / 3, 1 / 3, 0],
-            [0, 0, 1 / 3],
-        ]
-    )
-    _, _, d3 = principal_minors3(rho)
-    assert abs(d3) < 1e-15
-
-
-def test_principal_minors_match_submatrix_determinants():
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        M = random_hermitian(rng)
-        d1, d2, d3 = principal_minors3(M)
-        assert np.max(np.abs(d1 - np.diag(M).real)) < 1e-15
-        for j in range(3):
-            keep = [i for i in range(3) if i != j]
-            ref = np.linalg.det(M[np.ix_(keep, keep)]).real
-            assert abs(d2[j] - ref) < 1e-12
-        assert abs(d3 - np.linalg.det(M).real) < 1e-12
-
-
 def test_exp_theta_zero_is_identity():
     rng = np.random.default_rng(37)
     G = random_hermitian(rng)
-    U = exp_i_hermitian3(G, 0.0)
+    U = exp_i(G, 0.0)
     assert np.max(np.abs(U - np.eye(3))) < 1e-14
 
 
@@ -176,7 +156,7 @@ def test_exp_matches_taylor_series():
     for _ in range(100):
         G = random_hermitian(rng)
         for theta in (0.3, -1.1, 2.5):
-            U = exp_i_hermitian3(G, theta)
+            U = exp_i(G, theta)
             ref = taylor_exp(-1j * theta * G)
             assert np.max(np.abs(U - ref)) < 1e-12
             assert np.max(np.abs(U @ U.conj().T - np.eye(3))) < 1e-12
@@ -185,9 +165,9 @@ def test_exp_matches_taylor_series():
 def test_exp_spin_z_closed_form():
     # (S_z)_{kl} = -i eps_{zkl}
     Sz = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
-    U = exp_i_hermitian3(Sz, 2 * np.pi)
+    U = exp_i(Sz, 2 * np.pi)
     assert np.max(np.abs(U - np.eye(3))) < 1e-12
-    U = exp_i_hermitian3(Sz, np.pi)
+    U = exp_i(Sz, np.pi)
     assert np.max(np.abs(U - np.diag([-1.0, -1.0, 1.0]))) < 1e-12
 
 
@@ -196,7 +176,7 @@ def test_unitary_from_eigensystem_matches_direct():
     G = random_hermitian(rng)
     es = eig_hermitian3(G)
     for theta in np.linspace(-3.0, 3.0, 13):
-        A = exp_i_hermitian3(G, float(theta))
+        A = exp_i(G, float(theta))
         B = unitary_from_eigensystem(es, float(theta))
         assert np.max(np.abs(A - B)) < 1e-14
 
