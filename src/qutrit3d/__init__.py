@@ -48,7 +48,6 @@ from .state import (
     compose,
     decompose,
     gamma_norm,
-    is_valid_density,
     metric_tensor,
     params_from_bloch_tensor,
     random_density,

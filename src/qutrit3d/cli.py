@@ -57,7 +57,7 @@ from .state import (
     params_from_bloch_tensor,
     random_density,
 )
-from .tolerances import RANK_TOL, TWO_QUBIT_TRACE_TOL
+from .tolerances import MUB_TOL, ORTHO_TOL, RANK_TOL, TWO_QUBIT_TRACE_TOL
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -337,7 +337,7 @@ def cmd_mub(args) -> int:
             continue
         for other in basis:
             cross.append(abs(complex(state.amp.conj() @ other.amp)))
-    if max(cross) - min(cross) > 1e-12:
+    if max(cross) - min(cross) > MUB_TOL:
         raise InternalCheckError("cross-basis overlaps are not uniform")
     rho = np.outer(state.amp, state.amp.conj())
     report = build_report(rho)
@@ -416,7 +416,7 @@ def cmd_ortho(args) -> int:
     p = _load_pure(args.path_a)
     q = _load_pure(args.path_b)
     overlap = abs(complex(p.amp.conj() @ q.amp))
-    inner_verdict = overlap < 1e-10
+    inner_verdict = overlap <= ORTHO_TOL
     rk_verdict = orthogonal(p, q)
     print(f"inner-product modulus: {_fmt(overlap)}")
     print(f"inner-product verdict: {'orthogonal' if inner_verdict else 'not orthogonal'}")

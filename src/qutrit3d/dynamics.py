@@ -13,7 +13,7 @@ and only the left-hand side is a unitary invariant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

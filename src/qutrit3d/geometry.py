@@ -25,7 +25,7 @@ from .state import (
     SURFACE_3D,
     analyse,
 )
-from .tolerances import AXIS_TOL
+from .tolerances import LINE_EPS, SEGMENT_SLACK
 
 CASE_THREE_D = "three_d"
 CASE_SEGMENT = "segment"
@@ -33,8 +33,6 @@ CASE_POINT = "point"
 
 SOLID = "solid"
 DASHED = "dashed"
-
-_LINE_EPS = 1e-12  # Bloch vectors shorter than this get no line record
 
 RANK_CASE_TO_SCENE = {
     FULL_3D: CASE_THREE_D,
@@ -79,14 +77,14 @@ def build_scene(rho: np.ndarray) -> EllipsoidScene:
     rays: list[Ray] = []
     if case == CASE_SEGMENT:
         residual = float(np.linalg.norm(a - (a @ frame[:, 0]) * frame[:, 0]))
-        if residual >= 1e-8:
+        if residual >= SEGMENT_SLACK:
             raise InternalCheckError("segment Bloch vector is not parallel to the u-axis")
         rays = [
             Ray(dir=frame[:, 1].copy(), style=SOLID, label="v"),
             Ray(dir=frame[:, 2].copy(), style=DASHED, label="w"),
         ]
     elif case == CASE_POINT:
-        if float(np.linalg.norm(a)) >= 1e-8:
+        if float(np.linalg.norm(a)) >= SEGMENT_SLACK:
             raise InternalCheckError("point case requires a vanishing Bloch vector")
         rays = [
             Ray(dir=frame[:, 0].copy(), style=SOLID, label="u"),
@@ -172,7 +170,6 @@ def export_scene_obj(
     lines: list[str] = [
         "# ellipsoid scene",
         f"# case: {s.case}",
-        f"# axis tolerance: {AXIS_TOL:g}",
         "# coordinates: right-handed, y-up; vertices are lab-frame (x, y, z)",
         f"# semi-axes: {_fnum(s.semi_axes[0])} {_fnum(s.semi_axes[1])} {_fnum(s.semi_axes[2])}",
     ]
@@ -216,7 +213,7 @@ def export_scene_obj(
         return "\n".join(lines) + "\n"
 
     bloch = np.asarray(s.bloch, dtype=float)
-    has_bloch = float(np.linalg.norm(bloch)) > _LINE_EPS
+    has_bloch = float(np.linalg.norm(bloch)) > LINE_EPS
     origin_index = 0
     if s.rays or has_bloch:
         origin_index = add_vertex(np.zeros(3))

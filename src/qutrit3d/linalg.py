@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalCheckError, NotHermitianError
-from .tolerances import DEGEN_GAP, HERM_TOL
+from .tolerances import DEGEN_GAP, HERM_TOL, JACOBI_SCALE_FLOOR, JACOBI_STOP
 
 # Residual threshold accepted when Gram-Schmidting a degenerate cluster;
 # large enough that normalization never amplifies rounding noise.
@@ -34,8 +34,10 @@ class EigenSystem3:
 
 
 def assert_hermitian(M: np.ndarray, tol: float = HERM_TOL, what: str = "matrix") -> None:
+    if not np.isfinite(M).all():
+        raise NotHermitianError(f"{what} is not Hermitian: it has a non-finite entry")
     dev = float(np.max(np.abs(M - M.conj().T)))
-    if not dev <= tol:  # also rejects NaN
+    if dev > tol:
         raise NotHermitianError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e}")
 
 
@@ -49,8 +51,8 @@ def _jacobi_hermitian(M: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, 
     n = M.shape[0]
     A = np.array(M, dtype=complex)
     V = np.eye(n, dtype=complex)
-    scale = max(float(np.max(np.abs(A))), 1e-300)
-    stop = 1e-16 * scale
+    scale = max(float(np.max(np.abs(A))), JACOBI_SCALE_FLOOR)
+    stop = JACOBI_STOP * scale
 
     for _ in range(max_sweeps):
         off = 0.0

@@ -10,15 +10,14 @@ identity/3, Bloch ball of radius 2/3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotNormalizedError, OutOfBallError
 from .state import compose, params_from_bloch_tensor
-from .tolerances import GAUGE_EPS
-
-_ORTHO_TOL = 1e-10  # per-condition tolerance of the r/k orthogonality test
+from .tolerances import BALL_TOL, GAUGE_EPS, NORM_TOL, ORTHO_TOL
 
 _BALL_RADIUS_SQ = 4.0 / 9.0  # pseudo-qubit Bloch ball, |a|^2 <= 4/9
 
@@ -48,7 +47,7 @@ def rik_decompose(amp: np.ndarray) -> PureState:
     """Normalize-check, fix the global phase, split into r + i k."""
     amp = np.asarray(amp, dtype=complex).reshape(3)
     n = float(np.linalg.norm(amp))
-    if abs(n - 1.0) > 1e-10:
+    if abs(n - 1.0) > NORM_TOL:
         raise NotNormalizedError(f"|psi| = {n:.12g}, expected 1")
     amp = amp / n
     idx = -1
@@ -76,14 +75,14 @@ def density_from_pure(p: PureState) -> np.ndarray:
 
 
 def orthogonal(p: PureState, q: PureState) -> bool:
-    """True iff r.r' = -k.k' and r.k' = r'.k, each within tolerance.
+    """True iff r.r' = -k.k' and r.k' = r'.k, jointly within ORTHO_TOL.
 
     The two conditions are the real and imaginary parts of <psi|psi'>,
-    so the test agrees with a vanishing inner product.
+    so their modulus is tested, as for a vanishing inner product.
     """
     re = float(p.r @ q.r + p.k @ q.k)
     im = float(p.r @ q.k - p.k @ q.r)
-    return abs(re) <= _ORTHO_TOL and abs(im) <= _ORTHO_TOL
+    return math.hypot(re, im) <= ORTHO_TOL
 
 
 def reference_state(theta: float) -> PureState:
@@ -143,7 +142,7 @@ def mub_bases() -> MubFamily:
 def _check_in_ball(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float).reshape(3)
     aa = float(a @ a)
-    if aa > _BALL_RADIUS_SQ + 1e-12:
+    if aa > _BALL_RADIUS_SQ + BALL_TOL:
         raise OutOfBallError(f"{name}: a.a = {aa:.12g} exceeds 4/9")
     return a
 

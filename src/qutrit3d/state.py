@@ -26,7 +26,7 @@ from .errors import (
     TraceError,
 )
 from .linalg import EigenSystem3, assert_hermitian, det3, eig_hermitian3, eig_sym3
-from .tolerances import AXIS_TOL, RANK_TOL, SING_TOL, TRACE_TOL
+from .tolerances import RANK_TOL, SEGMENT_SLACK, SING_TOL, TRACE_TOL
 
 # Rank/geometry taxonomy labels.
 FULL_3D = "Full3D"
@@ -78,16 +78,6 @@ def assert_density(rho: np.ndarray, what: str = "density matrix") -> None:
         raise TraceError(f"{what} trace = {tr.real:.15g}, expected 1")
 
 
-def is_valid_density(rho: np.ndarray, tol: float = RANK_TOL) -> bool:
-    """Hermitian, trace one and positive semidefinite within tolerance."""
-    rho = np.asarray(rho)
-    try:
-        assert_density(rho)
-    except Exception:
-        return False
-    return float(eig_hermitian3(rho).values[-1]) >= -tol
-
-
 def decompose(rho: np.ndarray) -> StateParams:
     """Extract (a, q, omega, T) from a Hermitian trace-one matrix."""
     rho = np.asarray(rho, dtype=complex)
@@ -136,16 +126,8 @@ def params_from_bloch_tensor(a: np.ndarray, T: np.ndarray) -> StateParams:
 
 
 def validate(p: StateParams) -> ValidityReport:
-    """Positivity verdict and minor diagnostics of a parameter bundle.
-
-    The validity analyse() gives compose(p).  It skips the rank and
-    geometry case, so it reports, never raises, where their self-checks
-    fail.
-    """
-    _, _, positive = _spectrum(compose(p))
-    T = np.asarray(p.T, dtype=float)
-    tvals, frame = eig_sym3((T + T.T) / 2.0)
-    return _validity(tvals, frame, np.asarray(p.a, dtype=float), positive)
+    """Positivity verdict and minor diagnostics of a parameter bundle."""
+    return analyse(compose(p)).validity
 
 
 def metric_tensor(T: np.ndarray) -> MetricTensor:
@@ -289,25 +271,25 @@ def _rank_case(rank: int, tvals: np.ndarray, eps: np.ndarray, a: np.ndarray) -> 
     Full-rank states live strictly inside a 3D ellipsoid, rank-2 states
     sit on its surface or strictly inside a line segment, pure states are
     a segment endpoint or (when real, up to phase) a single point at the
-    origin.
+    origin.  The semi-axes are eps_j = 2 sqrt(mu_k mu_l) with mu = (1 -
+    lambda)/2 the eigenvalues of Re(rho), so which axes are alive is the
+    rank of Re(rho), read against the same RANK_TOL as the rank of rho.
     """
-    alive = int(np.sum(eps > AXIS_TOL))
     if rank == 3:
         return FULL_3D
-    if rank == 2 and alive == 3:
+    mu = (1.0 - tvals) / 2.0  # ascending
+    if rank == 2 and mu[0] > RANK_TOL:
         return SURFACE_3D
-    if rank < 2 and alive == 0:
+    if rank == 1 and mu[1] <= RANK_TOL:
         return POINT
-    if alive != 1:
-        raise InternalCheckError(f"rank-{rank} state with {alive} live axes")
-    if abs(tvals[1] + tvals[2]) >= 1e-7:
+    if abs(tvals[1] + tvals[2]) >= SEGMENT_SLACK:
         raise InternalCheckError("segment requires lambda_v = -lambda_w")
     a_len = float(np.linalg.norm(a))
     if rank == 2:
-        if a_len >= eps[0] + 1e-7:
+        if a_len >= eps[0] + SEGMENT_SLACK:
             raise InternalCheckError("segment-interior Bloch vector exceeds eps_u")
         return SEGMENT_INTERIOR
-    if abs(a_len - eps[0]) >= 1e-7:
+    if abs(a_len - eps[0]) >= SEGMENT_SLACK:
         raise InternalCheckError("pure segment state requires |a| = eps_u")
     return SEGMENT_ENDPOINT
 

@@ -20,6 +20,10 @@ from qutrit3d import cli, dynamics, geometry, linalg, spin1, state
 from qutrit3d.errors import NotPositiveError
 from qutrit3d.geometry import RANK_CASE_TO_SCENE, build_scene
 from qutrit3d.state import (
+    POINT,
+    SEGMENT_ENDPOINT,
+    SEGMENT_INTERIOR,
+    SURFACE_3D,
     analyse,
     check_state,
     classify_rank,
@@ -44,6 +48,86 @@ def threshold_density():
     rho = (R @ np.diag([0.6, 0.4 + 1e-9, -1e-9]) @ R.T).astype(complex)
     rho[1, 2] += 3e-11j
     return rho
+
+
+def _noisy(rho, rng):
+    """rho plus Hermitian noise of size 1e-10, renormalized to trace one."""
+    X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    M = rho + 1e-10 * (X + X.conj().T) / 2.0
+    return M / np.trace(M).real
+
+
+def _pure(psi):
+    psi = psi / np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def _rank2_with_null(n, rng):
+    """A rank-2 state whose null vector is the unit vector n."""
+    X = np.column_stack([n, rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))])
+    Q, _ = np.linalg.qr(X)
+    w = rng.uniform(0.05, 0.95)
+    return w * _pure(Q[:, 1]) + (1.0 - w) * _pure(Q[:, 2])
+
+
+def _complex_pure_noise(rng):
+    return _noisy(_pure(rng.standard_normal(3) + 1j * rng.standard_normal(3)), rng)
+
+
+def _real_pure_noise(rng):
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return _noisy(_pure(phase * rng.standard_normal(3)), rng)
+
+
+def _segment_noise(rng):
+    n = rng.standard_normal(3)
+    return _noisy(_rank2_with_null(n / np.linalg.norm(n), rng), rng)
+
+
+def _near_segment(rng):
+    # the null vector is off a real axis by delta, so mu_min ~ delta^2
+    # straddles RANK_TOL
+    delta = 10.0 ** rng.uniform(-6.0, -3.0)
+    n = rng.standard_normal(3) + 1j * delta * rng.standard_normal(3)
+    return _rank2_with_null(n / np.linalg.norm(n), rng)
+
+
+BOUNDARY_FAMILIES = {
+    "complex_pure_noise": (_complex_pure_noise, 1, {SEGMENT_ENDPOINT}),
+    "real_pure_noise": (_real_pure_noise, 1, {POINT}),
+    "segment_noise": (_segment_noise, 2, {SEGMENT_INTERIOR}),
+    "near_segment": (_near_segment, 2, {SURFACE_3D, SEGMENT_INTERIOR}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BOUNDARY_FAMILIES))
+def test_boundary_families_get_one_case(family, tmp_path, capsys):
+    """States within RANK_TOL of a degenerate geometry get a case, not exit 3.
+
+    The live axes are the rank of Re(rho), read at the same RANK_TOL as
+    the rank of rho, so noise far below it cannot leave a pure state
+    with live axes that the segment or point checks then reject.
+    """
+    make, rank, cases = BOUNDARY_FAMILIES[family]
+    rng = np.random.default_rng([20260814, sorted(BOUNDARY_FAMILIES).index(family)])
+    seen = set()
+    for i in range(300):
+        rho = make(rng)
+        an, _ = cli.build_report(rho)
+        assert an.rank is not None and an.rank.rank == rank
+        assert an.rank.case in cases
+        seen.add(an.rank.case)
+        assert build_scene(rho).case == RANK_CASE_TO_SCENE[an.rank.case]
+        if i < 3:
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps({"re": rho.real.tolist(), "im": rho.imag.tolist()}))
+            capsys.readouterr()
+            assert cli.main(["analyze", str(path)]) == 0
+            scene_line = capsys.readouterr().out.splitlines()[-1]
+            assert cli.main(["scene", str(path)]) == 0
+            scene_case = json.loads(capsys.readouterr().out)["case"]
+            assert scene_line == f"scene: {scene_case}"
+    assert seen == cases
 
 
 @pytest.fixture

@@ -388,6 +388,23 @@ def test_ortho_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
 
 
+def test_ortho_tests_the_modulus_of_the_overlap(tmp_path):
+    # each of Re and Im of <a|b> is 0.9e-10, inside 1e-10, but the
+    # modulus is 1.27e-10: both criteria must say "not orthogonal"
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    s = 0.7071067811865476
+    x = 0.9e-10 * np.sqrt(2.0)
+    y = -x
+    z = np.sqrt(1.0 - x * x - y * y)
+    a.write_text(json.dumps({"amplitudes": [[s, 0.0], [0.0, s], [0.0, 0.0]]}))
+    b.write_text(json.dumps({"amplitudes": [[x, 0.0], [y, 0.0], [z, 0.0]]}))
+    res = run_cli("ortho", str(a), str(b))
+    assert res.returncode == 0, res.stderr
+    assert "inner-product verdict: not orthogonal" in res.stdout
+    assert "rk-condition verdict: not orthogonal" in res.stdout
+
+
 def test_random_seeding_and_rank():
     first = run_cli("random", "--rank", "2", "--seed", "5")
     second = run_cli("random", "--rank", "2", "--seed", "5")
@@ -487,13 +504,17 @@ def test_nonfinite_input_exits_1(tmp_path, case):
     assert "error: " in res.stderr and "Traceback" not in res.stderr
 
 
-def test_internal_check_failure_exits_3(monkeypatch, capsys):
-    # a pure-looking axis count on a rank-2 state breaks the segment checks
+def test_internal_check_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a complex pure state is a segment endpoint, checked for |a| = eps_u;
+    # halving eps_u breaks that check
+    path = tmp_path / "endpoint.json"
+    s = 0.7071067811865476
+    path.write_text(json.dumps({"amplitudes": [[s, 0.0], [0.0, s], [0.0, 0.0]]}))
     monkeypatch.setattr(state, "semi_axes", lambda lam: np.array([0.5, 0.0, 0.0]))
-    rho = cli.load_state_file(data_path("pseudo_boundary"))
+    rho = cli.load_state_file(str(path))
     with pytest.raises(InternalCheckError):
         state.analyse(rho)
-    code = cli.main(["analyze", data_path("pseudo_boundary")])
+    code = cli.main(["analyze", str(path)])
     out, err = capsys.readouterr()
     assert code == 3
     assert out == ""
@@ -509,6 +530,23 @@ def test_no_assert_statements_in_src():
             f"{os.path.basename(path)}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
+        ]
+    assert found == []
+
+
+def test_no_literal_tolerances_outside_the_table():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "tolerances.py":
+            continue
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, float)
+            and 0.0 < node.value < 1e-3
         ]
     assert found == []
 

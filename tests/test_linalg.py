@@ -125,7 +125,7 @@ def test_eigvals_hermitian4_matches_lapack():
         assert np.max(np.abs(vals - ref)) < 1e-12 * scale
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_assert_hermitian_rejects_nonfinite(value):
     M = np.eye(3, dtype=complex) / 3.0

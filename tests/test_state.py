@@ -14,11 +14,11 @@ from qutrit3d.state import (
     SEGMENT_ENDPOINT,
     SEGMENT_INTERIOR,
     SURFACE_3D,
+    analyse,
     classify_rank,
     compose,
     decompose,
     gamma_norm,
-    is_valid_density,
     metric_tensor,
     params_from_bloch_tensor,
     random_density,
@@ -212,9 +212,10 @@ def test_random_density_rank_and_reproducibility():
 
 
 def test_is_valid_density():
-    assert is_valid_density(np.eye(3) / 3.0)
-    assert not is_valid_density(np.diag([1.1, 0.1, -0.2]).astype(complex))
-    assert not is_valid_density(np.eye(3))
+    assert analyse(np.eye(3) / 3.0).validity.overall
+    assert not analyse(np.diag([1.1, 0.1, -0.2]).astype(complex)).validity.overall
+    with pytest.raises(TraceError):
+        analyse(np.eye(3))
 
 
 # near-pure state whose -2.6e-6 eigenvalue hides below the minor-value
