@@ -13,12 +13,13 @@ and only the left-hand side is a unitary invariant).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import EllipsoidScene, build_scene
-from .linalg import assert_hermitian, eig_hermitian3, unitary_from_eigensystem
+from .linalg import EigenSystem3, assert_hermitian, eig_hermitian3, unitary_from_eigensystem
 from .spin1 import spin_set
 from .state import check_state
 
@@ -103,13 +104,20 @@ def generator_matrix(g: Generator) -> np.ndarray:
     raise ValueError(f"unknown generator kind {g.kind!r}")
 
 
+def _evolved(rho: np.ndarray, es: EigenSystem3, theta: float) -> np.ndarray:
+    """U rho U^dag with U = exp(-i theta G), es the eigensystem of G."""
+    # Python floats: an overflowing phase raises here instead of warning in numpy
+    if not math.isfinite(theta * max(abs(float(es.values[0])), abs(float(es.values[-1])))):
+        raise ValueError(f"theta = {theta:g}: theta * max|eigenvalue of G| is not finite")
+    U = unitary_from_eigensystem(es, theta)
+    out = U @ rho @ U.conj().T
+    return (out + out.conj().T) / 2.0
+
+
 def evolve(rho: np.ndarray, g: Generator, theta: float) -> np.ndarray:
     """rho' = U rho U^dag with U = exp(-i theta G)."""
     rho = check_state(rho)
-    es = eig_hermitian3(generator_matrix(g))
-    U = unitary_from_eigensystem(es, float(theta))
-    out = U @ rho @ U.conj().T
-    return (out + out.conj().T) / 2.0
+    return _evolved(rho, eig_hermitian3(generator_matrix(g)), float(theta))
 
 
 def trajectory(
@@ -130,10 +138,6 @@ def trajectory(
     rho0 = check_state(rho0)
     es = eig_hermitian3(generator_matrix(g))
     thetas = np.linspace(0.0, float(theta_max), n)
-    states: list[np.ndarray] = []
-    for theta in thetas:
-        U = unitary_from_eigensystem(es, float(theta))
-        out = U @ rho0 @ U.conj().T
-        states.append((out + out.conj().T) / 2.0)
+    states = [_evolved(rho0, es, float(theta)) for theta in thetas]
     scenes = [build_scene(s) for s in states] if with_scenes else None
     return Trajectory(thetas=thetas, states=states, scenes=scenes)

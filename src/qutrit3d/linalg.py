@@ -18,6 +18,7 @@ from .tolerances import DEGEN_GAP, HERM_TOL, JACOBI_SCALE_FLOOR, JACOBI_STOP
 # Residual threshold accepted when Gram-Schmidting a degenerate cluster;
 # large enough that normalization never amplifies rounding noise.
 _GS_RESIDUAL = 0.1
+_MAX_SWEEPS = 60
 
 
 @dataclass
@@ -33,15 +34,15 @@ class EigenSystem3:
     vectors: np.ndarray
 
 
-def assert_hermitian(M: np.ndarray, tol: float = HERM_TOL, what: str = "matrix") -> None:
+def assert_hermitian(M: np.ndarray, what: str = "matrix") -> None:
     if not np.isfinite(M).all():
         raise NotHermitianError(f"{what} is not Hermitian: it has a non-finite entry")
     dev = float(np.max(np.abs(M - M.conj().T)))
-    if dev > tol:
+    if dev > HERM_TOL:
         raise NotHermitianError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e}")
 
 
-def _jacobi_hermitian(M: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_hermitian(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic complex Jacobi diagonalization of a Hermitian matrix.
 
     Each rotation zeroes one off-diagonal entry with a unitary plane
@@ -54,7 +55,7 @@ def _jacobi_hermitian(M: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, 
     scale = max(float(np.max(np.abs(A))), JACOBI_SCALE_FLOOR)
     stop = JACOBI_STOP * scale
 
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):

@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import InvalidStateError, NotSymmetricError
 from .linalg import assert_hermitian, eigvals_hermitian4, partial_transpose
-from .state import StateParams, assert_density, check_state, compose, params_from_bloch_tensor
+from .state import (
+    StateParams, _params, assert_density, check_state, compose, params_from_bloch_tensor
+)
 from .tolerances import HERM_TOL, RANK_TOL, TWO_QUBIT_TRACE_TOL
 
 _EPS = np.zeros((3, 3, 3))
@@ -76,10 +78,9 @@ def to_two_qubit(rho: np.ndarray) -> np.ndarray:
     with the singlet.
     """
     rho = check_state(rho)
-    ops = spin_set()
-    a = np.array([np.trace(rho @ Sj).real for Sj in ops.S])
-    T = np.eye(3) - 2.0 * rho.real
-    T = (T + T.T) / 2.0
+    # <S_j> as in expectations; 2 Im(rho_lk) differs in the last bit off exact Hermiticity
+    a = np.array([np.trace(rho @ Sj).real for Sj in spin_set().S])
+    T = _params(rho).T
     eye2 = np.eye(2, dtype=complex)
     out = np.kron(eye2, eye2).astype(complex)
     for j in range(3):

@@ -67,27 +67,28 @@ class RankReport:
     eigenvalues: np.ndarray
 
 
-def assert_density(rho: np.ndarray, what: str = "density matrix") -> None:
+def assert_density(rho: np.ndarray) -> None:
     """Check shape, Hermiticity and unit trace; positivity is separate."""
     rho = np.asarray(rho)
     if rho.shape != (3, 3):
-        raise TraceError(f"{what} must be 3x3, got {rho.shape}")
-    assert_hermitian(rho, what=what)
+        raise TraceError(f"density matrix must be 3x3, got {rho.shape}")
+    assert_hermitian(rho, what="density matrix")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceError(f"{what} trace = {tr.real:.15g}, expected 1")
+        raise TraceError(f"density matrix trace = {tr.real:.15g}, expected 1")
 
 
 def decompose(rho: np.ndarray) -> StateParams:
     """Extract (a, q, omega, T) from a Hermitian trace-one matrix."""
     rho = np.asarray(rho, dtype=complex)
     assert_density(rho)
-    T = np.eye(3) - 2.0 * rho.real
-    T = (T + T.T) / 2.0
+    return _params(rho)
+
+
+def _params(rho: np.ndarray) -> StateParams:
+    """(a, q, omega, T) of a checked complex density matrix, T = 1 - 2 Re(rho)."""
     a = 2.0 * np.array([rho[2, 1].imag, rho[0, 2].imag, rho[1, 0].imag])
-    omega = (1.0 - np.diag(T)) / 2.0
-    q = np.array([T[1, 2], T[0, 2], T[0, 1]])
-    return StateParams(a=a, q=q, omega=omega, T=T)
+    return params_from_bloch_tensor(a, np.eye(3) - 2.0 * rho.real)
 
 
 def _cross_matrix(a: np.ndarray) -> np.ndarray:
@@ -130,11 +131,15 @@ def validate(p: StateParams) -> ValidityReport:
     return analyse(compose(p)).validity
 
 
+def _one_minus(T: np.ndarray) -> tuple[np.ndarray, float]:
+    """1 - T and its determinant, the numerator and denominator of Gamma."""
+    one_minus = np.eye(3) - np.asarray(T, dtype=float)
+    return one_minus, float(np.real(det3(one_minus)))
+
+
 def metric_tensor(T: np.ndarray) -> MetricTensor:
     """Gamma = (1 - T) / det(1 - T), undefined when the determinant vanishes."""
-    T = np.asarray(T, dtype=float)
-    one_minus = np.eye(3) - T
-    d = float(np.real(det3(one_minus)))
+    one_minus, d = _one_minus(T)
     if d > SING_TOL:
         return MetricTensor(gamma=one_minus / d, defined=True)
     return MetricTensor(gamma=None, defined=False)
@@ -142,10 +147,8 @@ def metric_tensor(T: np.ndarray) -> MetricTensor:
 
 def gamma_norm(a: np.ndarray, T: np.ndarray) -> float:
     """a . Gamma . a, the metric norm of the Bloch vector."""
-    T = np.asarray(T, dtype=float)
+    one_minus, d = _one_minus(T)
     a = np.asarray(a, dtype=float)
-    one_minus = np.eye(3) - T
-    d = float(np.real(det3(one_minus)))
     if d <= SING_TOL:
         raise MetricUndefinedError(f"det(1 - T) = {d:.3e} is not above {SING_TOL:g}")
     return float(a @ one_minus @ a) / d
@@ -247,7 +250,7 @@ def analyse(rho: np.ndarray) -> Analysis:
     geometry case failed its own consistency checks.
     """
     rho, es, positive = _spectrum(rho)
-    p = decompose(rho)
+    p = _params(rho)
     tvals, frame = eig_sym3(p.T)
     eps = semi_axes(tvals)
     rank = None

@@ -130,20 +130,25 @@ def test_boundary_families_get_one_case(family, tmp_path, capsys):
     assert seen == cases
 
 
+def _count_calls(monkeypatch, name):
+    """Count calls of linalg.<name> made anywhere in the package."""
+    calls = []
+    original = getattr(linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in MODULES:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 @pytest.fixture
 def eig_calls(monkeypatch):
     """Count eig_hermitian3 calls made anywhere in the package."""
-    calls = []
-    original = linalg.eig_hermitian3
-
-    def counted(M):
-        calls.append(1)
-        return original(M)
-
-    for mod in MODULES:
-        if getattr(mod, "eig_hermitian3", None) is original:
-            monkeypatch.setattr(mod, "eig_hermitian3", counted)
-    return calls
+    return _count_calls(monkeypatch, "eig_hermitian3")
 
 
 def test_consumers_read_the_record():
@@ -236,3 +241,14 @@ def test_eigensolve_counts(eig_calls, monkeypatch):
     monkeypatch.setattr(spin1, "eigvals_hermitian4", lambda M: eig4.append(1) or original4(M))
     assert count(spin1.ppt_separable, valid) == 1
     assert len(eig4) == 1
+
+
+def test_hermiticity_check_counts(monkeypatch):
+    # rho is checked once (assert_density), then once per eigensolve (rho and T)
+    checks = _count_calls(monkeypatch, "assert_hermitian")
+    valid = random_density(rank=3, rng=np.random.default_rng(613))
+    invalid = np.diag([0.8, 0.8, -0.6]).astype(complex)
+    for rho in (valid, invalid):
+        checks.clear()
+        cli.build_report(rho)
+        assert len(checks) == 3

@@ -311,6 +311,22 @@ def test_evolve_with_scenes_and_custom_generator(tmp_path):
     ).returncode == 1
 
 
+def test_evolve_phase_overflow_exits_1(tmp_path):
+    # theta * max|eigenvalue of G| = 2e308 overflows: the mixed state used
+    # to print NaN records and exit 0, the pure one to end in a traceback
+    gen = tmp_path / "H.json"
+    gen.write_text(json.dumps({"re": np.diag([2.0, 0.0, -2.0]).tolist(),
+                               "im": np.zeros((3, 3)).tolist()}))
+    for name, extra in (("mixed", ()), ("ket0", ("--scenes",))):
+        res = run_cli("evolve", data_path(name), "--generator", f"custom:{gen}",
+                      "--theta", "1e308", "--steps", "2", *extra)
+        assert res.returncode == 1, (name, res.stderr)
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+        assert "Warning" not in res.stderr
+        assert "nan" not in (res.stdout + res.stderr).lower()
+
+
 def test_bridge_round_trip_bytes(tmp_path):
     for name in CANONICAL:
         to2q = run_cli("bridge", data_path(name), "--direction", "to2q")
@@ -363,29 +379,23 @@ def test_ortho_agreeing_verdicts(tmp_path):
 
 
 def test_ortho_disagreement_exits_3(tmp_path, monkeypatch, capsys):
+    # <a|b> is exactly 0, so the inner product says orthogonal; forcing
+    # the r/k criterion to disagree must make the real command exit 3
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     s = 0.7071067811865476
     a.write_text(json.dumps({"amplitudes": [[s, 0.0], [0.0, s], [0.0, 0.0]]}))
     b.write_text(json.dumps({"amplitudes": [[s, 0.0], [0.0, -s], [0.0, 0.0]]}))
-    # force the two criteria apart to confirm the disagreement exit path
-    monkeypatch.setattr(cli, "orthogonal", lambda p, q: False, raising=False)
-
-    def fake_cmd(args):
-        p = cli._load_pure(args.path_a)
-        q = cli._load_pure(args.path_b)
-        overlap = abs(complex(p.amp.conj() @ q.amp))
-        if (overlap < 1e-10) != cli.orthogonal(p, q):
-            raise cli.InternalCheckError("orthogonality criteria disagree")
-        return cli.EXIT_OK
-
-    monkeypatch.setattr(cli, "cmd_ortho", fake_cmd)
-    parser = cli.make_parser()
-    args = parser.parse_args(["ortho", str(a), str(b)])
-    args.func = fake_cmd
+    monkeypatch.setattr(cli, "orthogonal", lambda p, q: False)
     code = cli.main(["ortho", str(a), str(b)])
-    capsys.readouterr()
+    out, err = capsys.readouterr()
     assert code == 3
+    assert out.splitlines() == [
+        "inner-product modulus: 0",
+        "inner-product verdict: orthogonal",
+        "rk-condition verdict: not orthogonal",
+    ]
+    assert err == "error: orthogonality criteria disagree\n"
 
 
 def test_ortho_tests_the_modulus_of_the_overlap(tmp_path):

@@ -180,3 +180,14 @@ def test_trajectory_rotation_preserves_axes():
 def test_trajectory_needs_two_samples():
     with pytest.raises(ValueError):
         trajectory(np.eye(3) / 3.0, rotation("x"), 1.0, 1)
+
+
+def test_phase_overflow_raises_value_error():
+    # theta * max|eigenvalue| = 2e308 is not a float: no NaN state, no warning
+    g = custom(np.diag([2.0, 0.0, -2.0]))
+    rho = np.eye(3) / 3.0
+    with pytest.raises(ValueError, match="not finite"):
+        evolve(rho, g, 1e308)
+    with pytest.raises(ValueError, match="not finite"):
+        trajectory(rho, g, 1e308, 2)
+    assert np.allclose(evolve(rho, g, 1e307), rho, atol=1e-15)
