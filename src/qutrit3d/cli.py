@@ -43,7 +43,6 @@ from .geometry import (
     export_scene_obj,
     scene_to_dict,
 )
-from .linalg import assert_hermitian
 from .purestates import PureState, density_from_pure, mub_bases, orthogonal, rik_decompose
 from .spin1 import from_two_qubit, to_two_qubit
 from .state import (
@@ -58,7 +57,7 @@ from .state import (
     params_from_bloch_tensor,
     random_density,
 )
-from .tolerances import MUB_TOL, ORTHO_TOL, TWO_QUBIT_TRACE_TOL
+from .tolerances import MUB_TOL, ORTHO_TOL
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -149,13 +148,12 @@ def _pure_from_obj(obj: dict, path: str) -> PureState:
         raise CliIOError(f"{path}: {exc}") from exc
 
 
-def _checked(path: str, check, M: np.ndarray) -> np.ndarray:
-    """M once check(M) passes; its Hermiticity or trace error is a parse failure."""
+def _checked(path: str, check, M: np.ndarray):
+    """check(M); its Hermiticity or trace error is a parse failure of path."""
     try:
-        check(M)
+        return check(M)
     except (NotHermitianError, TraceError) as exc:
         raise CliIOError(f"{path}: {exc}") from exc
-    return M
 
 
 def load_state_file(path: str) -> np.ndarray:
@@ -169,20 +167,10 @@ def load_state_file(path: str) -> np.ndarray:
     if "amplitudes" in obj:
         return density_from_pure(_pure_from_obj(obj, path))
     if "re" in obj or "im" in obj:
-        return _checked(path, assert_density, _matrix_from_obj(obj, 3))
+        rho = _matrix_from_obj(obj, 3)
+        _checked(path, assert_density, rho)
+        return rho
     raise CliIOError(f'{path}: expected "re"/"im" or "amplitudes" keys')
-
-
-def load_two_qubit_file(path: str) -> np.ndarray:
-    M = _checked(path, assert_hermitian, _matrix_from_obj(_read_json(path), 4))
-    tr = complex(np.trace(M))
-    if abs(tr - 1.0) > TWO_QUBIT_TRACE_TOL:
-        raise CliIOError(f"{path}: trace = {tr.real:.15g}, expected 1")
-    return M
-
-
-def load_hermitian_file(path: str) -> np.ndarray:
-    return _checked(path, assert_hermitian, _matrix_from_obj(_read_json(path), 3))
 
 
 def density_payload(rho: np.ndarray) -> dict:
@@ -363,7 +351,8 @@ def cmd_pseudo(args) -> int:
 
 def _generator_from_flag(flag: str):
     if flag.startswith("custom:"):
-        return custom(load_hermitian_file(flag.split(":", 1)[1]))
+        path = flag.split(":", 1)[1]
+        return _checked(path, custom, _matrix_from_obj(_read_json(path), 3))
     try:
         kind, axis = flag.split(":", 1)
     except ValueError:
@@ -396,8 +385,8 @@ def cmd_bridge(args) -> int:
         rho4 = to_two_qubit(rho3)
         _emit(json.dumps(density_payload(rho4), indent=2) + "\n", args.out)
     else:
-        rho4 = load_two_qubit_file(args.path)
-        rho3 = from_two_qubit(rho4)
+        rho4 = _matrix_from_obj(_read_json(args.path), 4)
+        rho3 = _checked(args.path, from_two_qubit, rho4)
         _emit(json.dumps(density_payload(rho3), indent=2) + "\n", args.out)
     return EXIT_OK
 

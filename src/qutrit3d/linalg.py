@@ -1,13 +1,29 @@
 """Dense linear algebra for fixed dimensions 3 and 4.
 
-Self-contained complex Hermitian eigendecomposition (cyclic Jacobi),
+Self-contained Hermitian eigendecomposition (cyclic Jacobi),
 determinants, the unitary matrix exponential and the two-qubit partial
 transpose.  Everything here is a pure function over
 small numpy arrays; no shared state.
+
+The eigensolver works on Python scalars and calls no BLAS: each plane
+rotation rewrites the two affected rows and columns of A and V in place,
+and the sort, the degenerate-cluster Gram-Schmidt and the phase gauge
+use the same scalars.  Two reasons:
+  * speed: for n <= 4 the interpreter's per-call cost dominates, so
+    building a rotation matrix and two matmuls per rotation costs
+    several times more than the scalar update;
+  * the same bytes on every CPU: OpenBLAS picks its kernel at run time,
+    and kernels differ in summation order and fused multiply-add, so a
+    matmul's last bit depends on the machine, while Python float
+    arithmetic rounds once per IEEE operation everywhere.
+Real input (the correlation tensor T) stays real throughout.  Jacobi,
+not a closed form: Cardano-type solvers lose accuracy near double roots
+(Kopp, arXiv:physics/0610206), where the positivity verdict lives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +42,8 @@ class EigenSystem3:
     """Sorted eigendecomposition of a 3x3 Hermitian matrix.
 
     ``values`` are real, descending.  ``vectors`` holds the matching
-    orthonormal eigenvectors as columns, each gauged so its
-    largest-magnitude component is real positive.
+    orthonormal eigenvectors as columns (real for real input), each
+    gauged so its first largest-magnitude component is real positive.
     """
 
     values: np.ndarray
@@ -42,70 +58,96 @@ def assert_hermitian(M: np.ndarray, what: str = "matrix") -> None:
         raise NotHermitianError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e}")
 
 
-def _jacobi_hermitian(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic complex Jacobi diagonalization of a Hermitian matrix.
+def vector_norm(v) -> float:
+    """Euclidean norm of a sequence of Python numbers, summed in order, without BLAS."""
+    return math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in v))
 
-    Each rotation zeroes one off-diagonal entry with a unitary plane
-    rotation; for n <= 4 this converges quadratically in a handful of
-    sweeps.  Returns (unsorted real eigenvalues, eigenvector columns).
+
+def _jacobi_hermitian(M: np.ndarray) -> tuple[list, list]:
+    """Cyclic Jacobi diagonalization of a Hermitian matrix, in place on Python scalars.
+
+    Each rotation J zeroes one off-diagonal entry: A <- J^dag A J rewrites
+    rows p, q and then columns p, q of A, and V <- V J columns p, q of V.
+    A real matrix stays real (the phase apq/|apq| is then +-1).  For
+    n <= 4 this converges quadratically in a handful of sweeps.  Returns
+    (unsorted real eigenvalues, V as a list of rows, eigenvectors in its
+    columns); InternalCheckError if _MAX_SWEEPS sweeps end with an
+    off-diagonal modulus above the stop.
     """
     n = M.shape[0]
-    A = np.array(M, dtype=complex)
-    V = np.eye(n, dtype=complex)
-    scale = max(float(np.max(np.abs(A))), JACOBI_SCALE_FLOOR)
+    A = M.tolist()
+    V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    scale = max(max(abs(x) for row in A for x in row), JACOBI_SCALE_FLOOR)
     stop = JACOBI_STOP * scale
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
 
     for _ in range(_MAX_SWEEPS):
         off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                m = abs(apq)
-                off = max(off, m)
-                if m <= stop:
-                    continue
-                phase = apq / m
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * m)
-                t = np.sign(tau) / (abs(tau) + np.hypot(tau, 1.0)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c * phase
-                J = np.eye(n, dtype=complex)
-                J[p, p] = c
-                J[p, q] = s
-                J[q, p] = -np.conj(s)
-                J[q, q] = c
-                A = J.conj().T @ A @ J
-                V = V @ J
+        for p, q in pairs:
+            Ap, Aq = A[p], A[q]
+            apq = Ap[q]
+            m = abs(apq)
+            off = max(off, m)
+            if m <= stop:
+                continue
+            tau = (Aq[q].real - Ap[p].real) / (2.0 * m)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0)) if tau != 0 else 1.0
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c * (apq / m)
+            sc = s.conjugate()
+            for j in range(n):
+                apj, aqj = Ap[j], Aq[j]
+                Ap[j] = c * apj - s * aqj
+                Aq[j] = sc * apj + c * aqj
+            for row in (*A, *V):
+                aip, aiq = row[p], row[q]
+                row[p] = aip * c - aiq * sc
+                row[q] = aip * s + aiq * c
+            # the rotation annihilates this pair; its computed value is
+            # rounding residue, which can sit above the stop for good
+            Ap[q] = Aq[p] = 0.0
         if off <= stop:
             break
+    else:
+        raise InternalCheckError(
+            f"Jacobi sweep limit {_MAX_SWEEPS} reached: "
+            f"off-diagonal modulus {off:.3e} above {stop:.3e}"
+        )
 
-    return np.real(np.diag(A)), V
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component real positive."""
-    i = int(np.argmax(np.abs(v)))
-    pivot = v[i]
-    return v / (pivot / abs(pivot))
+    return [A[i][i].real for i in range(n)], V
 
 
-def _reorthonormalize_cluster(vectors: np.ndarray, idx: list[int]) -> None:
-    """Replace a degenerate cluster's columns by a deterministic basis.
+def _dot(u: list, w: list):
+    """<u|w> = sum conj(u_i) w_i."""
+    return sum(x.conjugate() * y for x, y in zip(u, w))
+
+
+def _fix_phase(v: list) -> list:
+    """Make the first largest-magnitude component real positive."""
+    mags = [abs(x) for x in v]
+    pivot = v[mags.index(max(mags))]
+    gauge = pivot / abs(pivot)
+    return [x / gauge for x in v]
+
+
+def _reorthonormalize_cluster(cols: list, idx: range) -> None:
+    """Replace a degenerate cluster's vectors by a deterministic basis.
 
     Builds the cluster projector, then Gram-Schmidts its action on the
     standard basis in index order.  Output depends only on the subspace,
     not on the path the sweep took to reach it.
     """
-    n = vectors.shape[0]
-    P = sum(np.outer(vectors[:, i], vectors[:, i].conj()) for i in idx)
-    chosen: list[np.ndarray] = []
+    cluster = [cols[i] for i in idx]
+    n = len(cols[0])
+    chosen: list[list] = []
     for j in range(n):
-        w = P[:, j].copy()
+        w = [sum(v[r] * v[j].conjugate() for v in cluster) for r in range(n)]
         for u in chosen:
-            w -= u * (u.conj() @ w)
-        norm = float(np.linalg.norm(w))
+            d = _dot(u, w)
+            w = [x - y * d for x, y in zip(w, u)]
+        norm = vector_norm(w)
         if norm > _GS_RESIDUAL:
-            chosen.append(w / norm)
+            chosen.append([x / norm for x in w])
         if len(chosen) == len(idx):
             break
     if len(chosen) != len(idx):
@@ -113,10 +155,12 @@ def _reorthonormalize_cluster(vectors: np.ndarray, idx: list[int]) -> None:
     # one polish pass restores orthonormality to machine precision
     for k, w in enumerate(chosen):
         for u in chosen[:k]:
-            w = w - u * (u.conj() @ w)
-        chosen[k] = w / np.linalg.norm(w)
+            d = _dot(u, w)
+            w = [x - y * d for x, y in zip(w, u)]
+        norm = vector_norm(w)
+        chosen[k] = [x / norm for x in w]
     for i, w in zip(idx, chosen):
-        vectors[:, i] = w
+        cols[i] = w
 
 
 def eig_hermitian3(M: np.ndarray) -> EigenSystem3:
@@ -124,14 +168,16 @@ def eig_hermitian3(M: np.ndarray) -> EigenSystem3:
 
     Eigenvalues descend; eigenvectors are orthonormal columns with a
     deterministic phase gauge.  Clusters closer than the degeneracy gap
-    are re-orthonormalized so repeated runs agree bit-for-bit.
+    are re-orthonormalized so repeated runs agree bit-for-bit.  Real
+    input is solved in real arithmetic and gets real eigenvectors.
     """
-    M = np.asarray(M, dtype=complex)
+    M = np.asarray(M)
+    M = np.asarray(M, dtype=float if np.isrealobj(M) else complex)
     assert_hermitian(M)
-    vals, vecs = _jacobi_hermitian(M)
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, V = _jacobi_hermitian(M)
+    order = sorted(range(3), key=lambda k: -vals[k])
+    vals = [vals[k] for k in order]
+    cols = [[row[k] for row in V] for k in order]
 
     i = 0
     while i < 3:
@@ -139,18 +185,17 @@ def eig_hermitian3(M: np.ndarray) -> EigenSystem3:
         while j < 3 and vals[j - 1] - vals[j] < DEGEN_GAP:
             j += 1
         if j - i > 1:
-            _reorthonormalize_cluster(vecs, list(range(i, j)))
+            _reorthonormalize_cluster(cols, range(i, j))
         i = j
 
-    for k in range(3):
-        vecs[:, k] = _fix_phase(vecs[:, k])
-    return EigenSystem3(values=vals, vectors=vecs)
+    cols = [_fix_phase(v) for v in cols]
+    return EigenSystem3(values=np.array(vals), vectors=np.array(list(zip(*cols)), dtype=M.dtype))
 
 
 def eig_sym3(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of a real symmetric 3x3 matrix, with real eigenvectors."""
     es = eig_hermitian3(np.asarray(T, dtype=float))
-    return es.values, np.real(es.vectors)
+    return es.values, es.vectors
 
 
 def eigvals_hermitian4(M: np.ndarray) -> np.ndarray:
@@ -158,7 +203,7 @@ def eigvals_hermitian4(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     assert_hermitian(M)
     vals, _ = _jacobi_hermitian(M)
-    return np.sort(vals)[::-1]
+    return np.array(sorted(vals, reverse=True))
 
 
 def det3(M: np.ndarray) -> complex:

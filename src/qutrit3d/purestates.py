@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalizedError, OutOfBallError
+from .linalg import vector_norm
 from .state import compose, params_from_bloch_tensor
 from .tolerances import BALL_TOL, GAUGE_EPS, NORM_TOL, ORTHO_TOL
 
@@ -46,7 +47,7 @@ class MubFamily:
 def rik_decompose(amp: np.ndarray) -> PureState:
     """Normalize-check, fix the global phase, split into r + i k."""
     amp = np.asarray(amp, dtype=complex).reshape(3)
-    n = float(np.linalg.norm(amp))
+    n = vector_norm(amp.tolist())
     if abs(n - 1.0) > NORM_TOL:
         raise NotNormalizedError(f"|psi| = {n:.12g}, expected 1")
     amp = amp / n

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, NotSymmetricError
+from .errors import InvalidStateError, NotSymmetricError, TraceError
 from .linalg import assert_hermitian, eigvals_hermitian4, partial_transpose
 from .state import (
     StateParams, _params, assert_density, check_state, compose, params_from_bloch_tensor
@@ -99,7 +99,8 @@ def singlet_overlap(rho4: np.ndarray) -> float:
 def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
     """Project a symmetric two-qubit state back to the qutrit picture.
 
-    Raises NotSymmetricError when the two local Bloch vectors differ
+    Raises NotHermitianError or TraceError when rho4 is not Hermitian or
+    not of trace one, and NotSymmetricError when the two local Bloch vectors differ
     (reason "bloch_mismatch"), the correlation matrix is asymmetric
     (reason "tensor_asymmetry") or the state leaks onto the singlet
     (reason "singlet_overlap").
@@ -110,7 +111,7 @@ def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
     assert_hermitian(rho4, what="two-qubit state")
     tr = complex(np.trace(rho4))
     if abs(tr - 1.0) > TWO_QUBIT_TRACE_TOL:
-        raise InvalidStateError(f"two-qubit trace = {tr.real:.15g}, expected 1")
+        raise TraceError(f"two-qubit trace = {tr.real:.15g}, expected 1")
     eye2 = np.eye(2, dtype=complex)
     a1 = np.array([np.trace(rho4 @ np.kron(PAULI[j], eye2)).real for j in range(3)])
     a2 = np.array([np.trace(rho4 @ np.kron(eye2, PAULI[j])).real for j in range(3)])

@@ -252,3 +252,42 @@ def test_hermiticity_check_counts(monkeypatch):
         checks.clear()
         cli.build_report(rho)
         assert len(checks) == 3
+
+
+def test_matrix_files_are_checked_once(monkeypatch, tmp_path, capsys):
+    """A two-qubit or generator file is checked once, by the library call that reads it.
+
+    from_two_qubit and custom() make the checks; a failed Hermiticity or
+    trace check is still a parse failure of the named file (exit 1), and
+    an asymmetric two-qubit state is still invalid (exit 2).
+    """
+    checks = _count_calls(monkeypatch, "assert_hermitian")
+    rho4 = spin1.to_two_qubit(random_density(rank=3, rng=np.random.default_rng(617)))
+    skew = rho4.copy()
+    skew[0, 1] += 1e-6
+    asym = rho4 + 0.05 * np.diag([1.0, 0.0, -1.0, 0.0]) / 4.0
+    cases = (("good", rho4, 0), ("trace", 1.25 * rho4, 1), ("skew", skew, 1), ("asym", asym, 2))
+    for name, M, code in cases:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"re": M.real.tolist(), "im": M.imag.tolist()}))
+        checks.clear()
+        assert cli.main(["bridge", str(path), "--direction", "from2q"]) == code, name
+        out, err = capsys.readouterr()
+        assert len(checks) == 1, name
+        if code == 1:
+            assert out == "" and err.startswith(f"error: {path}: two-qubit "), name
+
+    # one check of the generator file, in custom(); the other four are of rho
+    # (the file, trajectory, its eigensolve) and of G's eigensolve
+    gen = tmp_path / "gen.json"
+    zeros = np.zeros((3, 3)).tolist()
+    gen.write_text(json.dumps({"re": np.diag([1.0, 0.0, -1.0]).tolist(), "im": zeros}))
+    mixed = os.path.join(os.path.dirname(__file__), "data", "mixed.json")
+    checks.clear()
+    argv = ["evolve", mixed, "--generator", f"custom:{gen}", "--theta", "1", "--steps", "2"]
+    assert cli.main(argv) == 0
+    assert len(checks) == 5
+    gen.write_text(json.dumps({"re": [[0.0, 1.0, 0.0], [0.0] * 3, [0.0] * 3], "im": zeros}))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {gen}: custom generator is not Hermitian")
+

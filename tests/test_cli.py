@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from qutrit3d import cli, state
+from qutrit3d import cli, linalg, state
 from qutrit3d.errors import InternalCheckError
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -512,6 +512,18 @@ def test_nonfinite_input_exits_1(tmp_path, case):
     assert res.returncode == 1, (res.stdout, res.stderr)
     assert res.stdout == ""
     assert "error: " in res.stderr and "Traceback" not in res.stderr
+
+
+def test_unconverged_eigensolve_exits_3(monkeypatch, capsys):
+    # pseudo_boundary has imaginary off-diagonals, so its first sweep rotates
+    # and one sweep cannot confirm convergence
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    code = cli.main(["analyze", data_path("pseudo_boundary")])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: Jacobi sweep limit 1 reached")
+    assert "Traceback" not in err
 
 
 def test_internal_check_failure_exits_3(tmp_path, monkeypatch, capsys):

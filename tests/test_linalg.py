@@ -1,6 +1,8 @@
 """Linear algebra kernel tests against independent references.
 
-Eigen routines are checked against numpy's LAPACK-backed solvers, the
+Eigen routines are checked against numpy's LAPACK-backed solvers (on
+families that include rank-deficient states, partial transposes and
+near-double roots), the
 matrix exponential exp(-i theta G) = unitary_from_eigensystem(eig(G), theta)
 against a raw Taylor series, determinants against
 numpy, and the partial transpose against hand-built tensor products.
@@ -9,7 +11,8 @@ numpy, and the partial transpose against hand-built tensor products.
 import numpy as np
 import pytest
 
-from qutrit3d.errors import NotHermitianError
+from qutrit3d import linalg
+from qutrit3d.errors import InternalCheckError, NotHermitianError
 from qutrit3d.linalg import (
     assert_hermitian,
     det3,
@@ -19,6 +22,9 @@ from qutrit3d.linalg import (
     partial_transpose,
     unitary_from_eigensystem,
 )
+from qutrit3d.spin1 import to_two_qubit
+from qutrit3d.state import random_density
+from qutrit3d.tolerances import DEGEN_GAP
 
 
 def random_hermitian(rng, n=3, scale=1.0):
@@ -123,6 +129,153 @@ def test_eigvals_hermitian4_matches_lapack():
         ref = np.linalg.eigvalsh(M)[::-1]
         scale = max(1.0, float(np.max(np.abs(ref))))
         assert np.max(np.abs(vals - ref)) < 1e-12 * scale
+
+
+def _near_double_root(rng, gap):
+    """Q diag(l, l + gap, m) Q^dag in a random complex frame."""
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    lam, mu = rng.uniform(-1.0, 1.0, size=2)
+    M = Q @ np.diag([lam, lam + gap, mu]) @ Q.conj().T
+    return (M + M.conj().T) / 2.0
+
+
+def _random_density4(rng):
+    rank = int(rng.integers(1, 5))
+    X = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = X @ X.conj().T
+    return rho / np.trace(rho).real
+
+
+# gaps 1e-12 ... 1e-6, half of them below DEGEN_GAP
+NEAR_GAPS = np.logspace(-12.0, -6.0, 25)
+
+SOLVER_FAMILIES_3 = {
+    "hermitian": lambda rng, i: random_hermitian(rng),
+    "rank1_density": lambda rng, i: random_density(1, rng),
+    "rank2_density": lambda rng, i: random_density(2, rng),
+    "near_double_root": lambda rng, i: _near_double_root(rng, NEAR_GAPS[i % len(NEAR_GAPS)]),
+    "tensor": lambda rng, i: np.eye(3) - 2.0 * random_density(i % 3 + 1, rng).real,
+}
+
+SOLVER_FAMILIES_4 = {
+    "hermitian": lambda rng: random_hermitian(rng, n=4),
+    "partial_transpose_image": lambda rng: partial_transpose(
+        to_two_qubit(random_density(int(rng.integers(1, 4)), rng))
+    ),
+    "partial_transpose_density": lambda rng: partial_transpose(_random_density4(rng)),
+}
+
+
+def _cluster_widths(values):
+    """Per column, the spread of its cluster (0 unless re-orthonormalized)."""
+    widths = np.zeros(len(values))
+    i = 0
+    while i < len(values):
+        j = i + 1
+        while j < len(values) and values[j - 1] - values[j] < DEGEN_GAP:
+            j += 1
+        widths[i:j] = values[i] - values[j - 1]
+        i = j
+    return widths
+
+
+@pytest.mark.parametrize("family", sorted(SOLVER_FAMILIES_3))
+def test_eig_hermitian3_against_lapack(family):
+    """Eigenvalues within 1e-14 scale; residual and orthonormality within 1e-13.
+
+    A cluster closer than DEGEN_GAP gets a basis of its subspace, not
+    eigenvectors, so its columns may miss M v = lambda v by the cluster's
+    spread on top of rounding.
+    """
+    make = SOLVER_FAMILIES_3[family]
+    rng = np.random.default_rng([20261018, sorted(SOLVER_FAMILIES_3).index(family)])
+    for i in range(400):
+        M = make(rng, i)
+        if family == "tensor":
+            values, V = eig_sym3(M)
+            assert V.dtype.kind == "f"
+        else:
+            es = eig_hermitian3(M)
+            values, V = es.values, es.vectors
+        ref, ref_vectors = np.linalg.eigh(M)
+        ref, ref_vectors = ref[::-1], ref_vectors[:, ::-1]
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(values - ref)) <= 1e-14 * scale
+        assert values[0] >= values[1] >= values[2]
+        residual = np.max(np.abs(M @ V - V * values), axis=0)
+        assert np.all(residual <= 1e-13 * scale + _cluster_widths(values))
+        assert np.max(np.abs(V.conj().T @ V - np.eye(3))) <= 1e-13
+        # well separated roots: the same eigenvectors as LAPACK, up to phase
+        gaps = np.abs(np.subtract.outer(ref, ref)) + np.eye(3)
+        for k in range(3):
+            if np.min(gaps[k]) > 1e-3:
+                overlap = abs(np.vdot(ref_vectors[:, k], V[:, k]))
+                assert abs(overlap - 1.0) <= 1e-12
+        if family == "tensor":
+            again = eig_sym3(M)
+            assert np.array_equal(again[0], values) and np.array_equal(again[1], V)
+        else:
+            again = eig_hermitian3(M)
+            assert np.array_equal(again.values, values)
+            assert np.array_equal(again.vectors, V)
+
+
+@pytest.mark.parametrize("family", sorted(SOLVER_FAMILIES_4))
+def test_eigvals_hermitian4_against_lapack(family):
+    make = SOLVER_FAMILIES_4[family]
+    rng = np.random.default_rng([20261018, 10 + sorted(SOLVER_FAMILIES_4).index(family)])
+    for _ in range(300):
+        M = make(rng)
+        values = eigvals_hermitian4(M)
+        ref = np.linalg.eigvalsh(M)[::-1]
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(values - ref)) <= 1e-14 * scale
+        assert np.array_equal(eigvals_hermitian4(M), values)
+
+
+def test_real_input_gets_real_arithmetic():
+    """A real matrix takes the real path: the complex path's arithmetic minus the zeros.
+
+    With every imaginary part zero, each complex product and quotient of
+    the complex path has the real path's real part, so both give the
+    same bits.
+    """
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        X = rng.standard_normal((3, 3))
+        T = (X + X.T) / 2.0
+        real = eig_hermitian3(T)
+        cplx = eig_hermitian3(T.astype(complex))
+        assert real.vectors.dtype.kind == "f" and cplx.vectors.dtype.kind == "c"
+        assert np.array_equal(real.values, cplx.values)
+        assert np.array_equal(real.vectors, cplx.vectors.real)
+        assert not cplx.vectors.imag.any()
+
+
+def test_exact_double_root_converges():
+    """T of a real pure state has the exact double root 1 in a random frame.
+
+    The pair a rotation annihilates must end at zero, not at its rounding
+    residue: about one such T in a thousand would otherwise keep a residue
+    above the stop for every sweep and reach the sweep limit.
+    """
+    rng = np.random.default_rng(61)
+    for _ in range(2000):
+        psi = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * rng.standard_normal(3)
+        psi = psi / np.linalg.norm(psi)
+        values, _ = eig_sym3(np.eye(3) - 2.0 * np.outer(psi, psi.conj()).real)
+        assert np.max(np.abs(values - [1.0, 1.0, -1.0])) <= 1e-14
+
+
+def test_unconverged_jacobi_raises(monkeypatch):
+    rng = np.random.default_rng(53)
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    with pytest.raises(InternalCheckError, match="sweep limit 1 reached"):
+        eig_hermitian3(random_hermitian(rng))
+    with pytest.raises(InternalCheckError, match="sweep limit 1 reached"):
+        eigvals_hermitian4(random_hermitian(rng, n=4))
+    # a diagonal matrix needs no rotation, so one sweep confirms it
+    assert np.array_equal(eig_hermitian3(np.diag([0.5, 0.3, 0.2])).values, [0.5, 0.3, 0.2])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
