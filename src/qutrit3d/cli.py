@@ -328,8 +328,7 @@ def cmd_mub(args) -> int:
             cross.append(abs(complex(state.amp.conj() @ other.amp)))
     if max(cross) - min(cross) > MUB_TOL:
         raise InternalCheckError("cross-basis overlaps are not uniform")
-    rho = np.outer(state.amp, state.amp.conj())
-    report = build_report(rho)
+    report = build_report(density_from_pure(state))
     out = json.dumps(amplitudes_payload(state.amp), indent=2) + "\n"
     out += f"cross-basis overlap modulus: {_fmt(sum(cross) / len(cross))}\n"
     out += report_text(report)

@@ -118,34 +118,6 @@ def export_scene_json(s: EllipsoidScene) -> str:
     return json.dumps(scene_to_dict(s), indent=2)
 
 
-def scene_from_dict(payload: dict) -> EllipsoidScene:
-    if payload.get("version") != 1:
-        raise ValueError(f"unsupported scene version {payload.get('version')!r}")
-    case = payload["case"]
-    if case not in (CASE_THREE_D, CASE_SEGMENT, CASE_POINT):
-        raise ValueError(f"unknown scene case {case!r}")
-    rays = [
-        Ray(
-            dir=np.array(r["dir"], dtype=float),
-            style=r["style"],
-            label=r["label"],
-        )
-        for r in payload.get("rays", [])
-    ]
-    return EllipsoidScene(
-        case=case,
-        semi_axes=np.array(payload["semi_axes"], dtype=float),
-        frame=np.array(payload["frame"], dtype=float),
-        bloch=np.array(payload["bloch"], dtype=float),
-        rays=rays,
-    )
-
-
-def scene_from_json(text: str) -> EllipsoidScene:
-    """Inverse of export_scene_json; bit-exact for finite values."""
-    return scene_from_dict(json.loads(text))
-
-
 def _fnum(x: float) -> str:
     return repr(float(x))
 

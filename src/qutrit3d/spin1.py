@@ -2,9 +2,17 @@
 
 The spin matrices (S_j)_{kl} = -i eps_{jkl} generate the parametrization
 operationally: a_j = <S_j>, omega_j = 1 - <S_j^2>, q_j = <A_j> with
-A_j = S_k S_l + S_l S_k.  A qutrit is also the symmetric sector of two
-qubits; the bridge maps between both pictures and enables the partial
-transpose separability test.
+A_j = S_k S_l + S_l S_k.
+
+A qutrit is also the triplet (symmetric) sector of two qubits, so the
+bridge is one constant basis B = sqrt(2) [t_x t_y t_z psi_-] with
+t_j = (s_j x 1)|psi_->, the magic basis of Hill and Wootters.  B's
+entries are 0, +-1 or +-i: the bridge runs on Python scalars, its
+products are exact and only its sums round.  to_two_qubit returns
+rho4 = W h W^dag with W = B[:, :3] / sqrt(2) and h = (rho + rho^dag)/2;
+from_two_qubit reads (1/2) B^dag rho4 B, whose 3x3 block is the qutrit
+state and whose singlet row decides whether rho4 is symmetric.  The
+image also carries the partial transpose separability test.
 """
 
 from __future__ import annotations
@@ -15,23 +23,21 @@ import numpy as np
 
 from .errors import InvalidStateError, NotSymmetricError, TraceError
 from .linalg import assert_hermitian, eigvals_hermitian4, partial_transpose
-from .state import (
-    StateParams, _params, assert_density, check_state, compose, params_from_bloch_tensor
-)
-from .tolerances import HERM_TOL, RANK_TOL, TWO_QUBIT_TRACE_TOL
+from .state import StateParams, assert_density, check_state
+from .tolerances import HERM_TOL, RANK_TOL, TRACE_TOL
 
 _EPS = np.zeros((3, 3, 3))
 for _j, _k, _l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS[_j, _k, _l] = 1.0
     _EPS[_j, _l, _k] = -1.0
 
-PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+# B = sqrt(2) [t_x t_y t_z psi_-], rows |00>, |01>, |10>, |11>
+_B = ((-1, 1j, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1), (1, 1j, 0, 0))
+# the nonzero entries of the rows of sqrt(2) W = B[:, :3] and of B^dag
+_TRIPLET_ROWS = tuple(tuple((j, c) for j, c in enumerate(row[:3]) if c) for row in _B)
+_B_DAG_ROWS = tuple(
+    tuple((p, row[j].conjugate()) for p, row in enumerate(_B) if row[j]) for j in range(4)
 )
-
-_SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -69,73 +75,78 @@ def expectations(rho: np.ndarray) -> StateParams:
     return StateParams(a=a, q=q, omega=omega, T=T)
 
 
-def to_two_qubit(rho: np.ndarray) -> np.ndarray:
-    """Embed a qutrit state into the symmetric two-qubit sector.
+def _half_sandwich(rows, A) -> list:
+    """(1/2) X H X^dag as nested lists of Python complex, H the Hermitian part of A.
 
-    rho4 = (1/4) [1x1 + sum_j a_j (s_j x 1 + 1 x s_j)
-                  + sum_jk T_jk s_j x s_k]
+    ``rows`` holds the nonzero (column, entry) pairs of each row of X.
+    The entries are +-1 or +-i, so every product is exact and only the
+    sums round.  One triangle is summed and mirrored: the result is
+    exactly Hermitian, with a real diagonal and no -0.0 imaginary part.
+    """
+    A = np.asarray(A, dtype=complex).tolist()
+    H = [[0.5 * (x + y.conjugate()) for x, y in zip(row, col)] for row, col in zip(A, zip(*A))]
+    n = len(rows)
+    out = [[0j] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p, n):
+            z = 0.5 * sum(c * H[j][k] * d.conjugate() for j, c in rows[p] for k, d in rows[q])
+            out[p][q], out[q][p] = z, complex(z.real, 0.0 - z.imag)
+        out[p][p] = complex(out[p][p].real)
+    return out
+
+
+def to_two_qubit(rho: np.ndarray) -> np.ndarray:
+    """Embed a qutrit state into the symmetric two-qubit sector: W h W^dag.
+
+    This equals (1/4) [1x1 + sum_j a_j (s_j x 1 + 1 x s_j)
+                       + sum_jk T_jk s_j x s_k].
     The image has the same spectrum plus one extra zero, and zero overlap
     with the singlet.
     """
-    rho = check_state(rho)
-    # <S_j> as in expectations; 2 Im(rho_lk) differs in the last bit off exact Hermiticity
-    a = np.array([np.trace(rho @ Sj).real for Sj in spin_set().S])
-    T = _params(rho).T
-    eye2 = np.eye(2, dtype=complex)
-    out = np.kron(eye2, eye2).astype(complex)
-    for j in range(3):
-        out += a[j] * (np.kron(PAULI[j], eye2) + np.kron(eye2, PAULI[j]))
-        for k in range(3):
-            out += T[j, k] * np.kron(PAULI[j], PAULI[k])
-    return out / 4.0
+    return np.array(_half_sandwich(_TRIPLET_ROWS, check_state(rho)))
 
 
 def singlet_overlap(rho4: np.ndarray) -> float:
     """<psi_- | rho4 | psi_->, exactly zero on the symmetric sector."""
-    rho4 = np.asarray(rho4, dtype=complex)
-    return float(np.real(_SINGLET.conj() @ rho4 @ _SINGLET))
+    return _half_sandwich(_B_DAG_ROWS[3:], rho4)[0][0].real
 
 
 def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
     """Project a symmetric two-qubit state back to the qutrit picture.
 
-    Raises NotHermitianError or TraceError when rho4 is not Hermitian or
-    not of trace one, and NotSymmetricError when the two local Bloch vectors differ
-    (reason "bloch_mismatch"), the correlation matrix is asymmetric
-    (reason "tensor_asymmetry") or the state leaks onto the singlet
-    (reason "singlet_overlap").
+    Returns the 3x3 block of M = (1/2) B^dag rho4 B.  Checks, in order:
+    NotHermitianError when rho4 is not Hermitian, ValueError when M
+    overflows; then M's singlet row raises NotSymmetricError when the two
+    local Bloch vectors differ (reason "bloch_mismatch";
+    4 max|Re <t_j|rho4|psi_->| = max|a1 - a2|), the correlation matrix is
+    asymmetric (reason "tensor_asymmetry"; 4 max|Im <t_j|rho4|psi_->| =
+    max|T - T^T|) or the state leaks onto the singlet (reason
+    "singlet_overlap"); last, TraceError when the block's trace is not 1.
     """
     rho4 = np.asarray(rho4, dtype=complex)
     if rho4.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got {rho4.shape}")
     assert_hermitian(rho4, what="two-qubit state")
-    tr = complex(np.trace(rho4))
-    if abs(tr - 1.0) > TWO_QUBIT_TRACE_TOL:
-        raise TraceError(f"two-qubit trace = {tr.real:.15g}, expected 1")
-    eye2 = np.eye(2, dtype=complex)
-    a1 = np.array([np.trace(rho4 @ np.kron(PAULI[j], eye2)).real for j in range(3)])
-    a2 = np.array([np.trace(rho4 @ np.kron(eye2, PAULI[j])).real for j in range(3)])
-    if float(np.max(np.abs(a1 - a2))) > HERM_TOL:
+    M = _half_sandwich(_B_DAG_ROWS, rho4)
+    if not np.isfinite(M).all():
+        raise ValueError("two-qubit state overflows in the triplet basis")
+    mismatch = 4.0 * max(abs(M[j][3].real) for j in range(3))
+    if mismatch > HERM_TOL:
+        raise NotSymmetricError("bloch_mismatch", f"local Bloch vectors differ by {mismatch:.3e}")
+    asymmetry = 4.0 * max(abs(M[j][3].imag) for j in range(3))
+    if asymmetry > HERM_TOL:
         raise NotSymmetricError(
-            "bloch_mismatch",
-            f"local Bloch vectors differ by {np.max(np.abs(a1 - a2)):.3e}",
+            "tensor_asymmetry", f"correlation matrix asymmetry {asymmetry:.3e}"
         )
-    T = np.empty((3, 3))
-    for j in range(3):
-        for k in range(3):
-            T[j, k] = np.trace(rho4 @ np.kron(PAULI[j], PAULI[k])).real
-    if float(np.max(np.abs(T - T.T))) > HERM_TOL:
-        raise NotSymmetricError(
-            "tensor_asymmetry",
-            f"correlation matrix asymmetry {np.max(np.abs(T - T.T)):.3e}",
-        )
-    overlap = singlet_overlap(rho4)
+    overlap = M[3][3].real
     if abs(overlap) > HERM_TOL:
         raise NotSymmetricError(
             "singlet_overlap", f"singlet weight {overlap:.3e} exceeds tolerance"
         )
-    T = (T + T.T) / 2.0
-    return compose(params_from_bloch_tensor((a1 + a2) / 2.0, T))
+    tr = M[0][0].real + M[1][1].real + M[2][2].real
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise TraceError(f"two-qubit triplet trace = {tr:.15g}, expected 1")
+    return np.array([row[:3] for row in M[:3]])
 
 
 def ppt_separable(rho: np.ndarray) -> bool:

@@ -36,10 +36,9 @@ DEGEN_GAP = 1e-9
 JACOBI_STOP = 1e-16
 JACOBI_SCALE_FLOOR = 1e-300
 
+# Trace acceptance |tr - 1| of a qutrit density matrix, and of the
+# triplet block that a two-qubit state projects to.
 TRACE_TOL = 1e-12
-
-# Trace acceptance of a two-qubit density matrix.
-TWO_QUBIT_TRACE_TOL = 1e-10
 
 # Smallest amplitude modulus eligible to anchor the global-phase gauge
 # of a pure state.

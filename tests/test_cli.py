@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from qutrit3d import cli, linalg, state
+from qutrit3d import cli, linalg, spin1, state
 from qutrit3d.errors import InternalCheckError
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -356,6 +356,35 @@ def test_bridge_rejects_asymmetric_two_qubit(tmp_path):
     res = run_cli("bridge", str(path), "--direction", "from2q")
     assert res.returncode == 2
     assert "bloch" in res.stderr
+
+
+def test_from2q_exits_cleanly_near_its_tolerances(tmp_path):
+    # the symmetry checks come before the trace of the returned block,
+    # so a file inside the Hermiticity and singlet tolerances but off
+    # trace one exits 1, and an exit-0 output is a state analyze accepts
+    rho4 = spin1.to_two_qubit(state.random_density(rank=3, rng=5))
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    singlet = np.outer(singlet, singlet)
+    cases = (
+        ("scaled", rho4 * (1.0 + 5e-11), 1),
+        ("leaky", (1.0 - 2e-11) * rho4 + 2e-11 * singlet, 1),
+        ("huge", rho4 + 1e308 * np.kron(np.eye(2)[::-1], np.eye(2)[::-1]), 1),
+        ("scaled_ok", rho4 * (1.0 + 5e-13), 0),
+        ("leaky_ok", (1.0 - 5e-13) * rho4 + 5e-13 * singlet, 0),
+    )
+    for name, M, code in cases:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"re": M.real.tolist(), "im": M.imag.tolist()}))
+        out = tmp_path / f"{name}_3.json"
+        res = run_cli("bridge", str(path), "--direction", "from2q", "--out", str(out))
+        assert res.returncode == code, (name, res.stderr)
+        if code == 0:
+            assert run_cli("analyze", str(out)).returncode == 0, name
+            continue
+        assert "Traceback" not in res.stderr and "nan" not in res.stderr.lower(), name
+        assert len(res.stderr.splitlines()) == 1, name
+        prefix = "error: two-qubit " if name == "huge" else f"error: {path}: two-qubit "
+        assert res.stderr.startswith(prefix), (name, res.stderr)
 
 
 def test_ortho_agreeing_verdicts(tmp_path):

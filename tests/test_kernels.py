@@ -1,4 +1,4 @@
-"""The eigensolver and the golden outputs do not depend on the BLAS kernel.
+"""The eigensolver, the two-qubit bridge and the golden outputs do not depend on the BLAS kernel.
 
 OpenBLAS built with DYNAMIC_ARCH picks its compute kernel at run time
 from the CPU, and OPENBLAS_CORETYPE overrides that choice.  Kernels sum
@@ -6,11 +6,13 @@ in their own order, with or without fused multiply-add, so a result that
 goes through a matmul or a BLAS norm can change in the last bit from one
 CPU to the next.  This test runs this file as a child process under each
 kernel the host can execute.  Every child must give the same digest of
-eig_hermitian3, eig_sym3 and eigvals_hermitian4 outputs, and the ten
-golden CLI outputs byte for byte.
+eig_hermitian3, eig_sym3 and eigvals_hermitian4 outputs, of the bridge
+(to_two_qubit, from_two_qubit, ppt_separable, singlet_overlap) and of
+`bridge` CLI outputs in both directions, and the ten golden CLI outputs
+byte for byte.
 
 The child builds its inputs without BLAS (elementwise numpy, outer
-products, the mutually unbiased bases), so only the solver can make the
+products, the mutually unbiased bases), so only the library can make the
 digests differ.
 
 Run directly, ``python tests/test_kernels.py`` prints the child's JSON.
@@ -23,6 +25,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -40,11 +43,13 @@ CORETYPE_FLAGS = {
     "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
 }
 
+CANONICAL = ("mixed", "ket0", "pseudo_boundary")
+
 # golden file -> the CLI arguments that print it
 GOLDEN_COMMANDS = {
     **{
         f"{cmd}_{name}.{ext}": [cmd, os.path.join(DATA, f"{name}.json")]
-        for name in ("mixed", "ket0", "pseudo_boundary")
+        for name in CANONICAL
         for cmd, ext in (("analyze", "txt"), ("scene", "json"))
     },
     **{f"mub_b{b}_v1.txt": ["mub", "--basis", str(b), "--vector", "1"] for b in (1, 2, 3, 4)},
@@ -65,9 +70,10 @@ def _density(rng, n, rank):
     return (rho + rho.conj().T) / 2.0
 
 
-def _solver_digest() -> str:
+def _digest() -> str:
     from qutrit3d.linalg import eig_hermitian3, eig_sym3, eigvals_hermitian4, partial_transpose
     from qutrit3d.purestates import density_from_pure, mub_bases
+    from qutrit3d.spin1 import from_two_qubit, ppt_separable, singlet_overlap, to_two_qubit
 
     rng = np.random.default_rng(20261018)
     h = hashlib.sha256()
@@ -81,29 +87,44 @@ def _solver_digest() -> str:
         rho = _density(rng, 3, i % 3 + 1)
         add(*vars(eig_hermitian3(rho)).values())
         add(*eig_sym3(np.eye(3) - 2.0 * rho.real))
+        rho4 = to_two_qubit(rho)
+        add(rho4, from_two_qubit(rho4), ppt_separable(rho))
         # a double root in a random frame, split by a gap around DEGEN_GAP
         v, u = rng.standard_normal(3) + 1j * rng.standard_normal(3), rng.standard_normal(3)
         gap = 10.0 ** rng.uniform(-12.0, -6.0)
         add(*vars(eig_hermitian3(np.outer(v, v.conj()) + gap * np.outer(u, u))).values())
         add(eigvals_hermitian4(_hermitian(rng, 4)))
-        add(eigvals_hermitian4(partial_transpose(_density(rng, 4, i % 4 + 1))))
+        # a two-qubit density off the symmetric sector
+        rho4 = _density(rng, 4, i % 4 + 1)
+        add(eigvals_hermitian4(partial_transpose(rho4)), singlet_overlap(rho4))
     # T of the unbiased-basis states: a double root in a frame off the axes
     for basis in mub_bases().bases:
         for p in basis:
             add(*eig_sym3(np.eye(3) - 2.0 * density_from_pure(p).real))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CANONICAL:
+            argv = ["bridge", os.path.join(DATA, f"{name}.json"), "--direction", "to2q"]
+            code, to2q = _run(argv)
+            path = os.path.join(tmp, f"{name}_2q.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(to2q)
+            back = _run(["bridge", path, "--direction", "from2q"])
+            h.update(json.dumps([code, to2q, *back]).encode())
     return h.hexdigest()
 
 
-def _golden_outputs() -> dict:
+def _run(argv: list) -> tuple:
+    """The exit code and stdout of the CLI, run in process."""
     from qutrit3d import cli
 
-    outputs = {}
-    for name, argv in GOLDEN_COMMANDS.items():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
-        outputs[name] = (code, out.getvalue())
-    return outputs
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _golden_outputs() -> dict:
+    return {name: _run(argv) for name, argv in GOLDEN_COMMANDS.items()}
 
 
 def _openblas_dynamic_arch() -> bool:
@@ -165,4 +186,4 @@ def test_same_bytes_under_every_openblas_kernel():
 
 
 if __name__ == "__main__":
-    print(json.dumps({"digest": _solver_digest(), "golden": _golden_outputs()}))
+    print(json.dumps({"digest": _digest(), "golden": _golden_outputs()}))

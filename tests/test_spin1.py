@@ -2,7 +2,9 @@
 
 The algebraic identities hold exactly in floating point because every
 operator entry is 0 or +-1 or +-i; those are checked with array_equal.
-Bridge properties are checked against numpy eigensolvers.
+Bridge properties are checked against numpy eigensolvers, and the bridge
+itself against the Pauli-operator formulas it replaces: the Kronecker
+sum for the image, the Pauli traces for the way back.
 """
 
 import numpy as np
@@ -10,7 +12,6 @@ import pytest
 
 from qutrit3d.errors import InvalidStateError, NotSymmetricError
 from qutrit3d.spin1 import (
-    PAULI,
     expectations,
     from_two_qubit,
     ppt_separable,
@@ -18,9 +19,41 @@ from qutrit3d.spin1 import (
     spin_set,
     to_two_qubit,
 )
-from qutrit3d.state import decompose, random_density
+from qutrit3d.state import compose, decompose, params_from_bloch_tensor, random_density
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+PAULI = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+EYE2 = np.eye(2)
+
+
+def kron_image(rho):
+    """(1/4) [1x1 + sum_j a_j (s_j x 1 + 1 x s_j) + sum_jk T_jk s_j x s_k]."""
+    p = decompose(rho)
+    out = np.kron(EYE2, EYE2).astype(complex)
+    for j in range(3):
+        out += p.a[j] * (np.kron(PAULI[j], EYE2) + np.kron(EYE2, PAULI[j]))
+        for k in range(3):
+            out += p.T[j, k] * np.kron(PAULI[j], PAULI[k])
+    return out / 4.0
+
+
+def pauli_traces(rho4):
+    """The two local Bloch vectors and the correlation matrix, tr(rho4 s x s')."""
+    def tr(A, B):
+        return np.trace(rho4 @ np.kron(A, B)).real
+
+    a1 = np.array([tr(s, EYE2) for s in PAULI])
+    a2 = np.array([tr(EYE2, s) for s in PAULI])
+    return a1, a2, np.array([[tr(s, t) for t in PAULI] for s in PAULI])
+
+
+def trace_preimage(rho4):
+    a1, a2, T = pauli_traces(rho4)
+    return compose(params_from_bloch_tensor((a1 + a2) / 2.0, T))
 
 
 def test_spin_matrices_entries():
@@ -91,8 +124,10 @@ def test_bridge_spectrum_and_singlet():
     for _ in range(200):
         rho = random_density(rank=int(rng.integers(1, 4)), rng=rng)
         rho4 = to_two_qubit(rho)
+        assert np.max(np.abs(rho4 - kron_image(rho))) <= 1e-15
+        assert np.array_equal(rho4, rho4.conj().T)
         assert abs(np.trace(rho4).real - 1.0) < 1e-12
-        assert abs(singlet_overlap(rho4)) < 1e-15
+        assert singlet_overlap(rho4) == 0.0
         got = np.sort(np.linalg.eigvalsh(rho4))
         want = np.sort(np.concatenate([np.linalg.eigvalsh(rho), [0.0]]))
         assert np.max(np.abs(got - want)) < 1e-10
@@ -102,7 +137,10 @@ def test_bridge_round_trip():
     rng = np.random.default_rng(227)
     for _ in range(200):
         rho = random_density(rank=int(rng.integers(1, 4)), rng=rng)
-        back = from_two_qubit(to_two_qubit(rho))
+        rho4 = to_two_qubit(rho)
+        back = from_two_qubit(rho4)
+        assert np.max(np.abs(back - trace_preimage(rho4))) <= 1e-15
+        assert np.array_equal(back, back.conj().T)
         assert np.max(np.abs(back - rho)) < 1e-13
 
 
@@ -112,23 +150,26 @@ def test_to_two_qubit_rejects_invalid():
 
 
 def test_from_two_qubit_rejects_asymmetric():
-    rho4 = to_two_qubit(np.eye(3) / 3.0)
-    eye2 = np.eye(2)
-
-    bad = rho4 + 0.05 * np.kron(PAULI[2], eye2) - 0.05 * np.kron(eye2, PAULI[2])
-    with pytest.raises(NotSymmetricError) as info:
-        from_two_qubit(bad)
-    assert info.value.reason == "bloch_mismatch"
-
-    bad = rho4 + 0.02 * (np.kron(PAULI[0], PAULI[1]) - np.kron(PAULI[1], PAULI[0]))
-    with pytest.raises(NotSymmetricError) as info:
-        from_two_qubit(bad)
-    assert info.value.reason == "tensor_asymmetry"
+    # each perturbation moves its own Pauli-trace difference by 2 * 0.05,
+    # and the error message reports that difference
+    rho4 = to_two_qubit(random_density(rank=3, rng=np.random.default_rng(229)))
+    for j, (k, l) in enumerate(((1, 2), (2, 0), (0, 1))):
+        swap = np.kron(PAULI[j], EYE2) - np.kron(EYE2, PAULI[j])
+        twist = np.kron(PAULI[k], PAULI[l]) - np.kron(PAULI[l], PAULI[k])
+        for reason, direction in (("bloch_mismatch", swap), ("tensor_asymmetry", twist)):
+            bad = rho4 + 0.05 * direction / 4.0
+            with pytest.raises(NotSymmetricError) as info:
+                from_two_qubit(bad)
+            assert info.value.reason == reason, (j, reason)
+            a1, a2, T = pauli_traces(bad)
+            want = np.max(np.abs(a1 - a2) if reason == "bloch_mismatch" else np.abs(T - T.T))
+            assert abs(float(str(info.value).split()[-1]) - want) <= 1e-15, (j, reason)
 
     bad = 0.9 * rho4 + 0.1 * np.outer(SINGLET, SINGLET)
     with pytest.raises(NotSymmetricError) as info:
         from_two_qubit(bad)
     assert info.value.reason == "singlet_overlap"
+    assert abs(singlet_overlap(bad) - (SINGLET @ bad @ SINGLET).real) <= 1e-15
 
 
 def test_ppt_separable_known_cases():
