@@ -365,10 +365,11 @@ def test_from2q_exits_cleanly_near_its_tolerances(tmp_path):
     rho4 = spin1.to_two_qubit(state.random_density(rank=3, rng=5))
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     singlet = np.outer(singlet, singlet)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     cases = (
         ("scaled", rho4 * (1.0 + 5e-11), 1),
         ("leaky", (1.0 - 2e-11) * rho4 + 2e-11 * singlet, 1),
-        ("huge", rho4 + 1e308 * np.kron(np.eye(2)[::-1], np.eye(2)[::-1]), 1),
+        ("huge", rho4 + 1e308 * np.kron(sx, sx), 1),
         ("scaled_ok", rho4 * (1.0 + 5e-13), 0),
         ("leaky_ok", (1.0 - 5e-13) * rho4 + 5e-13 * singlet, 0),
     )
