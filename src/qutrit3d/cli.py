@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .dynamics import custom, one_axis_twist, rotation, trajectory, two_axis_counter
+from .dynamics import GENERATORS, custom, trajectory
 from .errors import (
     DegenerateMeshError,
     InternalCheckError,
@@ -352,16 +352,11 @@ def _generator_from_flag(flag: str):
     if flag.startswith("custom:"):
         path = flag.split(":", 1)[1]
         return _checked(path, custom, _matrix_from_obj(_read_json(path), 3))
-    try:
-        kind, axis = flag.split(":", 1)
-    except ValueError:
-        raise CliIOError(f"generator flag {flag!r} is not of the form kind:axis")
-    makers = {"rot": rotation, "twist": one_axis_twist, "counter": two_axis_counter}
-    if kind not in makers or axis not in ("x", "y", "z"):
+    if flag not in GENERATORS:
         raise CliIOError(
             f"unknown generator {flag!r}; use rot|twist|counter:x|y|z or custom:<path>"
         )
-    return makers[kind](axis)
+    return GENERATORS[flag]
 
 
 def cmd_evolve(args) -> int:

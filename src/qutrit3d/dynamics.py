@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,21 +24,17 @@ from .linalg import EigenSystem3, assert_hermitian, eig_hermitian3, unitary_from
 from .spin1 import spin_set
 from .state import check_state
 
-ROTATION = "rotation"
-ONE_AXIS_TWIST = "one_axis_twist"
-TWO_AXIS_COUNTER = "two_axis_counter"
-CUSTOM = "custom"
-
-_AXES = {"x": 0, "y": 1, "z": 2}
+_SHORT = {"rotation": "rot", "one_axis_twist": "twist", "two_axis_counter": "counter"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generator:
-    """A named dynamics generator; matrix is set for custom kind only."""
+    """A generator's kind, axis, Hermitian matrix and eigensystem: solved once, shared, read-only."""
 
     kind: str
-    axis: str | None = None
-    matrix: np.ndarray | None = None
+    axis: str | None
+    matrix: np.ndarray
+    eigensystem: EigenSystem3
 
 
 @dataclass
@@ -47,61 +44,62 @@ class Trajectory:
     scenes: list[EllipsoidScene] | None = None
 
 
-def _check_axis(axis: str) -> str:
-    if axis not in _AXES:
+def _solved(kind: str, axis: str | None, H: np.ndarray) -> Generator:
+    es = eig_hermitian3(H)
+    for a in (H, es.values, es.vectors):
+        a.flags.writeable = False
+    return Generator(kind=kind, axis=axis, matrix=H, eigensystem=es)
+
+
+_OPS = spin_set()
+# label -> generator for the nine canonical generators, "rot:x" ... "counter:z"
+GENERATORS = MappingProxyType({
+    f"{_SHORT[kind]}:{axis}": _solved(kind, axis, mats[j])
+    for kind, mats in zip(_SHORT, (_OPS.S, _OPS.S2, _OPS.A))
+    for j, axis in enumerate("xyz")
+})
+
+
+def _canonical(short: str, axis: str) -> Generator:
+    g = GENERATORS.get(f"{short}:{axis}")
+    if g is None:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
-    return axis
+    return g
 
 
 def rotation(axis: str) -> Generator:
-    return Generator(kind=ROTATION, axis=_check_axis(axis))
+    return _canonical("rot", axis)
 
 
 def one_axis_twist(axis: str) -> Generator:
-    return Generator(kind=ONE_AXIS_TWIST, axis=_check_axis(axis))
+    return _canonical("twist", axis)
 
 
 def two_axis_counter(axis: str) -> Generator:
-    return Generator(kind=TWO_AXIS_COUNTER, axis=_check_axis(axis))
+    return _canonical("counter", axis)
 
 
 def custom(H: np.ndarray) -> Generator:
-    H = np.asarray(H, dtype=complex)
+    """A Hermitian 3x3 generator, copied so later writes to H cannot reach it."""
+    H = np.array(H, dtype=complex)
+    if H.shape != (3, 3):
+        raise ValueError(f"custom generator must be 3x3, got {H.shape}")
     assert_hermitian(H, what="custom generator")
-    return Generator(kind=CUSTOM, matrix=H)
+    return _solved("custom", None, H)
 
 
 def canonical_generators() -> list[Generator]:
     """The nine named generators: three kinds times three axes."""
-    out = []
-    for make in (rotation, one_axis_twist, two_axis_counter):
-        for axis in ("x", "y", "z"):
-            out.append(make(axis))
-    return out
+    return list(GENERATORS.values())
 
 
 def generator_label(g: Generator) -> str:
-    if g.kind == CUSTOM:
-        return "custom"
-    short = {ROTATION: "rot", ONE_AXIS_TWIST: "twist", TWO_AXIS_COUNTER: "counter"}
-    return f"{short[g.kind]}:{g.axis}"
+    return "custom" if g.kind == "custom" else f"{_SHORT[g.kind]}:{g.axis}"
 
 
 def generator_matrix(g: Generator) -> np.ndarray:
-    """Hermitian matrix of a generator: S_j, S_j^2 or A_j, or the custom H."""
-    if g.kind == CUSTOM:
-        if g.matrix is None:
-            raise ValueError("custom generator carries no matrix")
-        return np.array(g.matrix, dtype=complex)
-    ops = spin_set()
-    j = _AXES[g.axis]
-    if g.kind == ROTATION:
-        return np.array(ops.S[j])
-    if g.kind == ONE_AXIS_TWIST:
-        return np.array(ops.S2[j])
-    if g.kind == TWO_AXIS_COUNTER:
-        return np.array(ops.A[j])
-    raise ValueError(f"unknown generator kind {g.kind!r}")
+    """Hermitian matrix of a generator (S_j, S_j^2, A_j or the custom H), a writable copy."""
+    return np.array(g.matrix)
 
 
 def _evolved(rho: np.ndarray, es: EigenSystem3, theta: float) -> np.ndarray:
@@ -117,7 +115,7 @@ def _evolved(rho: np.ndarray, es: EigenSystem3, theta: float) -> np.ndarray:
 def evolve(rho: np.ndarray, g: Generator, theta: float) -> np.ndarray:
     """rho' = U rho U^dag with U = exp(-i theta G)."""
     rho = check_state(rho)
-    return _evolved(rho, eig_hermitian3(generator_matrix(g)), float(theta))
+    return _evolved(rho, g.eigensystem, float(theta))
 
 
 def trajectory(
@@ -131,13 +129,12 @@ def trajectory(
 
     Every sample is computed directly from rho0 (one exact exponential
     per grid point, no compounded stepping), reusing a single
-    eigendecomposition of the generator.
+    eigendecomposition of the generator, solved when it was built.
     """
     if n < 2:
         raise ValueError(f"trajectory needs at least 2 samples, got {n}")
     rho0 = check_state(rho0)
-    es = eig_hermitian3(generator_matrix(g))
     thetas = np.linspace(0.0, float(theta_max), n)
-    states = [_evolved(rho0, es, float(theta)) for theta in thetas]
+    states = [_evolved(rho0, g.eigensystem, float(theta)) for theta in thetas]
     scenes = [build_scene(s) for s in states] if with_scenes else None
     return Trajectory(thetas=thetas, states=states, scenes=scenes)

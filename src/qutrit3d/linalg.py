@@ -35,9 +35,12 @@ from .tolerances import DEGEN_GAP, HERM_TOL, JACOBI_SCALE_FLOOR, JACOBI_STOP
 # large enough that normalization never amplifies rounding noise.
 _GS_RESIDUAL = 0.1
 _MAX_SWEEPS = 60
+# Largest accepted entry modulus: a 4x4 matrix within it has Frobenius norm <= max/4, so
+# no sum, difference or doubling in the solver, the bridge or T = 1 - 2 Re(rho) overflows.
+_ENTRY_MAX = np.finfo(float).max / 16.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenSystem3:
     """Sorted eigendecomposition of a 3x3 Hermitian matrix.
 
@@ -51,8 +54,10 @@ class EigenSystem3:
 
 
 def assert_hermitian(M: np.ndarray, what: str = "matrix") -> None:
-    if not np.isfinite(M).all():
-        raise NotHermitianError(f"{what} is not Hermitian: it has a non-finite entry")
+    if not np.abs(M).max() <= _ENTRY_MAX:  # also true for a NaN or infinite entry
+        if not np.isfinite(M).all():
+            raise NotHermitianError(f"{what} is not Hermitian: it has a non-finite entry")
+        raise ValueError(f"{what} overflows: an entry is above {_ENTRY_MAX:.3g} in modulus")
     dev = float(np.max(np.abs(M - M.conj().T)))
     if dev > HERM_TOL:
         raise NotHermitianError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e}")

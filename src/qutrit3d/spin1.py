@@ -115,8 +115,8 @@ def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
     """Project a symmetric two-qubit state back to the qutrit picture.
 
     Returns the 3x3 block of M = (1/2) B^dag rho4 B.  Checks, in order:
-    NotHermitianError when rho4 is not Hermitian, ValueError when M
-    overflows; then M's singlet row raises NotSymmetricError when the two
+    NotHermitianError when rho4 is not Hermitian, ValueError when an entry
+    is too large; then M's singlet row raises NotSymmetricError when the two
     local Bloch vectors differ (reason "bloch_mismatch";
     4 max|Re <t_j|rho4|psi_->| = max|a1 - a2|), the correlation matrix is
     asymmetric (reason "tensor_asymmetry"; 4 max|Im <t_j|rho4|psi_->| =
@@ -128,8 +128,6 @@ def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
         raise InvalidStateError(f"expected a 4x4 matrix, got {rho4.shape}")
     assert_hermitian(rho4, what="two-qubit state")
     M = _half_sandwich(_B_DAG_ROWS, rho4)
-    if not np.isfinite(M).all():
-        raise ValueError("two-qubit state overflows in the triplet basis")
     mismatch = 4.0 * max(abs(M[j][3].real) for j in range(3))
     if mismatch > HERM_TOL:
         raise NotSymmetricError("bloch_mismatch", f"local Bloch vectors differ by {mismatch:.3e}")

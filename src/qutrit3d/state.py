@@ -14,6 +14,7 @@ Conventions (fixed wire format):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,9 +133,12 @@ def validate(p: StateParams) -> ValidityReport:
 
 
 def _one_minus(T: np.ndarray) -> tuple[np.ndarray, float]:
-    """1 - T and its determinant, the numerator and denominator of Gamma."""
+    """1 - T and its determinant, on Python floats; ValueError when the determinant overflows."""
     one_minus = np.eye(3) - np.asarray(T, dtype=float)
-    return one_minus, float(np.real(det3(one_minus)))
+    d = det3(one_minus.tolist())
+    if not math.isfinite(d):
+        raise ValueError("det(1 - T) overflows")
+    return one_minus, d
 
 
 def metric_tensor(T: np.ndarray) -> MetricTensor:
@@ -145,23 +149,27 @@ def metric_tensor(T: np.ndarray) -> MetricTensor:
     return MetricTensor(gamma=None, defined=False)
 
 
+def _dot3(u, w) -> float:
+    """u . w of two 3-sequences of Python floats, summed in index order: no BLAS, no warning."""
+    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+
+
 def gamma_norm(a: np.ndarray, T: np.ndarray) -> float:
-    """a . Gamma . a, the metric norm of the Bloch vector."""
+    """a . Gamma . a, the metric norm of the Bloch vector, on Python floats in a fixed order."""
     one_minus, d = _one_minus(T)
-    a = np.asarray(a, dtype=float)
     if d <= SING_TOL:
         raise MetricUndefinedError(f"det(1 - T) = {d:.3e} is not above {SING_TOL:g}")
-    return float(a @ one_minus @ a) / d
+    a = [float(x) for x in a]
+    g = _dot3([_dot3(a, col) for col in zip(*one_minus.tolist())], a) / d
+    if not math.isfinite(g):
+        raise ValueError("the metric norm a . Gamma . a overflows")
+    return g
 
 
 def semi_axes(tensor_eigenvalues: np.ndarray) -> np.ndarray:
     """Ellipsoid semi-axes eps_j = sqrt((1-lambda_k)(1-lambda_l)), descending input."""
-    lam = np.asarray(tensor_eigenvalues, dtype=float)
-    eps = np.empty(3)
-    for j in range(3):
-        k, l = [i for i in range(3) if i != j]
-        eps[j] = np.sqrt(max((1.0 - lam[k]) * (1.0 - lam[l]), 0.0))
-    return eps
+    l0, l1, l2 = (1.0 - float(x) for x in tensor_eigenvalues)
+    return np.array([math.sqrt(max(p, 0.0)) for p in (l1 * l2, l0 * l2, l0 * l1)])
 
 
 def _spectrum(rho: np.ndarray) -> tuple[np.ndarray, EigenSystem3, bool]:
@@ -228,16 +236,12 @@ def _validity(
     min-eigenvalue >= -RANK_TOL exactly; the flags localize which
     condition a clear violation breaks.
     """
-    om = (1.0 - tvals) / 2.0
-    at = frame.T @ a
-    c1 = bool(np.all(om >= -RANK_TOL) and np.all(om <= 1.0 + RANK_TOL))
-    c2 = True
-    for j in range(3):
-        k, l = [i for i in range(3) if i != j]
-        if 4.0 * om[k] * om[l] - at[j] ** 2 < -RANK_TOL:
-            c2 = False
-            break
-    c3 = bool(4.0 * om[0] * om[1] * om[2] - float(np.dot(om, at**2)) >= -RANK_TOL)
+    om = [(1.0 - float(t)) / 2.0 for t in tvals]
+    at = [_dot3(a.tolist(), col) for col in zip(*frame.tolist())]
+    c1 = all(-RANK_TOL <= w <= 1.0 + RANK_TOL for w in om)
+    minors = [4.0 * om[k] * om[l] - at[j] * at[j] for j, k, l in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    c2 = not any(m < -RANK_TOL for m in minors)
+    c3 = 4.0 * om[0] * om[1] * om[2] - _dot3(om, [x * x for x in at]) >= -RANK_TOL
     return ValidityReport(c1_ok=c1, c2_ok=c2, c3_ok=c3, overall=positive)
 
 

@@ -229,11 +229,14 @@ def test_eigensolve_counts(eig_calls, monkeypatch):
     assert count(cli.build_report, valid) == 2
     assert count(cli.build_report, invalid) == 2
     assert count(build_scene, valid) == 2
+    # a generator is solved once, when it is built: the canonical ones at import
     n = 10
+    assert count(dynamics.rotation, "x") == 0
+    assert count(dynamics.custom, np.diag([1.0, 0.0, -1.0])) == 1
     g = dynamics.one_axis_twist("x")
-    assert count(dynamics.trajectory, valid, g, 1.0, n, with_scenes=True) == 2 + 2 * n
-    assert count(dynamics.trajectory, valid, g, 1.0, n) == 2
-    assert count(dynamics.evolve, valid, g, 1.0) == 2
+    assert count(dynamics.trajectory, valid, g, 1.0, n, with_scenes=True) == 1 + 2 * n
+    assert count(dynamics.trajectory, valid, g, 1.0, n) == 1
+    assert count(dynamics.evolve, valid, g, 1.0) == 1
     assert count(spin1.to_two_qubit, valid) == 1
 
     eig4 = []

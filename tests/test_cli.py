@@ -8,14 +8,17 @@ import ast
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from qutrit3d import cli, linalg, spin1, state
 from qutrit3d.errors import InternalCheckError
+from qutrit3d.tolerances import HERM_TOL, NORM_TOL, TRACE_TOL
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src", "qutrit3d")
@@ -608,3 +611,189 @@ def test_analyze_golden_bytes_under_optimize():
         res = run_cli("analyze", data_path(name), flags=("-O",))
         assert res.returncode == 0, res.stderr
         assert res.stdout == read_golden(f"analyze_{name}.txt"), name
+
+
+def _main(capsys, *argv):
+    """cli.main in process with every warning raised: (exit code, stdout, stderr)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+NONFINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def _diag_third_file(path, re12=0.0, im12=0.0):
+    """Diagonal 1/3 with rho_12 = re12 + i im12 and its Hermitian mirror."""
+    real, imag = np.eye(3) / 3.0, np.zeros((3, 3))
+    real[0, 1] = real[1, 0] = re12
+    imag[0, 1], imag[1, 0] = im12, -im12
+    path.write_text(json.dumps({"re": real.tolist(), "im": imag.tolist()}))
+    return path
+
+
+def test_overflowing_report_exits_with_one_message(tmp_path, capsys):
+    # a finite, Hermitian, trace-one file whose metric norm or det(1 - T)
+    # overflows ends with one error line: no inf, Infinity, "degenerate"
+    # or numpy overflow warning
+    files = [
+        _diag_third_file(tmp_path / "im155.json", im12=1e155),
+        _diag_third_file(tmp_path / "re155.json", re12=1e155),
+        _diag_third_file(tmp_path / "re300.json", re12=1e300),
+    ]
+    runs = [("analyze", f) for f in files] + [("analyze", "--json", f) for f in files]
+    for argv in runs + [("pseudo", "--ax", "1e155")]:
+        code, out, err = _main(capsys, *argv)
+        assert code == 1, (argv, out, err)
+        assert not NONFINITE_TOKEN.search(out), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "overflows" in err
+    for path in files:
+        assert _main(capsys, "scene", path) == (2, "", "error: state is not positive semidefinite\n")
+
+    # controls below the overflow keep their output and exit 2
+    code, out, err = _main(capsys, "analyze", _diag_third_file(tmp_path / "im110.json", im12=1e110))
+    assert (code, err) == (2, "")
+    assert out == (
+        "a: 0 0 -2e+110\nq: 0 0 0\n"
+        "omega: 0.333333333333 0.333333333333 0.333333333333\n"
+        "tensor eigenvalues: 0.333333333333 0.333333333333 0.333333333333\n"
+        "semi-axes: 0.666666666667 0.666666666667 0.666666666667\n"
+        "gamma-norm: 9e+220\nvalidity: violated: 2x2 principal minor negative (c2)\n"
+        "rank: n/a\ncase: n/a\nscene: n/a\n"
+    )
+    code, out, err = _main(capsys, "pseudo", "--ax", "1e100")
+    assert (code, err) == (2, "")
+    assert "a: 1e+100 0 0\n" in out and "gamma-norm: 2.25e+200\n" in out
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _fuzz_payloads(rng):
+    """About 300 mutations of valid state, amplitude, two-qubit and generator files, as JSON text."""
+    rho = [state.random_density(rank=r, rng=rng) for r in (1, 2, 3)]
+    bases = {
+        "state": [cli.density_payload(r) for r in rho],
+        "two_qubit": [cli.density_payload(spin1.to_two_qubit(r)) for r in rho],
+        "generator": [
+            cli.density_payload((X + X.conj().T) / 2.0)
+            for X in (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3))
+        ],
+        "amplitudes": [
+            cli.amplitudes_payload(psi / linalg.vector_norm(psi.tolist()))
+            for psi in (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3))
+        ],
+    }
+    odd_values = ("1", None, True, [1.0], {"x": 1.0}, [], 10**400, -(10**400), 10**300)
+    literals = ("NaN", "Infinity", "-Infinity", "1e999", "-1e999", str(10**400))
+
+    def huge():
+        # three bands, so the top of the float range, where 2 rho and the
+        # solver's sums would overflow, is drawn as often as the rest
+        lo, hi = ((100.0, 300.0), (300.0, 307.0), (307.0, 308.25))[int(rng.integers(3))]
+        return float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(lo, hi)
+
+    def cells(obj):
+        if "amplitudes" in obj:
+            return obj["amplitudes"], len(obj["amplitudes"]), 2
+        key = str(rng.choice(["re", "im"]))
+        return obj[key], len(obj[key]), len(obj[key])
+
+    def mutate(kind, obj):
+        obj = json.loads(json.dumps(obj))
+        grid, rows, cols = cells(obj)
+        i, j = int(rng.integers(rows)), int(rng.integers(cols))
+        op = int(rng.integers(9))
+        if op == 0:  # a cell of the wrong type
+            grid[i][j] = odd_values[int(rng.integers(len(odd_values)))]
+        elif op == 1:  # the wrong shape
+            choice = int(rng.integers(4))
+            if choice == 0:
+                grid.pop(i)
+            elif choice == 1:
+                grid[i].pop(j)
+            elif choice == 2:
+                grid.append(list(grid[i]))
+            else:
+                grid[i].append(0.0)
+        elif op == 2:  # a wrong top level or a missing key
+            obj = [obj, {}, "state", {"re": obj.get("re")}, {"amplitudes": 3}][int(rng.integers(5))]
+        elif op == 3:  # a non-finite or huge literal
+            grid[i][j] = "@"
+            return json.dumps(obj).replace('"@"', literals[int(rng.integers(len(literals)))])
+        elif op in (4, 5) and kind != "amplitudes":  # a huge Hermitian off-diagonal pair
+            k = (i + 1 + int(rng.integers(rows - 1))) % rows
+            x = huge()
+            if op == 4:
+                obj["re"][i][k] += x
+                obj["re"][k][i] += x
+            else:
+                obj["im"][i][k] += x
+                obj["im"][k][i] -= x
+        elif op in (4, 5):  # a huge amplitude
+            grid[i][j] = huge()
+        elif op == 6:  # just inside or outside the Hermiticity or normalisation tolerance
+            scale = float(rng.choice([0.5, 0.99, 1.01, 2.0]))
+            if kind == "amplitudes":
+                grid[i][j] += scale * NORM_TOL
+            else:
+                obj["im"][i][(i + 1) % rows] += scale * HERM_TOL
+        elif op == 7 and kind != "amplitudes":  # just inside or outside the trace tolerance
+            obj["re"][i][i] += float(rng.choice([0.5, 0.99, 1.01, 2.0, -2.0])) * TRACE_TOL
+        else:  # a spectrum with a negative eigenvalue, trace kept
+            if kind == "amplitudes":
+                grid[i][j] = -grid[i][j]
+            else:
+                d = float(rng.uniform(0.05, 3.0))
+                obj["re"][i][i] += d
+                obj["re"][(i + 1) % rows][(i + 1) % rows] -= d
+        return json.dumps(obj)
+
+    for kind, objs in bases.items():
+        for obj in objs:
+            yield kind, json.dumps(obj)
+            for _ in range(24):
+                yield kind, mutate(kind, obj)
+
+
+def test_cli_fuzz_of_input_files(tmp_path, capsys):
+    """Mutated input files end in exit 0, 1 or 2 with finite output and no escaping exception."""
+    mixed = data_path("mixed")
+    commands = {
+        "state": (
+            ["analyze", "{f}"],
+            ["analyze", "--json", "{f}"],
+            ["scene", "{f}"],
+            ["scene", "{f}", "--format", "obj", "--lat", "4", "--lon", "8"],
+            ["bridge", "{f}", "--direction", "to2q"],
+            ["evolve", "{f}", "--generator", "rot:x", "--theta", "0.7", "--steps", "3"],
+        ),
+        "two_qubit": (["bridge", "{f}", "--direction", "from2q"], ["analyze", "{f}"]),
+        "generator": (
+            ["evolve", mixed, "--generator", "custom:{f}", "--theta", "0.7", "--steps", "3"],
+            ["analyze", "--json", "{f}"],
+        ),
+    }
+    commands["amplitudes"] = commands["state"]
+    json_out = {"--json", "to2q", "from2q", "evolve"}
+    rng = np.random.default_rng(20261019)
+    codes = []
+    for n, (kind, text) in enumerate(_fuzz_payloads(rng)):
+        path = tmp_path / f"fuzz{n}.json"
+        path.write_text(text)
+        runs = commands[kind]
+        for argv in (runs[n % len(runs)], runs[(n + 3) % len(runs)]):
+            argv = [a.replace("{f}", str(path)) for a in argv]
+            try:
+                code, out, err = _main(capsys, *argv)
+            except Exception as exc:  # name the input that let it escape
+                pytest.fail(f"{argv} on {text!r} raised {exc!r}")
+            assert code in (0, 1, 2), (argv, text, err)
+            assert not NONFINITE_TOKEN.search(out), (argv, text)
+            if code == 0 and (json_out & set(argv) or argv[0] == "scene" and "obj" not in argv):
+                json.loads(out, parse_constant=_reject_constant)
+            codes.append(code)
+    assert len(codes) >= 500 and {0, 1, 2} <= set(codes)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from qutrit3d.dynamics import (
-    Generator,
     canonical_generators,
     custom,
     evolve,
@@ -35,6 +34,36 @@ def test_generator_matrices():
     assert np.array_equal(generator_matrix(two_axis_counter("y")), Ay)
     H = np.array([[1.0, 2.0j, 0.0], [-2.0j, 0.5, 0.0], [0.0, 0.0, -1.0]])
     assert np.array_equal(generator_matrix(custom(H)), H)
+
+
+def test_canonical_generators_are_shared_values():
+    for make in (rotation, one_axis_twist, two_axis_counter):
+        for axis in ("x", "y", "z"):
+            assert make(axis) is make(axis)
+    with pytest.raises(ValueError, match="axis must be x, y or z"):
+        rotation("w")
+    for g in canonical_generators() + [custom(np.diag([1.0, 0.0, -1.0]))]:
+        for arr in (g.matrix, g.eigensystem.values, g.eigensystem.vectors):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        M = generator_matrix(g)
+        assert np.array_equal(M, g.matrix) and M is not g.matrix
+        M[0, 0] = 7.0
+        assert not np.array_equal(M, g.matrix)
+
+
+def test_custom_copies_its_matrix():
+    # the generator holds its own solved copy: a later write to the
+    # caller's array reaches neither its matrix nor its evolution
+    H = np.array([[1.0, 2.0j, 0.0], [-2.0j, 0.5, 0.0], [0.0, 0.0, -1.0]])
+    rho = random_density(rank=3, rng=np.random.default_rng(523))
+    g = custom(H)
+    before = (generator_matrix(g), evolve(rho, g, 0.7))
+    H[0, 0] = 5.0
+    assert np.array_equal(generator_matrix(g), before[0])
+    assert np.array_equal(evolve(rho, g, 0.7), before[1])
+    with pytest.raises(ValueError, match="3x3"):
+        custom(np.eye(4))
 
 
 def test_counter_generator_is_twist_difference():

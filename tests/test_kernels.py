@@ -1,4 +1,4 @@
-"""The eigensolver, the two-qubit bridge and the golden outputs do not depend on the BLAS kernel.
+"""The eigensolver, the bridge, the analysis report and the goldens do not depend on the BLAS kernel.
 
 OpenBLAS built with DYNAMIC_ARCH picks its compute kernel at run time
 from the CPU, and OPENBLAS_CORETYPE overrides that choice.  Kernels sum
@@ -7,9 +7,10 @@ goes through a matmul or a BLAS norm can change in the last bit from one
 CPU to the next.  This test runs this file as a child process under each
 kernel the host can execute.  Every child must give the same digest of
 eig_hermitian3, eig_sym3 and eigvals_hermitian4 outputs, of the bridge
-(to_two_qubit, from_two_qubit, ppt_separable, singlet_overlap) and of
-`bridge` CLI outputs in both directions, and the ten golden CLI outputs
-byte for byte.
+(to_two_qubit, from_two_qubit, ppt_separable, singlet_overlap), of the
+metric norm gamma_norm and the validity flags of the analysis report and
+of `bridge` CLI outputs in both directions, and the ten golden CLI
+outputs byte for byte.
 
 The child builds its inputs without BLAS (elementwise numpy, outer
 products, the mutually unbiased bases), so only the library can make the
@@ -71,6 +72,7 @@ def _density(rng, n, rank):
 
 
 def _digest() -> str:
+    from qutrit3d.cli import build_report
     from qutrit3d.linalg import eig_hermitian3, eig_sym3, eigvals_hermitian4, partial_transpose
     from qutrit3d.purestates import density_from_pure, mub_bases
     from qutrit3d.spin1 import from_two_qubit, ppt_separable, singlet_overlap, to_two_qubit
@@ -89,6 +91,8 @@ def _digest() -> str:
         add(*eig_sym3(np.eye(3) - 2.0 * rho.real))
         rho4 = to_two_qubit(rho)
         add(rho4, from_two_qubit(rho4), ppt_separable(rho))
+        an, gamma = build_report(rho)
+        add(np.nan if gamma is None else gamma, *vars(an.validity).values())
         # a double root in a random frame, split by a gap around DEGEN_GAP
         v, u = rng.standard_normal(3) + 1j * rng.standard_normal(3), rng.standard_normal(3)
         gap = 10.0 ** rng.uniform(-12.0, -6.0)

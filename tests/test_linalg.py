@@ -8,6 +8,8 @@ against a raw Taylor series, determinants against
 numpy, and the partial transpose against hand-built tensor products.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,24 @@ def test_assert_hermitian_rejects_nonfinite(value):
         assert_hermitian(M)
     with pytest.raises(NotHermitianError):
         eig_hermitian3(M)
+
+
+def test_assert_hermitian_rejects_entries_that_would_overflow():
+    # entries up to a sixteenth of the float range keep the Frobenius norm
+    # of a 4x4 matrix below a quarter of it, so the solver's sums and
+    # doublings stay finite; a larger entry is a ValueError, not an
+    # OverflowError from abs() inside the sweep
+    big = 0.999 * np.finfo(float).max / 16.0
+    for n, solve in ((3, eig_hermitian3), (4, eigvals_hermitian4)):
+        M = np.eye(n, dtype=complex) / n
+        M[0, 1], M[1, 0] = big * (1 - 1j) / np.sqrt(2.0), big * (1 + 1j) / np.sqrt(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = solve(M) if n == 4 else solve(M).values
+        assert np.isfinite(values).all() and abs(values[0] - big) <= 1e-12 * big
+        M[0, 1], M[1, 0] = 1.7e308 * (1 - 1j), 1.7e308 * (1 + 1j)
+        with pytest.raises(ValueError, match="overflows"):
+            solve(M)
 
 
 def test_det3_matches_numpy():
