@@ -16,6 +16,7 @@ Sign convention: evolution uses U = exp(-i theta G).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -149,10 +150,10 @@ def _pure_from_obj(obj: dict, path: str) -> PureState:
 
 
 def _checked(path: str, check, M: np.ndarray):
-    """check(M); its Hermiticity or trace error is a parse failure of path."""
+    """check(M); its Hermiticity, trace or entry-size error is a parse failure of path."""
     try:
         return check(M)
-    except (NotHermitianError, TraceError) as exc:
+    except (NotHermitianError, TraceError, ValueError) as exc:
         raise CliIOError(f"{path}: {exc}") from exc
 
 
@@ -429,7 +430,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="qutrit3d",
         description="Three-dimensional qutrit representation toolkit.",

@@ -8,7 +8,10 @@ small numpy arrays; no shared state.
 The eigensolver works on Python scalars and calls no BLAS: each plane
 rotation rewrites the two affected rows and columns of A and V in place,
 and the sort, the degenerate-cluster Gram-Schmidt and the phase gauge
-use the same scalars.  Two reasons:
+use the same scalars.  V is co-rotated only when eigenvectors are
+wanted: rho's spectrum (positivity, rank) and the partial transpose
+test read eigenvalues alone, which never depend on V, so their values
+are bit-identical to the full solve's.  Two reasons for the scalars:
   * speed: for n <= 4 the interpreter's per-call cost dominates, so
     building a rotation matrix and two matmuls per rotation costs
     several times more than the scalar update;
@@ -68,7 +71,7 @@ def vector_norm(v) -> float:
     return math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in v))
 
 
-def _jacobi_hermitian(M: np.ndarray) -> tuple[list, list]:
+def _jacobi_hermitian(M: np.ndarray, with_vectors: bool) -> tuple[list, list]:
     """Cyclic Jacobi diagonalization of a Hermitian matrix, in place on Python scalars.
 
     Each rotation J zeroes one off-diagonal entry: A <- J^dag A J rewrites
@@ -76,12 +79,13 @@ def _jacobi_hermitian(M: np.ndarray) -> tuple[list, list]:
     A real matrix stays real (the phase apq/|apq| is then +-1).  For
     n <= 4 this converges quadratically in a handful of sweeps.  Returns
     (unsorted real eigenvalues, V as a list of rows, eigenvectors in its
-    columns); InternalCheckError if _MAX_SWEEPS sweeps end with an
-    off-diagonal modulus above the stop.
+    columns; no rows unless ``with_vectors``); InternalCheckError if
+    _MAX_SWEEPS sweeps end with an off-diagonal modulus above the stop.
+    A never reads V, so the eigenvalues do not depend on ``with_vectors``.
     """
     n = M.shape[0]
     A = M.tolist()
-    V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if with_vectors else []
     scale = max(max(abs(x) for row in A for x in row), JACOBI_SCALE_FLOOR)
     stop = JACOBI_STOP * scale
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
@@ -179,7 +183,7 @@ def eig_hermitian3(M: np.ndarray) -> EigenSystem3:
     M = np.asarray(M)
     M = np.asarray(M, dtype=float if np.isrealobj(M) else complex)
     assert_hermitian(M)
-    vals, V = _jacobi_hermitian(M)
+    vals, V = _jacobi_hermitian(M, with_vectors=True)
     order = sorted(range(3), key=lambda k: -vals[k])
     vals = [vals[k] for k in order]
     cols = [[row[k] for row in V] for k in order]
@@ -203,12 +207,17 @@ def eig_sym3(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return es.values, es.vectors
 
 
+def _eigvals(M: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of a checked Hermitian matrix, bit-identical to the full solve's."""
+    vals, _ = _jacobi_hermitian(M, with_vectors=False)
+    return np.array(sorted(vals, reverse=True))
+
+
 def eigvals_hermitian4(M: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a 4x4 Hermitian matrix."""
     M = np.asarray(M, dtype=complex)
     assert_hermitian(M)
-    vals, _ = _jacobi_hermitian(M)
-    return np.array(sorted(vals, reverse=True))
+    return _eigvals(M)
 
 
 def det3(M: np.ndarray) -> complex:

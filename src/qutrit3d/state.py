@@ -26,7 +26,7 @@ from .errors import (
     NotPositiveError,
     TraceError,
 )
-from .linalg import EigenSystem3, assert_hermitian, det3, eig_hermitian3, eig_sym3
+from .linalg import _ENTRY_MAX, _eigvals, assert_hermitian, det3, eig_sym3
 from .tolerances import RANK_TOL, SEGMENT_SLACK, SING_TOL, TRACE_TOL
 
 # Rank/geometry taxonomy labels.
@@ -69,11 +69,17 @@ class RankReport:
 
 
 def assert_density(rho: np.ndarray) -> None:
-    """Check shape, Hermiticity and unit trace; positivity is separate."""
+    """Check shape, Hermiticity, entry size and unit trace; positivity is separate.
+
+    Entries stay within half the solver's bound, so T = 1 - 2 Re(rho) stays within it.
+    """
     rho = np.asarray(rho)
     if rho.shape != (3, 3):
         raise TraceError(f"density matrix must be 3x3, got {rho.shape}")
     assert_hermitian(rho, what="density matrix")
+    bound = _ENTRY_MAX / 2.0
+    if np.abs(rho).max() > bound:
+        raise ValueError(f"density matrix overflows: an entry is above {bound:.3g} in modulus")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceError(f"density matrix trace = {tr.real:.15g}, expected 1")
@@ -172,23 +178,24 @@ def semi_axes(tensor_eigenvalues: np.ndarray) -> np.ndarray:
     return np.array([math.sqrt(max(p, 0.0)) for p in (l1 * l2, l0 * l2, l0 * l1)])
 
 
-def _spectrum(rho: np.ndarray) -> tuple[np.ndarray, EigenSystem3, bool]:
-    """rho as a checked complex density matrix, its spectrum, its positivity.
+def _spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """rho as a checked complex density matrix, its descending eigenvalues, its positivity.
 
     The package's one positivity verdict: rho is positive semidefinite
-    when its smallest eigenvalue is at least -RANK_TOL.
+    when its smallest eigenvalue is at least -RANK_TOL.  Only values are
+    read, so the solve computes no eigenvectors.
     """
     rho = np.asarray(rho, dtype=complex)
     assert_density(rho)
-    es = eig_hermitian3(rho)
-    return rho, es, bool(es.values[-1] >= -RANK_TOL)
+    values = _eigvals(rho)
+    return rho, values, bool(values[-1] >= -RANK_TOL)
 
 
 def check_state(rho: np.ndarray) -> np.ndarray:
     """rho as a complex density matrix; NotPositiveError unless it is a state."""
-    rho, es, positive = _spectrum(rho)
+    rho, values, positive = _spectrum(rho)
     if not positive:
-        raise _not_positive(es.values)
+        raise _not_positive(values)
     return rho
 
 
@@ -246,24 +253,24 @@ def _validity(
 
 
 def analyse(rho: np.ndarray) -> Analysis:
-    """Analyse a Hermitian trace-one matrix with one eigensolve of rho and one of T.
+    """Analyse a Hermitian trace-one matrix: one values-only spectrum of rho, one eigensolve of T.
 
     Positivity and rank come from rho's spectrum; the frame, semi-axes,
     minor diagnostics and geometry case from T's.  A matrix that is not
     positive is reported, not raised; InternalCheckError means the
     geometry case failed its own consistency checks.
     """
-    rho, es, positive = _spectrum(rho)
+    rho, values, positive = _spectrum(rho)
     p = _params(rho)
     tvals, frame = eig_sym3(p.T)
     eps = semi_axes(tvals)
     rank = None
     if positive:
-        n = int(np.sum(es.values > RANK_TOL))
-        rank = RankReport(rank=n, case=_rank_case(n, tvals, eps, p.a), eigenvalues=es.values)
+        n = int(np.sum(values > RANK_TOL))
+        rank = RankReport(rank=n, case=_rank_case(n, tvals, eps, p.a), eigenvalues=values)
     return Analysis(
         params=p,
-        eigenvalues=es.values,
+        eigenvalues=values,
         tensor_eigenvalues=tvals,
         frame=frame,
         semi_axes=eps,

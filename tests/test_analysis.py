@@ -3,8 +3,9 @@
 Every verdict the package reports about a state (validity, rank, case,
 scene, the CLI report) reads one record built from one spectrum of rho
 and one of T; these tests pin that the consumers agree with the record,
-that the record costs exactly two eigensolves, and that a state on the
-positivity threshold gets one consistent verdict end to end.
+that the record costs exactly one values-only spectrum of rho and one
+eigensolve of T, and that a state on the positivity threshold gets one
+consistent verdict end to end.
 """
 
 import json
@@ -145,12 +146,6 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.fixture
-def eig_calls(monkeypatch):
-    """Count eig_hermitian3 calls made anywhere in the package."""
-    return _count_calls(monkeypatch, "eig_hermitian3")
-
-
 def test_consumers_read_the_record():
     rng = np.random.default_rng(601)
     for _ in range(150):
@@ -216,45 +211,54 @@ def test_threshold_state_gets_one_verdict(tmp_path):
     assert (lines[7] == "rank: n/a") == (not valid)
 
 
-def test_eigensolve_counts(eig_calls, monkeypatch):
+def test_eigensolve_counts(monkeypatch):
+    """Full eigensolves (eig_hermitian3) and values-only spectra (linalg._eigvals) per call.
+
+    rho's positivity and rank read eigenvalues only; T and the generators
+    need their eigenvectors.
+    """
+    full = _count_calls(monkeypatch, "eig_hermitian3")
+    values = _count_calls(monkeypatch, "_eigvals")
     rng = np.random.default_rng(613)
     valid = random_density(rank=3, rng=rng)
     invalid = np.diag([0.8, 0.8, -0.6]).astype(complex)
 
     def count(fn, *args, **kwargs):
-        eig_calls.clear()
+        full.clear()
+        values.clear()
         fn(*args, **kwargs)
-        return len(eig_calls)
+        return len(full), len(values)
 
-    assert count(cli.build_report, valid) == 2
-    assert count(cli.build_report, invalid) == 2
-    assert count(build_scene, valid) == 2
+    assert count(cli.build_report, valid) == (1, 1)
+    assert count(cli.build_report, invalid) == (1, 1)
+    assert count(build_scene, valid) == (1, 1)
     # a generator is solved once, when it is built: the canonical ones at import
     n = 10
-    assert count(dynamics.rotation, "x") == 0
-    assert count(dynamics.custom, np.diag([1.0, 0.0, -1.0])) == 1
+    assert count(dynamics.rotation, "x") == (0, 0)
+    assert count(dynamics.custom, np.diag([1.0, 0.0, -1.0])) == (1, 0)
     g = dynamics.one_axis_twist("x")
-    assert count(dynamics.trajectory, valid, g, 1.0, n, with_scenes=True) == 1 + 2 * n
-    assert count(dynamics.trajectory, valid, g, 1.0, n) == 1
-    assert count(dynamics.evolve, valid, g, 1.0) == 1
-    assert count(spin1.to_two_qubit, valid) == 1
+    assert count(dynamics.trajectory, valid, g, 1.0, n, with_scenes=True) == (n, 1 + n)
+    assert count(dynamics.trajectory, valid, g, 1.0, n) == (0, 1)
+    assert count(dynamics.evolve, valid, g, 1.0) == (0, 1)
+    assert count(spin1.to_two_qubit, valid) == (0, 1)
 
     eig4 = []
     original4 = linalg.eigvals_hermitian4
     monkeypatch.setattr(spin1, "eigvals_hermitian4", lambda M: eig4.append(1) or original4(M))
-    assert count(spin1.ppt_separable, valid) == 1
+    # one spectrum of rho, one of the partial transpose inside eigvals_hermitian4
+    assert count(spin1.ppt_separable, valid) == (0, 2)
     assert len(eig4) == 1
 
 
 def test_hermiticity_check_counts(monkeypatch):
-    # rho is checked once (assert_density), then once per eigensolve (rho and T)
+    # rho is checked once (assert_density), then once more by T's eigensolve
     checks = _count_calls(monkeypatch, "assert_hermitian")
     valid = random_density(rank=3, rng=np.random.default_rng(613))
     invalid = np.diag([0.8, 0.8, -0.6]).astype(complex)
     for rho in (valid, invalid):
         checks.clear()
         cli.build_report(rho)
-        assert len(checks) == 3
+        assert len(checks) == 2
 
 
 def test_matrix_files_are_checked_once(monkeypatch, tmp_path, capsys):
@@ -280,8 +284,8 @@ def test_matrix_files_are_checked_once(monkeypatch, tmp_path, capsys):
         if code == 1:
             assert out == "" and err.startswith(f"error: {path}: two-qubit "), name
 
-    # one check of the generator file, in custom(); the other four are of rho
-    # (the file, trajectory, its eigensolve) and of G's eigensolve
+    # one check of the generator file, in custom(); the other three are of rho
+    # (the file and trajectory) and of G's eigensolve
     gen = tmp_path / "gen.json"
     zeros = np.zeros((3, 3)).tolist()
     gen.write_text(json.dumps({"re": np.diag([1.0, 0.0, -1.0]).tolist(), "im": zeros}))
@@ -289,7 +293,7 @@ def test_matrix_files_are_checked_once(monkeypatch, tmp_path, capsys):
     checks.clear()
     argv = ["evolve", mixed, "--generator", f"custom:{gen}", "--theta", "1", "--steps", "2"]
     assert cli.main(argv) == 0
-    assert len(checks) == 5
+    assert len(checks) == 4
     gen.write_text(json.dumps({"re": [[0.0, 1.0, 0.0], [0.0] * 3, [0.0] * 3], "im": zeros}))
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {gen}: custom generator is not Hermitian")

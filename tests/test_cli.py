@@ -387,8 +387,7 @@ def test_from2q_exits_cleanly_near_its_tolerances(tmp_path):
             continue
         assert "Traceback" not in res.stderr and "nan" not in res.stderr.lower(), name
         assert len(res.stderr.splitlines()) == 1, name
-        prefix = "error: two-qubit " if name == "huge" else f"error: {path}: two-qubit "
-        assert res.stderr.startswith(prefix), (name, res.stderr)
+        assert res.stderr.startswith(f"error: {path}: two-qubit "), (name, res.stderr)
 
 
 def test_ortho_agreeing_verdicts(tmp_path):
@@ -651,6 +650,16 @@ def test_overflowing_report_exits_with_one_message(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "overflows" in err
     for path in files:
         assert _main(capsys, "scene", path) == (2, "", "error: state is not positive semidefinite\n")
+
+    # an entry that T = 1 - 2 Re(rho) would double past the solver's entry
+    # bound is rejected where the file is read, and the message names it
+    big = _diag_third_file(tmp_path / "re8e306.json", re12=8e306)
+    for argv in (("analyze", big), ("analyze", "--json", big), ("scene", big),
+                 ("bridge", big, "--direction", "to2q")):
+        code, out, err = _main(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert len(err.splitlines()) == 1, argv
+        assert err.startswith(f"error: {big}: density matrix overflows"), (argv, err)
 
     # controls below the overflow keep their output and exit 2
     code, out, err = _main(capsys, "analyze", _diag_third_file(tmp_path / "im110.json", im12=1e110))

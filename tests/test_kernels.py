@@ -7,10 +7,12 @@ goes through a matmul or a BLAS norm can change in the last bit from one
 CPU to the next.  This test runs this file as a child process under each
 kernel the host can execute.  Every child must give the same digest of
 eig_hermitian3, eig_sym3 and eigvals_hermitian4 outputs, of the bridge
-(to_two_qubit, from_two_qubit, ppt_separable, singlet_overlap), of the
-metric norm gamma_norm and the validity flags of the analysis report and
-of `bridge` CLI outputs in both directions, and the ten golden CLI
-outputs byte for byte.
+(to_two_qubit, from_two_qubit, ppt_separable, singlet_overlap), of rho's
+eigenvalues, the metric norm gamma_norm and the validity flags of the
+analysis report and of `bridge` CLI outputs in both directions, and the
+ten golden CLI outputs byte for byte.  rho's spectrum, the positivity
+checks of to_two_qubit and the partial transpose test run the solver's
+values-only path, so the digest covers it beside the full path.
 
 The child builds its inputs without BLAS (elementwise numpy, outer
 products, the mutually unbiased bases), so only the library can make the
@@ -92,7 +94,7 @@ def _digest() -> str:
         rho4 = to_two_qubit(rho)
         add(rho4, from_two_qubit(rho4), ppt_separable(rho))
         an, gamma = build_report(rho)
-        add(np.nan if gamma is None else gamma, *vars(an.validity).values())
+        add(an.eigenvalues, np.nan if gamma is None else gamma, *vars(an.validity).values())
         # a double root in a random frame, split by a gap around DEGEN_GAP
         v, u = rng.standard_normal(3) + 1j * rng.standard_normal(3), rng.standard_normal(3)
         gap = 10.0 ** rng.uniform(-12.0, -6.0)

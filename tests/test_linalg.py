@@ -2,10 +2,11 @@
 
 Eigen routines are checked against numpy's LAPACK-backed solvers (on
 families that include rank-deficient states, partial transposes and
-near-double roots), the
-matrix exponential exp(-i theta G) = unitary_from_eigensystem(eig(G), theta)
-against a raw Taylor series, determinants against
-numpy, and the partial transpose against hand-built tensor products.
+near-double roots), the values-only path against the full solve bit for
+bit, the matrix exponential
+exp(-i theta G) = unitary_from_eigensystem(eig(G), theta) against a raw
+Taylor series, determinants against numpy, and the partial transpose
+against hand-built tensor products.
 """
 
 import warnings
@@ -233,6 +234,43 @@ def test_eigvals_hermitian4_against_lapack(family):
         scale = max(1.0, float(np.max(np.abs(ref))))
         assert np.max(np.abs(values - ref)) <= 1e-14 * scale
         assert np.array_equal(eigvals_hermitian4(M), values)
+
+
+def _values_only_families(rng, i):
+    """3x3 inputs of every kind the solver sees, with an exact or near double root now and then."""
+    real = rng.standard_normal((3, 3))
+    big = 0.99 * linalg._ENTRY_MAX
+    psi = rng.standard_normal(3)
+    yield random_hermitian(rng)
+    yield (real + real.T) / 2.0
+    yield random_density(1, rng)
+    yield random_density(2, rng)
+    yield _near_double_root(rng, DEGEN_GAP * 10.0 ** rng.uniform(-3.0, 0.0))
+    yield _near_double_root(rng, 0.0)
+    yield np.diag([0.5, 0.5, 0.0]) if i % 2 else np.eye(3) / 3.0
+    yield np.eye(3) - 2.0 * np.outer(psi, psi) / (psi @ psi)
+    H = random_hermitian(rng)
+    yield big * H / np.abs(H).max()
+
+
+def test_values_only_path_is_bit_identical_to_the_full_solve():
+    """Dropping V changes no eigenvalue bit: the kernel's A never reads V.
+
+    Near and exact double roots (where the full solve re-orthonormalizes
+    a cluster), entries near the solver's bound, real input and the
+    partial transposes of two-qubit bridge images all give the same bytes
+    as the full path, sorted in the same order.
+    """
+    rng = np.random.default_rng(20261020)
+    for i in range(300):
+        for M in _values_only_families(rng, i):
+            M = np.asarray(M, dtype=float if np.isrealobj(M) else complex)
+            assert linalg._eigvals(M).tobytes() == eig_hermitian3(M).values.tobytes()
+        rho4 = to_two_qubit(random_density(int(rng.integers(1, 4)), rng))
+        for M in (partial_transpose(rho4), rho4):
+            vals, V = linalg._jacobi_hermitian(M, with_vectors=True)
+            assert len(V) == 4
+            assert linalg._eigvals(M).tobytes() == np.array(sorted(vals, reverse=True)).tobytes()
 
 
 def test_real_input_gets_real_arithmetic():
