@@ -75,8 +75,8 @@ def _fmt(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _vec(v) -> str:
-    return " ".join(_fmt(x) for x in v)
+def _vec(v: np.ndarray) -> str:
+    return " ".join(_fmt(x) for x in v.tolist())
 
 
 def _float(value, where: str) -> float:
@@ -176,8 +176,8 @@ def load_state_file(path: str) -> np.ndarray:
 
 def density_payload(rho: np.ndarray) -> dict:
     return {
-        "re": [[float(x) for x in row] for row in rho.real],
-        "im": [[float(x) for x in row] for row in rho.imag],
+        "re": rho.real.tolist(),
+        "im": rho.imag.tolist(),
     }
 
 
@@ -257,10 +257,10 @@ def report_dict(report: tuple[Analysis, float | None]) -> dict:
     m = metric_tensor(p.T)
     return {
         "params": {
-            "a": [float(x) for x in p.a],
-            "q": [float(x) for x in p.q],
-            "omega": [float(x) for x in p.omega],
-            "tensor": [[float(x) for x in row] for row in p.T],
+            "a": p.a.tolist(),
+            "q": p.q.tolist(),
+            "omega": p.omega.tolist(),
+            "tensor": p.T.tolist(),
         },
         "validity": {
             "c1_ok": an.validity.c1_ok,
@@ -268,18 +268,18 @@ def report_dict(report: tuple[Analysis, float | None]) -> dict:
             "c3_ok": an.validity.c3_ok,
             "overall": an.validity.overall,
         },
-        "tensor_eigenvalues": [float(x) for x in an.tensor_eigenvalues],
-        "semi_axes": [float(x) for x in an.semi_axes],
+        "tensor_eigenvalues": an.tensor_eigenvalues.tolist(),
+        "semi_axes": an.semi_axes.tolist(),
         "gamma_norm": None if gamma is None else float(gamma),
         "metric": "degenerate"
         if not m.defined
-        else [[float(x) for x in row] for row in m.gamma],
+        else m.gamma.tolist(),
         "rank": None
         if an.rank is None
         else {
             "rank": an.rank.rank,
             "case": an.rank.case,
-            "eigenvalues": [float(x) for x in an.rank.eigenvalues],
+            "eigenvalues": an.rank.eigenvalues.tolist(),
         },
         "scene_case": None if an.rank is None else RANK_CASE_TO_SCENE[an.rank.case],
     }

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMeshError, InternalCheckError, InvalidStateError
+from .linalg import _dot3, vector_norm
 from .state import (
     FULL_3D,
     POINT,
@@ -76,15 +77,16 @@ def build_scene(rho: np.ndarray) -> EllipsoidScene:
     a = an.params.a
     rays: list[Ray] = []
     if case == CASE_SEGMENT:
-        residual = float(np.linalg.norm(a - (a @ frame[:, 0]) * frame[:, 0]))
-        if residual >= SEGMENT_SLACK:
+        b, u = a.tolist(), frame[:, 0].tolist()
+        bu = _dot3(b, u)
+        if vector_norm([x - bu * y for x, y in zip(b, u)]) >= SEGMENT_SLACK:
             raise InternalCheckError("segment Bloch vector is not parallel to the u-axis")
         rays = [
             Ray(dir=frame[:, 1].copy(), style=SOLID, label="v"),
             Ray(dir=frame[:, 2].copy(), style=DASHED, label="w"),
         ]
     elif case == CASE_POINT:
-        if float(np.linalg.norm(a)) >= SEGMENT_SLACK:
+        if vector_norm(a.tolist()) >= SEGMENT_SLACK:
             raise InternalCheckError("point case requires a vanishing Bloch vector")
         rays = [
             Ray(dir=frame[:, 0].copy(), style=SOLID, label="u"),
@@ -99,12 +101,12 @@ def scene_to_dict(s: EllipsoidScene) -> dict:
     return {
         "version": 1,
         "case": s.case,
-        "semi_axes": [float(x) for x in s.semi_axes],
-        "frame": [[float(x) for x in row] for row in s.frame],
-        "bloch": [float(x) for x in s.bloch],
+        "semi_axes": np.asarray(s.semi_axes, dtype=float).tolist(),
+        "frame": np.asarray(s.frame, dtype=float).tolist(),
+        "bloch": np.asarray(s.bloch, dtype=float).tolist(),
         "rays": [
             {
-                "dir": [float(x) for x in r.dir],
+                "dir": np.asarray(r.dir, dtype=float).tolist(),
                 "style": r.style,
                 "label": r.label,
             }

@@ -3,12 +3,14 @@
 Self-contained Hermitian eigendecomposition (cyclic Jacobi),
 determinants, the unitary matrix exponential and the two-qubit partial
 transpose.  Everything here is a pure function over
-small numpy arrays; no shared state.
+small numpy arrays or their rows as Python lists; no shared state.
 
-The eigensolver works on Python scalars and calls no BLAS: each plane
-rotation rewrites the two affected rows and columns of A and V in place,
-and the sort, the degenerate-cluster Gram-Schmidt and the phase gauge
-use the same scalars.  V is co-rotated only when eigenvectors are
+The Hermiticity check and the eigensolver work on Python scalars and
+call no BLAS: assert_hermitian converts a matrix to rows once and checks
+them in one pass, the kernel solves those rows, each plane rotation
+rewrites the two affected rows and columns of A and V in place, and the
+sort, the degenerate-cluster Gram-Schmidt and the phase gauge use the
+same scalars.  V is co-rotated only when eigenvectors are
 wanted: rho's spectrum (positivity, rank) and the partial transpose
 test read eigenvalues alone, which never depend on V, so their values
 are bit-identical to the full solve's.  Two reasons for the scalars:
@@ -56,14 +58,34 @@ class EigenSystem3:
     vectors: np.ndarray
 
 
-def assert_hermitian(M: np.ndarray, what: str = "matrix") -> None:
-    if not np.abs(M).max() <= _ENTRY_MAX:  # also true for a NaN or infinite entry
-        if not np.isfinite(M).all():
-            raise NotHermitianError(f"{what} is not Hermitian: it has a non-finite entry")
-        raise ValueError(f"{what} overflows: an entry is above {_ENTRY_MAX:.3g} in modulus")
-    dev = float(np.max(np.abs(M - M.conj().T)))
+def assert_hermitian(M: np.ndarray, what: str = "matrix") -> list:
+    """M's rows as lists of Python numbers, checked in one pass.
+
+    NotHermitianError for a non-finite entry or max |M - M^dag| above
+    HERM_TOL, ValueError for an entry above _ENTRY_MAX in modulus.
+    """
+    rows = np.asarray(M).tolist()
+    dev = 0.0
+    try:
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if not abs(x) <= _ENTRY_MAX:  # also true for a NaN or infinite entry
+                    raise _entry_error(rows, what)
+                d = abs(x - rows[j][i].conjugate())
+                if d > dev:
+                    dev = d
+    except OverflowError:  # abs() of a complex whose modulus is above max float
+        raise _entry_error(rows, what) from None
     if dev > HERM_TOL:
         raise NotHermitianError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e}")
+    return rows
+
+
+def _entry_error(rows: list, what: str) -> Exception:
+    """The error of rows with an entry out of bounds: a non-finite one comes first."""
+    if all(math.isfinite(x.real) and math.isfinite(x.imag) for row in rows for x in row):
+        return ValueError(f"{what} overflows: an entry is above {_ENTRY_MAX:.3g} in modulus")
+    return NotHermitianError(f"{what} is not Hermitian: it has a non-finite entry")
 
 
 def vector_norm(v) -> float:
@@ -71,8 +93,13 @@ def vector_norm(v) -> float:
     return math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in v))
 
 
-def _jacobi_hermitian(M: np.ndarray, with_vectors: bool) -> tuple[list, list]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix, in place on Python scalars.
+def _dot3(u, w) -> float:
+    """u . w of two 3-sequences of Python floats, summed in index order: no BLAS, no warning."""
+    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+
+
+def _jacobi_hermitian(rows: list, with_vectors: bool) -> tuple[list, list]:
+    """Cyclic Jacobi diagonalization of a Hermitian matrix's checked rows, on a copy.
 
     Each rotation J zeroes one off-diagonal entry: A <- J^dag A J rewrites
     rows p, q and then columns p, q of A, and V <- V J columns p, q of V.
@@ -83,8 +110,8 @@ def _jacobi_hermitian(M: np.ndarray, with_vectors: bool) -> tuple[list, list]:
     _MAX_SWEEPS sweeps end with an off-diagonal modulus above the stop.
     A never reads V, so the eigenvalues do not depend on ``with_vectors``.
     """
-    n = M.shape[0]
-    A = M.tolist()
+    n = len(rows)
+    A = [row[:] for row in rows]
     V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if with_vectors else []
     scale = max(max(abs(x) for row in A for x in row), JACOBI_SCALE_FLOOR)
     stop = JACOBI_STOP * scale
@@ -133,8 +160,7 @@ def _dot(u: list, w: list):
 
 def _fix_phase(v: list) -> list:
     """Make the first largest-magnitude component real positive."""
-    mags = [abs(x) for x in v]
-    pivot = v[mags.index(max(mags))]
+    pivot = max(v, key=abs)
     gauge = pivot / abs(pivot)
     return [x / gauge for x in v]
 
@@ -182,8 +208,7 @@ def eig_hermitian3(M: np.ndarray) -> EigenSystem3:
     """
     M = np.asarray(M)
     M = np.asarray(M, dtype=float if np.isrealobj(M) else complex)
-    assert_hermitian(M)
-    vals, V = _jacobi_hermitian(M, with_vectors=True)
+    vals, V = _jacobi_hermitian(assert_hermitian(M), with_vectors=True)
     order = sorted(range(3), key=lambda k: -vals[k])
     vals = [vals[k] for k in order]
     cols = [[row[k] for row in V] for k in order]
@@ -207,17 +232,15 @@ def eig_sym3(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return es.values, es.vectors
 
 
-def _eigvals(M: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a checked Hermitian matrix, bit-identical to the full solve's."""
-    vals, _ = _jacobi_hermitian(M, with_vectors=False)
-    return np.array(sorted(vals, reverse=True))
+def _eigvals(rows: list) -> list:
+    """Descending eigenvalues of checked Hermitian rows, bit-identical to the full solve's."""
+    vals, _ = _jacobi_hermitian(rows, with_vectors=False)
+    return sorted(vals, reverse=True)
 
 
 def eigvals_hermitian4(M: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a 4x4 Hermitian matrix."""
-    M = np.asarray(M, dtype=complex)
-    assert_hermitian(M)
-    return _eigvals(M)
+    return np.array(_eigvals(assert_hermitian(np.asarray(M, dtype=complex))))
 
 
 def det3(M: np.ndarray) -> complex:

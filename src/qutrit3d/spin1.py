@@ -75,15 +75,14 @@ def expectations(rho: np.ndarray) -> StateParams:
     return StateParams(a=a, q=q, omega=omega, T=T)
 
 
-def _half_sandwich(rows, A) -> list:
+def _half_sandwich(rows, A: list) -> list:
     """(1/2) X H X^dag as nested lists of Python complex, H the Hermitian part of A.
 
-    ``rows`` holds the nonzero (column, entry) pairs of each row of X.
-    The entries are +-1 or +-i, so every product is exact and only the
-    sums round.  One triangle is summed and mirrored: the result is
+    ``rows`` holds the nonzero (column, entry) pairs of each row of X,
+    whose entries are +-1 or +-i, so every product is exact and only the
+    sums round; A is given as rows of Python complex.  One triangle is summed and mirrored: the result is
     exactly Hermitian, with a real diagonal and no -0.0 imaginary part.
     """
-    A = np.asarray(A, dtype=complex).tolist()
     H = [[0.5 * (x + y.conjugate()) for x, y in zip(row, col)] for row, col in zip(A, zip(*A))]
     n = len(rows)
     out = [[0j] * n for _ in range(n)]
@@ -103,12 +102,12 @@ def to_two_qubit(rho: np.ndarray) -> np.ndarray:
     The image has the same spectrum plus one extra zero, and zero overlap
     with the singlet.
     """
-    return np.array(_half_sandwich(_TRIPLET_ROWS, check_state(rho)))
+    return np.array(_half_sandwich(_TRIPLET_ROWS, check_state(rho).tolist()))
 
 
 def singlet_overlap(rho4: np.ndarray) -> float:
     """<psi_- | rho4 | psi_->, exactly zero on the symmetric sector."""
-    return _half_sandwich(_B_DAG_ROWS[3:], rho4)[0][0].real
+    return _half_sandwich(_B_DAG_ROWS[3:], np.asarray(rho4, dtype=complex).tolist())[0][0].real
 
 
 def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
@@ -126,8 +125,7 @@ def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
     rho4 = np.asarray(rho4, dtype=complex)
     if rho4.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got {rho4.shape}")
-    assert_hermitian(rho4, what="two-qubit state")
-    M = _half_sandwich(_B_DAG_ROWS, rho4)
+    M = _half_sandwich(_B_DAG_ROWS, assert_hermitian(rho4, what="two-qubit state"))
     mismatch = 4.0 * max(abs(M[j][3].real) for j in range(3))
     if mismatch > HERM_TOL:
         raise NotSymmetricError("bloch_mismatch", f"local Bloch vectors differ by {mismatch:.3e}")

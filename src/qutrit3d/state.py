@@ -6,6 +6,13 @@ and derives the metric tensor.  analyse() reads everything else from two
 spectra: rho's (positivity, rank) and T's (frame, semi-axes,
 principal-minor diagnostics, geometry case).
 
+The analysis runs on Python scalars from the input check to the record:
+rho is converted to rows once and checked in one pass, and everything
+after is computed from those rows and T's spectrum as Python floats.
+Each float operation rounds once, as numpy's elementwise operations do,
+so the bits are the same, and no BLAS is called; numpy arrays are built
+only for the records returned.
+
 Conventions (fixed wire format):
   T = 1 - 2 Re(rho)
   a_x = 2 Im(rho[2][1]),  a_y = 2 Im(rho[0][2]),  a_z = 2 Im(rho[1][0])
@@ -26,7 +33,7 @@ from .errors import (
     NotPositiveError,
     TraceError,
 )
-from .linalg import _ENTRY_MAX, _eigvals, assert_hermitian, det3, eig_sym3
+from .linalg import _ENTRY_MAX, _dot3, _eigvals, assert_hermitian, det3, eig_sym3, vector_norm
 from .tolerances import RANK_TOL, SEGMENT_SLACK, SING_TOL, TRACE_TOL
 
 # Rank/geometry taxonomy labels.
@@ -73,29 +80,41 @@ def assert_density(rho: np.ndarray) -> None:
 
     Entries stay within half the solver's bound, so T = 1 - 2 Re(rho) stays within it.
     """
-    rho = np.asarray(rho)
+    _density_rows(np.asarray(rho))
+
+
+def _density_rows(rho: np.ndarray) -> list:
+    """assert_density's checks; rho's rows as lists of Python numbers."""
     if rho.shape != (3, 3):
         raise TraceError(f"density matrix must be 3x3, got {rho.shape}")
-    assert_hermitian(rho, what="density matrix")
+    rows = assert_hermitian(rho, what="density matrix")
     bound = _ENTRY_MAX / 2.0
-    if np.abs(rho).max() > bound:
+    if max(abs(x) for row in rows for x in row) > bound:
         raise ValueError(f"density matrix overflows: an entry is above {bound:.3g} in modulus")
-    tr = complex(np.trace(rho))
+    tr = rows[0][0] + rows[1][1] + rows[2][2]
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceError(f"density matrix trace = {tr.real:.15g}, expected 1")
+    return rows
 
 
 def decompose(rho: np.ndarray) -> StateParams:
     """Extract (a, q, omega, T) from a Hermitian trace-one matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    assert_density(rho)
-    return _params(rho)
+    return _params(_density_rows(np.asarray(rho, dtype=complex)))
 
 
-def _params(rho: np.ndarray) -> StateParams:
-    """(a, q, omega, T) of a checked complex density matrix, T = 1 - 2 Re(rho)."""
-    a = 2.0 * np.array([rho[2, 1].imag, rho[0, 2].imag, rho[1, 0].imag])
-    return params_from_bloch_tensor(a, np.eye(3) - 2.0 * rho.real)
+def _identity_minus(M) -> list:
+    """1 - M on 3x3 rows of Python floats.
+
+    Off the diagonal 0.0 - x, as eye(3) - M computes it: -x would turn a zero entry into -0.0.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = M
+    return [[1.0 - a, 0.0 - b, 0.0 - c], [0.0 - d, 1.0 - e, 0.0 - f], [0.0 - g, 0.0 - h, 1.0 - i]]
+
+
+def _params(rows: list) -> StateParams:
+    """(a, q, omega, T) of a checked density matrix's rows, T = 1 - 2 Re(rho)."""
+    a = [2.0 * rows[2][1].imag, 2.0 * rows[0][2].imag, 2.0 * rows[1][0].imag]
+    return _bundle(a, _identity_minus([[2.0 * x.real for x in row] for row in rows]))
 
 
 def _cross_matrix(a: np.ndarray) -> np.ndarray:
@@ -110,8 +129,9 @@ def compose(p: StateParams) -> np.ndarray:
     a = np.asarray(p.a, dtype=float)
     if np.max(np.abs(T - T.T)) > TRACE_TOL:
         raise InconsistentParamsError("correlation tensor is not symmetric")
-    if abs(np.trace(T) - 1.0) > TRACE_TOL:
-        raise InconsistentParamsError(f"trace(T) = {np.trace(T):.15g}, expected 1")
+    tr = float(T[0, 0]) + float(T[1, 1]) + float(T[2, 2])
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise InconsistentParamsError(f"trace(T) = {tr:.15g}, expected 1")
     omega_from_T = (1.0 - np.diag(T)) / 2.0
     if np.max(np.abs(np.asarray(p.omega) - omega_from_T)) > TRACE_TOL:
         raise InconsistentParamsError("omega does not match (1 - T_jj)/2")
@@ -123,13 +143,19 @@ def compose(p: StateParams) -> np.ndarray:
 
 def params_from_bloch_tensor(a: np.ndarray, T: np.ndarray) -> StateParams:
     """Bundle (a, T) into StateParams, deriving omega and q from T."""
-    T = np.asarray(T, dtype=float)
-    T = (T + T.T) / 2.0
+    return _bundle(np.asarray(a, dtype=float).tolist(), np.asarray(T, dtype=float).tolist())
+
+
+def _bundle(a: list, T: list) -> StateParams:
+    """StateParams of a Bloch vector and a tensor's rows, Python floats; T becomes (T + T^t)/2."""
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = T
+    d = [(t00 + t00) / 2.0, (t11 + t11) / 2.0, (t22 + t22) / 2.0]
+    q = [(t12 + t21) / 2.0, (t02 + t20) / 2.0, (t01 + t10) / 2.0]
     return StateParams(
-        a=np.asarray(a, dtype=float),
-        q=np.array([T[1, 2], T[0, 2], T[0, 1]]),
-        omega=(1.0 - np.diag(T)) / 2.0,
-        T=T,
+        a=np.array(a),
+        q=np.array(q),
+        omega=np.array([(1.0 - t) / 2.0 for t in d]),
+        T=np.array([[d[0], q[2], q[1]], [q[2], d[1], q[0]], [q[1], q[0], d[2]]]),
     )
 
 
@@ -138,10 +164,10 @@ def validate(p: StateParams) -> ValidityReport:
     return analyse(compose(p)).validity
 
 
-def _one_minus(T: np.ndarray) -> tuple[np.ndarray, float]:
-    """1 - T and its determinant, on Python floats; ValueError when the determinant overflows."""
-    one_minus = np.eye(3) - np.asarray(T, dtype=float)
-    d = det3(one_minus.tolist())
+def _one_minus(T: np.ndarray) -> tuple[list, float]:
+    """1 - T as rows of Python floats and its determinant; ValueError when that overflows."""
+    one_minus = _identity_minus(np.asarray(T, dtype=float).tolist())
+    d = det3(one_minus)
     if not math.isfinite(d):
         raise ValueError("det(1 - T) overflows")
     return one_minus, d
@@ -151,13 +177,9 @@ def metric_tensor(T: np.ndarray) -> MetricTensor:
     """Gamma = (1 - T) / det(1 - T), undefined when the determinant vanishes."""
     one_minus, d = _one_minus(T)
     if d > SING_TOL:
-        return MetricTensor(gamma=one_minus / d, defined=True)
+        gamma = np.array([[x / d for x in row] for row in one_minus])
+        return MetricTensor(gamma=gamma, defined=True)
     return MetricTensor(gamma=None, defined=False)
-
-
-def _dot3(u, w) -> float:
-    """u . w of two 3-sequences of Python floats, summed in index order: no BLAS, no warning."""
-    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
 
 
 def gamma_norm(a: np.ndarray, T: np.ndarray) -> float:
@@ -165,8 +187,8 @@ def gamma_norm(a: np.ndarray, T: np.ndarray) -> float:
     one_minus, d = _one_minus(T)
     if d <= SING_TOL:
         raise MetricUndefinedError(f"det(1 - T) = {d:.3e} is not above {SING_TOL:g}")
-    a = [float(x) for x in a]
-    g = _dot3([_dot3(a, col) for col in zip(*one_minus.tolist())], a) / d
+    a = np.asarray(a, dtype=float).tolist()
+    g = _dot3([_dot3(a, col) for col in zip(*one_minus)], a) / d
     if not math.isfinite(g):
         raise ValueError("the metric norm a . Gamma . a overflows")
     return g
@@ -178,22 +200,22 @@ def semi_axes(tensor_eigenvalues: np.ndarray) -> np.ndarray:
     return np.array([math.sqrt(max(p, 0.0)) for p in (l1 * l2, l0 * l2, l0 * l1)])
 
 
-def _spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """rho as a checked complex density matrix, its descending eigenvalues, its positivity.
+def _spectrum(rho: np.ndarray) -> tuple[np.ndarray, list, list, bool]:
+    """rho as a checked complex density matrix, its rows, descending eigenvalues and positivity.
 
     The package's one positivity verdict: rho is positive semidefinite
     when its smallest eigenvalue is at least -RANK_TOL.  Only values are
     read, so the solve computes no eigenvectors.
     """
     rho = np.asarray(rho, dtype=complex)
-    assert_density(rho)
-    values = _eigvals(rho)
-    return rho, values, bool(values[-1] >= -RANK_TOL)
+    rows = _density_rows(rho)
+    values = _eigvals(rows)
+    return rho, rows, values, values[-1] >= -RANK_TOL
 
 
 def check_state(rho: np.ndarray) -> np.ndarray:
     """rho as a complex density matrix; NotPositiveError unless it is a state."""
-    rho, values, positive = _spectrum(rho)
+    rho, _, values, positive = _spectrum(rho)
     if not positive:
         raise _not_positive(values)
     return rho
@@ -222,9 +244,7 @@ class Analysis:
     rank: RankReport | None
 
 
-def _validity(
-    tvals: np.ndarray, frame: np.ndarray, a: np.ndarray, positive: bool
-) -> ValidityReport:
+def _validity(tvals: list, frame: list, a: list, positive: bool) -> ValidityReport:
     """The positivity verdict with principal-minor diagnostics in T's eigenbasis.
 
     In the eigenbasis the matrix takes the diagonal-tensor form, so the
@@ -243,8 +263,8 @@ def _validity(
     min-eigenvalue >= -RANK_TOL exactly; the flags localize which
     condition a clear violation breaks.
     """
-    om = [(1.0 - float(t)) / 2.0 for t in tvals]
-    at = [_dot3(a.tolist(), col) for col in zip(*frame.tolist())]
+    om = [(1.0 - t) / 2.0 for t in tvals]
+    at = [_dot3(a, col) for col in zip(*frame)]
     c1 = all(-RANK_TOL <= w <= 1.0 + RANK_TOL for w in om)
     minors = [4.0 * om[k] * om[l] - at[j] * at[j] for j, k, l in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
     c2 = not any(m < -RANK_TOL for m in minors)
@@ -260,26 +280,29 @@ def analyse(rho: np.ndarray) -> Analysis:
     positive is reported, not raised; InternalCheckError means the
     geometry case failed its own consistency checks.
     """
-    rho, values, positive = _spectrum(rho)
-    p = _params(rho)
+    _, rows, values, positive = _spectrum(rho)
+    p = _params(rows)
     tvals, frame = eig_sym3(p.T)
-    eps = semi_axes(tvals)
+    tv, a = tvals.tolist(), p.a.tolist()
+    eps = semi_axes(tv)
+    eigenvalues = np.array(values)
     rank = None
     if positive:
-        n = int(np.sum(values > RANK_TOL))
-        rank = RankReport(rank=n, case=_rank_case(n, tvals, eps, p.a), eigenvalues=values)
+        n = sum(v > RANK_TOL for v in values)
+        case = _rank_case(n, tv, float(eps[0]), a)
+        rank = RankReport(rank=n, case=case, eigenvalues=eigenvalues)
     return Analysis(
         params=p,
-        eigenvalues=values,
+        eigenvalues=eigenvalues,
         tensor_eigenvalues=tvals,
         frame=frame,
         semi_axes=eps,
-        validity=_validity(tvals, frame, p.a, positive),
+        validity=_validity(tv, frame.tolist(), a, positive),
         rank=rank,
     )
 
 
-def _rank_case(rank: int, tvals: np.ndarray, eps: np.ndarray, a: np.ndarray) -> str:
+def _rank_case(rank: int, tvals: list, eps_u: float, a: list) -> str:
     """Geometry case of a positive state from its rank and T's spectrum.
 
     Full-rank states live strictly inside a 3D ellipsoid, rank-2 states
@@ -291,19 +314,19 @@ def _rank_case(rank: int, tvals: np.ndarray, eps: np.ndarray, a: np.ndarray) -> 
     """
     if rank == 3:
         return FULL_3D
-    mu = (1.0 - tvals) / 2.0  # ascending
+    mu = [(1.0 - t) / 2.0 for t in tvals]  # ascending
     if rank == 2 and mu[0] > RANK_TOL:
         return SURFACE_3D
     if rank == 1 and mu[1] <= RANK_TOL:
         return POINT
     if abs(tvals[1] + tvals[2]) >= SEGMENT_SLACK:
         raise InternalCheckError("segment requires lambda_v = -lambda_w")
-    a_len = float(np.linalg.norm(a))
+    a_len = vector_norm(a)
     if rank == 2:
-        if a_len >= eps[0] + SEGMENT_SLACK:
+        if a_len >= eps_u + SEGMENT_SLACK:
             raise InternalCheckError("segment-interior Bloch vector exceeds eps_u")
         return SEGMENT_INTERIOR
-    if abs(a_len - eps[0]) >= SEGMENT_SLACK:
+    if abs(a_len - eps_u) >= SEGMENT_SLACK:
         raise InternalCheckError("pure segment state requires |a| = eps_u")
     return SEGMENT_ENDPOINT
 

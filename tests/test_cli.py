@@ -605,6 +605,51 @@ def test_no_literal_tolerances_outside_the_table():
     assert found == []
 
 
+# the only functions of the analysis and bridge modules that may call BLAS
+# (ROADMAP items 1 and 4): the sampler, the spin matrices' products and
+# expectations, the unitary of a trajectory sample and the OBJ mesh
+BLAS_EXEMPT = {
+    "random_density", "unitary_from_eigensystem", "spin_set", "expectations", "export_scene_obj",
+}
+BLAS_ATTRIBUTES = {"linalg", "dot", "outer", "kron", "einsum", "trace"}
+
+
+def _calls_blas(node) -> bool:
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "np"
+        and node.attr in BLAS_ATTRIBUTES
+    )
+
+
+def test_no_blas_on_the_analysis_and_bridge_path():
+    """No @, np.linalg, np.dot, np.outer, np.kron, np.einsum or np.trace outside BLAS_EXEMPT.
+
+    These call BLAS or sum in an order of numpy's choosing, so their last
+    bit can depend on the CPU's kernel; the analysis and the bridge run on
+    Python scalars instead.
+    """
+    found, exempt_seen = [], set()
+    for name in ("state.py", "linalg.py", "geometry.py", "spin1.py"):
+        with open(os.path.join(SRC, name), "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        exempt = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in BLAS_EXEMPT:
+                exempt_seen.add(node.name)
+                exempt.update(id(n) for n in ast.walk(node))
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in exempt and _calls_blas(node)
+        ]
+    assert found == []
+    assert exempt_seen == BLAS_EXEMPT
+
+
 def test_analyze_golden_bytes_under_optimize():
     for name in CANONICAL:
         res = run_cli("analyze", data_path(name), flags=("-O",))

@@ -9,10 +9,13 @@ kernel the host can execute.  Every child must give the same digest of
 eig_hermitian3, eig_sym3 and eigvals_hermitian4 outputs, of the bridge
 (to_two_qubit, from_two_qubit, ppt_separable, singlet_overlap), of rho's
 eigenvalues, the metric norm gamma_norm and the validity flags of the
-analysis report and of `bridge` CLI outputs in both directions, and the
-ten golden CLI outputs byte for byte.  rho's spectrum, the positivity
-checks of to_two_qubit and the partial transpose test run the solver's
-values-only path, so the digest covers it beside the full path.
+analysis report, of the report's text (report_text) and JSON
+(report_dict), of the scene's JSON (scene_to_dict) and of `bridge` CLI
+outputs in both directions, and the ten golden CLI outputs byte for
+byte.  rho's spectrum, the positivity checks of to_two_qubit and the
+partial transpose test run the solver's values-only path, so the digest
+covers it beside the full path; the report and the scene cover the
+scalar analysis from the input check to the serialised output.
 
 The child builds its inputs without BLAS (elementwise numpy, outer
 products, the mutually unbiased bases), so only the library can make the
@@ -74,7 +77,8 @@ def _density(rng, n, rank):
 
 
 def _digest() -> str:
-    from qutrit3d.cli import build_report
+    from qutrit3d.cli import build_report, report_dict, report_text
+    from qutrit3d.geometry import build_scene, scene_to_dict
     from qutrit3d.linalg import eig_hermitian3, eig_sym3, eigvals_hermitian4, partial_transpose
     from qutrit3d.purestates import density_from_pure, mub_bases
     from qutrit3d.spin1 import from_two_qubit, ppt_separable, singlet_overlap, to_two_qubit
@@ -95,6 +99,12 @@ def _digest() -> str:
         add(rho4, from_two_qubit(rho4), ppt_separable(rho))
         an, gamma = build_report(rho)
         add(an.eigenvalues, np.nan if gamma is None else gamma, *vars(an.validity).values())
+        for text in (
+            report_text((an, gamma)),
+            json.dumps(report_dict((an, gamma))),
+            json.dumps(scene_to_dict(build_scene(rho))),
+        ):
+            h.update(text.encode())
         # a double root in a random frame, split by a gap around DEGEN_GAP
         v, u = rng.standard_normal(3) + 1j * rng.standard_normal(3), rng.standard_normal(3)
         gap = 10.0 ** rng.uniform(-12.0, -6.0)

@@ -6,7 +6,9 @@ near-double roots), the values-only path against the full solve bit for
 bit, the matrix exponential
 exp(-i theta G) = unitary_from_eigensystem(eig(G), theta) against a raw
 Taylor series, determinants against numpy, and the partial transpose
-against hand-built tensor products.
+against hand-built tensor products.  The one-pass Hermiticity check on
+Python scalars keeps the errors and messages of the numpy checks it
+replaced, at the edges where Python and numpy differ.
 """
 
 import warnings
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from qutrit3d import linalg
-from qutrit3d.errors import InternalCheckError, NotHermitianError
+from qutrit3d.errors import InternalCheckError, NotHermitianError, TraceError
 from qutrit3d.linalg import (
     assert_hermitian,
     det3,
@@ -26,7 +28,7 @@ from qutrit3d.linalg import (
     unitary_from_eigensystem,
 )
 from qutrit3d.spin1 import to_two_qubit
-from qutrit3d.state import random_density
+from qutrit3d.state import assert_density, random_density
 from qutrit3d.tolerances import DEGEN_GAP
 
 
@@ -265,12 +267,15 @@ def test_values_only_path_is_bit_identical_to_the_full_solve():
     for i in range(300):
         for M in _values_only_families(rng, i):
             M = np.asarray(M, dtype=float if np.isrealobj(M) else complex)
-            assert linalg._eigvals(M).tobytes() == eig_hermitian3(M).values.tobytes()
+            values = np.array(linalg._eigvals(M.tolist()))
+            assert values.tobytes() == eig_hermitian3(M).values.tobytes()
         rho4 = to_two_qubit(random_density(int(rng.integers(1, 4)), rng))
         for M in (partial_transpose(rho4), rho4):
-            vals, V = linalg._jacobi_hermitian(M, with_vectors=True)
-            assert len(V) == 4
-            assert linalg._eigvals(M).tobytes() == np.array(sorted(vals, reverse=True)).tobytes()
+            rows = M.tolist()
+            vals, V = linalg._jacobi_hermitian(rows, with_vectors=True)
+            assert len(V) == 4 and rows == M.tolist()
+            values = np.array(linalg._eigvals(rows))
+            assert values.tobytes() == np.array(sorted(vals, reverse=True)).tobytes()
 
 
 def test_real_input_gets_real_arithmetic():
@@ -345,6 +350,63 @@ def test_assert_hermitian_rejects_entries_that_would_overflow():
         M[0, 1], M[1, 0] = 1.7e308 * (1 - 1j), 1.7e308 * (1 + 1j)
         with pytest.raises(ValueError, match="overflows"):
             solve(M)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [3, 4])
+def test_scalar_check_keeps_its_errors_and_messages(n):
+    """The one pass over Python scalars raises what the numpy checks raised.
+
+    abs() of a Python complex whose modulus is above max float raises
+    OverflowError where np.abs returned inf: that entry is still the
+    ValueError of an oversized entry.  A NaN part or an infinity is a
+    non-finite entry, which wins over an oversized one wherever the two
+    sit, and both win over a Hermiticity deviation.
+    """
+    base = np.eye(n, dtype=complex) / n
+    huge = 1.7e308 + 1.7e308j
+    overflow = r"^custom overflows: an entry is above 1\.12e\+307 in modulus$"
+    nonfinite = r"^custom is not Hermitian: it has a non-finite entry$"
+
+    def check(entries):
+        M = base.copy()
+        for (i, j), value in entries.items():
+            M[i, j] = value
+        return assert_hermitian(M, what="custom")
+
+    assert check({}) == base.tolist()
+    with pytest.raises(ValueError, match=overflow):
+        check({(0, 1): huge, (1, 0): np.conj(huge)})
+    with pytest.raises(ValueError, match=overflow):
+        check({(n - 1, 0): huge, (0, 1): 0.5})
+    for value in (complex(np.nan, 0.0), complex(0.0, np.nan), np.inf, -np.inf,
+                  complex(0.0, np.inf), complex(1.7e308, np.nan)):
+        with pytest.raises(NotHermitianError, match=nonfinite):
+            check({(n - 1, 0): value})
+        with pytest.raises(NotHermitianError, match=nonfinite):
+            check({(0, 1): huge, (n - 1, n - 1): value, (1, 0): 0.5})
+    deviation = r"^custom is not Hermitian: max \|M - M\^dag\| = 2\.500e-10$"
+    with pytest.raises(NotHermitianError, match=deviation):
+        check({(0, n - 1): 2.5e-10})
+    # a deviation of exactly HERM_TOL passes
+    assert check({(0, n - 1): 1e-10})[0][n - 1] == 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_density_check_keeps_its_messages():
+    """The trace, Hermiticity and entry-size messages of a density matrix keep their text."""
+    rho = np.diag([0.5, 0.3, 0.2 + 3e-12]).astype(complex)
+    with pytest.raises(TraceError, match=r"^density matrix trace = 1\.000000000003, expected 1$"):
+        assert_density(rho)
+    rho[0, 2] = 1e-9
+    deviation = r"^density matrix is not Hermitian: max \|M - M\^dag\| = 1\.000e-09$"
+    with pytest.raises(NotHermitianError, match=deviation):
+        assert_density(rho)
+    rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    rho[0, 1] = rho[1, 0] = 6e306
+    overflow = r"^density matrix overflows: an entry is above 5\.62e\+306 in modulus$"
+    with pytest.raises(ValueError, match=overflow):
+        assert_density(rho)
 
 
 def test_det3_matches_numpy():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qutrit3d.errors import InconsistentParamsError, MetricUndefinedError, TraceError
+from qutrit3d.linalg import det3
 from qutrit3d.state import (
     FULL_3D,
     POINT,
@@ -41,6 +42,30 @@ def test_decompose_known_pure_state():
     assert np.allclose(p.omega, [1.0, 0.0, 0.0], atol=1e-15)
     assert np.allclose(p.a, 0.0, atol=1e-15)
     assert np.allclose(p.q, 0.0, atol=1e-15)
+
+
+def test_scalar_params_are_the_numpy_expressions_bit_for_bit():
+    """(a, q, omega, T) and Gamma on Python floats equal the numpy formulas they replace.
+
+    Zero entries included: eye(3) - 2 Re(rho) gives +0.0 off the diagonal
+    where rho has a zero, and -0.0 would reach the JSON report.
+    """
+    rng = np.random.default_rng(71)
+    diagonal = [np.diag([0.5, 0.3, 0.2]), np.eye(3) / 3.0, np.diag([1.0, 0.0, 0.0])]
+    for rho in [*diagonal, *(random_density(i % 3 + 1, rng) for i in range(60))]:
+        rho = np.asarray(rho, dtype=complex)
+        T = np.eye(3) - 2.0 * rho.real
+        T = (T + T.T) / 2.0
+        p = decompose(rho)
+        assert p.T.tobytes() == T.tobytes()
+        a = 2.0 * np.array([rho[2, 1].imag, rho[0, 2].imag, rho[1, 0].imag])
+        assert p.a.tobytes() == a.tobytes()
+        assert p.q.tobytes() == np.array([T[1, 2], T[0, 2], T[0, 1]]).tobytes()
+        assert p.omega.tobytes() == ((1.0 - np.diag(T)) / 2.0).tobytes()
+        m = metric_tensor(p.T)
+        if m.defined:
+            one_minus = np.eye(3) - T
+            assert m.gamma.tobytes() == (one_minus / det3(one_minus.tolist())).tobytes()
 
 
 def test_decompose_theta_family():
