@@ -7,13 +7,19 @@ small numpy arrays or their rows as Python lists; no shared state.
 
 The Hermiticity check and the eigensolver work on Python scalars and
 call no BLAS: assert_hermitian converts a matrix to rows once and checks
-them in one pass, the kernel solves those rows, each plane rotation
-rewrites the two affected rows and columns of A and V in place, and the
-sort, the degenerate-cluster Gram-Schmidt and the phase gauge use the
-same scalars.  V is co-rotated only when eigenvectors are
-wanted: rho's spectrum (positivity, rank) and the partial transpose
-test read eigenvalues alone, which never depend on V, so their values
-are bit-identical to the full solve's.  Two reasons for the scalars:
+them in one pass, and one Jacobi kernel per size solves those rows.  The
+3x3 kernel (rho and T) keeps the nine entries of A, and of V when
+eigenvectors are wanted, in local variables through every sweep, with
+its three pair rotations written out; the 4x4 kernel (the partial
+transpose, values only) rotates each pair's 2x2 core on locals and
+streams the two other rows and columns through a fixed plan.  Both do
+the floating-point operations of a generic kernel over nested lists, in
+its order and on its operand types, so they give its bits; writing them
+out removes only the interpreter's indexing and loop cost.  The sort,
+the degenerate-cluster Gram-Schmidt and the phase gauge use the same
+scalars.  Eigenvalues never depend on V, so rho's spectrum (positivity,
+rank) skips it and is bit-identical to the full solve's.  Two reasons
+for the scalars:
   * speed: for n <= 4 the interpreter's per-call cost dominates, so
     building a rotation matrix and two matmuls per rotation costs
     several times more than the scalar update;
@@ -98,59 +104,148 @@ def _dot3(u, w) -> float:
     return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
 
 
-def _jacobi_hermitian(rows: list, with_vectors: bool) -> tuple[list, list]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix's checked rows, on a copy.
+def _unconverged(off: float, stop: float) -> InternalCheckError:
+    return InternalCheckError(
+        f"Jacobi sweep limit {_MAX_SWEEPS} reached: "
+        f"off-diagonal modulus {off:.3e} above {stop:.3e}"
+    )
 
-    Each rotation J zeroes one off-diagonal entry: A <- J^dag A J rewrites
-    rows p, q and then columns p, q of A, and V <- V J columns p, q of V.
-    A real matrix stays real (the phase apq/|apq| is then +-1).  For
-    n <= 4 this converges quadratically in a handful of sweeps.  Returns
-    (unsorted real eigenvalues, V as a list of rows, eigenvectors in its
-    columns; no rows unless ``with_vectors``); InternalCheckError if
-    _MAX_SWEEPS sweeps end with an off-diagonal modulus above the stop.
-    A never reads V, so the eigenvalues do not depend on ``with_vectors``.
+
+def _jacobi3(rows: list, with_vectors: bool) -> tuple[list, list]:
+    """Cyclic Jacobi diagonalization of a 3x3 Hermitian matrix's checked rows.
+
+    The nine entries of A, and of V when ``with_vectors``, live in local
+    variables.  Each rotation J zeroes the pair (p, q) in the order (0, 1),
+    (0, 2), (1, 2): A <- J^dag A J rewrites rows p, q and then columns p, q
+    of A, and V <- V J columns p, q of V.  A real matrix stays real (the
+    phase apq/|apq| is then +-1).  Returns (unsorted real eigenvalues, V as
+    a list of rows, eigenvectors in its columns; no rows unless
+    ``with_vectors``); InternalCheckError if _MAX_SWEEPS sweeps end with an
+    off-diagonal modulus above the stop.  A never reads V, so the
+    eigenvalues do not depend on ``with_vectors``.
     """
-    n = len(rows)
-    A = [row[:] for row in rows]
-    V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if with_vectors else []
-    scale = max(max(abs(x) for row in A for x in row), JACOBI_SCALE_FLOOR)
-    stop = JACOBI_STOP * scale
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+    v00 = v11 = v22 = 1.0
+    v01 = v02 = v10 = v12 = v20 = v21 = 0.0
+    hypot, copysign = math.hypot, math.copysign
+    stop = JACOBI_STOP * max(abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12),
+                             abs(a20), abs(a21), abs(a22), JACOBI_SCALE_FLOOR)
 
     for _ in range(_MAX_SWEEPS):
-        off = 0.0
-        for p, q in pairs:
-            Ap, Aq = A[p], A[q]
-            apq = Ap[q]
-            m = abs(apq)
-            off = max(off, m)
-            if m <= stop:
-                continue
-            tau = (Aq[q].real - Ap[p].real) / (2.0 * m)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0)) if tau != 0 else 1.0
-            c = 1.0 / math.hypot(t, 1.0)
-            s = t * c * (apq / m)
+        off = m = abs(a01)
+        if m > stop:
+            tau = (a11.real - a00.real) / (2.0 * m)
+            t = copysign(1.0, tau) / (abs(tau) + hypot(tau, 1.0)) if tau != 0 else 1.0
+            c = 1.0 / hypot(t, 1.0)
+            s = t * c * (a01 / m)
             sc = s.conjugate()
-            for j in range(n):
-                apj, aqj = Ap[j], Aq[j]
-                Ap[j] = c * apj - s * aqj
-                Aq[j] = sc * apj + c * aqj
-            for row in (*A, *V):
-                aip, aiq = row[p], row[q]
-                row[p] = aip * c - aiq * sc
-                row[q] = aip * s + aiq * c
+            b00, b10 = c * a00 - s * a10, sc * a00 + c * a10
+            b01, b11 = c * a01 - s * a11, sc * a01 + c * a11
+            a02, a12 = c * a02 - s * a12, sc * a02 + c * a12
+            a00, a11 = b00 * c - b01 * sc, b10 * s + b11 * c
+            a20, a21 = a20 * c - a21 * sc, a20 * s + a21 * c
             # the rotation annihilates this pair; its computed value is
             # rounding residue, which can sit above the stop for good
-            Ap[q] = Aq[p] = 0.0
+            a01 = a10 = 0.0
+            if with_vectors:
+                v00, v01 = v00 * c - v01 * sc, v00 * s + v01 * c
+                v10, v11 = v10 * c - v11 * sc, v10 * s + v11 * c
+                v20, v21 = v20 * c - v21 * sc, v20 * s + v21 * c
+        m = abs(a02)
+        if m > off:
+            off = m
+        if m > stop:
+            tau = (a22.real - a00.real) / (2.0 * m)
+            t = copysign(1.0, tau) / (abs(tau) + hypot(tau, 1.0)) if tau != 0 else 1.0
+            c = 1.0 / hypot(t, 1.0)
+            s = t * c * (a02 / m)
+            sc = s.conjugate()
+            b00, b20 = c * a00 - s * a20, sc * a00 + c * a20
+            b02, b22 = c * a02 - s * a22, sc * a02 + c * a22
+            a01, a21 = c * a01 - s * a21, sc * a01 + c * a21
+            a00, a22 = b00 * c - b02 * sc, b20 * s + b22 * c
+            a10, a12 = a10 * c - a12 * sc, a10 * s + a12 * c
+            a02 = a20 = 0.0
+            if with_vectors:
+                v00, v02 = v00 * c - v02 * sc, v00 * s + v02 * c
+                v10, v12 = v10 * c - v12 * sc, v10 * s + v12 * c
+                v20, v22 = v20 * c - v22 * sc, v20 * s + v22 * c
+        m = abs(a12)
+        if m > off:
+            off = m
+        if m > stop:
+            tau = (a22.real - a11.real) / (2.0 * m)
+            t = copysign(1.0, tau) / (abs(tau) + hypot(tau, 1.0)) if tau != 0 else 1.0
+            c = 1.0 / hypot(t, 1.0)
+            s = t * c * (a12 / m)
+            sc = s.conjugate()
+            b11, b21 = c * a11 - s * a21, sc * a11 + c * a21
+            b12, b22 = c * a12 - s * a22, sc * a12 + c * a22
+            a10, a20 = c * a10 - s * a20, sc * a10 + c * a20
+            a11, a22 = b11 * c - b12 * sc, b21 * s + b22 * c
+            a01, a02 = a01 * c - a02 * sc, a01 * s + a02 * c
+            a12 = a21 = 0.0
+            if with_vectors:
+                v01, v02 = v01 * c - v02 * sc, v01 * s + v02 * c
+                v11, v12 = v11 * c - v12 * sc, v11 * s + v12 * c
+                v21, v22 = v21 * c - v22 * sc, v21 * s + v22 * c
         if off <= stop:
             break
     else:
-        raise InternalCheckError(
-            f"Jacobi sweep limit {_MAX_SWEEPS} reached: "
-            f"off-diagonal modulus {off:.3e} above {stop:.3e}"
-        )
+        raise _unconverged(off, stop)
 
-    return [A[i][i].real for i in range(n)], V
+    V = [[v00, v01, v02], [v10, v11, v12], [v20, v21, v22]] if with_vectors else []
+    return [a00.real, a11.real, a22.real], V
+
+
+# the six pairs (p, q) of a 4x4 sweep in cyclic order, each with the two other indices
+_PLAN4 = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1))
+
+
+def _jacobi4(rows: list) -> list:
+    """Unsorted eigenvalues of a 4x4 Hermitian matrix's checked rows, by cyclic Jacobi.
+
+    The same rotations as _jacobi3 without V: the 2x2 core (pp, pq, qp,
+    qq) of each pair is rotated on locals, and the two other entries of
+    rows p, q and of columns p, q are streamed through the pair's plan.
+    """
+    A = [row[:] for row in rows]
+    hypot, copysign = math.hypot, math.copysign
+    stop = JACOBI_STOP * max(max(abs(x) for row in A for x in row), JACOBI_SCALE_FLOOR)
+
+    for _ in range(_MAX_SWEEPS):
+        off = 0.0
+        for p, q, k, l in _PLAN4:
+            Ap, Aq = A[p], A[q]
+            apq = Ap[q]
+            m = abs(apq)
+            if m > off:
+                off = m
+            if m <= stop:
+                continue
+            app, aqp, aqq = Ap[p], Aq[p], Aq[q]
+            tau = (aqq.real - app.real) / (2.0 * m)
+            t = copysign(1.0, tau) / (abs(tau) + hypot(tau, 1.0)) if tau != 0 else 1.0
+            c = 1.0 / hypot(t, 1.0)
+            s = t * c * (apq / m)
+            sc = s.conjugate()
+            bpp, bqp = c * app - s * aqp, sc * app + c * aqp
+            bpq, bqq = c * apq - s * aqq, sc * apq + c * aqq
+            Ak, Al = A[k], A[l]
+            apk, aqk, apl, aql = Ap[k], Aq[k], Ap[l], Aq[l]
+            akp, akq, alp, alq = Ak[p], Ak[q], Al[p], Al[q]
+            Ap[k], Aq[k] = c * apk - s * aqk, sc * apk + c * aqk
+            Ap[l], Aq[l] = c * apl - s * aql, sc * apl + c * aql
+            Ap[p], Aq[q] = bpp * c - bpq * sc, bqp * s + bqq * c
+            Ap[q] = Aq[p] = 0.0
+            Ak[p], Ak[q] = akp * c - akq * sc, akp * s + akq * c
+            Al[p], Al[q] = alp * c - alq * sc, alp * s + alq * c
+        if off <= stop:
+            break
+    else:
+        raise _unconverged(off, stop)
+
+    return [A[0][0].real, A[1][1].real, A[2][2].real, A[3][3].real]
 
 
 def _dot(u: list, w: list):
@@ -204,11 +299,14 @@ def eig_hermitian3(M: np.ndarray) -> EigenSystem3:
     Eigenvalues descend; eigenvectors are orthonormal columns with a
     deterministic phase gauge.  Clusters closer than the degeneracy gap
     are re-orthonormalized so repeated runs agree bit-for-bit.  Real
-    input is solved in real arithmetic and gets real eigenvectors.
+    input is solved in real arithmetic and gets real eigenvectors.  Any
+    other shape is a ValueError.
     """
     M = np.asarray(M)
     M = np.asarray(M, dtype=float if np.isrealobj(M) else complex)
-    vals, V = _jacobi_hermitian(assert_hermitian(M), with_vectors=True)
+    if M.shape != (3, 3):
+        raise ValueError(f"Hermitian matrix must be 3x3, got {M.shape}")
+    vals, V = _jacobi3(assert_hermitian(M), with_vectors=True)
     order = sorted(range(3), key=lambda k: -vals[k])
     vals = [vals[k] for k in order]
     cols = [[row[k] for row in V] for k in order]
@@ -233,14 +331,17 @@ def eig_sym3(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigvals(rows: list) -> list:
-    """Descending eigenvalues of checked Hermitian rows, bit-identical to the full solve's."""
-    vals, _ = _jacobi_hermitian(rows, with_vectors=False)
+    """Descending eigenvalues of checked 3x3 or 4x4 Hermitian rows; 3x3 ones equal the full solve's."""
+    vals = _jacobi3(rows, with_vectors=False)[0] if len(rows) == 3 else _jacobi4(rows)
     return sorted(vals, reverse=True)
 
 
 def eigvals_hermitian4(M: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a 4x4 Hermitian matrix."""
-    return np.array(_eigvals(assert_hermitian(np.asarray(M, dtype=complex))))
+    """Descending eigenvalues of a 4x4 Hermitian matrix; any other shape is a ValueError."""
+    M = np.asarray(M, dtype=complex)
+    if M.shape != (4, 4):
+        raise ValueError(f"Hermitian matrix must be 4x4, got {M.shape}")
+    return np.array(_eigvals(assert_hermitian(M)))
 
 
 def det3(M: np.ndarray) -> complex:

@@ -28,7 +28,7 @@ from qutrit3d.linalg import (
     unitary_from_eigensystem,
 )
 from qutrit3d.spin1 import to_two_qubit
-from qutrit3d.state import assert_density, random_density
+from qutrit3d.state import assert_density, check_state, random_density
 from qutrit3d.tolerances import DEGEN_GAP
 
 
@@ -259,9 +259,10 @@ def test_values_only_path_is_bit_identical_to_the_full_solve():
     """Dropping V changes no eigenvalue bit: the kernel's A never reads V.
 
     Near and exact double roots (where the full solve re-orthonormalizes
-    a cluster), entries near the solver's bound, real input and the
-    partial transposes of two-qubit bridge images all give the same bytes
-    as the full path, sorted in the same order.
+    a cluster), entries near the solver's bound and real input all give
+    the same bytes as the full path, sorted in the same order.  The 4x4
+    kernel computes no V; tests/test_jacobi.py holds its values to those
+    of the frozen reference kernel with V.
     """
     rng = np.random.default_rng(20261020)
     for i in range(300):
@@ -269,13 +270,6 @@ def test_values_only_path_is_bit_identical_to_the_full_solve():
             M = np.asarray(M, dtype=float if np.isrealobj(M) else complex)
             values = np.array(linalg._eigvals(M.tolist()))
             assert values.tobytes() == eig_hermitian3(M).values.tobytes()
-        rho4 = to_two_qubit(random_density(int(rng.integers(1, 4)), rng))
-        for M in (partial_transpose(rho4), rho4):
-            rows = M.tolist()
-            vals, V = linalg._jacobi_hermitian(rows, with_vectors=True)
-            assert len(V) == 4 and rows == M.tolist()
-            values = np.array(linalg._eigvals(rows))
-            assert values.tobytes() == np.array(sorted(vals, reverse=True)).tobytes()
 
 
 def test_real_input_gets_real_arithmetic():
@@ -312,6 +306,31 @@ def test_exact_double_root_converges():
         assert np.max(np.abs(values - [1.0, 1.0, -1.0])) <= 1e-14
 
 
+SIZED_SOLVERS = {
+    "eig_hermitian3": (3, lambda M: eig_hermitian3(M).values),
+    "eig_sym3": (3, lambda M: eig_sym3(M)[0]),
+    "eigvals_hermitian4": (4, eigvals_hermitian4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_SOLVERS))
+def test_eigensolvers_check_their_shape(name):
+    """Each solver takes its own size only; any other shape is a ValueError naming it.
+
+    A 3x3 solver used to return three of diag(4, 1, 3, 2)'s four
+    eigenvalues, and a 2x2 input raised a bare IndexError.
+    """
+    n, values = SIZED_SOLVERS[name]
+    for M in (np.diag([2.0, 1.0]), np.diag([3.0, 1.0, 2.0]), np.diag([4.0, 1.0, 3.0, 2.0]),
+              np.eye(3, 4), np.arange(9.0)):
+        if M.shape == (n, n):
+            assert values(M).tolist() == sorted(np.diag(M), reverse=True)
+            continue
+        shape = str(M.shape).replace("(", r"\(").replace(")", r"\)")
+        with pytest.raises(ValueError, match=rf"^Hermitian matrix must be {n}x{n}, got {shape}$"):
+            values(M)
+
+
 def test_unconverged_jacobi_raises(monkeypatch):
     rng = np.random.default_rng(53)
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
@@ -319,6 +338,12 @@ def test_unconverged_jacobi_raises(monkeypatch):
         eig_hermitian3(random_hermitian(rng))
     with pytest.raises(InternalCheckError, match="sweep limit 1 reached"):
         eigvals_hermitian4(random_hermitian(rng, n=4))
+    # rho's values-only spectrum and real input take the same limit and message
+    with pytest.raises(InternalCheckError, match=r"^Jacobi sweep limit 1 reached: off-diagonal "):
+        check_state(random_density(3, rng))
+    X = rng.standard_normal((3, 3))
+    with pytest.raises(InternalCheckError, match=r"^Jacobi sweep limit 1 reached: off-diagonal "):
+        eig_sym3((X + X.T) / 2.0)
     # a diagonal matrix needs no rotation, so one sweep confirms it
     assert np.array_equal(eig_hermitian3(np.diag([0.5, 0.3, 0.2])).values, [0.5, 0.3, 0.2])
 
