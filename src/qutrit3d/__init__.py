@@ -7,12 +7,44 @@ sits to the positivity boundary.  The package converts between the two
 pictures, classifies states, builds exportable ellipsoid scenes, handles
 pure-state geometry and mutually unbiased bases, bridges to the
 symmetric two-qubit picture and evolves states under spin-1 unitaries.
+
+The quick-start names below resolve on first use (PEP 562), so that
+importing the package, or running its command line, loads only the
+modules a call needs.
 """
 
-from .dynamics import one_axis_twist, rotation, trajectory
-from .geometry import build_scene, export_scene_json
-from .purestates import mub_bases, pseudo_qubit
-from .spin1 import ppt_separable, to_two_qubit
-from .state import analyse, classify_rank, compose, decompose, validate
+import importlib
 
+# quick-start name -> its defining module
+_QUICK_START = {
+    "one_axis_twist": "dynamics",
+    "rotation": "dynamics",
+    "trajectory": "dynamics",
+    "build_scene": "geometry",
+    "export_scene_json": "geometry",
+    "mub_bases": "purestates",
+    "pseudo_qubit": "purestates",
+    "ppt_separable": "spin1",
+    "to_two_qubit": "spin1",
+    "analyse": "state",
+    "classify_rank": "state",
+    "compose": "state",
+    "decompose": "state",
+    "validate": "state",
+}
+
+__all__ = sorted(_QUICK_START)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _QUICK_START.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

@@ -11,6 +11,13 @@ internal inconsistency (a library self-check failed; not an assert, so
 it also holds under python -O).
 
 Sign convention: evolution uses U = exp(-i theta G).
+
+analyze, scene (JSON), bridge and pseudo run on Python scalars: a state
+file is parsed straight to rows and the report, scene and payloads read
+the library's scalar records, so these commands never import numpy.
+evolve, random, mub, ortho, scene --format obj and amplitude files
+compute with numpy and import it, and dynamics or purestates, when they
+run.
 """
 
 from __future__ import annotations
@@ -22,9 +29,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .dynamics import GENERATORS, custom, trajectory
 from .errors import (
     DegenerateMeshError,
     InternalCheckError,
@@ -39,23 +43,24 @@ from .errors import (
 )
 from .geometry import (
     RANK_CASE_TO_SCENE,
+    _scene,
     build_scene,
     export_scene_json,
     export_scene_obj,
     scene_to_dict,
 )
-from .purestates import PureState, density_from_pure, mub_bases, orthogonal, rik_decompose
-from .spin1 import from_two_qubit, to_two_qubit
+from .spin1 import _from_two_qubit, _to_two_qubit
 from .state import (
-    Analysis,
+    Record,
     ValidityReport,
-    analyse,
-    assert_density,
+    _as_rows,
+    _bundle,
+    _compose,
+    _density_rows,
+    _gamma_norm,
+    _metric,
+    _record,
     classify_rank,
-    compose,
-    gamma_norm,
-    metric_tensor,
-    params_from_bloch_tensor,
     random_density,
 )
 from .tolerances import MUB_TOL, ORTHO_TOL
@@ -75,8 +80,8 @@ def _fmt(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _vec(v: np.ndarray) -> str:
-    return " ".join(_fmt(x) for x in v.tolist())
+def _vec(v: list) -> str:
+    return " ".join(_fmt(x) for x in v)
 
 
 def _float(value, where: str) -> float:
@@ -102,16 +107,15 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _grid(obj, key: str, n: int):
+def _grid(obj, key: str, n: int) -> list:
     rows = obj.get(key)
     if not isinstance(rows, list) or len(rows) != n:
         raise CliIOError(f'"{key}" must be a {n}x{n} array')
-    out = np.zeros((n, n))
+    out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise CliIOError(f'"{key}" row {i} must have {n} entries')
-        for j, cell in enumerate(row):
-            out[i, j] = _float(cell, f'"{key}"[{i}][{j}]')
+        out.append([_float(cell, f'"{key}"[{i}][{j}]') for j, cell in enumerate(row)])
     return out
 
 
@@ -128,11 +132,18 @@ def _read_json(path: str) -> dict:
     return obj
 
 
-def _matrix_from_obj(obj: dict, n: int) -> np.ndarray:
-    return _grid(obj, "re", n) + 1j * _grid(obj, "im", n)
+def _matrix_from_obj(obj: dict, n: int) -> list:
+    """The n x n matrix of a {"re": .., "im": ..} object as rows of Python complex re + 1j * im."""
+    re, im = _grid(obj, "re", n), _grid(obj, "im", n)
+    return [[x + 1j * y for x, y in zip(rrow, irow)] for rrow, irow in zip(re, im)]
 
 
-def _pure_from_obj(obj: dict, path: str) -> PureState:
+def _pure_from_obj(obj: dict, path: str):
+    """The PureState of an {"amplitudes": ..} object."""
+    import numpy as np
+
+    from .purestates import rik_decompose
+
     amps = obj["amplitudes"]
     if not isinstance(amps, list) or len(amps) != 3:
         raise CliIOError('"amplitudes" must hold 3 [re, im] pairs')
@@ -149,7 +160,7 @@ def _pure_from_obj(obj: dict, path: str) -> PureState:
         raise CliIOError(f"{path}: {exc}") from exc
 
 
-def _checked(path: str, check, M: np.ndarray):
+def _checked(path: str, check, M):
     """check(M); its Hermiticity, trace or entry-size error is a parse failure of path."""
     try:
         return check(M)
@@ -157,8 +168,8 @@ def _checked(path: str, check, M: np.ndarray):
         raise CliIOError(f"{path}: {exc}") from exc
 
 
-def load_state_file(path: str) -> np.ndarray:
-    """Parse a state file into a Hermitian trace-one 3x3 matrix.
+def load_state_file(path: str) -> list:
+    """Parse a state file into a Hermitian trace-one 3x3 matrix, as rows of Python complex.
 
     Accepts {"re": .., "im": ..} densities or {"amplitudes": ..} pure
     states; Hermiticity / trace / normalization failures count as parse
@@ -166,22 +177,25 @@ def load_state_file(path: str) -> np.ndarray:
     """
     obj = _read_json(path)
     if "amplitudes" in obj:
-        return density_from_pure(_pure_from_obj(obj, path))
+        from .purestates import density_from_pure
+
+        return density_from_pure(_pure_from_obj(obj, path)).tolist()
     if "re" in obj or "im" in obj:
-        rho = _matrix_from_obj(obj, 3)
-        _checked(path, assert_density, rho)
-        return rho
+        return _checked(path, _density_rows, _matrix_from_obj(obj, 3))
     raise CliIOError(f'{path}: expected "re"/"im" or "amplitudes" keys')
 
 
-def density_payload(rho: np.ndarray) -> dict:
-    return {
-        "re": rho.real.tolist(),
-        "im": rho.imag.tolist(),
-    }
+def density_payload(rho) -> dict:
+    """The {"re", "im"} payload of a matrix: an array, or rows of Python complex."""
+    if isinstance(rho, list):
+        return {
+            "re": [[x.real for x in row] for row in rho],
+            "im": [[x.imag for x in row] for row in rho],
+        }
+    return {"re": rho.real.tolist(), "im": rho.imag.tolist()}
 
 
-def amplitudes_payload(psi: np.ndarray) -> dict:
+def amplitudes_payload(psi) -> dict:
     return {"amplitudes": [[float(c.real), float(c.imag)] for c in psi]}
 
 
@@ -218,22 +232,25 @@ def first_violation(v: ValidityReport) -> str | None:
     return _SPECTRUM_TEXT
 
 
-def build_report(rho: np.ndarray) -> tuple[Analysis, float | None]:
-    """analyse(rho) and the metric norm a.Gamma.a (None where Gamma is undefined)."""
-    an = analyse(rho)
+def build_report(rho) -> tuple[Record, float | None]:
+    """The analysis record of rho and the metric norm a.Gamma.a (None where Gamma is undefined).
+
+    rho is an array, or rows of Python complex as load_state_file returns them.
+    """
+    an = _record(rho if isinstance(rho, list) else _as_rows(rho))
     try:
-        gamma = gamma_norm(an.params.a, an.params.T)
+        gamma = _gamma_norm(an.a, an.T)
     except MetricUndefinedError:
         gamma = None
     return an, gamma
 
 
-def report_text(report: tuple[Analysis, float | None]) -> str:
+def report_text(report: tuple[Record, float | None]) -> str:
     an, gamma = report
     lines = [
-        f"a: {_vec(an.params.a)}",
-        f"q: {_vec(an.params.q)}",
-        f"omega: {_vec(an.params.omega)}",
+        f"a: {_vec(an.a)}",
+        f"q: {_vec(an.q)}",
+        f"omega: {_vec(an.omega)}",
         f"tensor eigenvalues: {_vec(an.tensor_eigenvalues)}",
         f"semi-axes: {_vec(an.semi_axes)}",
         f"gamma-norm: {'degenerate' if gamma is None else _fmt(gamma)}",
@@ -251,16 +268,15 @@ def report_text(report: tuple[Analysis, float | None]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_dict(report: tuple[Analysis, float | None]) -> dict:
+def report_dict(report: tuple[Record, float | None]) -> dict:
     an, gamma = report
-    p = an.params
-    m = metric_tensor(p.T)
+    metric = _metric(an.T)
     return {
         "params": {
-            "a": p.a.tolist(),
-            "q": p.q.tolist(),
-            "omega": p.omega.tolist(),
-            "tensor": p.T.tolist(),
+            "a": an.a,
+            "q": an.q,
+            "omega": an.omega,
+            "tensor": an.T,
         },
         "validity": {
             "c1_ok": an.validity.c1_ok,
@@ -268,18 +284,16 @@ def report_dict(report: tuple[Analysis, float | None]) -> dict:
             "c3_ok": an.validity.c3_ok,
             "overall": an.validity.overall,
         },
-        "tensor_eigenvalues": an.tensor_eigenvalues.tolist(),
-        "semi_axes": an.semi_axes.tolist(),
-        "gamma_norm": None if gamma is None else float(gamma),
-        "metric": "degenerate"
-        if not m.defined
-        else m.gamma.tolist(),
+        "tensor_eigenvalues": an.tensor_eigenvalues,
+        "semi_axes": an.semi_axes,
+        "gamma_norm": gamma,
+        "metric": "degenerate" if metric is None else metric,
         "rank": None
         if an.rank is None
         else {
             "rank": an.rank.rank,
             "case": an.rank.case,
-            "eigenvalues": an.rank.eigenvalues.tolist(),
+            "eigenvalues": an.eigenvalues,
         },
         "scene_case": None if an.rank is None else RANK_CASE_TO_SCENE[an.rank.case],
     }
@@ -303,10 +317,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_scene(args) -> int:
     rho = load_state_file(args.path)
-    scene = build_scene(rho)
     if args.format == "json":
-        _emit(export_scene_json(scene) + "\n", args.out)
+        _emit(export_scene_json(_scene(rho)) + "\n", args.out)
     else:
+        scene = build_scene(rho)
         _emit(
             export_scene_obj(scene, lat=args.lat, lon=args.lon, surface_only=args.surface_only),
             args.out,
@@ -319,6 +333,8 @@ def cmd_mub(args) -> int:
         raise CliIOError(f"--basis must be 1..4, got {args.basis}")
     if args.vector not in (1, 2, 3):
         raise CliIOError(f"--vector must be 1..3, got {args.vector}")
+    from .purestates import density_from_pure, mub_bases
+
     fam = mub_bases()
     state = fam.bases[args.basis - 1][args.vector - 1]
     cross = []
@@ -337,11 +353,15 @@ def cmd_mub(args) -> int:
     return EXIT_OK
 
 
+# the pseudo-qubit tensor identity/3, entry for entry as np.eye(3) / 3.0
+_THIRD = 1.0 / 3.0
+_PSEUDO_TENSOR = ((_THIRD, 0.0, 0.0), (0.0, _THIRD, 0.0), (0.0, 0.0, _THIRD))
+
+
 def cmd_pseudo(args) -> int:
     # build the tensor-=identity/3 state for any requested vector and let
     # the validity report say whether it is admissible, mirroring analyze
-    p = params_from_bloch_tensor([args.ax, args.ay, args.az], np.eye(3) / 3.0)
-    rho = compose(p)
+    rho = _compose(_bundle([args.ax, args.ay, args.az], _PSEUDO_TENSOR))
     report = build_report(rho)
     out = json.dumps(density_payload(rho), indent=2) + "\n"
     out += report_text(report)
@@ -350,6 +370,8 @@ def cmd_pseudo(args) -> int:
 
 
 def _generator_from_flag(flag: str):
+    from .dynamics import GENERATORS, custom
+
     if flag.startswith("custom:"):
         path = flag.split(":", 1)[1]
         return _checked(path, custom, _matrix_from_obj(_read_json(path), 3))
@@ -361,6 +383,8 @@ def _generator_from_flag(flag: str):
 
 
 def cmd_evolve(args) -> int:
+    from .dynamics import trajectory
+
     rho = load_state_file(args.path)
     g = _generator_from_flag(args.generator)
     traj = trajectory(rho, g, args.theta, args.steps, with_scenes=args.scenes)
@@ -377,16 +401,16 @@ def cmd_evolve(args) -> int:
 def cmd_bridge(args) -> int:
     if args.direction == "to2q":
         rho3 = load_state_file(args.path)
-        rho4 = to_two_qubit(rho3)
+        rho4 = _to_two_qubit(rho3)
         _emit(json.dumps(density_payload(rho4), indent=2) + "\n", args.out)
     else:
         rho4 = _matrix_from_obj(_read_json(args.path), 4)
-        rho3 = _checked(args.path, from_two_qubit, rho4)
+        rho3 = _checked(args.path, _from_two_qubit, rho4)
         _emit(json.dumps(density_payload(rho3), indent=2) + "\n", args.out)
     return EXIT_OK
 
 
-def _load_pure(path: str) -> PureState:
+def _load_pure(path: str):
     obj = _read_json(path)
     if "amplitudes" not in obj:
         raise CliIOError(f'{path}: pure-state file needs an "amplitudes" key')
@@ -394,6 +418,8 @@ def _load_pure(path: str) -> PureState:
 
 
 def cmd_ortho(args) -> int:
+    from .purestates import orthogonal
+
     p = _load_pure(args.path_a)
     q = _load_pure(args.path_b)
     overlap = abs(complex(p.amp.conj() @ q.amp))

@@ -7,14 +7,17 @@ degenerates: exactly one live axis leaves a line segment, none leaves a
 single point; both degenerate cases are annotated with principal-axis
 rays (solid for positive-curvature directions, dashed for the -1
 eigenvector, which for real pure states points along the state vector).
+
+Rows in, arrays at the edge: _scene builds a scene record on Python
+floats from a state's rows, build_scene converts it to an EllipsoidScene
+of numpy arrays, and scene_to_dict reads either.  Only the OBJ mesh
+(export_scene_obj) computes with numpy.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import DegenerateMeshError, InternalCheckError, InvalidStateError
 from .linalg import _dot3, vector_norm
@@ -24,7 +27,8 @@ from .state import (
     SEGMENT_ENDPOINT,
     SEGMENT_INTERIOR,
     SURFACE_3D,
-    analyse,
+    _as_rows,
+    _record,
 )
 from .tolerances import LINE_EPS, SEGMENT_SLACK
 
@@ -62,60 +66,92 @@ class EllipsoidScene:
     rays: list[Ray] = field(default_factory=list)
 
 
+@dataclass(slots=True)
+class SceneRecord:
+    """A scene on Python floats: the record that build_scene converts to arrays.
+
+    ``frame`` is a list of rows with the axes in its columns, and each ray
+    is a (dir, style, label) tuple.
+    """
+
+    case: str
+    semi_axes: list
+    frame: list
+    bloch: list
+    rays: list
+
+
 def build_scene(rho: np.ndarray) -> EllipsoidScene:
-    """Scene of a valid state: ellipsoid frame, Bloch vector, rays.
+    """Scene of a valid state (_scene), its record converted to arrays."""
+    import numpy as np
+
+    s = _scene(_as_rows(rho))
+    return EllipsoidScene(
+        case=s.case,
+        semi_axes=np.array(s.semi_axes),
+        frame=np.array(s.frame),
+        bloch=np.array(s.bloch),
+        rays=[Ray(dir=np.array(d), style=style, label=label) for d, style, label in s.rays],
+    )
+
+
+def _scene(rows: list) -> SceneRecord:
+    """Scene of a valid state's rows: ellipsoid frame, Bloch vector, rays.
 
     The case is the rank taxonomy's (see RANK_CASE_TO_SCENE): three_d
     when all three semi-axes are alive, segment for exactly one, point
     for none.
     """
-    an = analyse(rho)
-    if an.rank is None:
+    r = _record(rows)
+    if r.rank is None:
         raise InvalidStateError("state is not positive semidefinite")
-    case = RANK_CASE_TO_SCENE[an.rank.case]
-    frame = an.frame
-    a = an.params.a
-    rays: list[Ray] = []
+    case = RANK_CASE_TO_SCENE[r.rank.case]
+    a = r.a
+    u, v, w = (list(col) for col in zip(*r.frame))
+    rays: list = []
     if case == CASE_SEGMENT:
-        b, u = a.tolist(), frame[:, 0].tolist()
-        bu = _dot3(b, u)
-        if vector_norm([x - bu * y for x, y in zip(b, u)]) >= SEGMENT_SLACK:
+        bu = _dot3(a, u)
+        if vector_norm([x - bu * y for x, y in zip(a, u)]) >= SEGMENT_SLACK:
             raise InternalCheckError("segment Bloch vector is not parallel to the u-axis")
-        rays = [
-            Ray(dir=frame[:, 1].copy(), style=SOLID, label="v"),
-            Ray(dir=frame[:, 2].copy(), style=DASHED, label="w"),
-        ]
+        rays = [(v, SOLID, "v"), (w, DASHED, "w")]
     elif case == CASE_POINT:
-        if vector_norm(a.tolist()) >= SEGMENT_SLACK:
+        if vector_norm(a) >= SEGMENT_SLACK:
             raise InternalCheckError("point case requires a vanishing Bloch vector")
-        rays = [
-            Ray(dir=frame[:, 0].copy(), style=SOLID, label="u"),
-            Ray(dir=frame[:, 1].copy(), style=SOLID, label="v"),
-            Ray(dir=frame[:, 2].copy(), style=DASHED, label="w"),
-        ]
-    return EllipsoidScene(case=case, semi_axes=an.semi_axes, frame=frame, bloch=a, rays=rays)
+        rays = [(u, SOLID, "u"), (v, SOLID, "v"), (w, DASHED, "w")]
+    return SceneRecord(case=case, semi_axes=r.semi_axes, frame=r.frame, bloch=a, rays=rays)
 
 
-def scene_to_dict(s: EllipsoidScene) -> dict:
-    """Plain-Python payload in the stable schema (version 1)."""
+def scene_to_dict(s: EllipsoidScene | SceneRecord) -> dict:
+    """Plain-Python payload in the stable schema (version 1), of a scene or its record."""
+    if isinstance(s, EllipsoidScene):
+        s = _scene_record(s)
     return {
         "version": 1,
         "case": s.case,
-        "semi_axes": np.asarray(s.semi_axes, dtype=float).tolist(),
-        "frame": np.asarray(s.frame, dtype=float).tolist(),
-        "bloch": np.asarray(s.bloch, dtype=float).tolist(),
-        "rays": [
-            {
-                "dir": np.asarray(r.dir, dtype=float).tolist(),
-                "style": r.style,
-                "label": r.label,
-            }
-            for r in s.rays
-        ],
+        "semi_axes": s.semi_axes,
+        "frame": s.frame,
+        "bloch": s.bloch,
+        "rays": [{"dir": d, "style": style, "label": label} for d, style, label in s.rays],
     }
 
 
-def export_scene_json(s: EllipsoidScene) -> str:
+def _scene_record(s: EllipsoidScene) -> SceneRecord:
+    """The record of a scene of arrays: its fields as lists of Python floats."""
+    import numpy as np
+
+    def floats(x) -> list:
+        return np.asarray(x, dtype=float).tolist()
+
+    return SceneRecord(
+        case=s.case,
+        semi_axes=floats(s.semi_axes),
+        frame=floats(s.frame),
+        bloch=floats(s.bloch),
+        rays=[(floats(r.dir), r.style, r.label) for r in s.rays],
+    )
+
+
+def export_scene_json(s: EllipsoidScene | SceneRecord) -> str:
     """Deterministic JSON; floats as shortest round-trip decimals."""
     return json.dumps(scene_to_dict(s), indent=2)
 
@@ -136,6 +172,8 @@ def export_scene_obj(
     record tagged by comment.  With surface_only=True only the mesh is
     emitted, which a degenerate scene cannot provide.
     """
+    import numpy as np
+
     if lat < 4 or lon < 8:
         raise ValueError(f"mesh needs lat >= 4 and lon >= 8, got lat={lat}, lon={lon}")
     if surface_only and s.case != CASE_THREE_D:
@@ -187,7 +225,7 @@ def export_scene_obj(
         return "\n".join(lines) + "\n"
 
     bloch = np.asarray(s.bloch, dtype=float)
-    has_bloch = float(np.linalg.norm(bloch)) > LINE_EPS
+    has_bloch = vector_norm(bloch.tolist()) > LINE_EPS
     origin_index = 0
     if s.rays or has_bloch:
         origin_index = add_vertex(np.zeros(3))

@@ -2,12 +2,17 @@
 
 Self-contained Hermitian eigendecomposition (cyclic Jacobi),
 determinants, the unitary matrix exponential and the two-qubit partial
-transpose.  Everything here is a pure function over
-small numpy arrays or their rows as Python lists; no shared state.
+transpose.  Everything here is a pure function, with no shared state.
+Rows in, arrays at the edge: the check (_hermitian_rows) and the
+solvers (_eigensystem3, _eigvals) take a matrix as rows of Python
+numbers and return lists, and the public functions convert numpy input
+to rows once and the result back to arrays, importing numpy only when
+they are called; the package's analysis and its CLI call the row
+functions and never need numpy.
 
 The Hermiticity check and the eigensolver work on Python scalars and
-call no BLAS: assert_hermitian converts a matrix to rows once and checks
-them in one pass, and one Jacobi kernel per size solves those rows.  The
+call no BLAS: _hermitian_rows checks the rows in one pass, and one
+Jacobi kernel per size solves them.  The
 3x3 kernel (rho and T) keeps the nine entries of A, and of V when
 eigenvectors are wanted, in local variables through every sweep, with
 its three pair rotations written out; the 4x4 kernel (the partial
@@ -35,9 +40,8 @@ not a closed form: Cardano-type solvers lose accuracy near double roots
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InternalCheckError, NotHermitianError
 from .tolerances import DEGEN_GAP, HERM_TOL, JACOBI_SCALE_FLOOR, JACOBI_STOP
@@ -48,7 +52,7 @@ _GS_RESIDUAL = 0.1
 _MAX_SWEEPS = 60
 # Largest accepted entry modulus: a 4x4 matrix within it has Frobenius norm <= max/4, so
 # no sum, difference or doubling in the solver, the bridge or T = 1 - 2 Re(rho) overflows.
-_ENTRY_MAX = np.finfo(float).max / 16.0
+_ENTRY_MAX = sys.float_info.max / 16.0
 
 
 @dataclass(frozen=True)
@@ -65,12 +69,18 @@ class EigenSystem3:
 
 
 def assert_hermitian(M: np.ndarray, what: str = "matrix") -> list:
-    """M's rows as lists of Python numbers, checked in one pass.
+    """M's rows as lists of Python numbers, checked in one pass (_hermitian_rows)."""
+    import numpy as np
+
+    return _hermitian_rows(np.asarray(M).tolist(), what)
+
+
+def _hermitian_rows(rows: list, what: str = "matrix") -> list:
+    """Rows of Python numbers, returned once checked in one pass.
 
     NotHermitianError for a non-finite entry or max |M - M^dag| above
     HERM_TOL, ValueError for an entry above _ENTRY_MAX in modulus.
     """
-    rows = np.asarray(M).tolist()
     dev = 0.0
     try:
         for i, row in enumerate(rows):
@@ -293,20 +303,17 @@ def _reorthonormalize_cluster(cols: list, idx: range) -> None:
         cols[i] = w
 
 
-def eig_hermitian3(M: np.ndarray) -> EigenSystem3:
-    """Sorted eigensystem of a 3x3 Hermitian matrix.
+def _eigensystem3(rows: list) -> tuple[list, list]:
+    """Sorted eigensystem of a 3x3 Hermitian matrix's rows of Python numbers, checked here.
 
-    Eigenvalues descend; eigenvectors are orthonormal columns with a
-    deterministic phase gauge.  Clusters closer than the degeneracy gap
-    are re-orthonormalized so repeated runs agree bit-for-bit.  Real
-    input is solved in real arithmetic and gets real eigenvectors.  Any
-    other shape is a ValueError.
+    Returns (descending eigenvalues, V as a list of rows with the
+    eigenvectors in its columns).  Clusters closer than the degeneracy gap
+    are re-orthonormalized so repeated runs agree bit-for-bit, and each
+    vector is gauged so its first largest-magnitude component is real
+    positive.  Real rows are solved in real arithmetic and get real
+    eigenvectors.
     """
-    M = np.asarray(M)
-    M = np.asarray(M, dtype=float if np.isrealobj(M) else complex)
-    if M.shape != (3, 3):
-        raise ValueError(f"Hermitian matrix must be 3x3, got {M.shape}")
-    vals, V = _jacobi3(assert_hermitian(M), with_vectors=True)
+    vals, V = _jacobi3(_hermitian_rows(rows), with_vectors=True)
     order = sorted(range(3), key=lambda k: -vals[k])
     vals = [vals[k] for k in order]
     cols = [[row[k] for row in V] for k in order]
@@ -321,11 +328,30 @@ def eig_hermitian3(M: np.ndarray) -> EigenSystem3:
         i = j
 
     cols = [_fix_phase(v) for v in cols]
-    return EigenSystem3(values=np.array(vals), vectors=np.array(list(zip(*cols)), dtype=M.dtype))
+    return vals, [list(row) for row in zip(*cols)]
+
+
+def eig_hermitian3(M: np.ndarray) -> EigenSystem3:
+    """Sorted eigensystem of a 3x3 Hermitian matrix, as _eigensystem3 solves it.
+
+    Eigenvalues descend; eigenvectors are orthonormal columns with a
+    deterministic phase gauge.  Real input is solved in real arithmetic
+    and gets real eigenvectors.  Any other shape is a ValueError.
+    """
+    import numpy as np
+
+    M = np.asarray(M)
+    M = np.asarray(M, dtype=float if np.isrealobj(M) else complex)
+    if M.shape != (3, 3):
+        raise ValueError(f"Hermitian matrix must be 3x3, got {M.shape}")
+    vals, V = _eigensystem3(M.tolist())
+    return EigenSystem3(values=np.array(vals), vectors=np.array(V, dtype=M.dtype))
 
 
 def eig_sym3(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of a real symmetric 3x3 matrix, with real eigenvectors."""
+    import numpy as np
+
     es = eig_hermitian3(np.asarray(T, dtype=float))
     return es.values, es.vectors
 
@@ -338,10 +364,12 @@ def _eigvals(rows: list) -> list:
 
 def eigvals_hermitian4(M: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a 4x4 Hermitian matrix; any other shape is a ValueError."""
+    import numpy as np
+
     M = np.asarray(M, dtype=complex)
     if M.shape != (4, 4):
         raise ValueError(f"Hermitian matrix must be 4x4, got {M.shape}")
-    return np.array(_eigvals(assert_hermitian(M)))
+    return np.array(_eigvals(_hermitian_rows(M.tolist())))
 
 
 def det3(M: np.ndarray) -> complex:
@@ -357,6 +385,8 @@ def unitary_from_eigensystem(es: EigenSystem3, theta: float) -> np.ndarray:
 
     Lets trajectory sampling reuse one decomposition across a theta grid.
     """
+    import numpy as np
+
     if theta == 0.0:
         return np.eye(3, dtype=complex)
     phases = np.exp(-1j * theta * es.values)
@@ -369,5 +399,7 @@ def partial_transpose(M: np.ndarray) -> np.ndarray:
     Basis order |00>, |01>, |10>, |11>.  Applying it twice returns the
     input exactly.
     """
+    import numpy as np
+
     M = np.asarray(M)
     return M.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)

@@ -13,23 +13,38 @@ rho4 = W h W^dag with W = B[:, :3] / sqrt(2) and h = (rho + rho^dag)/2;
 from_two_qubit reads (1/2) B^dag rho4 B, whose 3x3 block is the qutrit
 state and whose singlet row decides whether rho4 is symmetric.  The
 image also carries the partial transpose separability test.
+
+Rows in, arrays at the edge: _to_two_qubit and _from_two_qubit map rows
+of Python complex, and the public functions convert numpy input to rows
+and the result back to an array, importing numpy only when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidStateError, NotSymmetricError, TraceError
-from .linalg import assert_hermitian, eigvals_hermitian4, partial_transpose
-from .state import StateParams, assert_density, check_state
+from .linalg import _hermitian_rows, eigvals_hermitian4, partial_transpose
+from .state import StateParams, _as_rows, _state_rows, assert_density
 from .tolerances import HERM_TOL, RANK_TOL, TRACE_TOL
 
-_EPS = np.zeros((3, 3, 3))
-for _j, _k, _l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS[_j, _k, _l] = 1.0
-    _EPS[_j, _l, _k] = -1.0
+# eps_jkl, the Levi-Civita symbol: S_j = -i eps_j
+_EPS = (
+    ((0, 0, 0), (0, 0, 1), (0, -1, 0)),
+    ((0, 0, -1), (0, 0, 0), (1, 0, 0)),
+    ((0, 1, 0), (-1, 0, 0), (0, 0, 0)),
+)
+# S_j^2 = diag(1 - delta_jk), and A_j = S_k S_l + S_l S_k = -(E_kl + E_lk) for (j, k, l) cyclic
+_S2 = (
+    ((0, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 0, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 0)),
+)
+_A = (
+    ((0, 0, 0), (0, 0, -1), (0, -1, 0)),
+    ((0, 0, -1), (0, 0, 0), (-1, 0, 0)),
+    ((0, -1, 0), (-1, 0, 0), (0, 0, 0)),
+)
 
 # B = sqrt(2) [t_x t_y t_z psi_-], rows |00>, |01>, |10>, |11>
 _B = ((-1, 1j, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1), (1, 1j, 0, 0))
@@ -50,18 +65,23 @@ class Spin1Set:
 
 
 def spin_set() -> Spin1Set:
-    """Build (S_j, S_j^2, A_j) with exact 0 / +-1 / +-i entries."""
-    S = tuple(-1j * _EPS[j] for j in range(3))
-    S2 = tuple(Sj @ Sj for Sj in S)
-    A = tuple(
-        S[k] @ S[l] + S[l] @ S[k]
-        for k, l in ((1, 2), (2, 0), (0, 1))
-    )
+    """(S_j, S_j^2, A_j) as complex arrays of the exact tables.
+
+    S_j's entries are 0 - i eps_jkl, so its zeros carry an imaginary -0.0,
+    as -1j * eps computes them.
+    """
+    import numpy as np
+
+    S = tuple(np.array([[complex(0.0, -float(x)) for x in row] for row in e]) for e in _EPS)
+    S2 = tuple(np.array(M, dtype=complex) for M in _S2)
+    A = tuple(np.array(M, dtype=complex) for M in _A)
     return Spin1Set(S=S, S2=S2, A=A)
 
 
 def expectations(rho: np.ndarray) -> StateParams:
     """Recover (a, q, omega, T) purely from operator expectation values."""
+    import numpy as np
+
     rho = np.asarray(rho, dtype=complex)
     assert_density(rho)
     ops = spin_set()
@@ -95,37 +115,56 @@ def _half_sandwich(rows, A: list) -> list:
 
 
 def to_two_qubit(rho: np.ndarray) -> np.ndarray:
-    """Embed a qutrit state into the symmetric two-qubit sector: W h W^dag.
+    """Embed a qutrit state into the symmetric two-qubit sector: W h W^dag (_to_two_qubit).
 
     This equals (1/4) [1x1 + sum_j a_j (s_j x 1 + 1 x s_j)
                        + sum_jk T_jk s_j x s_k].
     The image has the same spectrum plus one extra zero, and zero overlap
     with the singlet.
     """
-    return np.array(_half_sandwich(_TRIPLET_ROWS, check_state(rho).tolist()))
+    import numpy as np
+
+    return np.array(_to_two_qubit(_as_rows(rho)))
+
+
+def _to_two_qubit(rows: list) -> list:
+    """to_two_qubit of a qutrit state's rows; NotPositiveError unless they are a state."""
+    return _half_sandwich(_TRIPLET_ROWS, _state_rows(rows))
 
 
 def singlet_overlap(rho4: np.ndarray) -> float:
     """<psi_- | rho4 | psi_->, exactly zero on the symmetric sector."""
+    import numpy as np
+
     return _half_sandwich(_B_DAG_ROWS[3:], np.asarray(rho4, dtype=complex).tolist())[0][0].real
 
 
 def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
-    """Project a symmetric two-qubit state back to the qutrit picture.
+    """Project a symmetric two-qubit state back to the qutrit picture (_from_two_qubit).
 
-    Returns the 3x3 block of M = (1/2) B^dag rho4 B.  Checks, in order:
-    NotHermitianError when rho4 is not Hermitian, ValueError when an entry
-    is too large; then M's singlet row raises NotSymmetricError when the two
-    local Bloch vectors differ (reason "bloch_mismatch";
-    4 max|Re <t_j|rho4|psi_->| = max|a1 - a2|), the correlation matrix is
-    asymmetric (reason "tensor_asymmetry"; 4 max|Im <t_j|rho4|psi_->| =
-    max|T - T^T|) or the state leaks onto the singlet (reason
-    "singlet_overlap"); last, TraceError when the block's trace is not 1.
+    InvalidStateError unless rho4 is 4x4.
     """
+    import numpy as np
+
     rho4 = np.asarray(rho4, dtype=complex)
     if rho4.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got {rho4.shape}")
-    M = _half_sandwich(_B_DAG_ROWS, assert_hermitian(rho4, what="two-qubit state"))
+    return np.array(_from_two_qubit(rho4.tolist()))
+
+
+def _from_two_qubit(rows: list) -> list:
+    """The 3x3 block of M = (1/2) B^dag rho4 B, of a 4x4 matrix's rows of Python complex.
+
+    Checks, in order: NotHermitianError when rho4 is not Hermitian,
+    ValueError when an entry is too large; then M's singlet row raises
+    NotSymmetricError when the two local Bloch vectors differ (reason
+    "bloch_mismatch"; 4 max|Re <t_j|rho4|psi_->| = max|a1 - a2|), the
+    correlation matrix is asymmetric (reason "tensor_asymmetry";
+    4 max|Im <t_j|rho4|psi_->| = max|T - T^T|) or the state leaks onto the
+    singlet (reason "singlet_overlap"); last, TraceError when the block's
+    trace is not 1.
+    """
+    M = _half_sandwich(_B_DAG_ROWS, _hermitian_rows(rows, what="two-qubit state"))
     mismatch = 4.0 * max(abs(M[j][3].real) for j in range(3))
     if mismatch > HERM_TOL:
         raise NotSymmetricError("bloch_mismatch", f"local Bloch vectors differ by {mismatch:.3e}")
@@ -142,7 +181,7 @@ def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
     tr = M[0][0].real + M[1][1].real + M[2][2].real
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceError(f"two-qubit triplet trace = {tr:.15g}, expected 1")
-    return np.array([row[:3] for row in M[:3]])
+    return [row[:3] for row in M[:3]]
 
 
 def ppt_separable(rho: np.ndarray) -> bool:

@@ -6,12 +6,15 @@ and derives the metric tensor.  analyse() reads everything else from two
 spectra: rho's (positivity, rank) and T's (frame, semi-axes,
 principal-minor diagnostics, geometry case).
 
-The analysis runs on Python scalars from the input check to the record:
-rho is converted to rows once and checked in one pass, and everything
-after is computed from those rows and T's spectrum as Python floats.
-Each float operation rounds once, as numpy's elementwise operations do,
-so the bits are the same, and no BLAS is called; numpy arrays are built
-only for the records returned.
+Rows in, arrays at the edge.  The analysis runs on Python scalars from
+the input check to the record: _record takes rho as rows of Python
+numbers, checks them in one pass and computes everything from those rows
+and T's spectrum as Python floats, into one Record of lists.  Each float
+operation rounds once, as numpy's elementwise operations do, so the bits
+are the same, and no BLAS is called.  The public functions take numpy
+input, convert it to rows once (_as_rows) and convert the scalar result
+back to arrays (Analysis, StateParams, ...), importing numpy only when
+they are called; the CLI reads the Record and never needs numpy.
 
 Conventions (fixed wire format):
   T = 1 - 2 Re(rho)
@@ -24,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     InconsistentParamsError,
     InternalCheckError,
@@ -33,7 +34,7 @@ from .errors import (
     NotPositiveError,
     TraceError,
 )
-from .linalg import _ENTRY_MAX, _dot3, _eigvals, assert_hermitian, det3, eig_sym3, vector_norm
+from .linalg import _ENTRY_MAX, _dot3, _eigensystem3, _eigvals, _hermitian_rows, det3, vector_norm
 from .tolerances import RANK_TOL, SEGMENT_SLACK, SING_TOL, TRACE_TOL
 
 # Rank/geometry taxonomy labels.
@@ -75,19 +76,27 @@ class RankReport:
     eigenvalues: np.ndarray
 
 
+def _as_rows(rho: np.ndarray) -> list:
+    """rho as rows of Python complex, converted at the array edge; TraceError unless it is 3x3."""
+    import numpy as np
+
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (3, 3):
+        raise TraceError(f"density matrix must be 3x3, got {rho.shape}")
+    return rho.tolist()
+
+
 def assert_density(rho: np.ndarray) -> None:
     """Check shape, Hermiticity, entry size and unit trace; positivity is separate.
 
     Entries stay within half the solver's bound, so T = 1 - 2 Re(rho) stays within it.
     """
-    _density_rows(np.asarray(rho))
+    _density_rows(_as_rows(rho))
 
 
-def _density_rows(rho: np.ndarray) -> list:
-    """assert_density's checks; rho's rows as lists of Python numbers."""
-    if rho.shape != (3, 3):
-        raise TraceError(f"density matrix must be 3x3, got {rho.shape}")
-    rows = assert_hermitian(rho, what="density matrix")
+def _density_rows(rows: list) -> list:
+    """assert_density's checks on a 3x3 matrix's rows of Python numbers; returns them."""
+    rows = _hermitian_rows(rows, what="density matrix")
     bound = _ENTRY_MAX / 2.0
     if max(abs(x) for row in rows for x in row) > bound:
         raise ValueError(f"density matrix overflows: an entry is above {bound:.3g} in modulus")
@@ -99,7 +108,15 @@ def _density_rows(rho: np.ndarray) -> list:
 
 def decompose(rho: np.ndarray) -> StateParams:
     """Extract (a, q, omega, T) from a Hermitian trace-one matrix."""
-    return _params(_density_rows(np.asarray(rho, dtype=complex)))
+    return _state_params(_params(_density_rows(_as_rows(rho))))
+
+
+def _state_params(p: tuple) -> StateParams:
+    """StateParams of the lists (a, q, omega, T)."""
+    import numpy as np
+
+    a, q, omega, T = (np.array(x) for x in p)
+    return StateParams(a=a, q=q, omega=omega, T=T)
 
 
 def _identity_minus(M) -> list:
@@ -111,52 +128,68 @@ def _identity_minus(M) -> list:
     return [[1.0 - a, 0.0 - b, 0.0 - c], [0.0 - d, 1.0 - e, 0.0 - f], [0.0 - g, 0.0 - h, 1.0 - i]]
 
 
-def _params(rows: list) -> StateParams:
+def _params(rows: list) -> tuple[list, list, list, list]:
     """(a, q, omega, T) of a checked density matrix's rows, T = 1 - 2 Re(rho)."""
     a = [2.0 * rows[2][1].imag, 2.0 * rows[0][2].imag, 2.0 * rows[1][0].imag]
     return _bundle(a, _identity_minus([[2.0 * x.real for x in row] for row in rows]))
 
 
-def _cross_matrix(a: np.ndarray) -> np.ndarray:
-    """E[j][k] = sum_l eps_jkl a_l, the Levi-Civita contraction of a."""
-    ax, ay, az = a
-    return np.array([[0.0, az, -ay], [-az, 0.0, ax], [ay, -ax, 0.0]])
+def _exceeds(deviations, tol: float) -> bool:
+    """np.max(np.abs(deviations)) > tol on Python floats.
+
+    As in numpy, a NaN makes the maximum NaN, which exceeds nothing.
+    """
+    m = [abs(x) for x in deviations]
+    return max(m) > tol and all(x == x for x in m)
 
 
 def compose(p: StateParams) -> np.ndarray:
-    """Rebuild the density matrix: rho = ((1 - T) - i E(a)) / 2."""
-    T = np.asarray(p.T, dtype=float)
-    a = np.asarray(p.a, dtype=float)
-    if np.max(np.abs(T - T.T)) > TRACE_TOL:
+    """Rebuild the density matrix: rho = ((1 - T) - i E(a)) / 2, as _compose computes it."""
+    import numpy as np
+
+    a, T = (np.asarray(x, dtype=float).tolist() for x in (p.a, p.T))
+    return np.array(_compose((a, np.asarray(p.q).tolist(), np.asarray(p.omega).tolist(), T)))
+
+
+def _compose(p: tuple) -> list:
+    """rho's rows of the lists (a, q, omega, T): ((1 - T) - i E(a)) / 2, entry by entry.
+
+    E[j][k] = sum_l eps_jkl a_l is the Levi-Civita contraction of a.  Each
+    entry takes the operations of the numpy expression
+    ((eye(3) - T) - 1j * E) / 2.0 in its order, signed zeros included.
+    """
+    a, q, omega, T = p
+    if _exceeds([x - y for row, col in zip(T, zip(*T)) for x, y in zip(row, col)], TRACE_TOL):
         raise InconsistentParamsError("correlation tensor is not symmetric")
-    tr = float(T[0, 0]) + float(T[1, 1]) + float(T[2, 2])
+    tr = T[0][0] + T[1][1] + T[2][2]
     if abs(tr - 1.0) > TRACE_TOL:
         raise InconsistentParamsError(f"trace(T) = {tr:.15g}, expected 1")
-    omega_from_T = (1.0 - np.diag(T)) / 2.0
-    if np.max(np.abs(np.asarray(p.omega) - omega_from_T)) > TRACE_TOL:
+    if _exceeds([w - (1.0 - T[j][j]) / 2.0 for j, w in enumerate(omega)], TRACE_TOL):
         raise InconsistentParamsError("omega does not match (1 - T_jj)/2")
-    q_from_T = np.array([T[1, 2], T[0, 2], T[0, 1]])
-    if np.max(np.abs(np.asarray(p.q) - q_from_T)) > TRACE_TOL:
+    if _exceeds([x - y for x, y in zip(q, (T[1][2], T[0][2], T[0][1]))], TRACE_TOL):
         raise InconsistentParamsError("q does not match the off-diagonals of T")
-    return ((np.eye(3) - T) - 1j * _cross_matrix(a)) / 2.0
+    ax, ay, az = a
+    E = ((0.0, az, -ay), (-az, 0.0, ax), (ay, -ax, 0.0))
+    return [
+        [(x - 1j * e) / 2.0 for x, e in zip(row, erow)] for row, erow in zip(_identity_minus(T), E)
+    ]
 
 
 def params_from_bloch_tensor(a: np.ndarray, T: np.ndarray) -> StateParams:
     """Bundle (a, T) into StateParams, deriving omega and q from T."""
-    return _bundle(np.asarray(a, dtype=float).tolist(), np.asarray(T, dtype=float).tolist())
+    import numpy as np
+
+    a, T = (np.asarray(x, dtype=float).tolist() for x in (a, T))
+    return _state_params(_bundle(a, T))
 
 
-def _bundle(a: list, T: list) -> StateParams:
-    """StateParams of a Bloch vector and a tensor's rows, Python floats; T becomes (T + T^t)/2."""
+def _bundle(a: list, T: list) -> tuple[list, list, list, list]:
+    """(a, q, omega, T) of a Bloch vector and a tensor's rows, Python floats; T becomes (T + T^t)/2."""
     (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = T
     d = [(t00 + t00) / 2.0, (t11 + t11) / 2.0, (t22 + t22) / 2.0]
     q = [(t12 + t21) / 2.0, (t02 + t20) / 2.0, (t01 + t10) / 2.0]
-    return StateParams(
-        a=np.array(a),
-        q=np.array(q),
-        omega=np.array([(1.0 - t) / 2.0 for t in d]),
-        T=np.array([[d[0], q[2], q[1]], [q[2], d[1], q[0]], [q[1], q[0], d[2]]]),
-    )
+    omega = [(1.0 - t) / 2.0 for t in d]
+    return a, q, omega, [[d[0], q[2], q[1]], [q[2], d[1], q[0]], [q[1], q[0], d[2]]]
 
 
 def validate(p: StateParams) -> ValidityReport:
@@ -164,30 +197,43 @@ def validate(p: StateParams) -> ValidityReport:
     return analyse(compose(p)).validity
 
 
-def _one_minus(T: np.ndarray) -> tuple[list, float]:
+def _one_minus(T: list) -> tuple[list, float]:
     """1 - T as rows of Python floats and its determinant; ValueError when that overflows."""
-    one_minus = _identity_minus(np.asarray(T, dtype=float).tolist())
+    one_minus = _identity_minus(T)
     d = det3(one_minus)
     if not math.isfinite(d):
         raise ValueError("det(1 - T) overflows")
     return one_minus, d
 
 
+def _metric(T: list) -> list | None:
+    """Gamma = (1 - T) / det(1 - T) of T's rows as rows, None when the determinant vanishes."""
+    one_minus, d = _one_minus(T)
+    return [[x / d for x in row] for row in one_minus] if d > SING_TOL else None
+
+
 def metric_tensor(T: np.ndarray) -> MetricTensor:
     """Gamma = (1 - T) / det(1 - T), undefined when the determinant vanishes."""
-    one_minus, d = _one_minus(T)
-    if d > SING_TOL:
-        gamma = np.array([[x / d for x in row] for row in one_minus])
-        return MetricTensor(gamma=gamma, defined=True)
-    return MetricTensor(gamma=None, defined=False)
+    import numpy as np
+
+    gamma = _metric(np.asarray(T, dtype=float).tolist())
+    if gamma is None:
+        return MetricTensor(gamma=None, defined=False)
+    return MetricTensor(gamma=np.array(gamma), defined=True)
 
 
 def gamma_norm(a: np.ndarray, T: np.ndarray) -> float:
-    """a . Gamma . a, the metric norm of the Bloch vector, on Python floats in a fixed order."""
+    """a . Gamma . a, the metric norm of the Bloch vector (_gamma_norm)."""
+    import numpy as np
+
+    return _gamma_norm(np.asarray(a, dtype=float).tolist(), np.asarray(T, dtype=float).tolist())
+
+
+def _gamma_norm(a: list, T: list) -> float:
+    """a . Gamma . a of a Bloch vector and T's rows, on Python floats in a fixed order."""
     one_minus, d = _one_minus(T)
     if d <= SING_TOL:
         raise MetricUndefinedError(f"det(1 - T) = {d:.3e} is not above {SING_TOL:g}")
-    a = np.asarray(a, dtype=float).tolist()
     g = _dot3([_dot3(a, col) for col in zip(*one_minus)], a) / d
     if not math.isfinite(g):
         raise ValueError("the metric norm a . Gamma . a overflows")
@@ -196,32 +242,47 @@ def gamma_norm(a: np.ndarray, T: np.ndarray) -> float:
 
 def semi_axes(tensor_eigenvalues: np.ndarray) -> np.ndarray:
     """Ellipsoid semi-axes eps_j = sqrt((1-lambda_k)(1-lambda_l)), descending input."""
+    import numpy as np
+
+    return np.array(_semi_axes(tensor_eigenvalues))
+
+
+def _semi_axes(tensor_eigenvalues) -> list:
+    """semi_axes as a list of Python floats."""
     l0, l1, l2 = (1.0 - float(x) for x in tensor_eigenvalues)
-    return np.array([math.sqrt(max(p, 0.0)) for p in (l1 * l2, l0 * l2, l0 * l1)])
+    return [math.sqrt(max(p, 0.0)) for p in (l1 * l2, l0 * l2, l0 * l1)]
 
 
-def _spectrum(rho: np.ndarray) -> tuple[np.ndarray, list, list, bool]:
-    """rho as a checked complex density matrix, its rows, descending eigenvalues and positivity.
+def _spectrum(rows: list) -> tuple[list, list, bool]:
+    """rho's checked rows, descending eigenvalues and positivity.
 
     The package's one positivity verdict: rho is positive semidefinite
     when its smallest eigenvalue is at least -RANK_TOL.  Only values are
     read, so the solve computes no eigenvectors.
     """
-    rho = np.asarray(rho, dtype=complex)
-    rows = _density_rows(rho)
+    rows = _density_rows(rows)
     values = _eigvals(rows)
-    return rho, rows, values, values[-1] >= -RANK_TOL
+    return rows, values, values[-1] >= -RANK_TOL
+
+
+def _state_rows(rows: list) -> list:
+    """A state's checked rows; NotPositiveError unless it is a state."""
+    rows, values, positive = _spectrum(rows)
+    if not positive:
+        raise _not_positive(values)
+    return rows
 
 
 def check_state(rho: np.ndarray) -> np.ndarray:
     """rho as a complex density matrix; NotPositiveError unless it is a state."""
-    rho, _, values, positive = _spectrum(rho)
-    if not positive:
-        raise _not_positive(values)
+    import numpy as np
+
+    rho = np.asarray(rho, dtype=complex)
+    _state_rows(_as_rows(rho))
     return rho
 
 
-def _not_positive(eigenvalues: np.ndarray) -> NotPositiveError:
+def _not_positive(eigenvalues) -> NotPositiveError:
     return NotPositiveError(f"not positive: min eigenvalue {eigenvalues[-1]:.3e} < -{RANK_TOL:g}")
 
 
@@ -242,6 +303,35 @@ class Analysis:
     semi_axes: np.ndarray
     validity: ValidityReport
     rank: RankReport | None
+
+
+@dataclass(slots=True)
+class Rank:
+    """The rank of a positive state and its geometry case."""
+
+    rank: int
+    case: str
+
+
+@dataclass(slots=True)
+class Record:
+    """Analysis on Python scalars: the record that analyse() converts to arrays.
+
+    Vectors are lists of floats, and T and ``frame`` are lists of rows
+    (T's eigenvectors in the columns of ``frame``); ``rank`` is None when
+    rho is not positive semidefinite.
+    """
+
+    a: list
+    q: list
+    omega: list
+    T: list
+    eigenvalues: list
+    tensor_eigenvalues: list
+    frame: list
+    semi_axes: list
+    validity: ValidityReport
+    rank: Rank | None
 
 
 def _validity(tvals: list, frame: list, a: list, positive: bool) -> ValidityReport:
@@ -273,33 +363,41 @@ def _validity(tvals: list, frame: list, a: list, positive: bool) -> ValidityRepo
 
 
 def analyse(rho: np.ndarray) -> Analysis:
-    """Analyse a Hermitian trace-one matrix: one values-only spectrum of rho, one eigensolve of T.
+    """Analyse a Hermitian trace-one matrix (_record), its record converted to arrays."""
+    import numpy as np
 
-    Positivity and rank come from rho's spectrum; the frame, semi-axes,
-    minor diagnostics and geometry case from T's.  A matrix that is not
-    positive is reported, not raised; InternalCheckError means the
-    geometry case failed its own consistency checks.
+    r = _record(_as_rows(rho))
+    eigenvalues = np.array(r.eigenvalues)
+    return Analysis(
+        params=_state_params((r.a, r.q, r.omega, r.T)),
+        eigenvalues=eigenvalues,
+        tensor_eigenvalues=np.array(r.tensor_eigenvalues),
+        frame=np.array(r.frame),
+        semi_axes=np.array(r.semi_axes),
+        validity=r.validity,
+        rank=None if r.rank is None else RankReport(r.rank.rank, r.rank.case, eigenvalues),
+    )
+
+
+def _record(rows: list) -> Record:
+    """Analyse a 3x3 matrix's rows: one values-only spectrum of rho, one eigensolve of T.
+
+    The rows are checked here (Hermitian, trace one).  Positivity and rank
+    come from rho's spectrum; the frame, semi-axes, minor diagnostics and
+    geometry case from T's.  A matrix that is not positive is reported,
+    not raised; InternalCheckError means the geometry case failed its own
+    consistency checks.
     """
-    _, rows, values, positive = _spectrum(rho)
-    p = _params(rows)
-    tvals, frame = eig_sym3(p.T)
-    tv, a = tvals.tolist(), p.a.tolist()
-    eps = semi_axes(tv)
-    eigenvalues = np.array(values)
+    rows, values, positive = _spectrum(rows)
+    a, q, omega, T = _params(rows)
+    tvals, frame = _eigensystem3(T)
+    eps = _semi_axes(tvals)
     rank = None
     if positive:
         n = sum(v > RANK_TOL for v in values)
-        case = _rank_case(n, tv, float(eps[0]), a)
-        rank = RankReport(rank=n, case=case, eigenvalues=eigenvalues)
-    return Analysis(
-        params=p,
-        eigenvalues=eigenvalues,
-        tensor_eigenvalues=tvals,
-        frame=frame,
-        semi_axes=eps,
-        validity=_validity(tv, frame.tolist(), a, positive),
-        rank=rank,
-    )
+        rank = Rank(rank=n, case=_rank_case(n, tvals, eps[0], a))
+    validity = _validity(tvals, frame, a, positive)
+    return Record(a, q, omega, T, values, tvals, frame, eps, validity, rank)
 
 
 def _rank_case(rank: int, tvals: list, eps_u: float, a: list) -> str:
@@ -345,6 +443,8 @@ def random_density(rank: int = 3, rng: np.random.Generator | int | None = None) 
     The number of mixture components equals the requested rank, which the
     output achieves with probability one.
     """
+    import numpy as np
+
     if rank not in (1, 2, 3):
         raise ValueError(f"rank must be 1, 2 or 3, got {rank}")
     if not isinstance(rng, np.random.Generator):

@@ -212,12 +212,12 @@ def test_threshold_state_gets_one_verdict(tmp_path):
 
 
 def test_eigensolve_counts(monkeypatch):
-    """Full eigensolves (eig_hermitian3) and values-only spectra (linalg._eigvals) per call.
+    """Full eigensolves (linalg._eigensystem3) and values-only spectra (linalg._eigvals) per call.
 
     rho's positivity and rank read eigenvalues only; T and the generators
-    need their eigenvectors.
+    need their eigenvectors.  eig_hermitian3 converts one _eigensystem3.
     """
-    full = _count_calls(monkeypatch, "eig_hermitian3")
+    full = _count_calls(monkeypatch, "_eigensystem3")
     values = _count_calls(monkeypatch, "_eigvals")
     rng = np.random.default_rng(613)
     valid = random_density(rank=3, rng=rng)
@@ -251,8 +251,9 @@ def test_eigensolve_counts(monkeypatch):
 
 
 def test_hermiticity_check_counts(monkeypatch):
-    # rho is checked once (assert_density), then once more by T's eigensolve
-    checks = _count_calls(monkeypatch, "assert_hermitian")
+    # rho is checked once (its density check), then once more by T's eigensolve;
+    # assert_hermitian converts a matrix for the same check, _hermitian_rows
+    checks = _count_calls(monkeypatch, "_hermitian_rows")
     valid = random_density(rank=3, rng=np.random.default_rng(613))
     invalid = np.diag([0.8, 0.8, -0.6]).astype(complex)
     for rho in (valid, invalid):
@@ -268,7 +269,7 @@ def test_matrix_files_are_checked_once(monkeypatch, tmp_path, capsys):
     trace check is still a parse failure of the named file (exit 1), and
     an asymmetric two-qubit state is still invalid (exit 2).
     """
-    checks = _count_calls(monkeypatch, "assert_hermitian")
+    checks = _count_calls(monkeypatch, "_hermitian_rows")
     rho4 = spin1.to_two_qubit(random_density(rank=3, rng=np.random.default_rng(617)))
     skew = rho4.copy()
     skew[0, 1] += 1e-6

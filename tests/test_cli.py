@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qutrit3d import cli, linalg, spin1, state
+from qutrit3d import cli, linalg, purestates, spin1, state
 from qutrit3d.errors import InternalCheckError
 from qutrit3d.tolerances import HERM_TOL, NORM_TOL, TRACE_TOL
 
@@ -418,7 +418,7 @@ def test_ortho_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     s = 0.7071067811865476
     a.write_text(json.dumps({"amplitudes": [[s, 0.0], [0.0, s], [0.0, 0.0]]}))
     b.write_text(json.dumps({"amplitudes": [[s, 0.0], [0.0, -s], [0.0, 0.0]]}))
-    monkeypatch.setattr(cli, "orthogonal", lambda p, q: False)
+    monkeypatch.setattr(purestates, "orthogonal", lambda p, q: False)
     code = cli.main(["ortho", str(a), str(b)])
     out, err = capsys.readouterr()
     assert code == 3
@@ -564,7 +564,7 @@ def test_internal_check_failure_exits_3(tmp_path, monkeypatch, capsys):
     path = tmp_path / "endpoint.json"
     s = 0.7071067811865476
     path.write_text(json.dumps({"amplitudes": [[s, 0.0], [0.0, s], [0.0, 0.0]]}))
-    monkeypatch.setattr(state, "semi_axes", lambda lam: np.array([0.5, 0.0, 0.0]))
+    monkeypatch.setattr(state, "_semi_axes", lambda lam: [0.5, 0.0, 0.0])
     rho = cli.load_state_file(str(path))
     with pytest.raises(InternalCheckError):
         state.analyse(rho)
@@ -606,10 +606,10 @@ def test_no_literal_tolerances_outside_the_table():
 
 
 # the only functions of the analysis and bridge modules that may call BLAS
-# (ROADMAP items 1 and 4): the sampler, the spin matrices' products and
-# expectations, the unitary of a trajectory sample and the OBJ mesh
+# (ROADMAP items 1 and 4): the sampler, the expectations of the spin
+# matrices, the unitary of a trajectory sample and the OBJ mesh
 BLAS_EXEMPT = {
-    "random_density", "unitary_from_eigensystem", "spin_set", "expectations", "export_scene_obj",
+    "random_density", "unitary_from_eigensystem", "expectations", "export_scene_obj",
 }
 BLAS_ATTRIBUTES = {"linalg", "dot", "outer", "kron", "einsum", "trace"}
 

@@ -1,0 +1,166 @@
+"""The commands that run on Python scalars never import numpy.
+
+analyze (text and JSON, including its parse failures and the exit-2
+report of a matrix that is not positive), scene as JSON, bridge in both
+directions and pseudo read the library's scalar records, so numpy must
+not be in sys.modules when they exit, under python -O as well.  evolve,
+random, mub, ortho, scene --format obj and amplitude files compute with
+numpy and load it: they are the control that the probe sees an import.
+A lint keeps numpy out of the module level of the modules on that path.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "qutrit3d")
+
+# the modules that the numpy-free commands import
+SCALAR_MODULES = ("__init__", "errors", "tolerances", "linalg", "state", "geometry", "spin1", "cli")
+
+
+def _payload(M):
+    return {"re": M.real.tolist(), "im": M.imag.tolist()}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """The state files of the commands, written once."""
+    from qutrit3d.spin1 import to_two_qubit
+    from qutrit3d.state import random_density
+
+    tmp = tmp_path_factory.mktemp("states")
+    rng = np.random.default_rng(1101)
+    valid = random_density(3, rng)
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 1] = 0.025
+    nonfinite = _payload(valid)
+    nonfinite["re"][0][0] = float("nan")
+    payloads = {
+        "valid": _payload(valid),
+        "two_qubit": _payload(to_two_qubit(valid)),
+        "nonhermitian": _payload(valid + skew),
+        "badtrace": _payload(1.25 * valid),
+        "nonpsd": _payload(np.diag([0.8, 0.8, -0.6]).astype(complex)),
+        "nonfinite": nonfinite,
+        "pure_a": {"amplitudes": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]},
+        "pure_b": {"amplitudes": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+    }
+    out = {}
+    for name, payload in payloads.items():
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        out[name] = str(path)
+    return out
+
+
+# (argv with {name} for a file, exit code)
+NUMPY_FREE = {
+    "analyze_text": (["analyze", "{valid}"], 0),
+    "analyze_json": (["analyze", "{valid}", "--json"], 0),
+    "scene_json": (["scene", "{valid}"], 0),
+    "bridge_to2q": (["bridge", "{valid}", "--direction", "to2q"], 0),
+    "bridge_from2q": (["bridge", "{two_qubit}", "--direction", "from2q"], 0),
+    "pseudo": (["pseudo", "--ax", "0.3", "--ay", "-0.0", "--az", "-0.2"], 0),
+    "nonhermitian": (["analyze", "{nonhermitian}"], 1),
+    "badtrace": (["analyze", "{badtrace}"], 1),
+    "nonpsd": (["analyze", "{nonpsd}"], 2),
+    "nonfinite": (["analyze", "{nonfinite}"], 1),
+}
+WITH_NUMPY = {
+    "evolve": (["evolve", "{valid}", "--generator", "twist:x", "--theta", "1", "--steps", "3"], 0),
+    "random": (["random", "--seed", "3"], 0),
+    "mub": (["mub", "--basis", "2", "--vector", "1"], 0),
+    "ortho": (["ortho", "{pure_a}", "{pure_b}"], 0),
+    "scene_obj": (["scene", "{valid}", "--format", "obj"], 0),
+    "amplitudes": (["analyze", "{pure_a}"], 0),
+}
+
+
+# runs ARGV as python -m runs a module, and prints the modules loaded when the process exits
+_PROBE = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print("MODULES " + json.dumps(sorted(sys.modules)), file=sys.stderr))
+module, sys.argv = sys.argv[1], sys.argv[1:]
+runpy.run_module(module, run_name="__main__", alter_sys=True)
+"""
+
+
+def _imports(flags, module, argv, files, path=None):
+    """(exit code, stderr, modules loaded at exit) of ``python -m module argv`` in a child."""
+    env = dict(os.environ)
+    env.pop("QUTRIT_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [path, os.path.dirname(SRC), env.get("PYTHONPATH")])
+    )
+    argv = [a.format(**files) for a in argv]
+    res = subprocess.run(
+        [sys.executable, *flags, "-c", _PROBE, module, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    err, _, loaded = res.stderr.rpartition("MODULES ")
+    return res.returncode, err, set(json.loads(loaded))
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+@pytest.mark.parametrize("case", sorted(NUMPY_FREE))
+def test_scalar_commands_do_not_import_numpy(case, flags, files):
+    argv, code = NUMPY_FREE[case]
+    got, err, names = _imports(flags, "qutrit3d", argv, files)
+    assert got == code, err
+    assert "Traceback" not in err
+    assert "qutrit3d.cli" in names
+    assert "numpy" not in names
+
+
+@pytest.mark.parametrize("case", sorted(WITH_NUMPY))
+def test_numpy_commands_import_it(case, files):
+    argv, code = WITH_NUMPY[case]
+    got, err, names = _imports((), "qutrit3d", argv, files)
+    assert got == code, err
+    assert "numpy" in names
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_package_import_loads_no_numpy(flags, files, tmp_path):
+    # a module that imports the package and resolves one quick-start name
+    (tmp_path / "uses_qutrit3d.py").write_text("import qutrit3d\nqutrit3d.analyse\n")
+    code, err, names = _imports(flags, "uses_qutrit3d", [], files, path=str(tmp_path))
+    assert code == 0, err
+    assert "qutrit3d.state" in names
+    assert not {"numpy", "qutrit3d.dynamics", "qutrit3d.purestates"} & names
+
+
+def _module_level_imports(tree):
+    """Names imported by statements that run when the module is imported."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_numpy_import():
+    found = []
+    for name in SCALAR_MODULES:
+        with open(os.path.join(SRC, f"{name}.py"), "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        found += [
+            f"{name}.py: {imported}"
+            for imported in _module_level_imports(tree)
+            if imported == "numpy" or imported.startswith("numpy.")
+        ]
+    assert found == []

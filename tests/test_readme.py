@@ -40,13 +40,18 @@ def test_quick_start_runs():
 
 
 def test_top_level_names_are_the_quick_start_imports():
+    """The names resolve lazily (PEP 562), so __all__ and dir() list them, not vars()."""
     imported = set()
     for node in ast.walk(ast.parse(quick_start())):
         if isinstance(node, ast.ImportFrom) and node.module == "qutrit3d":
             imported.update(alias.name for alias in node.names)
+    assert set(qutrit3d.__all__) == imported
     public = {
         name
-        for name, value in vars(qutrit3d).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(qutrit3d)
+        if not name.startswith("_") and not isinstance(getattr(qutrit3d, name), types.ModuleType)
     }
     assert public == imported
+    for name in imported:
+        value = getattr(qutrit3d, name)
+        assert vars(sys.modules[value.__module__])[name] is value, name

@@ -63,6 +63,21 @@ def test_spin_matrices_entries():
     assert np.array_equal(S[2], np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]]))
 
 
+def test_spin_tables_are_the_products_bit_for_bit():
+    """The constant tables give the arrays that -1j * eps and its matmuls gave, signed zeros included."""
+    eps = np.zeros((3, 3, 3))
+    for j, k, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[j, k, l] = 1.0
+        eps[j, l, k] = -1.0
+    S = tuple(-1j * eps[j] for j in range(3))
+    S2 = tuple(Sj @ Sj for Sj in S)
+    A = tuple(S[k] @ S[l] + S[l] @ S[k] for k, l in ((1, 2), (2, 0), (0, 1)))
+    ops = spin_set()
+    for got, want in zip((*ops.S, *ops.S2, *ops.A), (*S, *S2, *A)):
+        assert got.dtype == want.dtype and got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+
+
 def test_spin_squares_and_completeness():
     ops = spin_set()
     assert np.array_equal(ops.S2[0], np.diag([0.0, 1.0, 1.0]).astype(complex))
