@@ -124,7 +124,12 @@ def _scene(rows: list) -> SceneRecord:
 def scene_to_dict(s: EllipsoidScene | SceneRecord) -> dict:
     """Plain-Python payload in the stable schema (version 1), of a scene or its record."""
     if isinstance(s, EllipsoidScene):
-        s = _scene_record(s)
+        import numpy as np
+
+        fields = (s.semi_axes, s.frame, s.bloch, *(r.dir for r in s.rays))
+        axes, frame, bloch, *dirs = (np.asarray(x, dtype=float).tolist() for x in fields)
+        rays = [(d, r.style, r.label) for d, r in zip(dirs, s.rays)]
+        s = SceneRecord(case=s.case, semi_axes=axes, frame=frame, bloch=bloch, rays=rays)
     return {
         "version": 1,
         "case": s.case,
@@ -133,22 +138,6 @@ def scene_to_dict(s: EllipsoidScene | SceneRecord) -> dict:
         "bloch": s.bloch,
         "rays": [{"dir": d, "style": style, "label": label} for d, style, label in s.rays],
     }
-
-
-def _scene_record(s: EllipsoidScene) -> SceneRecord:
-    """The record of a scene of arrays: its fields as lists of Python floats."""
-    import numpy as np
-
-    def floats(x) -> list:
-        return np.asarray(x, dtype=float).tolist()
-
-    return SceneRecord(
-        case=s.case,
-        semi_axes=floats(s.semi_axes),
-        frame=floats(s.frame),
-        bloch=floats(s.bloch),
-        rays=[(floats(r.dir), r.style, r.label) for r in s.rays],
-    )
 
 
 def export_scene_json(s: EllipsoidScene | SceneRecord) -> str:
