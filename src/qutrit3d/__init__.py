@@ -13,8 +13,6 @@ importing the package, or running its command line, loads only the
 modules a call needs.
 """
 
-import importlib
-
 # quick-start name -> its defining module
 _QUICK_START = {
     "one_axis_twist": "dynamics",
@@ -41,7 +39,8 @@ def __getattr__(name: str):
     module = _QUICK_START.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    # __import__, as an import statement calls it: -X importtime misses importlib.import_module
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
     globals()[name] = value
     return value
 

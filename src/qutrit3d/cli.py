@@ -232,12 +232,14 @@ def first_violation(v: ValidityReport) -> str | None:
     return _SPECTRUM_TEXT
 
 
-def build_report(rho) -> tuple[Record, float | None]:
-    """The analysis record of rho and the metric norm a.Gamma.a (None where Gamma is undefined).
+def build_report(rho: np.ndarray) -> tuple[Record, float | None]:
+    """The analysis record of a 3x3 matrix and its metric norm (_report)."""
+    return _report(_as_rows(rho))
 
-    rho is an array, or rows of Python complex as load_state_file returns them.
-    """
-    an = _record(rho if isinstance(rho, list) else _as_rows(rho))
+
+def _report(rows: list) -> tuple[Record, float | None]:
+    """The analysis record of rho's rows and a.Gamma.a (None where Gamma is undefined)."""
+    an = _record(rows)
     try:
         gamma = _gamma_norm(an.a, an.T)
     except MetricUndefinedError:
@@ -304,8 +306,7 @@ def report_dict(report: tuple[Record, float | None]) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    rho = load_state_file(args.path)
-    report = build_report(rho)
+    report = _report(load_state_file(args.path))
     text = (
         json.dumps(report_dict(report), indent=2) + "\n"
         if args.json
@@ -362,7 +363,7 @@ def cmd_pseudo(args) -> int:
     # build the tensor-=identity/3 state for any requested vector and let
     # the validity report say whether it is admissible, mirroring analyze
     rho = _compose(_bundle([args.ax, args.ay, args.az], _PSEUDO_TENSOR))
-    report = build_report(rho)
+    report = _report(rho)
     out = json.dumps(density_payload(rho), indent=2) + "\n"
     out += report_text(report)
     _emit(out, args.out)

@@ -144,7 +144,7 @@ def _dumps(obj):
 def test_scalar_records_give_the_bytes_of_the_array_records(i):
     _, rho = STATES[i]
     rows, old = _file_rows(rho)
-    report = cli.build_report(rows)
+    report = cli._report(rows)
     text, report_dict = _array_report(old)
     assert cli.report_text(report) == text
     assert _dumps(cli.report_dict(report)) == _dumps(report_dict)
