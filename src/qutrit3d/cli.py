@@ -13,8 +13,9 @@ it also holds under python -O).
 Sign convention: evolution uses U = exp(-i theta G).
 
 analyze, scene (JSON), bridge and pseudo run on Python scalars: a state
-file is parsed straight to rows and the report, scene and payloads read
-the library's scalar records, so these commands never import numpy.
+file is parsed straight to rows, and the report, scene and payloads read
+the library's records (Analysis, EllipsoidScene) as the scalar core
+fills them, with lists, so these commands never import numpy.
 evolve, random, mub, ortho, scene --format obj and amplitude files
 compute with numpy and import it, and dynamics or purestates, when they
 run.
@@ -44,14 +45,13 @@ from .errors import (
 from .geometry import (
     RANK_CASE_TO_SCENE,
     _scene,
-    build_scene,
     export_scene_json,
     export_scene_obj,
     scene_to_dict,
 )
 from .spin1 import _from_two_qubit, _to_two_qubit
 from .state import (
-    Record,
+    Analysis,
     ValidityReport,
     _as_rows,
     _bundle,
@@ -125,7 +125,7 @@ def _read_json(path: str) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise CliIOError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON, UTF-8 and int-size errors are ValueErrors
         raise CliIOError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise CliIOError(f"{path}: top-level JSON value must be an object")
@@ -232,27 +232,27 @@ def first_violation(v: ValidityReport) -> str | None:
     return _SPECTRUM_TEXT
 
 
-def build_report(rho: np.ndarray) -> tuple[Record, float | None]:
+def build_report(rho: np.ndarray) -> tuple[Analysis, float | None]:
     """The analysis record of a 3x3 matrix and its metric norm (_report)."""
     return _report(_as_rows(rho))
 
 
-def _report(rows: list) -> tuple[Record, float | None]:
+def _report(rows: list) -> tuple[Analysis, float | None]:
     """The analysis record of rho's rows and a.Gamma.a (None where Gamma is undefined)."""
     an = _record(rows)
     try:
-        gamma = _gamma_norm(an.a, an.T)
+        gamma = _gamma_norm(an.params.a, an.params.T)
     except MetricUndefinedError:
         gamma = None
     return an, gamma
 
 
-def report_text(report: tuple[Record, float | None]) -> str:
+def report_text(report: tuple[Analysis, float | None]) -> str:
     an, gamma = report
     lines = [
-        f"a: {_vec(an.a)}",
-        f"q: {_vec(an.q)}",
-        f"omega: {_vec(an.omega)}",
+        f"a: {_vec(an.params.a)}",
+        f"q: {_vec(an.params.q)}",
+        f"omega: {_vec(an.params.omega)}",
         f"tensor eigenvalues: {_vec(an.tensor_eigenvalues)}",
         f"semi-axes: {_vec(an.semi_axes)}",
         f"gamma-norm: {'degenerate' if gamma is None else _fmt(gamma)}",
@@ -270,15 +270,15 @@ def report_text(report: tuple[Record, float | None]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_dict(report: tuple[Record, float | None]) -> dict:
+def report_dict(report: tuple[Analysis, float | None]) -> dict:
     an, gamma = report
-    metric = _metric(an.T)
+    metric = _metric(an.params.T)
     return {
         "params": {
-            "a": an.a,
-            "q": an.q,
-            "omega": an.omega,
-            "tensor": an.T,
+            "a": an.params.a,
+            "q": an.params.q,
+            "omega": an.params.omega,
+            "tensor": an.params.T,
         },
         "validity": {
             "c1_ok": an.validity.c1_ok,
@@ -317,11 +317,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scene(args) -> int:
-    rho = load_state_file(args.path)
+    scene = _scene(load_state_file(args.path))
     if args.format == "json":
-        _emit(export_scene_json(_scene(rho)) + "\n", args.out)
+        _emit(export_scene_json(scene) + "\n", args.out)
     else:
-        scene = build_scene(rho)
         _emit(
             export_scene_obj(scene, lat=args.lat, lon=args.lon, surface_only=args.surface_only),
             args.out,

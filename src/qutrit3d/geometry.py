@@ -8,10 +8,10 @@ single point; both degenerate cases are annotated with principal-axis
 rays (solid for positive-curvature directions, dashed for the -1
 eigenvector, which for real pure states points along the state vector).
 
-Rows in, arrays at the edge: _scene builds a scene record on Python
-floats from a state's rows, build_scene converts it to an EllipsoidScene
-of numpy arrays, and scene_to_dict reads either.  Only the OBJ mesh
-(export_scene_obj) computes with numpy.
+Rows in, arrays at the edge: _scene builds an EllipsoidScene of lists
+of Python floats from a state's rows, build_scene converts its fields to
+numpy arrays, and scene_to_dict and the exporters read either.  Only the
+OBJ mesh (export_scene_obj) computes with numpy.
 """
 
 from __future__ import annotations
@@ -57,28 +57,17 @@ class Ray:
 
 @dataclass
 class EllipsoidScene:
-    """Semi-axes (descending), eigenvector frame (columns), Bloch vector."""
+    """Semi-axes (descending), eigenvector frame (columns), Bloch vector.
+
+    The scalar core (_scene) fills it and its rays with lists of Python
+    floats, ``frame`` as a list of rows; build_scene returns numpy arrays.
+    """
 
     case: str
     semi_axes: np.ndarray
     frame: np.ndarray
     bloch: np.ndarray
     rays: list[Ray] = field(default_factory=list)
-
-
-@dataclass(slots=True)
-class SceneRecord:
-    """A scene on Python floats: the record that build_scene converts to arrays.
-
-    ``frame`` is a list of rows with the axes in its columns, and each ray
-    is a (dir, style, label) tuple.
-    """
-
-    case: str
-    semi_axes: list
-    frame: list
-    bloch: list
-    rays: list
 
 
 def build_scene(rho: np.ndarray) -> EllipsoidScene:
@@ -91,11 +80,11 @@ def build_scene(rho: np.ndarray) -> EllipsoidScene:
         semi_axes=np.array(s.semi_axes),
         frame=np.array(s.frame),
         bloch=np.array(s.bloch),
-        rays=[Ray(dir=np.array(d), style=style, label=label) for d, style, label in s.rays],
+        rays=[Ray(dir=np.array(r.dir), style=r.style, label=r.label) for r in s.rays],
     )
 
 
-def _scene(rows: list) -> SceneRecord:
+def _scene(rows: list) -> EllipsoidScene:
     """Scene of a valid state's rows: ellipsoid frame, Bloch vector, rays.
 
     The case is the rank taxonomy's (see RANK_CASE_TO_SCENE): three_d
@@ -106,41 +95,43 @@ def _scene(rows: list) -> SceneRecord:
     if r.rank is None:
         raise InvalidStateError("state is not positive semidefinite")
     case = RANK_CASE_TO_SCENE[r.rank.case]
-    a = r.a
+    a = r.params.a
     u, v, w = (list(col) for col in zip(*r.frame))
     rays: list = []
     if case == CASE_SEGMENT:
         bu = _dot3(a, u)
         if vector_norm([x - bu * y for x, y in zip(a, u)]) >= SEGMENT_SLACK:
             raise InternalCheckError("segment Bloch vector is not parallel to the u-axis")
-        rays = [(v, SOLID, "v"), (w, DASHED, "w")]
+        rays = [Ray(v, SOLID, "v"), Ray(w, DASHED, "w")]
     elif case == CASE_POINT:
         if vector_norm(a) >= SEGMENT_SLACK:
             raise InternalCheckError("point case requires a vanishing Bloch vector")
-        rays = [(u, SOLID, "u"), (v, SOLID, "v"), (w, DASHED, "w")]
-    return SceneRecord(case=case, semi_axes=r.semi_axes, frame=r.frame, bloch=a, rays=rays)
+        rays = [Ray(u, SOLID, "u"), Ray(v, SOLID, "v"), Ray(w, DASHED, "w")]
+    return EllipsoidScene(case, r.semi_axes, r.frame, a, rays)
 
 
-def scene_to_dict(s: EllipsoidScene | SceneRecord) -> dict:
-    """Plain-Python payload in the stable schema (version 1), of a scene or its record."""
-    if isinstance(s, EllipsoidScene):
-        import numpy as np
+def _floats(x) -> list:
+    """A list field as it is; any other field (an array) as the nested list of its floats."""
+    if isinstance(x, list):
+        return x
+    import numpy as np
 
-        fields = (s.semi_axes, s.frame, s.bloch, *(r.dir for r in s.rays))
-        axes, frame, bloch, *dirs = (np.asarray(x, dtype=float).tolist() for x in fields)
-        rays = [(d, r.style, r.label) for d, r in zip(dirs, s.rays)]
-        s = SceneRecord(case=s.case, semi_axes=axes, frame=frame, bloch=bloch, rays=rays)
+    return np.asarray(x, dtype=float).tolist()
+
+
+def scene_to_dict(s: EllipsoidScene) -> dict:
+    """Plain-Python payload in the stable schema (version 1)."""
     return {
         "version": 1,
         "case": s.case,
-        "semi_axes": s.semi_axes,
-        "frame": s.frame,
-        "bloch": s.bloch,
-        "rays": [{"dir": d, "style": style, "label": label} for d, style, label in s.rays],
+        "semi_axes": _floats(s.semi_axes),
+        "frame": _floats(s.frame),
+        "bloch": _floats(s.bloch),
+        "rays": [{"dir": _floats(r.dir), "style": r.style, "label": r.label} for r in s.rays],
     }
 
 
-def export_scene_json(s: EllipsoidScene | SceneRecord) -> str:
+def export_scene_json(s: EllipsoidScene) -> str:
     """Deterministic JSON; floats as shortest round-trip decimals."""
     return json.dumps(scene_to_dict(s), indent=2)
 

@@ -44,11 +44,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, NotHermitianError
-from .tolerances import DEGEN_GAP, HERM_TOL, JACOBI_SCALE_FLOOR, JACOBI_STOP
+from .tolerances import DEGEN_GAP, GS_RESIDUAL, HERM_TOL, JACOBI_SCALE_FLOOR, JACOBI_STOP
 
-# Residual threshold accepted when Gram-Schmidting a degenerate cluster;
-# large enough that normalization never amplifies rounding noise.
-_GS_RESIDUAL = 0.1
 _MAX_SWEEPS = 60
 # Largest accepted entry modulus: a 4x4 matrix within it has Frobenius norm <= max/4, so
 # no sum, difference or doubling in the solver, the bridge or T = 1 - 2 Re(rho) overflows.
@@ -286,7 +283,7 @@ def _reorthonormalize_cluster(cols: list, idx: range) -> None:
             d = _dot(u, w)
             w = [x - y * d for x, y in zip(w, u)]
         norm = vector_norm(w)
-        if norm > _GS_RESIDUAL:
+        if norm > GS_RESIDUAL:
             chosen.append([x / norm for x in w])
         if len(chosen) == len(idx):
             break

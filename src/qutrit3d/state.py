@@ -9,12 +9,12 @@ principal-minor diagnostics, geometry case).
 Rows in, arrays at the edge.  The analysis runs on Python scalars from
 the input check to the record: _record takes rho as rows of Python
 numbers, checks them in one pass and computes everything from those rows
-and T's spectrum as Python floats, into one Record of lists.  Each float
+and T's spectrum as Python floats, into an Analysis of lists.  Each float
 operation rounds once, as numpy's elementwise operations do, so the bits
 are the same, and no BLAS is called.  The public functions take numpy
-input, convert it to rows once (_as_rows) and convert the scalar result
-back to arrays (Analysis, StateParams, ...), importing numpy only when
-they are called; the CLI reads the Record and never needs numpy.
+input, convert it to rows once (_as_rows) and convert the fields of the
+same records to arrays, importing numpy only when they are called; the
+CLI reads the Analysis of lists and never needs numpy.
 
 Conventions (fixed wire format):
   T = 1 - 2 Re(rho)
@@ -111,12 +111,11 @@ def decompose(rho: np.ndarray) -> StateParams:
     return _state_params(_params(_density_rows(_as_rows(rho))))
 
 
-def _state_params(p: tuple) -> StateParams:
-    """StateParams of the lists (a, q, omega, T)."""
+def _state_params(p: StateParams) -> StateParams:
+    """StateParams of lists converted to arrays."""
     import numpy as np
 
-    a, q, omega, T = (np.array(x) for x in p)
-    return StateParams(a=a, q=q, omega=omega, T=T)
+    return StateParams(*(np.array(x) for x in (p.a, p.q, p.omega, p.T)))
 
 
 def _identity_minus(M) -> list:
@@ -128,8 +127,8 @@ def _identity_minus(M) -> list:
     return [[1.0 - a, 0.0 - b, 0.0 - c], [0.0 - d, 1.0 - e, 0.0 - f], [0.0 - g, 0.0 - h, 1.0 - i]]
 
 
-def _params(rows: list) -> tuple[list, list, list, list]:
-    """(a, q, omega, T) of a checked density matrix's rows, T = 1 - 2 Re(rho)."""
+def _params(rows: list) -> StateParams:
+    """StateParams of lists of a checked density matrix's rows, T = 1 - 2 Re(rho)."""
     a = [2.0 * rows[2][1].imag, 2.0 * rows[0][2].imag, 2.0 * rows[1][0].imag]
     return _bundle(a, _identity_minus([[2.0 * x.real for x in row] for row in rows]))
 
@@ -148,17 +147,18 @@ def compose(p: StateParams) -> np.ndarray:
     import numpy as np
 
     a, T = (np.asarray(x, dtype=float).tolist() for x in (p.a, p.T))
-    return np.array(_compose((a, np.asarray(p.q).tolist(), np.asarray(p.omega).tolist(), T)))
+    q, omega = (np.asarray(x).tolist() for x in (p.q, p.omega))
+    return np.array(_compose(StateParams(a, q, omega, T)))
 
 
-def _compose(p: tuple) -> list:
-    """rho's rows of the lists (a, q, omega, T): ((1 - T) - i E(a)) / 2, entry by entry.
+def _compose(p: StateParams) -> list:
+    """rho's rows of a StateParams of lists: ((1 - T) - i E(a)) / 2, entry by entry.
 
     E[j][k] = sum_l eps_jkl a_l is the Levi-Civita contraction of a.  Each
     entry takes the operations of the numpy expression
     ((eye(3) - T) - 1j * E) / 2.0 in its order, signed zeros included.
     """
-    a, q, omega, T = p
+    a, q, omega, T = p.a, p.q, p.omega, p.T
     if _exceeds([x - y for row, col in zip(T, zip(*T)) for x, y in zip(row, col)], TRACE_TOL):
         raise InconsistentParamsError("correlation tensor is not symmetric")
     tr = T[0][0] + T[1][1] + T[2][2]
@@ -183,13 +183,13 @@ def params_from_bloch_tensor(a: np.ndarray, T: np.ndarray) -> StateParams:
     return _state_params(_bundle(a, T))
 
 
-def _bundle(a: list, T: list) -> tuple[list, list, list, list]:
-    """(a, q, omega, T) of a Bloch vector and a tensor's rows, Python floats; T becomes (T + T^t)/2."""
+def _bundle(a: list, T: list) -> StateParams:
+    """StateParams of lists of a Bloch vector and a tensor's rows; T becomes (T + T^t)/2."""
     (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = T
     d = [(t00 + t00) / 2.0, (t11 + t11) / 2.0, (t22 + t22) / 2.0]
     q = [(t12 + t21) / 2.0, (t02 + t20) / 2.0, (t01 + t10) / 2.0]
     omega = [(1.0 - t) / 2.0 for t in d]
-    return a, q, omega, [[d[0], q[2], q[1]], [q[2], d[1], q[0]], [q[1], q[0], d[2]]]
+    return StateParams(a, q, omega, [[d[0], q[2], q[1]], [q[2], d[1], q[0]], [q[1], q[0], d[2]]])
 
 
 def validate(p: StateParams) -> ValidityReport:
@@ -286,14 +286,16 @@ def _not_positive(eigenvalues) -> NotPositiveError:
     return NotPositiveError(f"not positive: min eigenvalue {eigenvalues[-1]:.3e} < -{RANK_TOL:g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Analysis:
     """Everything reported about one Hermitian trace-one matrix.
 
     ``eigenvalues`` are rho's, ``tensor_eigenvalues`` and the matching
     real eigenvector columns ``frame`` are T's, all descending;
     ``semi_axes`` are the ellipsoid's.  ``rank`` is None when rho is not
-    positive semidefinite.
+    positive semidefinite.  The scalar core (_record) fills it with lists
+    of Python floats, matrices as lists of rows; analyse() returns it with
+    numpy arrays, its rank sharing the array ``eigenvalues``.
     """
 
     params: StateParams
@@ -303,35 +305,6 @@ class Analysis:
     semi_axes: np.ndarray
     validity: ValidityReport
     rank: RankReport | None
-
-
-@dataclass(slots=True)
-class Rank:
-    """The rank of a positive state and its geometry case."""
-
-    rank: int
-    case: str
-
-
-@dataclass(slots=True)
-class Record:
-    """Analysis on Python scalars: the record that analyse() converts to arrays.
-
-    Vectors are lists of floats, and T and ``frame`` are lists of rows
-    (T's eigenvectors in the columns of ``frame``); ``rank`` is None when
-    rho is not positive semidefinite.
-    """
-
-    a: list
-    q: list
-    omega: list
-    T: list
-    eigenvalues: list
-    tensor_eigenvalues: list
-    frame: list
-    semi_axes: list
-    validity: ValidityReport
-    rank: Rank | None
 
 
 def _validity(tvals: list, frame: list, a: list, positive: bool) -> ValidityReport:
@@ -369,7 +342,7 @@ def analyse(rho: np.ndarray) -> Analysis:
     r = _record(_as_rows(rho))
     eigenvalues = np.array(r.eigenvalues)
     return Analysis(
-        params=_state_params((r.a, r.q, r.omega, r.T)),
+        params=_state_params(r.params),
         eigenvalues=eigenvalues,
         tensor_eigenvalues=np.array(r.tensor_eigenvalues),
         frame=np.array(r.frame),
@@ -379,7 +352,7 @@ def analyse(rho: np.ndarray) -> Analysis:
     )
 
 
-def _record(rows: list) -> Record:
+def _record(rows: list) -> Analysis:
     """Analyse a 3x3 matrix's rows: one values-only spectrum of rho, one eigensolve of T.
 
     The rows are checked here (Hermitian, trace one).  Positivity and rank
@@ -389,15 +362,15 @@ def _record(rows: list) -> Record:
     consistency checks.
     """
     rows, values, positive = _spectrum(rows)
-    a, q, omega, T = _params(rows)
-    tvals, frame = _eigensystem3(T)
+    p = _params(rows)
+    tvals, frame = _eigensystem3(p.T)
     eps = _semi_axes(tvals)
     rank = None
     if positive:
         n = sum(v > RANK_TOL for v in values)
-        rank = Rank(rank=n, case=_rank_case(n, tvals, eps[0], a))
-    validity = _validity(tvals, frame, a, positive)
-    return Record(a, q, omega, T, values, tvals, frame, eps, validity, rank)
+        rank = RankReport(n, _rank_case(n, tvals, eps[0], p.a), values)
+    validity = _validity(tvals, frame, p.a, positive)
+    return Analysis(p, values, tvals, frame, eps, validity, rank)
 
 
 def _rank_case(rank: int, tvals: list, eps_u: float, a: list) -> str:

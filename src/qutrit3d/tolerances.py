@@ -30,6 +30,10 @@ SING_TOL = 1e-10
 # subspace re-orthonormalized deterministically.
 DEGEN_GAP = 1e-9
 
+# Residual threshold accepted when Gram-Schmidting a degenerate cluster;
+# large enough that normalization never amplifies rounding noise.
+GS_RESIDUAL = 0.1
+
 # Cyclic Jacobi: sweeps stop once every off-diagonal modulus is at most
 # JACOBI_STOP times the largest entry, floored at JACOBI_SCALE_FLOOR so a
 # zero matrix still has a positive scale.

@@ -1,11 +1,13 @@
 """The scalar records give the bytes of the public array records.
 
 The CLI parses a file straight to rows of Python complex and renders the
-report, the scene and the payloads from the scalar records (state.Record,
-geometry.SceneRecord, the bridge's rows).  The library returns the same
-quantities as numpy arrays.  Here the CLI's bytes are compared with bytes
-rendered from the public array records, by the numpy code the CLI used
-before it read the scalar records, on a seeded set of states that covers
+report, the scene and the payloads from the records as the scalar core
+fills them with lists (state.Analysis from _record, geometry.EllipsoidScene
+from _scene, the bridge's rows).  The public functions return the same
+records with numpy arrays.  Here each list field is compared with the
+array field it converts to, and the CLI's bytes with bytes rendered from
+the array records by the numpy code the CLI used before it read the
+scalar records, on a seeded set of states that covers
 rank 1, 2 and 3, double roots of T, states within 10x of RANK_TOL and of
 SING_TOL, and entries that are -0.0.  The numpy expressions that the
 scalar parse and compose replace are checked repr for repr, signed zeros
@@ -140,11 +142,29 @@ def _dumps(obj):
     return json.dumps(obj, indent=2)
 
 
+def _assert_fields_convert(scalar, array, names):
+    """Each named list field of the scalar record is repr-equal to the array field's tolist()."""
+    for name in names:
+        got, want = getattr(scalar, name), getattr(array, name)
+        assert isinstance(got, list), name
+        assert repr(got) == repr(want.tolist()), name
+
+
 @pytest.mark.parametrize("i", range(len(STATES)), ids=[label for label, _ in STATES])
 def test_scalar_records_give_the_bytes_of_the_array_records(i):
     _, rho = STATES[i]
     rows, old = _file_rows(rho)
     report = cli._report(rows)
+    an, arrays = report[0], state.analyse(old)
+    assert isinstance(an, state.Analysis)
+    _assert_fields_convert(an.params, arrays.params, ("a", "q", "omega", "T"))
+    _assert_fields_convert(an, arrays, ("eigenvalues", "tensor_eigenvalues", "frame", "semi_axes"))
+    assert an.validity == arrays.validity
+    assert (an.rank is None) == (arrays.rank is None)
+    if an.rank is not None:
+        assert (an.rank.rank, an.rank.case) == (arrays.rank.rank, arrays.rank.case)
+        _assert_fields_convert(an.rank, arrays.rank, ("eigenvalues",))
+        assert arrays.rank.eigenvalues is arrays.eigenvalues
     text, report_dict = _array_report(old)
     assert cli.report_text(report) == text
     assert _dumps(cli.report_dict(report)) == _dumps(report_dict)
@@ -153,9 +173,19 @@ def test_scalar_records_give_the_bytes_of_the_array_records(i):
     assert _dumps(cli.density_payload(rows)) == _dumps(_array_payload(old))
     if report[0].rank is None:
         return
-    want = _dumps(_array_scene_dict(geometry.build_scene(old)))
-    assert _dumps(geometry.scene_to_dict(geometry._scene(rows))) == want
-    assert _dumps(geometry.scene_to_dict(geometry.build_scene(old))) == want
+    scene, array_scene = geometry._scene(rows), geometry.build_scene(old)
+    assert isinstance(scene, geometry.EllipsoidScene) and scene.case == array_scene.case
+    _assert_fields_convert(scene, array_scene, ("semi_axes", "frame", "bloch"))
+    assert [(r.style, r.label) for r in scene.rays] == [
+        (r.style, r.label) for r in array_scene.rays
+    ]
+    for ray, array_ray in zip(scene.rays, array_scene.rays):
+        _assert_fields_convert(ray, array_ray, ("dir",))
+    obj = geometry.export_scene_obj(array_scene, lat=5, lon=9)
+    assert geometry.export_scene_obj(scene, lat=5, lon=9) == obj
+    want = _dumps(_array_scene_dict(array_scene))
+    assert _dumps(geometry.scene_to_dict(scene)) == want
+    assert _dumps(geometry.scene_to_dict(array_scene)) == want
     rho4 = spin1._to_two_qubit(rows)
     assert _dumps(cli.density_payload(rho4)) == _dumps(_array_payload(spin1.to_two_qubit(old)))
     back = spin1._from_two_qubit(rho4)
