@@ -13,9 +13,9 @@ it also holds under python -O).
 Sign convention: evolution uses U = exp(-i theta G).
 
 analyze, scene (JSON), bridge and pseudo run on Python scalars: a state
-file is parsed straight to rows, and the report, scene and payloads read
-the library's records (Analysis, EllipsoidScene) as the scalar core
-fills them, with lists, so these commands never import numpy.
+file is parsed straight to rows and checked once, there, and the report,
+scene and payloads read the library's records (Analysis, EllipsoidScene)
+as the scalar core fills them, with lists, so they never import numpy.
 evolve, random, mub, ortho, scene --format obj and amplitude files
 compute with numpy and import it, and dynamics or purestates, when they
 run.
@@ -51,6 +51,7 @@ from .geometry import (
 )
 from .spin1 import _from_two_qubit, _to_two_qubit
 from .state import (
+    PSEUDO_TENSOR,
     Analysis,
     ValidityReport,
     _as_rows,
@@ -179,7 +180,7 @@ def load_state_file(path: str) -> list:
     if "amplitudes" in obj:
         from .purestates import density_from_pure
 
-        return density_from_pure(_pure_from_obj(obj, path)).tolist()
+        return _checked(path, _density_rows, density_from_pure(_pure_from_obj(obj, path)).tolist())
     if "re" in obj or "im" in obj:
         return _checked(path, _density_rows, _matrix_from_obj(obj, 3))
     raise CliIOError(f'{path}: expected "re"/"im" or "amplitudes" keys')
@@ -238,7 +239,7 @@ def build_report(rho: np.ndarray) -> tuple[Analysis, float | None]:
 
 
 def _report(rows: list) -> tuple[Analysis, float | None]:
-    """The analysis record of rho's rows and a.Gamma.a (None where Gamma is undefined)."""
+    """The analysis record of rho's checked rows and a.Gamma.a (None where Gamma is undefined)."""
     an = _record(rows)
     try:
         gamma = _gamma_norm(an.params.a, an.params.T)
@@ -353,15 +354,10 @@ def cmd_mub(args) -> int:
     return EXIT_OK
 
 
-# the pseudo-qubit tensor identity/3, entry for entry as np.eye(3) / 3.0
-_THIRD = 1.0 / 3.0
-_PSEUDO_TENSOR = ((_THIRD, 0.0, 0.0), (0.0, _THIRD, 0.0), (0.0, 0.0, _THIRD))
-
-
 def cmd_pseudo(args) -> int:
     # build the tensor-=identity/3 state for any requested vector and let
     # the validity report say whether it is admissible, mirroring analyze
-    rho = _compose(_bundle([args.ax, args.ay, args.az], _PSEUDO_TENSOR))
+    rho = _density_rows(_compose(_bundle([args.ax, args.ay, args.az], PSEUDO_TENSOR)))
     report = _report(rho)
     out = json.dumps(density_payload(rho), indent=2) + "\n"
     out += report_text(report)

@@ -8,10 +8,10 @@ single point; both degenerate cases are annotated with principal-axis
 rays (solid for positive-curvature directions, dashed for the -1
 eigenvector, which for real pure states points along the state vector).
 
-Rows in, arrays at the edge: _scene builds an EllipsoidScene of lists
-of Python floats from a state's rows, build_scene converts its fields to
-numpy arrays, and scene_to_dict and the exporters read either.  Only the
-OBJ mesh (export_scene_obj) computes with numpy.
+Rows in, arrays at the edge: _scene builds an EllipsoidScene of lists of
+Python floats from checked rows, build_scene checks its input once and
+converts that record to numpy arrays in place, and scene_to_dict and the
+exporters read either.  Only the OBJ mesh computes with numpy.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class EllipsoidScene:
     """Semi-axes (descending), eigenvector frame (columns), Bloch vector.
 
     The scalar core (_scene) fills it and its rays with lists of Python
-    floats, ``frame`` as a list of rows; build_scene returns numpy arrays.
+    floats (``frame`` as rows); build_scene converts that record in place.
     """
 
     case: str
@@ -71,21 +71,18 @@ class EllipsoidScene:
 
 
 def build_scene(rho: np.ndarray) -> EllipsoidScene:
-    """Scene of a valid state (_scene), its record converted to arrays."""
+    """Scene of a valid state (_scene), its record converted to arrays in place."""
     import numpy as np
 
     s = _scene(_as_rows(rho))
-    return EllipsoidScene(
-        case=s.case,
-        semi_axes=np.array(s.semi_axes),
-        frame=np.array(s.frame),
-        bloch=np.array(s.bloch),
-        rays=[Ray(dir=np.array(r.dir), style=r.style, label=r.label) for r in s.rays],
-    )
+    s.semi_axes, s.frame, s.bloch = np.array(s.semi_axes), np.array(s.frame), np.array(s.bloch)
+    for r in s.rays:
+        r.dir = np.array(r.dir)
+    return s
 
 
 def _scene(rows: list) -> EllipsoidScene:
-    """Scene of a valid state's rows: ellipsoid frame, Bloch vector, rays.
+    """Scene of a valid state's checked rows: ellipsoid frame, Bloch vector, rays.
 
     The case is the rank taxonomy's (see RANK_CASE_TO_SCENE): three_d
     when all three semi-axes are alive, segment for exactly one, point

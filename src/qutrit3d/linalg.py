@@ -5,17 +5,16 @@ determinants, the unitary matrix exponential and the two-qubit partial
 transpose.  Everything here is a pure function, with no shared state.
 Rows in, arrays at the edge: the check (_hermitian_rows) and the
 solvers (_eigensystem3, _eigvals) take a matrix as rows of Python
-numbers and return lists, and the public functions convert numpy input
-to rows once and the result back to arrays, importing numpy only when
-they are called; the package's analysis and its CLI call the row
-functions and never need numpy.
+numbers and return lists.  The public functions convert numpy input to
+rows, check them once and convert the results back to arrays, importing
+numpy only when called; the solvers take checked rows and never check
+them again, and the package's analysis and its CLI call them directly.
 
-The Hermiticity check and the eigensolver work on Python scalars and
-call no BLAS: _hermitian_rows checks the rows in one pass, and one
-Jacobi kernel per size solves them.  The
-3x3 kernel (rho and T) keeps the nine entries of A, and of V when
-eigenvectors are wanted, in local variables through every sweep, with
-its three pair rotations written out; the 4x4 kernel (the partial
+The check and the solvers work on Python scalars and call no BLAS: the
+check is one pass over the rows, and one Jacobi kernel per size solves
+them.  The 3x3 kernel (rho and T) keeps the nine entries of A, and of V
+when eigenvectors are wanted, in local variables through every sweep,
+with its three pair rotations written out; the 4x4 kernel (the partial
 transpose, values only) rotates each pair's 2x2 core on locals and
 streams the two other rows and columns through a fixed plan.  Both do
 the floating-point operations of a generic kernel over nested lists, in
@@ -301,7 +300,7 @@ def _reorthonormalize_cluster(cols: list, idx: range) -> None:
 
 
 def _eigensystem3(rows: list) -> tuple[list, list]:
-    """Sorted eigensystem of a 3x3 Hermitian matrix's rows of Python numbers, checked here.
+    """Sorted eigensystem of a 3x3 Hermitian matrix's checked rows of Python numbers.
 
     Returns (descending eigenvalues, V as a list of rows with the
     eigenvectors in its columns).  Clusters closer than the degeneracy gap
@@ -310,7 +309,7 @@ def _eigensystem3(rows: list) -> tuple[list, list]:
     positive.  Real rows are solved in real arithmetic and get real
     eigenvectors.
     """
-    vals, V = _jacobi3(_hermitian_rows(rows), with_vectors=True)
+    vals, V = _jacobi3(rows, with_vectors=True)
     order = sorted(range(3), key=lambda k: -vals[k])
     vals = [vals[k] for k in order]
     cols = [[row[k] for row in V] for k in order]
@@ -329,28 +328,31 @@ def _eigensystem3(rows: list) -> tuple[list, list]:
 
 
 def eig_hermitian3(M: np.ndarray) -> EigenSystem3:
-    """Sorted eigensystem of a 3x3 Hermitian matrix, as _eigensystem3 solves it.
+    """Sorted EigenSystem3 of a 3x3 Hermitian matrix, checked once and solved by _eigensystem3.
 
-    Eigenvalues descend; eigenvectors are orthonormal columns with a
-    deterministic phase gauge.  Real input is solved in real arithmetic
-    and gets real eigenvectors.  Any other shape is a ValueError.
+    Real input is solved in real arithmetic and gets real eigenvectors;
+    any other shape is a ValueError.
     """
     import numpy as np
 
-    M = np.asarray(M)
-    M = np.asarray(M, dtype=float if np.isrealobj(M) else complex)
-    if M.shape != (3, 3):
-        raise ValueError(f"Hermitian matrix must be 3x3, got {M.shape}")
-    vals, V = _eigensystem3(M.tolist())
-    return EigenSystem3(values=np.array(vals), vectors=np.array(V, dtype=M.dtype))
+    return _eig3(M, float if np.isrealobj(M) else complex)
 
 
 def eig_sym3(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of a real symmetric 3x3 matrix, with real eigenvectors."""
+    es = _eig3(T, float)
+    return es.values, es.vectors
+
+
+def _eig3(M: np.ndarray, dtype: type) -> EigenSystem3:
+    """The EigenSystem3 of M as a float or complex array, checked and solved on its rows."""
     import numpy as np
 
-    es = eig_hermitian3(np.asarray(T, dtype=float))
-    return es.values, es.vectors
+    M = np.asarray(M, dtype=dtype)
+    if M.shape != (3, 3):
+        raise ValueError(f"Hermitian matrix must be 3x3, got {M.shape}")
+    vals, V = _eigensystem3(_hermitian_rows(M.tolist()))
+    return EigenSystem3(values=np.array(vals), vectors=np.array(V, dtype=dtype))
 
 
 def _eigvals(rows: list) -> list:
@@ -391,12 +393,19 @@ def unitary_from_eigensystem(es: EigenSystem3, theta: float) -> np.ndarray:
 
 
 def partial_transpose(M: np.ndarray) -> np.ndarray:
-    """Transpose the second tensor factor of a two-qubit operator.
+    """Transpose the second tensor factor of a 4x4 two-qubit operator (_partial_transpose).
 
-    Basis order |00>, |01>, |10>, |11>.  Applying it twice returns the
-    input exactly.
+    Basis order |00>, |01>, |10>, |11>.  Keeps M's dtype; applying it
+    twice returns the input exactly.  Any other shape is a ValueError.
     """
     import numpy as np
 
     M = np.asarray(M)
-    return M.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    if M.shape != (4, 4):
+        raise ValueError(f"two-qubit operator must be 4x4, got {M.shape}")
+    return np.array(_partial_transpose(M.tolist()), dtype=M.dtype)
+
+
+def _partial_transpose(rows: list) -> list:
+    """The partial transpose of a 4x4 matrix's rows: entry (2a + b, 2c + d) is M[2a + d][2c + b]."""
+    return [[rows[i - i % 2 + j % 2][j - j % 2 + i % 2] for j in range(4)] for i in range(4)]

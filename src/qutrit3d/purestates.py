@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotNormalizedError, OutOfBallError
 from .linalg import vector_norm
-from .state import compose, params_from_bloch_tensor
+from .state import PSEUDO_TENSOR, _bundle, _compose
 from .tolerances import BALL_TOL, GAUGE_EPS, NORM_TOL, ORTHO_TOL
 
 _BALL_RADIUS_SQ = 4.0 / 9.0  # pseudo-qubit Bloch ball, |a|^2 <= 4/9
@@ -155,7 +155,7 @@ def pseudo_qubit(a: np.ndarray) -> np.ndarray:
     spectrum is (2/3, 1/3, 0), at the center the state is maximally mixed.
     """
     a = _check_in_ball(a, "pseudo_qubit")
-    return compose(params_from_bloch_tensor(a, np.eye(3) / 3.0))
+    return np.array(_compose(_bundle(a.tolist(), PSEUDO_TENSOR)))
 
 
 def pseudo_overlap(a: np.ndarray, b: np.ndarray) -> float:

@@ -14,9 +14,10 @@ from_two_qubit reads (1/2) B^dag rho4 B, whose 3x3 block is the qutrit
 state and whose singlet row decides whether rho4 is symmetric.  The
 image also carries the partial transpose separability test.
 
-Rows in, arrays at the edge: _to_two_qubit and _from_two_qubit map rows
-of Python complex, and the public functions convert numpy input to rows
-and the result back to an array, importing numpy only when called.
+Rows in, arrays at the edge: _to_two_qubit and the PPT test take a
+state's checked rows (state._as_rows), _from_two_qubit checks the
+two-qubit rows it is handed, once, and the public functions convert the
+results to arrays, importing numpy only when called.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidStateError, NotSymmetricError, TraceError
-from .linalg import _hermitian_rows, eigvals_hermitian4, partial_transpose
+from .linalg import _eigvals, _hermitian_rows, _partial_transpose
 from .state import StateParams, _as_rows, _state_rows, assert_density
 from .tolerances import HERM_TOL, RANK_TOL, TRACE_TOL
 
@@ -128,7 +129,7 @@ def to_two_qubit(rho: np.ndarray) -> np.ndarray:
 
 
 def _to_two_qubit(rows: list) -> list:
-    """to_two_qubit of a qutrit state's rows; NotPositiveError unless they are a state."""
+    """to_two_qubit of a qutrit state's checked rows; NotPositiveError unless they are a state."""
     return _half_sandwich(_TRIPLET_ROWS, _state_rows(rows))
 
 
@@ -190,6 +191,5 @@ def ppt_separable(rho: np.ndarray) -> bool:
     For two qubits PPT is necessary and sufficient, so this decides
     separability of the symmetric image exactly.
     """
-    rho4 = to_two_qubit(rho)
-    vals = eigvals_hermitian4(partial_transpose(rho4))
-    return bool(vals[-1] >= -RANK_TOL)
+    vals = _eigvals(_partial_transpose(_to_two_qubit(_as_rows(rho))))
+    return vals[-1] >= -RANK_TOL

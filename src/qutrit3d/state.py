@@ -6,15 +6,14 @@ and derives the metric tensor.  analyse() reads everything else from two
 spectra: rho's (positivity, rank) and T's (frame, semi-axes,
 principal-minor diagnostics, geometry case).
 
-Rows in, arrays at the edge.  The analysis runs on Python scalars from
-the input check to the record: _record takes rho as rows of Python
-numbers, checks them in one pass and computes everything from those rows
-and T's spectrum as Python floats, into an Analysis of lists.  Each float
-operation rounds once, as numpy's elementwise operations do, so the bits
-are the same, and no BLAS is called.  The public functions take numpy
-input, convert it to rows once (_as_rows) and convert the fields of the
-same records to arrays, importing numpy only when they are called; the
-CLI reads the Analysis of lists and never needs numpy.
+Rows in, arrays at the edge.  A matrix is converted to rows and checked
+once (_density_rows), where it enters: at the public array edge
+(_as_rows) or in the CLI's parse.  The scalar core (_record, _spectrum,
+_state_rows) takes checked rows, never checks them again and computes
+the Analysis, of lists, in Python floats from them and T's spectrum.
+Each float operation rounds once, as numpy's elementwise operations do,
+so the bits are the same, and no BLAS is called.  The public functions
+convert the records to arrays.
 
 Conventions (fixed wire format):
   T = 1 - 2 Re(rho)
@@ -43,6 +42,9 @@ SURFACE_3D = "Surface3D"
 SEGMENT_INTERIOR = "SegmentInterior"
 SEGMENT_ENDPOINT = "SegmentEndpoint"
 POINT = "Point"
+
+# the pseudo-qubit tensor identity/3, entry for entry as np.eye(3) / 3.0
+PSEUDO_TENSOR = ((1.0 / 3.0, 0.0, 0.0), (0.0, 1.0 / 3.0, 0.0), (0.0, 0.0, 1.0 / 3.0))
 
 
 @dataclass
@@ -77,13 +79,13 @@ class RankReport:
 
 
 def _as_rows(rho: np.ndarray) -> list:
-    """rho as rows of Python complex, converted at the array edge; TraceError unless it is 3x3."""
+    """rho's rows of Python complex, checked (_density_rows); TraceError unless it is 3x3."""
     import numpy as np
 
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise TraceError(f"density matrix must be 3x3, got {rho.shape}")
-    return rho.tolist()
+    return _density_rows(rho.tolist())
 
 
 def assert_density(rho: np.ndarray) -> None:
@@ -91,7 +93,7 @@ def assert_density(rho: np.ndarray) -> None:
 
     Entries stay within half the solver's bound, so T = 1 - 2 Re(rho) stays within it.
     """
-    _density_rows(_as_rows(rho))
+    _as_rows(rho)
 
 
 def _density_rows(rows: list) -> list:
@@ -108,7 +110,7 @@ def _density_rows(rows: list) -> list:
 
 def decompose(rho: np.ndarray) -> StateParams:
     """Extract (a, q, omega, T) from a Hermitian trace-one matrix."""
-    return _state_params(_params(_density_rows(_as_rows(rho))))
+    return _state_params(_params(_as_rows(rho)))
 
 
 def _state_params(p: StateParams) -> StateParams:
@@ -133,22 +135,20 @@ def _params(rows: list) -> StateParams:
     return _bundle(a, _identity_minus([[2.0 * x.real for x in row] for row in rows]))
 
 
-def _exceeds(deviations, tol: float) -> bool:
-    """np.max(np.abs(deviations)) > tol on Python floats.
-
-    As in numpy, a NaN makes the maximum NaN, which exceeds nothing.
-    """
-    m = [abs(x) for x in deviations]
-    return max(m) > tol and all(x == x for x in m)
-
-
 def compose(p: StateParams) -> np.ndarray:
     """Rebuild the density matrix: rho = ((1 - T) - i E(a)) / 2, as _compose computes it."""
     import numpy as np
 
+    return np.array(_compose(_param_lists(p)))
+
+
+def _param_lists(p: StateParams) -> StateParams:
+    """A StateParams of arrays or sequences as a StateParams of lists."""
+    import numpy as np
+
     a, T = (np.asarray(x, dtype=float).tolist() for x in (p.a, p.T))
     q, omega = (np.asarray(x).tolist() for x in (p.q, p.omega))
-    return np.array(_compose(StateParams(a, q, omega, T)))
+    return StateParams(a, q, omega, T)
 
 
 def _compose(p: StateParams) -> list:
@@ -157,16 +157,20 @@ def _compose(p: StateParams) -> list:
     E[j][k] = sum_l eps_jkl a_l is the Levi-Civita contraction of a.  Each
     entry takes the operations of the numpy expression
     ((eye(3) - T) - 1j * E) / 2.0 in its order, signed zeros included.
+    InconsistentParamsError for a non-finite entry or parameters that disagree.
     """
     a, q, omega, T = p.a, p.q, p.omega, p.T
-    if _exceeds([x - y for row, col in zip(T, zip(*T)) for x, y in zip(row, col)], TRACE_TOL):
+    for name, xs in (("a", a), ("q", q), ("omega", omega), ("T", [x for row in T for x in row])):
+        if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in xs):
+            raise InconsistentParamsError(f"{name} has a non-finite entry")
+    if max(abs(x - y) for row, col in zip(T, zip(*T)) for x, y in zip(row, col)) > TRACE_TOL:
         raise InconsistentParamsError("correlation tensor is not symmetric")
     tr = T[0][0] + T[1][1] + T[2][2]
     if abs(tr - 1.0) > TRACE_TOL:
         raise InconsistentParamsError(f"trace(T) = {tr:.15g}, expected 1")
-    if _exceeds([w - (1.0 - T[j][j]) / 2.0 for j, w in enumerate(omega)], TRACE_TOL):
+    if max(abs(w - (1.0 - T[j][j]) / 2.0) for j, w in enumerate(omega)) > TRACE_TOL:
         raise InconsistentParamsError("omega does not match (1 - T_jj)/2")
-    if _exceeds([x - y for x, y in zip(q, (T[1][2], T[0][2], T[0][1]))], TRACE_TOL):
+    if max(abs(x - y) for x, y in zip(q, (T[1][2], T[0][2], T[0][1]))) > TRACE_TOL:
         raise InconsistentParamsError("q does not match the off-diagonals of T")
     ax, ay, az = a
     E = ((0.0, az, -ay), (-az, 0.0, ax), (ay, -ax, 0.0))
@@ -193,8 +197,8 @@ def _bundle(a: list, T: list) -> StateParams:
 
 
 def validate(p: StateParams) -> ValidityReport:
-    """Positivity verdict and minor diagnostics of a parameter bundle."""
-    return analyse(compose(p)).validity
+    """Positivity verdict and minor diagnostics of a parameter bundle (_record of its rho)."""
+    return _record(_density_rows(_compose(_param_lists(p)))).validity
 
 
 def _one_minus(T: list) -> tuple[list, float]:
@@ -253,21 +257,20 @@ def _semi_axes(tensor_eigenvalues) -> list:
     return [math.sqrt(max(p, 0.0)) for p in (l1 * l2, l0 * l2, l0 * l1)]
 
 
-def _spectrum(rows: list) -> tuple[list, list, bool]:
-    """rho's checked rows, descending eigenvalues and positivity.
+def _spectrum(rows: list) -> tuple[list, bool]:
+    """Descending eigenvalues of rho's checked rows and its positivity.
 
     The package's one positivity verdict: rho is positive semidefinite
     when its smallest eigenvalue is at least -RANK_TOL.  Only values are
     read, so the solve computes no eigenvectors.
     """
-    rows = _density_rows(rows)
     values = _eigvals(rows)
-    return rows, values, values[-1] >= -RANK_TOL
+    return values, values[-1] >= -RANK_TOL
 
 
 def _state_rows(rows: list) -> list:
-    """A state's checked rows; NotPositiveError unless it is a state."""
-    rows, values, positive = _spectrum(rows)
+    """Checked rows, returned when they are a state; NotPositiveError otherwise."""
+    values, positive = _spectrum(rows)
     if not positive:
         raise _not_positive(values)
     return rows
@@ -277,9 +280,8 @@ def check_state(rho: np.ndarray) -> np.ndarray:
     """rho as a complex density matrix; NotPositiveError unless it is a state."""
     import numpy as np
 
-    rho = np.asarray(rho, dtype=complex)
     _state_rows(_as_rows(rho))
-    return rho
+    return np.asarray(rho, dtype=complex)
 
 
 def _not_positive(eigenvalues) -> NotPositiveError:
@@ -340,28 +342,22 @@ def analyse(rho: np.ndarray) -> Analysis:
     import numpy as np
 
     r = _record(_as_rows(rho))
-    eigenvalues = np.array(r.eigenvalues)
-    return Analysis(
-        params=_state_params(r.params),
-        eigenvalues=eigenvalues,
-        tensor_eigenvalues=np.array(r.tensor_eigenvalues),
-        frame=np.array(r.frame),
-        semi_axes=np.array(r.semi_axes),
-        validity=r.validity,
-        rank=None if r.rank is None else RankReport(r.rank.rank, r.rank.case, eigenvalues),
-    )
+    values = np.array(r.eigenvalues)
+    rank = None if r.rank is None else RankReport(r.rank.rank, r.rank.case, values)
+    arrays = (np.array(x) for x in (r.tensor_eigenvalues, r.frame, r.semi_axes))
+    return Analysis(_state_params(r.params), values, *arrays, r.validity, rank)
 
 
 def _record(rows: list) -> Analysis:
-    """Analyse a 3x3 matrix's rows: one values-only spectrum of rho, one eigensolve of T.
+    """Analyse rho's checked rows: one values-only spectrum of rho, one eigensolve of T.
 
-    The rows are checked here (Hermitian, trace one).  Positivity and rank
-    come from rho's spectrum; the frame, semi-axes, minor diagnostics and
-    geometry case from T's.  A matrix that is not positive is reported,
-    not raised; InternalCheckError means the geometry case failed its own
-    consistency checks.
+    Positivity and rank come from rho's spectrum; the frame, semi-axes,
+    minor diagnostics and geometry case from T's, which _bundle builds
+    exactly symmetric, so it is not checked again.  A matrix that is not
+    positive is reported, not raised; InternalCheckError means the
+    geometry case failed its own consistency checks.
     """
-    rows, values, positive = _spectrum(rows)
+    values, positive = _spectrum(rows)
     p = _params(rows)
     tvals, frame = _eigensystem3(p.T)
     eps = _semi_axes(tvals)
@@ -403,11 +399,13 @@ def _rank_case(rank: int, tvals: list, eps_u: float, a: list) -> str:
 
 
 def classify_rank(rho: np.ndarray) -> RankReport:
-    """Rank and geometry case of a valid state; NotPositiveError otherwise."""
-    an = analyse(rho)
+    """Rank and geometry case of a valid state (_record); NotPositiveError otherwise."""
+    import numpy as np
+
+    an = _record(_as_rows(rho))
     if an.rank is None:
         raise _not_positive(an.eigenvalues)
-    return an.rank
+    return RankReport(an.rank.rank, an.rank.case, np.array(an.eigenvalues))
 
 
 def random_density(rank: int = 3, rng: np.random.Generator | int | None = None) -> np.ndarray:

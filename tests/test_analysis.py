@@ -232,6 +232,9 @@ def test_eigensolve_counts(monkeypatch):
     assert count(cli.build_report, valid) == (1, 1)
     assert count(cli.build_report, invalid) == (1, 1)
     assert count(build_scene, valid) == (1, 1)
+    assert count(validate, decompose(valid)) == (1, 1)
+    assert count(validate, decompose(invalid)) == (1, 1)
+    assert count(classify_rank, valid) == (1, 1)
     # a generator is solved once, when it is built: the canonical ones at import
     n = 10
     assert count(dynamics.rotation, "x") == (0, 0)
@@ -241,35 +244,50 @@ def test_eigensolve_counts(monkeypatch):
     assert count(dynamics.trajectory, valid, g, 1.0, n) == (0, 1)
     assert count(dynamics.evolve, valid, g, 1.0) == (0, 1)
     assert count(spin1.to_two_qubit, valid) == (0, 1)
-
-    eig4 = []
-    original4 = linalg.eigvals_hermitian4
-    monkeypatch.setattr(spin1, "eigvals_hermitian4", lambda M: eig4.append(1) or original4(M))
-    # one spectrum of rho, one of the partial transpose inside eigvals_hermitian4
+    # one spectrum of rho, one of the partial transpose, both on rows
     assert count(spin1.ppt_separable, valid) == (0, 2)
-    assert len(eig4) == 1
 
 
 def test_hermiticity_check_counts(monkeypatch):
-    # rho is checked once (its density check), then once more by T's eigensolve;
-    # assert_hermitian converts a matrix for the same check, _hermitian_rows
+    """rho is checked once, where it enters; T and the bridge's images are not checked again.
+
+    assert_hermitian converts a matrix for the same check, _hermitian_rows.
+    """
     checks = _count_calls(monkeypatch, "_hermitian_rows")
     valid = random_density(rank=3, rng=np.random.default_rng(613))
     invalid = np.diag([0.8, 0.8, -0.6]).astype(complex)
+    calls = [(fn, valid) for fn in (build_scene, classify_rank, spin1.to_two_qubit,
+                                    spin1.ppt_separable)]
     for rho in (valid, invalid):
+        calls += [(cli.build_report, rho), (analyse, rho), (validate, decompose(rho))]
+    for fn, arg in calls:
         checks.clear()
-        cli.build_report(rho)
-        assert len(checks) == 2
+        fn(arg)
+        assert len(checks) == 1, fn.__name__
 
 
 def test_matrix_files_are_checked_once(monkeypatch, tmp_path, capsys):
-    """A two-qubit or generator file is checked once, by the library call that reads it.
+    """A state, amplitude, two-qubit or generator file is checked once, where it enters.
 
-    from_two_qubit and custom() make the checks; a failed Hermiticity or
-    trace check is still a parse failure of the named file (exit 1), and
-    an asymmetric two-qubit state is still invalid (exit 2).
+    The parse checks a state or amplitude file, and pseudo its composed
+    state; from_two_qubit and custom() check theirs.  A failed
+    Hermiticity or trace check is still a parse failure of the named file
+    (exit 1), and an asymmetric two-qubit state is still invalid (exit 2).
     """
     checks = _count_calls(monkeypatch, "_hermitian_rows")
+    data = os.path.join(os.path.dirname(__file__), "data")
+    amplitudes = tmp_path / "amplitudes.json"
+    amplitudes.write_text(json.dumps({"amplitudes": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]}))
+    for path in (os.path.join(data, "mixed.json"), str(amplitudes)):
+        for argv in (["analyze", path], ["scene", path], ["bridge", path, "--direction", "to2q"]):
+            checks.clear()
+            assert cli.main(argv) == 0, argv
+            assert len(checks) == 1, argv
+    checks.clear()
+    assert cli.main(["pseudo", "--ax", "0.5"]) == 0
+    assert len(checks) == 1
+    capsys.readouterr()
+
     rho4 = spin1.to_two_qubit(random_density(rank=3, rng=np.random.default_rng(617)))
     skew = rho4.copy()
     skew[0, 1] += 1e-6
@@ -290,7 +308,7 @@ def test_matrix_files_are_checked_once(monkeypatch, tmp_path, capsys):
     gen = tmp_path / "gen.json"
     zeros = np.zeros((3, 3)).tolist()
     gen.write_text(json.dumps({"re": np.diag([1.0, 0.0, -1.0]).tolist(), "im": zeros}))
-    mixed = os.path.join(os.path.dirname(__file__), "data", "mixed.json")
+    mixed = os.path.join(data, "mixed.json")
     checks.clear()
     argv = ["evolve", mixed, "--generator", f"custom:{gen}", "--theta", "1", "--steps", "2"]
     assert cli.main(argv) == 0

@@ -676,6 +676,57 @@ def test_no_blas_on_the_analysis_and_bridge_path():
     assert exempt_seen == BLAS_EXEMPT
 
 
+# the public functions of the analysis and bridge modules that take or return
+# numpy arrays: each converts and checks its input once, so the scalar core
+# calls their row functions instead
+ARRAY_EDGE = {
+    "analyse", "assert_density", "check_state", "classify_rank", "compose", "decompose",
+    "gamma_norm", "metric_tensor", "params_from_bloch_tensor", "random_density", "semi_axes",
+    "validate", "assert_hermitian", "eig_hermitian3", "eig_sym3", "eigvals_hermitian4",
+    "partial_transpose", "unitary_from_eigensystem", "build_scene", "export_scene_obj",
+    "expectations", "from_two_qubit", "ppt_separable", "singlet_overlap", "spin_set",
+    "to_two_qubit",
+}
+# the reference route: a, q and omega as expectation values of the spin matrices
+ARRAY_EDGE_EXEMPT = {"expectations"}
+
+
+def _imports_numpy(fn) -> bool:
+    return any(
+        isinstance(n, ast.Import) and any(alias.name == "numpy" for alias in n.names)
+        for n in ast.walk(fn)
+    )
+
+
+def test_no_array_edge_inside_the_package():
+    """No function of state, linalg, geometry or spin1 calls a public array function.
+
+    A matrix is converted to rows and checked once, where it enters; a
+    call back into the array edge would convert and check it again.  Every
+    public function of these modules that imports numpy is in ARRAY_EDGE.
+    """
+    found, defined = [], set()
+    for name in ("state.py", "linalg.py", "geometry.py", "spin1.py"):
+        with open(os.path.join(SRC, name), "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            defined.add(fn.name)
+            if not fn.name.startswith("_") and _imports_numpy(fn):
+                assert fn.name in ARRAY_EDGE, f"{name}: {fn.name} is an array edge"
+            if fn.name in ARRAY_EDGE_EXEMPT:
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in ARRAY_EDGE:
+                    found.append(f"{name}:{node.lineno} {fn.name} calls {callee}")
+    assert found == []
+    assert ARRAY_EDGE <= defined
+
+
 def test_analyze_golden_bytes_under_optimize():
     for name in CANONICAL:
         res = run_cli("analyze", data_path(name), flags=("-O",))

@@ -306,28 +306,33 @@ def test_exact_double_root_converges():
         assert np.max(np.abs(values - [1.0, 1.0, -1.0])) <= 1e-14
 
 
-SIZED_SOLVERS = {
-    "eig_hermitian3": (3, lambda M: eig_hermitian3(M).values),
-    "eig_sym3": (3, lambda M: eig_sym3(M)[0]),
-    "eigvals_hermitian4": (4, eigvals_hermitian4),
+SIZED_FUNCTIONS = {
+    "eig_hermitian3": (3, "Hermitian matrix", lambda M: eig_hermitian3(M).values),
+    "eig_sym3": (3, "Hermitian matrix", lambda M: eig_sym3(M)[0]),
+    "eigvals_hermitian4": (4, "Hermitian matrix", eigvals_hermitian4),
+    # the partial transpose of a diagonal matrix is that matrix
+    "partial_transpose": (4, "two-qubit operator",
+                          lambda M: np.sort(np.diag(partial_transpose(M)))[::-1]),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SIZED_SOLVERS))
+@pytest.mark.parametrize("name", sorted(SIZED_FUNCTIONS))
 def test_eigensolvers_check_their_shape(name):
-    """Each solver takes its own size only; any other shape is a ValueError naming it.
+    """Each solver, and the partial transpose, takes its own size only.
 
-    A 3x3 solver used to return three of diag(4, 1, 3, 2)'s four
-    eigenvalues, and a 2x2 input raised a bare IndexError.
+    Any other shape is a ValueError naming it.  A 3x3 solver used to
+    return three of diag(4, 1, 3, 2)'s four eigenvalues, a 2x2 input
+    raised a bare IndexError, and partial_transpose returned a 4x4 result
+    for a 2x8 array or a flat 16-vector.
     """
-    n, values = SIZED_SOLVERS[name]
+    n, what, values = SIZED_FUNCTIONS[name]
     for M in (np.diag([2.0, 1.0]), np.diag([3.0, 1.0, 2.0]), np.diag([4.0, 1.0, 3.0, 2.0]),
-              np.eye(3, 4), np.arange(9.0)):
+              np.eye(3, 4), np.arange(9.0), np.eye(2, 8), np.arange(16.0)):
         if M.shape == (n, n):
             assert values(M).tolist() == sorted(np.diag(M), reverse=True)
             continue
         shape = str(M.shape).replace("(", r"\(").replace(")", r"\)")
-        with pytest.raises(ValueError, match=rf"^Hermitian matrix must be {n}x{n}, got {shape}$"):
+        with pytest.raises(ValueError, match=rf"^{what} must be {n}x{n}, got {shape}$"):
             values(M)
 
 
@@ -483,6 +488,11 @@ def test_partial_transpose_involution_and_products():
     rng = np.random.default_rng(47)
     M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert np.array_equal(partial_transpose(partial_transpose(M)), M)
+    # the dtype is kept, and the result is numpy's permutation of the entries
+    for X in (M, M.real, np.arange(16).reshape(4, 4)):
+        pt = partial_transpose(X)
+        assert pt.dtype == X.dtype
+        assert np.array_equal(pt, X.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))
     A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     assert np.max(np.abs(partial_transpose(np.kron(A, B)) - np.kron(A, B.T))) < 1e-15

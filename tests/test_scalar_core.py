@@ -19,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from qutrit3d import cli, geometry, linalg, spin1, state
+from qutrit3d import cli, geometry, linalg, purestates, spin1, state
 from qutrit3d.errors import MetricUndefinedError
 from qutrit3d.tolerances import RANK_TOL, SING_TOL
 
@@ -201,15 +201,22 @@ def test_pseudo_compose_is_the_numpy_expression():
     vectors = [[x, y, z] for x in special[:4] for y in special for z in special[:3]]
     vectors += rng.uniform(-1.0, 1.0, (200, 3)).tolist()
     T = np.eye(3) / 3.0
-    assert repr(cli._PSEUDO_TENSOR) == repr(tuple(map(tuple, T.tolist())))
+    assert repr(state.PSEUDO_TENSOR) == repr(tuple(map(tuple, T.tolist())))
+    in_ball = 0
     for a in vectors:
         ax, ay, az = a
         E = np.array([[0.0, az, -ay], [-az, 0.0, ax], [ay, -ax, 0.0]])
         want = ((np.eye(3) - T) - 1j * E) / 2.0
-        rows = state._compose(state._bundle(list(a), cli._PSEUDO_TENSOR))
+        rows = state._compose(state._bundle(list(a), state.PSEUDO_TENSOR))
         assert repr(rows) == repr(want.tolist()), a
-        assert repr(state.compose(state.params_from_bloch_tensor(a, T)).tolist()) == repr(rows)
+        composed = state.compose(state.params_from_bloch_tensor(a, T))
+        assert repr(composed.tolist()) == repr(rows)
         assert _dumps(cli.density_payload(rows)) == _dumps(_array_payload(want))
+        if ax * ax + ay * ay + az * az <= 4.0 / 9.0:
+            in_ball += 1
+            rho = purestates.pseudo_qubit(a)
+            assert rho.dtype == composed.dtype and repr(rho.tolist()) == repr(rows), a
+    assert in_ball > 50
 
 
 def test_eig_hermitian3_converts_the_scalar_eigensystem():

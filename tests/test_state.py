@@ -121,6 +121,17 @@ def test_compose_rejects_inconsistent_params():
     asym.T[0, 1] = 0.2
     with pytest.raises(InconsistentParamsError):
         compose(asym)
+    # a non-finite entry of any field: compose used to return a NaN matrix,
+    # which validate then called a non-Hermitian density matrix
+    for name in ("a", "q", "omega", "T"):
+        for bad in (np.nan, np.inf, -np.inf):
+            p = params_from_bloch_tensor([0.0, 0.0, 0.5], np.eye(3) / 3.0)
+            value = getattr(p, name).copy()
+            value.flat[1] = bad
+            setattr(p, name, value)
+            for fn in (compose, validate):
+                with pytest.raises(InconsistentParamsError, match=f"^{name} has a non-finite entry$"):
+                    fn(p)
 
 
 def test_compose_rejects_bad_trace():
