@@ -12,13 +12,14 @@ it also holds under python -O).
 
 Sign convention: evolution uses U = exp(-i theta G).
 
-analyze, scene (JSON), bridge and pseudo run on Python scalars: a state
-file is parsed straight to rows and checked once, there, and the report,
-scene and payloads read the library's records (Analysis, EllipsoidScene)
-as the scalar core fills them, with lists, so they never import numpy.
-evolve, random, mub, ortho, scene --format obj and amplitude files
-compute with numpy and import it, and dynamics or purestates, when they
-run.
+analyze, scene (JSON), bridge, pseudo and evolve run on Python scalars:
+a state file is parsed straight to rows and checked once, there, and the
+report, scene, trajectory and payloads read the library's records
+(Analysis, EllipsoidScene, Trajectory) as the scalar core fills them,
+with lists.  The first four never import numpy; evolve imports it with
+dynamics, for its generators' arrays and the np.linspace grid.  random,
+mub, ortho, scene --format obj and amplitude files compute with numpy
+and import it, and purestates, when they run.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .state import (
     _gamma_norm,
     _metric,
     _record,
+    _state_rows,
     classify_rank,
     random_density,
 )
@@ -379,17 +381,16 @@ def _generator_from_flag(flag: str):
 
 
 def cmd_evolve(args) -> int:
-    from .dynamics import trajectory
+    from .dynamics import _grid, _trajectory
 
     rho = load_state_file(args.path)
     g = _generator_from_flag(args.generator)
-    traj = trajectory(rho, g, args.theta, args.steps, with_scenes=args.scenes)
-    records = []
-    for i, theta in enumerate(traj.thetas):
-        record = {"theta": float(theta), "state": density_payload(traj.states[i])}
-        if traj.scenes is not None:
-            record["scene"] = scene_to_dict(traj.scenes[i])
-        records.append(record)
+    thetas = _grid(args.theta, args.steps).tolist()
+    traj = _trajectory(_state_rows(rho), g, thetas, args.scenes)
+    records = [{"theta": t, "state": density_payload(s)} for t, s in zip(thetas, traj.states)]
+    if traj.scenes is not None:
+        for record, scene in zip(records, traj.scenes):
+            record["scene"] = scene_to_dict(scene)
     _emit(json.dumps(records, indent=2) + "\n", args.out)
     return EXIT_OK
 

@@ -9,22 +9,41 @@ preserve the semi-axes and the metric norm a.Gamma.a; twistings deform
 the ellipsoid and trade Bloch-vector length against tensor shape, so the
 metric norm is NOT conserved by them (det rho = det(Re rho) (1 - a.Gamma.a),
 and only the left-hand side is a unitary invariant).
+
+Every generator is diagonal in its own eigenframe, G = V Lambda V^dag
+(one-axis twisting in the S_z basis, as in Kitagawa and Ueda's squeezed
+spin states).  With R = V^dag rho0 V a sample is
+rho(theta) = V D V^dag, D_jk = R_jk e^{-i theta (lambda_j - lambda_k)},
+so each entry of rho(theta) is a fixed combination of the cosines and
+sines of the three pair phases.  The scalar core (_trajectory) takes a
+state's checked rows, forms R and those coefficients once from the
+generator's stored eigensystem, and evaluates each sample from three
+math.cos/math.sin pairs on Python scalars: no matrix exponential, no
+BLAS, so the bytes do not depend on the CPU's kernel.  The theta = 0
+sample is rho0's rows as given; every other sample's upper triangle is
+mirrored, so it is exactly Hermitian with a real diagonal.  trajectory
+and evolve (a one-sample trajectory) check rho once and convert the
+record to arrays; the CLI hands the core the rows it parsed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from .geometry import EllipsoidScene, build_scene
-from .linalg import EigenSystem3, assert_hermitian, eig_hermitian3, unitary_from_eigensystem
+from .geometry import EllipsoidScene, _scene, _scene_arrays
+from .linalg import EigenSystem3, _eigensystem3, assert_hermitian
 from .spin1 import spin_set
-from .state import check_state
+from .state import _as_rows, _state_rows
 
 _SHORT = {"rotation": "rot", "one_axis_twist": "twist", "two_axis_counter": "counter"}
+# the upper triangle of a sample, row by row, and the pairs (j, k) of eigenvalues
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,16 +55,52 @@ class Generator:
     matrix: np.ndarray
     eigensystem: EigenSystem3
 
+    @functools.cached_property
+    def _frame(self) -> tuple:
+        """The eigensystem on Python scalars, as _trajectory reads it (_eigenframe), made once."""
+        return _eigenframe(self.eigensystem)
+
 
 @dataclass
 class Trajectory:
+    """A theta grid and its samples; the scalar core (_trajectory) fills it with lists."""
+
     thetas: np.ndarray
     states: list[np.ndarray]
     scenes: list[EllipsoidScene] | None = None
 
 
+def _eigenframe(es: EigenSystem3) -> tuple:
+    """An eigensystem on Python scalars, with the products a sample is summed from.
+
+    Returns (lambda, u, conj u, constant, phased): u_j are the
+    eigenvectors (V's columns).  For each upper-triangle entry (m, n),
+    ``constant`` holds x_j = u_jm conj(u_jn) for j = 0, 1, 2, and ``phased``
+    holds, for each pair p = (j, k), sigma = x + y and tau = i (x - y) with
+    x = u_jm conj(u_kn) and y = conj(u_jn) u_km; all three are real
+    on the diagonal.
+    """
+    u = list(zip(*es.vectors.tolist()))
+    uc = [tuple(x.conjugate() for x in col) for col in u]
+    constant, phased = [], []
+    for m, n in _UPPER:
+        c = [u[j][m] * uc[j][n] for j in range(3)]
+        p = []
+        for j, k in _PAIRS:
+            x, y = u[j][m] * uc[k][n], uc[j][n] * u[k][m]
+            d = x - y
+            p += [x + y, complex(-d.imag, d.real)]
+        if m == n:
+            c, p = [z.real for z in c], [z.real for z in p]
+        constant.append(c)
+        phased.append(p)
+    return es.values.tolist(), u, uc, constant, phased
+
+
 def _solved(kind: str, axis: str | None, H: np.ndarray) -> Generator:
-    es = eig_hermitian3(H)
+    """The generator of a complex 3x3 H, checked and solved once; its arrays read-only."""
+    vals, V = _eigensystem3(assert_hermitian(H, what=f"{kind} generator"))
+    es = EigenSystem3(values=np.array(vals), vectors=np.array(V, dtype=complex))
     for a in (H, es.values, es.vectors):
         a.flags.writeable = False
     return Generator(kind=kind, axis=axis, matrix=H, eigensystem=es)
@@ -84,7 +139,6 @@ def custom(H: np.ndarray) -> Generator:
     H = np.array(H, dtype=complex)
     if H.shape != (3, 3):
         raise ValueError(f"custom generator must be 3x3, got {H.shape}")
-    assert_hermitian(H, what="custom generator")
     return _solved("custom", None, H)
 
 
@@ -102,20 +156,81 @@ def generator_matrix(g: Generator) -> np.ndarray:
     return np.array(g.matrix)
 
 
-def _evolved(rho: np.ndarray, es: EigenSystem3, theta: float) -> np.ndarray:
-    """U rho U^dag with U = exp(-i theta G), es the eigensystem of G."""
-    # Python floats: an overflowing phase raises here instead of warning in numpy
-    if not math.isfinite(theta * max(abs(float(es.values[0])), abs(float(es.values[-1])))):
-        raise ValueError(f"theta = {theta:g}: theta * max|eigenvalue of G| is not finite")
-    U = unitary_from_eigensystem(es, theta)
-    out = U @ rho @ U.conj().T
-    return (out + out.conj().T) / 2.0
+def _grid(theta_max: float, n: int) -> np.ndarray:
+    """The uniform theta grid of n >= 2 samples on [0, theta_max]."""
+    if n < 2:
+        raise ValueError(f"trajectory needs at least 2 samples, got {n}")
+    return np.linspace(0.0, float(theta_max), n)
+
+
+def _in_eigenframe(rows: list, u: list, uc: list) -> tuple:
+    """R = V^dag rho V of a state's rows: its real diagonal and its upper triangle."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    (p0, q0, r0), (p1, q1, r1), (p2, q2, r2) = [
+        (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z) for x, y, z in u
+    ]  # rho u_k
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = uc
+    diagonal = (
+        (x0 * p0 + y0 * q0 + z0 * r0).real,
+        (x1 * p1 + y1 * q1 + z1 * r1).real,
+        (x2 * p2 + y2 * q2 + z2 * r2).real,
+    )
+    upper = (x0 * p1 + y0 * q1 + z0 * r1, x0 * p2 + y0 * q2 + z0 * r2, x1 * p2 + y1 * q2 + z1 * r2)
+    return diagonal, upper
+
+
+def _trajectory(rows: list, g: Generator, thetas: list, with_scenes: bool) -> Trajectory:
+    """The samples at each theta of a state's checked rows, a Trajectory of lists.
+
+    In the eigenframe a sample is D = R with R_jk turned by the pair phase
+    e^{-i phi}, phi = theta (lambda_j - lambda_k).  So entry (m, n) of
+    V D V^dag is C + sum over the pairs of Re(D_jk) sigma + Im(D_jk) tau
+    (_eigenframe's products), with C = sum_j R_jj x_j fixed along the
+    trajectory.  Each pair phase is formed in real arithmetic from
+    cos/sin of theta lambda_j, and the upper triangle is mirrored.  At
+    theta = 0 a sample is the rows as they are.  ValueError when
+    theta * max|lambda| is not a finite float.  Scenes are _scene of each
+    sample's rows, which the core built and does not check again.
+    """
+    lam, u, uc, constant, phased = g._frame
+    big = max(abs(lam[0]), abs(lam[-1]))
+    (d0, d1, d2), (ra, rb, rc) = _in_eigenframe(rows, u, uc)
+    C = [d0 * x0 + d1 * x1 + d2 * x2 for x0, x1, x2 in constant]
+    ar, ai, br, bi, cr, ci = ra.real, ra.imag, rb.real, rb.imag, rc.real, rc.imag
+    cos, sin = math.cos, math.sin
+    states = []
+    for theta in thetas:
+        if theta == 0.0:
+            states.append([row[:] for row in rows])
+            continue
+        # Python floats: an overflowing phase raises here instead of giving NaN samples
+        if not math.isfinite(theta * big):
+            raise ValueError(f"theta = {theta:g}: theta * max|eigenvalue of G| is not finite")
+        t0, t1, t2 = theta * lam[0], theta * lam[1], theta * lam[2]
+        c0, s0, c1, s1, c2, s2 = cos(t0), sin(t0), cos(t1), sin(t1), cos(t2), sin(t2)
+        # cos and sin of the pair phases 01, 02, 12, then D = R e^{-i phi} for each
+        ca, sa = c0 * c1 + s0 * s1, s0 * c1 - c0 * s1
+        cb, sb = c0 * c2 + s0 * s2, s0 * c2 - c0 * s2
+        cc, sc = c1 * c2 + s1 * s2, s1 * c2 - c1 * s2
+        dar, dai = ar * ca + ai * sa, ai * ca - ar * sa
+        dbr, dbi = br * cb + bi * sb, bi * cb - br * sb
+        dcr, dci = cr * cc + ci * sc, ci * cc - cr * sc
+        e00, e01, e02, e11, e12, e22 = [
+            k + dar * pa + dai * qa + dbr * pb + dbi * qb + dcr * pc + dci * qc
+            for k, (pa, qa, pb, qb, pc, qc) in zip(C, phased)
+        ]
+        states.append([
+            [complex(e00), e01, e02],
+            [e01.conjugate(), complex(e11), e12],
+            [e02.conjugate(), e12.conjugate(), complex(e22)],
+        ])
+    scenes = [_scene(s) for s in states] if with_scenes else None
+    return Trajectory(thetas=thetas, states=states, scenes=scenes)
 
 
 def evolve(rho: np.ndarray, g: Generator, theta: float) -> np.ndarray:
-    """rho' = U rho U^dag with U = exp(-i theta G)."""
-    rho = check_state(rho)
-    return _evolved(rho, g.eigensystem, float(theta))
+    """rho' = U rho U^dag with U = exp(-i theta G): the one-sample _trajectory."""
+    return np.array(_trajectory(_state_rows(_as_rows(rho)), g, [float(theta)], False).states[0])
 
 
 def trajectory(
@@ -125,16 +240,13 @@ def trajectory(
     n: int,
     with_scenes: bool = False,
 ) -> Trajectory:
-    """Evolve rho0 over a uniform theta grid on [0, theta_max].
+    """Evolve rho0 over a uniform theta grid on [0, theta_max] (_trajectory).
 
-    Every sample is computed directly from rho0 (one exact exponential
-    per grid point, no compounded stepping), reusing a single
-    eigendecomposition of the generator, solved when it was built.
+    Every sample is computed directly from rho0 (one exact phase per grid
+    point, no compounded stepping), reusing a single eigendecomposition of
+    the generator, solved when it was built.
     """
-    if n < 2:
-        raise ValueError(f"trajectory needs at least 2 samples, got {n}")
-    rho0 = check_state(rho0)
-    thetas = np.linspace(0.0, float(theta_max), n)
-    states = [_evolved(rho0, g.eigensystem, float(theta)) for theta in thetas]
-    scenes = [build_scene(s) for s in states] if with_scenes else None
-    return Trajectory(thetas=thetas, states=states, scenes=scenes)
+    thetas = _grid(theta_max, n)
+    t = _trajectory(_state_rows(_as_rows(rho0)), g, thetas.tolist(), with_scenes)
+    scenes = None if t.scenes is None else [_scene_arrays(s) for s in t.scenes]
+    return Trajectory(thetas=thetas, states=[np.array(s) for s in t.states], scenes=scenes)

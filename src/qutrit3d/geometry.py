@@ -72,9 +72,13 @@ class EllipsoidScene:
 
 def build_scene(rho: np.ndarray) -> EllipsoidScene:
     """Scene of a valid state (_scene), its record converted to arrays in place."""
+    return _scene_arrays(_scene(_as_rows(rho)))
+
+
+def _scene_arrays(s: EllipsoidScene) -> EllipsoidScene:
+    """A scene of lists, as _scene builds it, converted to numpy arrays in place."""
     import numpy as np
 
-    s = _scene(_as_rows(rho))
     s.semi_axes, s.frame, s.bloch = np.array(s.semi_axes), np.array(s.frame), np.array(s.bloch)
     for r in s.rays:
         r.dir = np.array(r.dir)

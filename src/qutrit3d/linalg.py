@@ -1,8 +1,8 @@
 """Dense linear algebra for fixed dimensions 3 and 4.
 
 Self-contained Hermitian eigendecomposition (cyclic Jacobi),
-determinants, the unitary matrix exponential and the two-qubit partial
-transpose.  Everything here is a pure function, with no shared state.
+determinants and the two-qubit partial transpose.  Everything here is a
+pure function, with no shared state.
 Rows in, arrays at the edge: the check (_hermitian_rows) and the
 solvers (_eigensystem3, _eigvals) take a matrix as rows of Python
 numbers and return lists.  The public functions convert numpy input to
@@ -377,19 +377,6 @@ def det3(M: np.ndarray) -> complex:
     d, e, f = M[1]
     g, h, i = M[2]
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def unitary_from_eigensystem(es: EigenSystem3, theta: float) -> np.ndarray:
-    """exp(-i * theta * G) from a precomputed eigensystem of G.
-
-    Lets trajectory sampling reuse one decomposition across a theta grid.
-    """
-    import numpy as np
-
-    if theta == 0.0:
-        return np.eye(3, dtype=complex)
-    phases = np.exp(-1j * theta * es.values)
-    return (es.vectors * phases) @ es.vectors.conj().T
 
 
 def partial_transpose(M: np.ndarray) -> np.ndarray:

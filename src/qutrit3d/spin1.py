@@ -134,10 +134,23 @@ def _to_two_qubit(rows: list) -> list:
 
 
 def singlet_overlap(rho4: np.ndarray) -> float:
-    """<psi_- | rho4 | psi_->, exactly zero on the symmetric sector."""
+    """<psi_- | rho4 | psi_->, exactly zero on the symmetric sector.
+
+    InvalidStateError unless rho4 is 4x4, NotHermitianError unless it is
+    finite and Hermitian, as from_two_qubit checks it.
+    """
+    rows = _hermitian_rows(_two_qubit_rows(rho4), what="two-qubit state")
+    return _half_sandwich(_B_DAG_ROWS[3:], rows)[0][0].real
+
+
+def _two_qubit_rows(rho4: np.ndarray) -> list:
+    """rho4's rows of Python complex; InvalidStateError unless it is 4x4."""
     import numpy as np
 
-    return _half_sandwich(_B_DAG_ROWS[3:], np.asarray(rho4, dtype=complex).tolist())[0][0].real
+    rho4 = np.asarray(rho4, dtype=complex)
+    if rho4.shape != (4, 4):
+        raise InvalidStateError(f"expected a 4x4 matrix, got {rho4.shape}")
+    return rho4.tolist()
 
 
 def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
@@ -147,10 +160,7 @@ def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    rho4 = np.asarray(rho4, dtype=complex)
-    if rho4.shape != (4, 4):
-        raise InvalidStateError(f"expected a 4x4 matrix, got {rho4.shape}")
-    return np.array(_from_two_qubit(rho4.tolist()))
+    return np.array(_from_two_qubit(_two_qubit_rows(rho4)))
 
 
 def _from_two_qubit(rows: list) -> list:

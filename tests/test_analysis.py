@@ -303,8 +303,8 @@ def test_matrix_files_are_checked_once(monkeypatch, tmp_path, capsys):
         if code == 1:
             assert out == "" and err.startswith(f"error: {path}: two-qubit "), name
 
-    # one check of the generator file, in custom(); the other three are of rho
-    # (the file and trajectory) and of G's eigensolve
+    # one check of the state file, where it is parsed, and one of the generator
+    # file, in custom(), which solves the rows it checked
     gen = tmp_path / "gen.json"
     zeros = np.zeros((3, 3)).tolist()
     gen.write_text(json.dumps({"re": np.diag([1.0, 0.0, -1.0]).tolist(), "im": zeros}))
@@ -312,7 +312,7 @@ def test_matrix_files_are_checked_once(monkeypatch, tmp_path, capsys):
     checks.clear()
     argv = ["evolve", mixed, "--generator", f"custom:{gen}", "--theta", "1", "--steps", "2"]
     assert cli.main(argv) == 0
-    assert len(checks) == 4
+    assert len(checks) == 2
     gen.write_text(json.dumps({"re": [[0.0, 1.0, 0.0], [0.0] * 3, [0.0] * 3], "im": zeros}))
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {gen}: custom generator is not Hermitian")

@@ -631,12 +631,10 @@ def test_no_literal_tolerances_outside_the_table():
     assert found == []
 
 
-# the only functions of the analysis and bridge modules that may call BLAS
-# (ROADMAP items 1 and 4): the sampler, the expectations of the spin
-# matrices, the unitary of a trajectory sample and the OBJ mesh
-BLAS_EXEMPT = {
-    "random_density", "unitary_from_eigensystem", "expectations", "export_scene_obj",
-}
+# the only functions of the analysis, bridge and dynamics modules that may
+# call BLAS (ROADMAP items 1 and 4): the sampler, the expectations of the
+# spin matrices and the OBJ mesh
+BLAS_EXEMPT = {"random_density", "expectations", "export_scene_obj"}
 BLAS_ATTRIBUTES = {"linalg", "dot", "outer", "kron", "einsum", "trace"}
 
 
@@ -655,11 +653,11 @@ def test_no_blas_on_the_analysis_and_bridge_path():
     """No @, np.linalg, np.dot, np.outer, np.kron, np.einsum or np.trace outside BLAS_EXEMPT.
 
     These call BLAS or sum in an order of numpy's choosing, so their last
-    bit can depend on the CPU's kernel; the analysis and the bridge run on
-    Python scalars instead.
+    bit can depend on the CPU's kernel; the analysis, the bridge and the
+    trajectories run on Python scalars instead.
     """
     found, exempt_seen = [], set()
-    for name in ("state.py", "linalg.py", "geometry.py", "spin1.py"):
+    for name in ("state.py", "linalg.py", "geometry.py", "spin1.py", "dynamics.py"):
         with open(os.path.join(SRC, name), "r", encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=name)
         exempt = set()
@@ -683,7 +681,7 @@ ARRAY_EDGE = {
     "analyse", "assert_density", "check_state", "classify_rank", "compose", "decompose",
     "gamma_norm", "metric_tensor", "params_from_bloch_tensor", "random_density", "semi_axes",
     "validate", "assert_hermitian", "eig_hermitian3", "eig_sym3", "eigvals_hermitian4",
-    "partial_transpose", "unitary_from_eigensystem", "build_scene", "export_scene_obj",
+    "partial_transpose", "build_scene", "export_scene_obj",
     "expectations", "from_two_qubit", "ppt_separable", "singlet_overlap", "spin_set",
     "to_two_qubit",
 }

@@ -21,8 +21,8 @@ from qutrit3d.geometry import (
     export_scene_json,
     export_scene_obj,
 )
-from qutrit3d.linalg import eig_hermitian3, eig_sym3, unitary_from_eigensystem
-from qutrit3d.spin1 import spin_set
+from qutrit3d.dynamics import evolve, rotation
+from qutrit3d.linalg import eig_sym3
 from qutrit3d.state import decompose, gamma_norm, random_density
 
 
@@ -116,14 +116,11 @@ def test_scene_rank2_bloch_on_surface():
 
 def test_scene_rotation_invariance_of_axes():
     rng = np.random.default_rng(419)
-    S = spin_set().S
     for _ in range(50):
         rho = random_density(rank=3, rng=rng)
         base = np.sort(build_scene(rho).semi_axes)
-        for j in range(3):
-            U = unitary_from_eigensystem(eig_hermitian3(S[j]), float(rng.uniform(0, 2 * np.pi)))
-            rotated = U @ rho @ U.conj().T
-            rotated = (rotated + rotated.conj().T) / 2.0
+        for axis in "xyz":
+            rotated = evolve(rho, rotation(axis), float(rng.uniform(0, 2 * np.pi)))
             got = np.sort(build_scene(rotated).semi_axes)
             assert np.max(np.abs(got - base)) < 1e-9
 

@@ -10,9 +10,10 @@ eig_hermitian3, eig_sym3 and eigvals_hermitian4 outputs, of the bridge
 (to_two_qubit, from_two_qubit, ppt_separable, singlet_overlap), of rho's
 eigenvalues, the metric norm gamma_norm and the validity flags of the
 analysis report, of the report's text (report_text) and JSON
-(report_dict), of the scene's JSON (scene_to_dict) and of `bridge` CLI
-outputs in both directions, and the ten golden CLI outputs byte for
-byte.  rho's spectrum, the positivity checks of to_two_qubit and the
+(report_dict), of the scene's JSON (scene_to_dict), of trajectories
+(dynamics.trajectory, with and without scenes) and of `bridge` and
+`evolve` CLI outputs (both directions; with and without --scenes), and
+the ten golden CLI outputs byte for byte.  rho's spectrum, the positivity checks of to_two_qubit and the
 partial transpose test run the solver's values-only path, so the digest
 covers it beside the full path; the report and the scene cover the
 scalar analysis from the input check to the serialised output.
@@ -78,6 +79,7 @@ def _density(rng, n, rank):
 
 def _digest() -> str:
     from qutrit3d.cli import build_report, report_dict, report_text
+    from qutrit3d.dynamics import canonical_generators, custom, trajectory
     from qutrit3d.geometry import build_scene, scene_to_dict
     from qutrit3d.linalg import eig_hermitian3, eig_sym3, eigvals_hermitian4, partial_transpose
     from qutrit3d.purestates import density_from_pure, mub_bases
@@ -117,7 +119,18 @@ def _digest() -> str:
     for basis in mub_bases().bases:
         for p in basis:
             add(*eig_sym3(np.eye(3) - 2.0 * density_from_pure(p).real))
+    # trajectories of every rank under the nine generators and a custom one
+    H = _hermitian(rng, 3)
+    gens = canonical_generators() + [custom(H)]
+    for i in range(30):
+        traj = trajectory(_density(rng, 3, i % 3 + 1), gens[i % 10], 1.3, 6, with_scenes=i % 2 == 0)
+        add(traj.thetas, *traj.states)
+        for s in traj.scenes or ():
+            h.update(json.dumps(scene_to_dict(s)).encode())
     with tempfile.TemporaryDirectory() as tmp:
+        gen = os.path.join(tmp, "generator.json")
+        with open(gen, "w", encoding="utf-8") as fh:
+            json.dump({"re": H.real.tolist(), "im": H.imag.tolist()}, fh)
         for name in CANONICAL:
             argv = ["bridge", os.path.join(DATA, f"{name}.json"), "--direction", "to2q"]
             code, to2q = _run(argv)
@@ -126,6 +139,11 @@ def _digest() -> str:
                 fh.write(to2q)
             back = _run(["bridge", path, "--direction", "from2q"])
             h.update(json.dumps([code, to2q, *back]).encode())
+            for flag in ("twist:x", "counter:y", f"custom:{gen}"):
+                argv = ["evolve", os.path.join(DATA, f"{name}.json"), "--generator", flag,
+                        "--theta", "1.3", "--steps", "50"]
+                for extra in ([], ["--scenes"]):
+                    h.update(json.dumps(_run(argv + extra)).encode())
     return h.hexdigest()
 
 

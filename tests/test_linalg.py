@@ -3,9 +3,8 @@
 Eigen routines are checked against numpy's LAPACK-backed solvers (on
 families that include rank-deficient states, partial transposes and
 near-double roots), the values-only path against the full solve bit for
-bit, the matrix exponential
-exp(-i theta G) = unitary_from_eigensystem(eig(G), theta) against a raw
-Taylor series, determinants against numpy, and the partial transpose
+bit, the evolution exp(-i theta G) rho exp(i theta G) that dynamics.evolve
+reads from eig(G) against a raw Taylor series, determinants against numpy, and the partial transpose
 against hand-built tensor products.  The one-pass Hermiticity check on
 Python scalars keeps the errors and messages of the numpy checks it
 replaced, at the edges where Python and numpy differ.
@@ -17,6 +16,7 @@ import numpy as np
 import pytest
 
 from qutrit3d import linalg
+from qutrit3d.dynamics import custom, evolve
 from qutrit3d.errors import InternalCheckError, NotHermitianError, TraceError
 from qutrit3d.linalg import (
     assert_hermitian,
@@ -25,7 +25,6 @@ from qutrit3d.linalg import (
     eig_sym3,
     eigvals_hermitian4,
     partial_transpose,
-    unitary_from_eigensystem,
 )
 from qutrit3d.spin1 import to_two_qubit
 from qutrit3d.state import assert_density, check_state, random_density
@@ -35,10 +34,6 @@ from qutrit3d.tolerances import DEGEN_GAP
 def random_hermitian(rng, n=3, scale=1.0):
     X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (X + X.conj().T) / 2.0
-
-
-def exp_i(G, theta):
-    return unitary_from_eigensystem(eig_hermitian3(G), theta)
 
 
 def taylor_exp(A, terms=60):
@@ -450,38 +445,30 @@ def test_det3_matches_numpy():
 def test_exp_theta_zero_is_identity():
     rng = np.random.default_rng(37)
     G = random_hermitian(rng)
-    U = exp_i(G, 0.0)
-    assert np.max(np.abs(U - np.eye(3))) < 1e-14
+    rho = random_density(rank=3, rng=rng)
+    assert np.array_equal(evolve(rho, custom(G), 0.0), rho)
 
 
 def test_exp_matches_taylor_series():
     rng = np.random.default_rng(41)
     for _ in range(100):
         G = random_hermitian(rng)
+        rho = random_density(rank=int(rng.integers(1, 4)), rng=rng)
+        g = custom(G)
         for theta in (0.3, -1.1, 2.5):
-            U = exp_i(G, theta)
-            ref = taylor_exp(-1j * theta * G)
-            assert np.max(np.abs(U - ref)) < 1e-12
+            U = taylor_exp(-1j * theta * G)
             assert np.max(np.abs(U @ U.conj().T - np.eye(3))) < 1e-12
+            ref = U @ rho @ U.conj().T
+            assert np.max(np.abs(evolve(rho, g, theta) - ref)) < 1e-12
 
 
 def test_exp_spin_z_closed_form():
-    # (S_z)_{kl} = -i eps_{zkl}
-    Sz = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
-    U = exp_i(Sz, 2 * np.pi)
-    assert np.max(np.abs(U - np.eye(3))) < 1e-12
-    U = exp_i(Sz, np.pi)
-    assert np.max(np.abs(U - np.diag([-1.0, -1.0, 1.0]))) < 1e-12
-
-
-def test_unitary_from_eigensystem_matches_direct():
-    rng = np.random.default_rng(43)
-    G = random_hermitian(rng)
-    es = eig_hermitian3(G)
-    for theta in np.linspace(-3.0, 3.0, 13):
-        A = exp_i(G, float(theta))
-        B = unitary_from_eigensystem(es, float(theta))
-        assert np.max(np.abs(A - B)) < 1e-14
+    # (S_z)_{kl} = -i eps_{zkl}: exp(-i pi S_z) = diag(-1, -1, 1), exp(-2 pi i S_z) = 1
+    g = custom(np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]]))
+    rho = random_density(rank=3, rng=np.random.default_rng(43))
+    assert np.max(np.abs(evolve(rho, g, 2 * np.pi) - rho)) < 1e-12
+    D = np.diag([-1.0, -1.0, 1.0])
+    assert np.max(np.abs(evolve(rho, g, np.pi) - D @ rho @ D)) < 1e-12
 
 
 def test_partial_transpose_involution_and_products():

@@ -10,7 +10,7 @@ sum for the image, the Pauli traces for the way back.
 import numpy as np
 import pytest
 
-from qutrit3d.errors import InvalidStateError, NotSymmetricError
+from qutrit3d.errors import InvalidStateError, NotHermitianError, NotSymmetricError
 from qutrit3d.spin1 import (
     expectations,
     from_two_qubit,
@@ -185,6 +185,21 @@ def test_from_two_qubit_rejects_asymmetric():
         from_two_qubit(bad)
     assert info.value.reason == "singlet_overlap"
     assert abs(singlet_overlap(bad) - (SINGLET @ bad @ SINGLET).real) <= 1e-15
+
+
+def test_singlet_overlap_checks_its_input():
+    # from_two_qubit's checks: a 4x4 shape, finite entries and Hermiticity
+    with pytest.raises(InvalidStateError, match="4x4"):
+        singlet_overlap(np.eye(3) / 3.0)
+    nan = np.full((4, 4), np.nan, dtype=complex)
+    with pytest.raises(NotHermitianError, match="two-qubit state .*non-finite"):
+        singlet_overlap(nan)
+    rho4 = to_two_qubit(random_density(rank=3, rng=np.random.default_rng(233)))
+    skew = rho4.copy()
+    skew[0, 1] += 1e-6
+    with pytest.raises(NotHermitianError, match="two-qubit state is not Hermitian"):
+        singlet_overlap(skew)
+    assert singlet_overlap(rho4) == 0.0
 
 
 def test_ppt_separable_known_cases():
