@@ -16,10 +16,9 @@ analyze, scene (JSON), bridge, pseudo and evolve run on Python scalars:
 a state file is parsed straight to rows and checked once, there, and the
 report, scene, trajectory and payloads read the library's records
 (Analysis, EllipsoidScene, Trajectory) as the scalar core fills them,
-with lists.  The first four never import numpy; evolve imports it with
-dynamics, for its generators' arrays and the np.linspace grid.  random,
-mub, ortho, scene --format obj and amplitude files compute with numpy
-and import it, and purestates, when they run.
+with lists, and none of them imports numpy.  random, mub, ortho, scene
+--format obj and amplitude files compute with numpy and import it, and
+purestates, when they run.
 """
 
 from __future__ import annotations
@@ -368,11 +367,11 @@ def cmd_pseudo(args) -> int:
 
 
 def _generator_from_flag(flag: str):
-    from .dynamics import GENERATORS, custom
+    from .dynamics import GENERATORS, _solved
 
     if flag.startswith("custom:"):
         path = flag.split(":", 1)[1]
-        return _checked(path, custom, _matrix_from_obj(_read_json(path), 3))
+        return _checked(path, _solved, _matrix_from_obj(_read_json(path), 3))
     if flag not in GENERATORS:
         raise CliIOError(
             f"unknown generator {flag!r}; use rot|twist|counter:x|y|z or custom:<path>"
@@ -385,7 +384,7 @@ def cmd_evolve(args) -> int:
 
     rho = load_state_file(args.path)
     g = _generator_from_flag(args.generator)
-    thetas = _grid(args.theta, args.steps).tolist()
+    thetas = _grid(args.theta, args.steps)
     traj = _trajectory(_state_rows(rho), g, thetas, args.scenes)
     records = [{"theta": t, "state": density_payload(s)} for t, s in zip(thetas, traj.states)]
     if traj.scenes is not None:

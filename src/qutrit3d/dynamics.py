@@ -17,27 +17,27 @@ rho(theta) = V D V^dag, D_jk = R_jk e^{-i theta (lambda_j - lambda_k)},
 so each entry of rho(theta) is a fixed combination of the cosines and
 sines of the three pair phases.  The scalar core (_trajectory) takes a
 state's checked rows, forms R and those coefficients once from the
-generator's stored eigensystem, and evaluates each sample from three
+generator's eigenframe, and evaluates each sample from three
 math.cos/math.sin pairs on Python scalars: no matrix exponential, no
 BLAS, so the bytes do not depend on the CPU's kernel.  The theta = 0
 sample is rho0's rows as given; every other sample's upper triangle is
-mirrored, so it is exactly Hermitian with a real diagonal.  trajectory
-and evolve (a one-sample trajectory) check rho once and convert the
-record to arrays; the CLI hands the core the rows it parsed.
+mirrored, so it is exactly Hermitian with a real diagonal.  A Generator
+holds tuples, its matrix rows and their eigenframe, solved once when it
+is built, and the grid is a list, np.linspace's bit for bit.  custom,
+generator_matrix, evolve (a one-sample trajectory) and trajectory
+import numpy when called, check a matrix once and convert to arrays;
+the CLI hands the core the rows it parsed.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
-import numpy as np
-
 from .geometry import EllipsoidScene, _scene, _scene_arrays
-from .linalg import EigenSystem3, _eigensystem3, assert_hermitian
-from .spin1 import spin_set
+from .linalg import _eigensystem3, _hermitian_rows, _square_rows
+from .spin1 import _spin_rows
 from .state import _as_rows, _state_rows
 
 _SHORT = {"rotation": "rot", "one_axis_twist": "twist", "two_axis_counter": "counter"}
@@ -48,17 +48,12 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 @dataclass(frozen=True, eq=False)
 class Generator:
-    """A generator's kind, axis, Hermitian matrix and eigensystem: solved once, shared, read-only."""
+    """A generator's kind, axis, matrix rows and eigenframe (_eigenframe): solved once, shared."""
 
     kind: str
     axis: str | None
-    matrix: np.ndarray
-    eigensystem: EigenSystem3
-
-    @functools.cached_property
-    def _frame(self) -> tuple:
-        """The eigensystem on Python scalars, as _trajectory reads it (_eigenframe), made once."""
-        return _eigenframe(self.eigensystem)
+    matrix: tuple
+    frame: tuple
 
 
 @dataclass
@@ -70,18 +65,18 @@ class Trajectory:
     scenes: list[EllipsoidScene] | None = None
 
 
-def _eigenframe(es: EigenSystem3) -> tuple:
-    """An eigensystem on Python scalars, with the products a sample is summed from.
+def _eigenframe(lam: list, V: list) -> tuple:
+    """An eigensystem (_eigensystem3) on Python scalars, with the products a sample is summed from.
 
     Returns (lambda, u, conj u, constant, phased): u_j are the
-    eigenvectors (V's columns).  For each upper-triangle entry (m, n),
-    ``constant`` holds x_j = u_jm conj(u_jn) for j = 0, 1, 2, and ``phased``
-    holds, for each pair p = (j, k), sigma = x + y and tau = i (x - y) with
-    x = u_jm conj(u_kn) and y = conj(u_jn) u_km; all three are real
-    on the diagonal.
+    eigenvectors (V's columns) as Python complex.  For each
+    upper-triangle entry (m, n), ``constant`` holds x_j = u_jm conj(u_jn)
+    for j = 0, 1, 2, and ``phased`` holds, for each pair p = (j, k),
+    sigma = x + y and tau = i (x - y) with x = u_jm conj(u_kn) and
+    y = conj(u_jn) u_km; all three are real on the diagonal.
     """
-    u = list(zip(*es.vectors.tolist()))
-    uc = [tuple(x.conjugate() for x in col) for col in u]
+    u = tuple(tuple(map(complex, col)) for col in zip(*V))
+    uc = tuple(tuple(x.conjugate() for x in col) for col in u)
     constant, phased = [], []
     for m, n in _UPPER:
         c = [u[j][m] * uc[j][n] for j in range(3)]
@@ -92,24 +87,21 @@ def _eigenframe(es: EigenSystem3) -> tuple:
             p += [x + y, complex(-d.imag, d.real)]
         if m == n:
             c, p = [z.real for z in c], [z.real for z in p]
-        constant.append(c)
-        phased.append(p)
-    return es.values.tolist(), u, uc, constant, phased
+        constant.append(tuple(c))
+        phased.append(tuple(p))
+    return tuple(lam), u, uc, tuple(constant), tuple(phased)
 
 
-def _solved(kind: str, axis: str | None, H: np.ndarray) -> Generator:
-    """The generator of a complex 3x3 H, checked and solved once; its arrays read-only."""
-    vals, V = _eigensystem3(assert_hermitian(H, what=f"{kind} generator"))
-    es = EigenSystem3(values=np.array(vals), vectors=np.array(V, dtype=complex))
-    for a in (H, es.values, es.vectors):
-        a.flags.writeable = False
-    return Generator(kind=kind, axis=axis, matrix=H, eigensystem=es)
+def _solved(rows: list, kind: str = "custom", axis: str | None = None) -> Generator:
+    """The generator of a 3x3 matrix's rows of Python complex, checked and solved once."""
+    rows = _hermitian_rows(rows, what=f"{kind} generator")
+    return Generator(kind, axis, tuple(map(tuple, rows)), _eigenframe(*_eigensystem3(rows)))
 
 
-_OPS = spin_set()
+_OPS = _spin_rows()
 # label -> generator for the nine canonical generators, "rot:x" ... "counter:z"
 GENERATORS = MappingProxyType({
-    f"{_SHORT[kind]}:{axis}": _solved(kind, axis, mats[j])
+    f"{_SHORT[kind]}:{axis}": _solved(mats[j], kind, axis)
     for kind, mats in zip(_SHORT, (_OPS.S, _OPS.S2, _OPS.A))
     for j, axis in enumerate("xyz")
 })
@@ -135,11 +127,8 @@ def two_axis_counter(axis: str) -> Generator:
 
 
 def custom(H: np.ndarray) -> Generator:
-    """A Hermitian 3x3 generator, copied so later writes to H cannot reach it."""
-    H = np.array(H, dtype=complex)
-    if H.shape != (3, 3):
-        raise ValueError(f"custom generator must be 3x3, got {H.shape}")
-    return _solved("custom", None, H)
+    """A Hermitian 3x3 generator, copied to rows so later writes to H cannot reach it."""
+    return _solved(_square_rows(H, 3, "custom generator"))
 
 
 def canonical_generators() -> list[Generator]:
@@ -152,15 +141,26 @@ def generator_label(g: Generator) -> str:
 
 
 def generator_matrix(g: Generator) -> np.ndarray:
-    """Hermitian matrix of a generator (S_j, S_j^2, A_j or the custom H), a writable copy."""
+    """Hermitian matrix of a generator (S_j, S_j^2, A_j or the custom H), a writable array."""
+    import numpy as np
+
     return np.array(g.matrix)
 
 
-def _grid(theta_max: float, n: int) -> np.ndarray:
-    """The uniform theta grid of n >= 2 samples on [0, theta_max]."""
+def _grid(theta_max: float, n: int) -> list:
+    """The uniform theta grid of n >= 2 samples on [0, theta_max], as a list of floats.
+
+    Bit for bit np.linspace(0.0, theta_max, n): i * step + 0.0, or
+    i / (n - 1) * theta_max + 0.0 where the step underflows to zero, and
+    theta_max itself last.
+    """
     if n < 2:
         raise ValueError(f"trajectory needs at least 2 samples, got {n}")
-    return np.linspace(0.0, float(theta_max), n)
+    theta, div = float(theta_max), n - 1
+    step = theta / div
+    grid = [(i * step if step else i / div * theta) + 0.0 for i in range(n)]
+    grid[-1] = theta
+    return grid
 
 
 def _in_eigenframe(rows: list, u: list, uc: list) -> tuple:
@@ -192,7 +192,7 @@ def _trajectory(rows: list, g: Generator, thetas: list, with_scenes: bool) -> Tr
     theta * max|lambda| is not a finite float.  Scenes are _scene of each
     sample's rows, which the core built and does not check again.
     """
-    lam, u, uc, constant, phased = g._frame
+    lam, u, uc, constant, phased = g.frame
     big = max(abs(lam[0]), abs(lam[-1]))
     (d0, d1, d2), (ra, rb, rc) = _in_eigenframe(rows, u, uc)
     C = [d0 * x0 + d1 * x1 + d2 * x2 for x0, x1, x2 in constant]
@@ -230,6 +230,8 @@ def _trajectory(rows: list, g: Generator, thetas: list, with_scenes: bool) -> Tr
 
 def evolve(rho: np.ndarray, g: Generator, theta: float) -> np.ndarray:
     """rho' = U rho U^dag with U = exp(-i theta G): the one-sample _trajectory."""
+    import numpy as np
+
     return np.array(_trajectory(_state_rows(_as_rows(rho)), g, [float(theta)], False).states[0])
 
 
@@ -246,7 +248,8 @@ def trajectory(
     point, no compounded stepping), reusing a single eigendecomposition of
     the generator, solved when it was built.
     """
-    thetas = _grid(theta_max, n)
-    t = _trajectory(_state_rows(_as_rows(rho0)), g, thetas.tolist(), with_scenes)
+    import numpy as np
+
+    t = _trajectory(_state_rows(_as_rows(rho0)), g, _grid(theta_max, n), with_scenes)
     scenes = None if t.scenes is None else [_scene_arrays(s) for s in t.scenes]
-    return Trajectory(thetas=thetas, states=[np.array(s) for s in t.states], scenes=scenes)
+    return Trajectory(np.array(t.thetas), [np.array(s) for s in t.states], scenes)

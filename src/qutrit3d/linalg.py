@@ -71,6 +71,16 @@ def assert_hermitian(M: np.ndarray, what: str = "matrix") -> list:
     return _hermitian_rows(np.asarray(M).tolist(), what)
 
 
+def _square_rows(M, n: int, what: str, error: type = ValueError, dtype=complex) -> list:
+    """M's rows as lists of Python numbers of dtype; error unless M is n x n."""
+    import numpy as np
+
+    M = np.asarray(M, dtype=dtype)
+    if M.shape != (n, n):
+        raise error(f"{what} must be {n}x{n}, got {M.shape}")
+    return M.tolist()
+
+
 def _hermitian_rows(rows: list, what: str = "matrix") -> list:
     """Rows of Python numbers, returned once checked in one pass.
 
@@ -348,10 +358,7 @@ def _eig3(M: np.ndarray, dtype: type) -> EigenSystem3:
     """The EigenSystem3 of M as a float or complex array, checked and solved on its rows."""
     import numpy as np
 
-    M = np.asarray(M, dtype=dtype)
-    if M.shape != (3, 3):
-        raise ValueError(f"Hermitian matrix must be 3x3, got {M.shape}")
-    vals, V = _eigensystem3(_hermitian_rows(M.tolist()))
+    vals, V = _eigensystem3(_hermitian_rows(_square_rows(M, 3, "Hermitian matrix", dtype=dtype)))
     return EigenSystem3(values=np.array(vals), vectors=np.array(V, dtype=dtype))
 
 
@@ -365,10 +372,7 @@ def eigvals_hermitian4(M: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a 4x4 Hermitian matrix; any other shape is a ValueError."""
     import numpy as np
 
-    M = np.asarray(M, dtype=complex)
-    if M.shape != (4, 4):
-        raise ValueError(f"Hermitian matrix must be 4x4, got {M.shape}")
-    return np.array(_eigvals(_hermitian_rows(M.tolist())))
+    return np.array(_eigvals(_hermitian_rows(_square_rows(M, 4, "Hermitian matrix"))))
 
 
 def det3(M: np.ndarray) -> complex:
@@ -388,9 +392,8 @@ def partial_transpose(M: np.ndarray) -> np.ndarray:
     import numpy as np
 
     M = np.asarray(M)
-    if M.shape != (4, 4):
-        raise ValueError(f"two-qubit operator must be 4x4, got {M.shape}")
-    return np.array(_partial_transpose(M.tolist()), dtype=M.dtype)
+    rows = _square_rows(M, 4, "two-qubit operator", dtype=M.dtype)
+    return np.array(_partial_transpose(rows), dtype=M.dtype)
 
 
 def _partial_transpose(rows: list) -> list:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidStateError, NotSymmetricError, TraceError
-from .linalg import _eigvals, _hermitian_rows, _partial_transpose
+from .linalg import _eigvals, _hermitian_rows, _partial_transpose, _square_rows
 from .state import StateParams, _as_rows, _state_rows, assert_density
 from .tolerances import HERM_TOL, RANK_TOL, TRACE_TOL
 
@@ -58,25 +58,30 @@ _B_DAG_ROWS = tuple(
 
 @dataclass(frozen=True)
 class Spin1Set:
-    """The spin matrices, their squares and the symmetrized products."""
+    """The spin matrices, their squares and the symmetrized products, as rows or arrays."""
 
     S: tuple[np.ndarray, np.ndarray, np.ndarray]
     S2: tuple[np.ndarray, np.ndarray, np.ndarray]
     A: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def spin_set() -> Spin1Set:
-    """(S_j, S_j^2, A_j) as complex arrays of the exact tables.
+def _spin_rows() -> Spin1Set:
+    """(S_j, S_j^2, A_j): the exact tables as tuples of rows of Python complex.
 
     S_j's entries are 0 - i eps_jkl, so its zeros carry an imaginary -0.0,
     as -1j * eps computes them.
     """
+    S = tuple(tuple(tuple(complex(0.0, -float(x)) for x in row) for row in e) for e in _EPS)
+    S2, A = (tuple(tuple(tuple(map(complex, row)) for row in M) for M in t) for t in (_S2, _A))
+    return Spin1Set(S=S, S2=S2, A=A)
+
+
+def spin_set() -> Spin1Set:
+    """(S_j, S_j^2, A_j) as complex arrays of the exact tables (_spin_rows)."""
     import numpy as np
 
-    S = tuple(np.array([[complex(0.0, -float(x)) for x in row] for row in e]) for e in _EPS)
-    S2 = tuple(np.array(M, dtype=complex) for M in _S2)
-    A = tuple(np.array(M, dtype=complex) for M in _A)
-    return Spin1Set(S=S, S2=S2, A=A)
+    r = _spin_rows()
+    return Spin1Set(*(tuple(map(np.array, ops)) for ops in (r.S, r.S2, r.A)))
 
 
 def expectations(rho: np.ndarray) -> StateParams:
@@ -139,18 +144,9 @@ def singlet_overlap(rho4: np.ndarray) -> float:
     InvalidStateError unless rho4 is 4x4, NotHermitianError unless it is
     finite and Hermitian, as from_two_qubit checks it.
     """
-    rows = _hermitian_rows(_two_qubit_rows(rho4), what="two-qubit state")
+    rows = _square_rows(rho4, 4, "two-qubit state", InvalidStateError)
+    rows = _hermitian_rows(rows, what="two-qubit state")
     return _half_sandwich(_B_DAG_ROWS[3:], rows)[0][0].real
-
-
-def _two_qubit_rows(rho4: np.ndarray) -> list:
-    """rho4's rows of Python complex; InvalidStateError unless it is 4x4."""
-    import numpy as np
-
-    rho4 = np.asarray(rho4, dtype=complex)
-    if rho4.shape != (4, 4):
-        raise InvalidStateError(f"expected a 4x4 matrix, got {rho4.shape}")
-    return rho4.tolist()
 
 
 def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
@@ -160,7 +156,7 @@ def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    return np.array(_from_two_qubit(_two_qubit_rows(rho4)))
+    return np.array(_from_two_qubit(_square_rows(rho4, 4, "two-qubit state", InvalidStateError)))
 
 
 def _from_two_qubit(rows: list) -> list:

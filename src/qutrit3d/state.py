@@ -33,7 +33,9 @@ from .errors import (
     NotPositiveError,
     TraceError,
 )
-from .linalg import _ENTRY_MAX, _dot3, _eigensystem3, _eigvals, _hermitian_rows, det3, vector_norm
+from .linalg import (
+    _ENTRY_MAX, _dot3, _eigensystem3, _eigvals, _hermitian_rows, _square_rows, det3, vector_norm,
+)
 from .tolerances import RANK_TOL, SEGMENT_SLACK, SING_TOL, TRACE_TOL
 
 # Rank/geometry taxonomy labels.
@@ -80,12 +82,7 @@ class RankReport:
 
 def _as_rows(rho: np.ndarray) -> list:
     """rho's rows of Python complex, checked (_density_rows); TraceError unless it is 3x3."""
-    import numpy as np
-
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (3, 3):
-        raise TraceError(f"density matrix must be 3x3, got {rho.shape}")
-    return _density_rows(rho.tolist())
+    return _density_rows(_square_rows(rho, 3, "density matrix", TraceError))
 
 
 def assert_density(rho: np.ndarray) -> None:

@@ -5,10 +5,14 @@ rotation covariance is pinned by direct conjugation followed by
 parameter extraction.
 """
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
 from qutrit3d.dynamics import (
+    _grid,
     canonical_generators,
     custom,
     evolve,
@@ -21,6 +25,7 @@ from qutrit3d.dynamics import (
 )
 from qutrit3d.errors import InvalidStateError, NotHermitianError
 from qutrit3d.purestates import pseudo_qubit
+from qutrit3d.spin1 import _spin_rows, spin_set
 from qutrit3d.state import decompose, gamma_norm, random_density
 
 
@@ -42,14 +47,23 @@ def test_canonical_generators_are_shared_values():
             assert make(axis) is make(axis)
     with pytest.raises(ValueError, match="axis must be x, y or z"):
         rotation("w")
+    # a generator is a frozen record of tuples: nothing in it can be written
     for g in canonical_generators() + [custom(np.diag([1.0, 0.0, -1.0]))]:
-        for arr in (g.matrix, g.eigensystem.values, g.eigensystem.vectors):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        with pytest.raises(TypeError):
+            g.matrix[0] = (0j, 0j, 0j)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.matrix = ()
         M = generator_matrix(g)
-        assert np.array_equal(M, g.matrix) and M is not g.matrix
+        assert M.dtype == complex and M.flags.writeable
+        assert M.tolist() == [list(row) for row in g.matrix]
         M[0, 0] = 7.0
-        assert not np.array_equal(M, g.matrix)
+        assert generator_matrix(g)[0, 0] == g.matrix[0][0] != 7.0
+    # the spin matrices' arrays are their exact tables, S_j's imaginary -0.0 zeros included
+    arrays, rows = spin_set(), _spin_rows()
+    for name in ("S", "S2", "A"):
+        for M, table in zip(getattr(arrays, name), getattr(rows, name)):
+            assert M.dtype == complex
+            assert [repr(x) for x in M.ravel().tolist()] == [repr(x) for r in table for x in r]
 
 
 def test_custom_copies_its_matrix():
@@ -178,8 +192,18 @@ def test_trajectory_grid_and_endpoints():
     assert np.array_equal(traj.thetas, [0.0, 0.0])
     assert np.max(np.abs(traj.states[0] - traj.states[1])) < 1e-15
 
+    # the grid is np.linspace's bit for bit, signed zeros and subnormal ends included
+    tiny = 5e-324
+    for theta in (2 * np.pi, 1.0, -3.7, 0.0, -0.0, tiny, -tiny, 1e-320, 1e308, sys.float_info.max):
+        for n in (2, 3, 7, 100, 65537):
+            with np.errstate(over="ignore"):  # (n - 1) * step may round above max float
+                expected = np.linspace(0.0, theta, n)
+            assert np.array(_grid(theta, n)).tobytes() == expected.tobytes(), (theta, n)
+            if n <= 7:
+                got = trajectory(rho, rotation("y"), theta, n).thetas
+                assert got.tobytes() == expected.tobytes(), (theta, n)
+
     traj = trajectory(rho, rotation("y"), 2 * np.pi, 5)
-    assert np.allclose(traj.thetas, np.linspace(0, 2 * np.pi, 5), atol=1e-15)
     assert np.max(np.abs(traj.states[0] - rho)) < 1e-14
     assert np.max(np.abs(traj.states[-1] - traj.states[0])) < 1e-10
     assert traj.scenes is None

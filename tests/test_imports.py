@@ -2,11 +2,13 @@
 
 analyze (text and JSON, including its parse failures and the exit-2
 report of a matrix that is not positive), scene as JSON, bridge in both
-directions and pseudo read the library's scalar records, so numpy must
-not be in sys.modules when they exit, under python -O as well.  evolve,
-random, mub, ortho, scene --format obj and amplitude files compute with
-numpy and load it: they are the control that the probe sees an import.
-A lint keeps numpy out of the module level of the modules on that path.
+directions, pseudo and evolve (with a canonical or a custom generator,
+with scenes, and on its exit-1 errors) read the library's scalar
+records, so numpy must not be in sys.modules when they exit, under
+python -O as well.  random, mub, ortho, scene --format obj and amplitude
+files compute with numpy and load it: they are the control that the
+probe sees an import.  A lint keeps numpy out of the module level of the
+modules on that path.
 """
 
 import ast
@@ -22,7 +24,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "qutrit3d")
 
 # the modules that the numpy-free commands import
-SCALAR_MODULES = ("__init__", "errors", "tolerances", "linalg", "state", "geometry", "spin1", "cli")
+SCALAR_MODULES = (
+    "__init__", "errors", "tolerances", "linalg", "state", "geometry", "spin1", "dynamics", "cli",
+)
 
 
 def _payload(M):
@@ -51,6 +55,8 @@ def files(tmp_path_factory):
         "nonfinite": nonfinite,
         "pure_a": {"amplitudes": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]},
         "pure_b": {"amplitudes": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+        "generator": _payload(np.array([[1.0, 0.5j, 0.0], [-0.5j, 0.0, 0.25], [0.0, 0.25, -1.0]])),
+        "big_generator": _payload(np.diag([2.0, 0.0, -2.0])),
     }
     out = {}
     for name, payload in payloads.items():
@@ -72,9 +78,24 @@ NUMPY_FREE = {
     "badtrace": (["analyze", "{badtrace}"], 1),
     "nonpsd": (["analyze", "{nonpsd}"], 2),
     "nonfinite": (["analyze", "{nonfinite}"], 1),
+    "evolve": (["evolve", "{valid}", "--generator", "twist:x", "--theta", "1", "--steps", "3"], 0),
+    "evolve_scenes": (
+        ["evolve", "{valid}", "--generator", "rot:y", "--theta", "1", "--steps", "3", "--scenes"],
+        0,
+    ),
+    "evolve_custom": (
+        ["evolve", "{valid}", "--generator", "custom:{generator}", "--theta", "1", "--steps", "3"],
+        0,
+    ),
+    "evolve_one_step": (
+        ["evolve", "{valid}", "--generator", "rot:x", "--theta", "1", "--steps", "1"], 1
+    ),
+    # theta * max|eigenvalue| = 2e308 is not a finite float
+    "evolve_overflow": (
+        ["evolve", "{valid}", "--generator", "custom:{big_generator}", "--theta", "1e308"], 1
+    ),
 }
 WITH_NUMPY = {
-    "evolve": (["evolve", "{valid}", "--generator", "twist:x", "--theta", "1", "--steps", "3"], 0),
     "random": (["random", "--seed", "3"], 0),
     "mub": (["mub", "--basis", "2", "--vector", "1"], 0),
     "ortho": (["ortho", "{pure_a}", "{pure_b}"], 0),

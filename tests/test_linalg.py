@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from qutrit3d import linalg
-from qutrit3d.dynamics import custom, evolve
-from qutrit3d.errors import InternalCheckError, NotHermitianError, TraceError
+from qutrit3d.dynamics import custom, evolve, generator_matrix
+from qutrit3d.errors import (
+    InternalCheckError, InvalidStateError, NotHermitianError, NotSymmetricError, TraceError,
+)
 from qutrit3d.linalg import (
     assert_hermitian,
     det3,
@@ -26,8 +28,8 @@ from qutrit3d.linalg import (
     eigvals_hermitian4,
     partial_transpose,
 )
-from qutrit3d.spin1 import to_two_qubit
-from qutrit3d.state import assert_density, check_state, random_density
+from qutrit3d.spin1 import from_two_qubit, to_two_qubit
+from qutrit3d.state import assert_density, check_state, decompose, random_density
 from qutrit3d.tolerances import DEGEN_GAP
 
 
@@ -302,32 +304,45 @@ def test_exact_double_root_converges():
 
 
 SIZED_FUNCTIONS = {
-    "eig_hermitian3": (3, "Hermitian matrix", lambda M: eig_hermitian3(M).values),
-    "eig_sym3": (3, "Hermitian matrix", lambda M: eig_sym3(M)[0]),
-    "eigvals_hermitian4": (4, "Hermitian matrix", eigvals_hermitian4),
+    # name: (n, what the shape error calls the matrix, its type, a function that gives an
+    # n x n diagonal matrix's diagonal in descending order)
+    "eig_hermitian3": (3, "Hermitian matrix", ValueError, lambda M: eig_hermitian3(M).values),
+    "eig_sym3": (3, "Hermitian matrix", ValueError, lambda M: eig_sym3(M)[0]),
+    "eigvals_hermitian4": (4, "Hermitian matrix", ValueError, eigvals_hermitian4),
     # the partial transpose of a diagonal matrix is that matrix
-    "partial_transpose": (4, "two-qubit operator",
+    "partial_transpose": (4, "two-qubit operator", ValueError,
                           lambda M: np.sort(np.diag(partial_transpose(M)))[::-1]),
+    "custom": (3, "custom generator", ValueError,
+               lambda M: eig_hermitian3(generator_matrix(custom(M))).values),
+    "decompose": (3, "density matrix", TraceError, decompose),
+    "from_two_qubit": (4, "two-qubit state", InvalidStateError, from_two_qubit),
 }
+# a diagonal matrix of their size is not a state: it fails the check after the shape
+PAST_THE_SHAPE = {"decompose": TraceError, "from_two_qubit": NotSymmetricError}
 
 
 @pytest.mark.parametrize("name", sorted(SIZED_FUNCTIONS))
 def test_eigensolvers_check_their_shape(name):
-    """Each solver, and the partial transpose, takes its own size only.
+    """Each solver, the partial transpose and each caller of _square_rows takes its own size only.
 
-    Any other shape is a ValueError naming it.  A 3x3 solver used to
-    return three of diag(4, 1, 3, 2)'s four eigenvalues, a 2x2 input
-    raised a bare IndexError, and partial_transpose returned a 4x4 result
-    for a 2x8 array or a flat 16-vector.
+    Any other shape is an error of the caller's type naming it.  A 3x3
+    solver used to return three of diag(4, 1, 3, 2)'s four eigenvalues, a
+    2x2 input raised a bare IndexError, and partial_transpose returned a
+    4x4 result for a 2x8 array or a flat 16-vector.
     """
-    n, what, values = SIZED_FUNCTIONS[name]
+    n, what, error, values = SIZED_FUNCTIONS[name]
     for M in (np.diag([2.0, 1.0]), np.diag([3.0, 1.0, 2.0]), np.diag([4.0, 1.0, 3.0, 2.0]),
               np.eye(3, 4), np.arange(9.0), np.eye(2, 8), np.arange(16.0)):
+        if M.shape == (n, n) and name in PAST_THE_SHAPE:
+            with pytest.raises(PAST_THE_SHAPE[name]) as exc:
+                values(M)
+            assert "must be" not in str(exc.value)
+            continue
         if M.shape == (n, n):
             assert values(M).tolist() == sorted(np.diag(M), reverse=True)
             continue
         shape = str(M.shape).replace("(", r"\(").replace(")", r"\)")
-        with pytest.raises(ValueError, match=rf"^{what} must be {n}x{n}, got {shape}$"):
+        with pytest.raises(error, match=rf"^{what} must be {n}x{n}, got {shape}$"):
             values(M)
 
 
