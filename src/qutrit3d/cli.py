@@ -12,13 +12,12 @@ it also holds under python -O).
 
 Sign convention: evolution uses U = exp(-i theta G).
 
-analyze, scene (JSON), bridge, pseudo and evolve run on Python scalars:
-a state file is parsed straight to rows and checked once, there, and the
-report, scene, trajectory and payloads read the library's records
-(Analysis, EllipsoidScene, Trajectory) as the scalar core fills them,
-with lists, and none of them imports numpy.  random, mub, ortho, scene
---format obj and amplitude files compute with numpy and import it, and
-purestates, when they run.
+Every command but random runs on Python scalars: a state or amplitude
+file is parsed straight to rows and checked once, there, and the
+report, scene, OBJ mesh, trajectory, unbiased bases and payloads read
+the library's records (Analysis, EllipsoidScene, Trajectory, PureState)
+as the scalar core fills them, with lists, and none of them imports
+numpy.  random samples with numpy's generator and imports it.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from .geometry import (
     export_scene_obj,
     scene_to_dict,
 )
+from .linalg import _dot
 from .spin1 import _from_two_qubit, _to_two_qubit
 from .state import (
     PSEUDO_TENSOR,
@@ -141,23 +141,20 @@ def _matrix_from_obj(obj: dict, n: int) -> list:
 
 
 def _pure_from_obj(obj: dict, path: str):
-    """The PureState of an {"amplitudes": ..} object."""
-    import numpy as np
-
-    from .purestates import rik_decompose
+    """The PureState, of lists, of an {"amplitudes": ..} object."""
+    from .purestates import _pure
 
     amps = obj["amplitudes"]
     if not isinstance(amps, list) or len(amps) != 3:
         raise CliIOError('"amplitudes" must hold 3 [re, im] pairs')
-    psi = np.zeros(3, dtype=complex)
+    psi = []
     for i, pair in enumerate(amps):
         if not isinstance(pair, list) or len(pair) != 2:
             raise CliIOError(f'"amplitudes"[{i}] must be an [re, im] pair')
-        psi[i] = _float(pair[0], f'"amplitudes"[{i}][0]') + 1j * _float(
-            pair[1], f'"amplitudes"[{i}][1]'
-        )
+        re = _float(pair[0], f'"amplitudes"[{i}][0]')
+        psi.append(re + 1j * _float(pair[1], f'"amplitudes"[{i}][1]'))
     try:
-        return rik_decompose(psi)
+        return _pure(psi)
     except NotNormalizedError as exc:
         raise CliIOError(f"{path}: {exc}") from exc
 
@@ -179,9 +176,9 @@ def load_state_file(path: str) -> list:
     """
     obj = _read_json(path)
     if "amplitudes" in obj:
-        from .purestates import density_from_pure
+        from .purestates import _projector
 
-        return _checked(path, _density_rows, density_from_pure(_pure_from_obj(obj, path)).tolist())
+        return _checked(path, _density_rows, _projector(_pure_from_obj(obj, path).amp))
     if "re" in obj or "im" in obj:
         return _checked(path, _density_rows, _matrix_from_obj(obj, 3))
     raise CliIOError(f'{path}: expected "re"/"im" or "amplitudes" keys')
@@ -335,19 +332,14 @@ def cmd_mub(args) -> int:
         raise CliIOError(f"--basis must be 1..4, got {args.basis}")
     if args.vector not in (1, 2, 3):
         raise CliIOError(f"--vector must be 1..3, got {args.vector}")
-    from .purestates import density_from_pure, mub_bases
+    from .purestates import _mub, _projector
 
-    fam = mub_bases()
-    state = fam.bases[args.basis - 1][args.vector - 1]
-    cross = []
-    for b, basis in enumerate(fam.bases):
-        if b == args.basis - 1:
-            continue
-        for other in basis:
-            cross.append(abs(complex(state.amp.conj() @ other.amp)))
+    bases = list(_mub())
+    state = bases.pop(args.basis - 1)[args.vector - 1]
+    cross = [abs(_dot(state.amp, q.amp)) for basis in bases for q in basis]
     if max(cross) - min(cross) > MUB_TOL:
         raise InternalCheckError("cross-basis overlaps are not uniform")
-    report = build_report(density_from_pure(state))
+    report = _report(_density_rows(_projector(state.amp)))
     out = json.dumps(amplitudes_payload(state.amp), indent=2) + "\n"
     out += f"cross-basis overlap modulus: {_fmt(sum(cross) / len(cross))}\n"
     out += report_text(report)
@@ -414,13 +406,13 @@ def _load_pure(path: str):
 
 
 def cmd_ortho(args) -> int:
-    from .purestates import orthogonal
+    from . import purestates
 
     p = _load_pure(args.path_a)
     q = _load_pure(args.path_b)
-    overlap = abs(complex(p.amp.conj() @ q.amp))
+    overlap = abs(_dot(p.amp, q.amp))
     inner_verdict = overlap <= ORTHO_TOL
-    rk_verdict = orthogonal(p, q)
+    rk_verdict = purestates.orthogonal(p, q)
     print(f"inner-product modulus: {_fmt(overlap)}")
     print(f"inner-product verdict: {'orthogonal' if inner_verdict else 'not orthogonal'}")
     print(f"rk-condition verdict: {'orthogonal' if rk_verdict else 'not orthogonal'}")

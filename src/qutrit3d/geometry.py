@@ -11,12 +11,13 @@ eigenvector, which for real pure states points along the state vector).
 Rows in, arrays at the edge: _scene builds an EllipsoidScene of lists of
 Python floats from checked rows, build_scene checks its input once and
 converts that record to numpy arrays in place, and scene_to_dict and the
-exporters read either.  Only the OBJ mesh computes with numpy.
+exporters, the OBJ mesh included, read either on Python floats.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateMeshError, InternalCheckError, InvalidStateError
@@ -153,8 +154,6 @@ def export_scene_obj(
     record tagged by comment.  With surface_only=True only the mesh is
     emitted, which a degenerate scene cannot provide.
     """
-    import numpy as np
-
     if lat < 4 or lon < 8:
         raise ValueError(f"mesh needs lat >= 4 and lon >= 8, got lat={lat}, lon={lon}")
     if surface_only and s.case != CASE_THREE_D:
@@ -168,26 +167,29 @@ def export_scene_obj(
     ]
     vcount = 0
 
-    def add_vertex(point: np.ndarray) -> int:
+    def add_vertex(point: list) -> int:
         nonlocal vcount
         lines.append(f"v {_fnum(point[0])} {_fnum(point[1])} {_fnum(point[2])}")
         vcount += 1
         return vcount
 
+    frame = _floats(s.frame)
     if s.case == CASE_THREE_D:
-        radii = np.asarray(s.semi_axes, dtype=float)
-        frame = np.asarray(s.frame, dtype=float)
-        top = add_vertex(frame @ (radii * np.array([0.0, 0.0, 1.0])))
+        radii = _floats(s.semi_axes)
+
+        def add_surface_vertex(unit: tuple) -> int:
+            scaled = [r * x for r, x in zip(radii, unit)]
+            return add_vertex([_dot3(row, scaled) for row in frame])
+
+        top = add_surface_vertex((0.0, 0.0, 1.0))
         ring_start = vcount + 1
         for i in range(1, lat + 1):
-            alpha = np.pi * i / (lat + 1)
+            alpha = math.pi * i / (lat + 1)
+            sin_a, cos_a = math.sin(alpha), math.cos(alpha)
             for j in range(lon):
-                beta = 2.0 * np.pi * j / lon
-                unit = np.array(
-                    [np.sin(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta), np.cos(alpha)]
-                )
-                add_vertex(frame @ (radii * unit))
-        bottom = add_vertex(frame @ (radii * np.array([0.0, 0.0, -1.0])))
+                beta = 2.0 * math.pi * j / lon
+                add_surface_vertex((sin_a * math.cos(beta), sin_a * math.sin(beta), cos_a))
+        bottom = add_surface_vertex((0.0, 0.0, -1.0))
 
         def ring(i: int, j: int) -> int:
             return ring_start + i * lon + (j % lon)
@@ -205,23 +207,22 @@ def export_scene_obj(
     if surface_only:
         return "\n".join(lines) + "\n"
 
-    bloch = np.asarray(s.bloch, dtype=float)
-    has_bloch = vector_norm(bloch.tolist()) > LINE_EPS
+    bloch = _floats(s.bloch)
+    has_bloch = vector_norm(bloch) > LINE_EPS
     origin_index = 0
     if s.rays or has_bloch:
-        origin_index = add_vertex(np.zeros(3))
+        origin_index = add_vertex([0.0, 0.0, 0.0])
 
     if s.case == CASE_SEGMENT:
-        u = np.asarray(s.frame, dtype=float)[:, 0]
         half = float(s.semi_axes[0])
         lines.append("# segment")
-        a_idx = add_vertex(-half * u)
-        b_idx = add_vertex(half * u)
+        a_idx = add_vertex([-half * row[0] for row in frame])
+        b_idx = add_vertex([half * row[0] for row in frame])
         lines.append(f"l {a_idx} {b_idx}")
 
     for r in s.rays:
         lines.append(f"# ray {r.label} {r.style}")
-        tip = add_vertex(np.asarray(r.dir, dtype=float))
+        tip = add_vertex(_floats(r.dir))
         lines.append(f"l {origin_index} {tip}")
 
     if has_bloch:

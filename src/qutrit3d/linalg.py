@@ -64,13 +64,6 @@ class EigenSystem3:
     vectors: np.ndarray
 
 
-def assert_hermitian(M: np.ndarray, what: str = "matrix") -> list:
-    """M's rows as lists of Python numbers, checked in one pass (_hermitian_rows)."""
-    import numpy as np
-
-    return _hermitian_rows(np.asarray(M).tolist(), what)
-
-
 def _square_rows(M, n: int, what: str, error: type = ValueError, dtype=complex) -> list:
     """M's rows as lists of Python numbers of dtype; error unless M is n x n."""
     import numpy as np

@@ -5,18 +5,18 @@ and k once the global phase is fixed; the Bloch vector is then the cross
 product a = 2 r x k, and orthogonality of two states becomes a pair of
 real dot-product conditions.  The module also provides the four mutually
 unbiased bases and the pseudo-qubit family (correlation tensor pinned to
-identity/3, Bloch ball of radius 2/3).
+identity/3, Bloch ball of radius 2/3).  The core computes on Python
+complex; the public functions convert its lists to numpy arrays.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotNormalizedError, OutOfBallError
-from .linalg import vector_norm
+from .linalg import _dot3, vector_norm
 from .state import PSEUDO_TENSOR, _bundle, _compose
 from .tolerances import BALL_TOL, GAUGE_EPS, NORM_TOL, ORTHO_TOL
 
@@ -44,64 +44,80 @@ class MubFamily:
     bases: tuple[tuple[PureState, PureState, PureState], ...]
 
 
-def rik_decompose(amp: np.ndarray) -> PureState:
-    """Normalize-check, fix the global phase, split into r + i k."""
-    amp = np.asarray(amp, dtype=complex).reshape(3)
-    n = vector_norm(amp.tolist())
+def _pure(amp: list) -> PureState:
+    """rik_decompose of three Python complex amplitudes, as lists."""
+    n = vector_norm(amp)
     if abs(n - 1.0) > NORM_TOL:
         raise NotNormalizedError(f"|psi| = {n:.12g}, expected 1")
-    amp = amp / n
-    idx = -1
-    for i, c in enumerate(amp):
-        if abs(c) > GAUGE_EPS:
-            idx = i
+    scale = 1.0 / n  # numpy divides a complex by a real as a product with the reciprocal
+    amp = [x * scale for x in amp]
+    for i, pivot in enumerate(amp):
+        if abs(pivot) > GAUGE_EPS:
+            gauge = pivot.conjugate() / abs(pivot)
+            amp = [x * gauge for x in amp]
+            # the pivot component is real positive by construction; drop the
+            # rounding residue so the gauge is exact
+            amp[i] = complex(abs(amp[i]))
             break
-    if idx >= 0:
-        pivot = complex(amp[idx])
-        amp = amp * (pivot.conjugate() / abs(pivot))
-        # the pivot component is real positive by construction; drop the
-        # rounding residue so the gauge is exact
-        amp[idx] = abs(amp[idx])
-    return PureState(amp=amp, r=amp.real.copy(), k=amp.imag.copy())
+    return PureState(amp=amp, r=[x.real for x in amp], k=[x.imag for x in amp])
+
+
+def _pure_arrays(p: PureState) -> PureState:
+    """A PureState of lists, as _pure builds it, converted to numpy arrays in place."""
+    import numpy as np
+
+    p.amp, p.r, p.k = np.array(p.amp), np.array(p.r), np.array(p.k)
+    return p
+
+
+def rik_decompose(amp: np.ndarray) -> PureState:
+    """Normalize-check, fix the global phase, split into r + i k (_pure), as arrays."""
+    import numpy as np
+
+    return _pure_arrays(_pure(np.asarray(amp, dtype=complex).reshape(3).tolist()))
 
 
 def bloch_from_pure(p: PureState) -> np.ndarray:
     """Bloch vector a = 2 r x k; vanishes for real states."""
+    import numpy as np
+
     return 2.0 * np.cross(p.r, p.k)
 
 
+def _projector(amp: list) -> list:
+    """|psi><psi| as rows of Python complex: entry (i, j) is amp_i conj(amp_j)."""
+    return [[x * y.conjugate() for y in amp] for x in amp]
+
+
 def density_from_pure(p: PureState) -> np.ndarray:
-    """Rank-one projector |psi><psi|."""
-    return np.outer(p.amp, p.amp.conj())
+    """Rank-one projector |psi><psi| (_projector), as an array."""
+    import numpy as np
+
+    return np.array(_projector(np.asarray(p.amp).tolist()))
 
 
 def orthogonal(p: PureState, q: PureState) -> bool:
     """True iff r.r' = -k.k' and r.k' = r'.k, jointly within ORTHO_TOL.
 
     The two conditions are the real and imaginary parts of <psi|psi'>,
-    so their modulus is tested, as for a vanishing inner product.
+    so their modulus is tested, as for a vanishing inner product.  Reads
+    either form of PureState.
     """
-    re = float(p.r @ q.r + p.k @ q.k)
-    im = float(p.r @ q.k - p.k @ q.r)
+    re = _dot3(p.r, q.r) + _dot3(p.k, q.k)
+    im = _dot3(p.r, q.k) - _dot3(p.k, q.r)
     return math.hypot(re, im) <= ORTHO_TOL
 
 
 def reference_state(theta: float) -> PureState:
     """(cos t, i sin t, 0): Bloch vector (0, 0, sin 2t)."""
-    return rik_decompose(np.array([np.cos(theta), 1j * np.sin(theta), 0.0]))
+    return _pure_arrays(_pure([complex(math.cos(theta)), 1j * math.sin(theta), 0j]))
 
 
 def orthogonal_state(theta: float, phi: float, chi: float) -> PureState:
     """The general state orthogonal to reference_state(theta)."""
-    return rik_decompose(
-        np.array(
-            [
-                np.sin(theta) * np.cos(phi),
-                -1j * np.cos(theta) * np.cos(phi),
-                np.exp(1j * chi) * np.sin(phi),
-            ]
-        )
-    )
+    amp = [complex(math.sin(theta) * math.cos(phi)), -1j * math.cos(theta) * math.cos(phi),
+           cmath.exp(1j * chi) * math.sin(phi)]
+    return _pure_arrays(_pure(amp))
 
 
 def orthogonal_bloch_family(theta: float, phi: float, chi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -113,38 +129,43 @@ def orthogonal_bloch_family(theta: float, phi: float, chi: float) -> tuple[np.nd
                 -cos^2 phi cos theta sin theta)
     so a . a' = -4 cos^2 phi cos^2 theta sin^2 theta is never positive.
     """
-    a = bloch_from_pure(reference_state(theta))
-    a_prime = bloch_from_pure(orthogonal_state(theta, phi, chi))
-    return a, a_prime
+    import numpy as np
+
+    ref, partner = reference_state(theta), orthogonal_state(theta, phi, chi)
+    return 2.0 * np.cross(ref.r, ref.k), 2.0 * np.cross(partner.r, partner.k)
 
 
-def mub_bases() -> MubFamily:
-    """The four qutrit mutually unbiased bases.
-
-    Built from the cube root of unity eta = exp(2 pi i / 3); every
-    cross-basis overlap has modulus 1/sqrt(3).  Global phases follow the
-    PureState gauge (leading non-zero component real positive).
-    """
-    eta = np.exp(2j * np.pi / 3.0)
+def _mub() -> tuple:
+    """The four unbiased bases of mub_bases, as PureStates of lists."""
+    eta = cmath.exp(2j * math.pi / 3.0)
     c = eta.conjugate()
-    s = 1.0 / np.sqrt(3.0)
+    s = 1.0 / math.sqrt(3.0)
     raw = (
         ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
         ((s, s, s), (s, s * eta, s * c), (s, s * c, s * eta)),
         ((s * eta, s, s), (s, s * eta, s), (s, s, s * eta)),
         ((s * c, s, s), (s, s * c, s), (s, s, s * c)),
     )
-    bases = tuple(
-        tuple(rik_decompose(np.array(v, dtype=complex)) for v in basis) for basis in raw
-    )
-    return MubFamily(bases=bases)
+    return tuple(tuple(_pure([complex(x) for x in v]) for v in basis) for basis in raw)
 
 
-def _check_in_ball(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float).reshape(3)
-    aa = float(a @ a)
-    if aa > _BALL_RADIUS_SQ + BALL_TOL:
-        raise OutOfBallError(f"{name}: a.a = {aa:.12g} exceeds 4/9")
+def mub_bases() -> MubFamily:
+    """The qutrit mutually unbiased bases (_mub), as arrays.
+
+    Built from the cube root of unity eta = exp(2 pi i / 3); every
+    cross-basis overlap has modulus 1/sqrt(3).  Global phases follow the
+    PureState gauge (leading non-zero component real positive).
+    """
+    return MubFamily(bases=tuple(tuple(map(_pure_arrays, basis)) for basis in _mub()))
+
+
+def _check_in_ball(a: np.ndarray, name: str) -> list:
+    import numpy as np
+
+    a = np.asarray(a, dtype=float).reshape(3).tolist()
+    aa = _dot3(a, a)
+    if not aa <= _BALL_RADIUS_SQ + BALL_TOL:  # so also for a non-finite a: NaN compares false
+        raise OutOfBallError(f"{name}: a.a = {aa:.12g} is not within 4/9")
     return a
 
 
@@ -154,20 +175,23 @@ def pseudo_qubit(a: np.ndarray) -> np.ndarray:
     The admissible vectors fill a ball of radius 2/3; on its surface the
     spectrum is (2/3, 1/3, 0), at the center the state is maximally mixed.
     """
+    import numpy as np
+
     a = _check_in_ball(a, "pseudo_qubit")
-    return np.array(_compose(_bundle(a.tolist(), PSEUDO_TENSOR)))
+    return np.array(_compose(_bundle(a, PSEUDO_TENSOR)))
 
 
 def pseudo_overlap(a: np.ndarray, b: np.ndarray) -> float:
     """Tr(rho_a rho_b) = 1/3 + a.b/2 for two pseudo-qubit states."""
     a = _check_in_ball(a, "pseudo_overlap a")
     b = _check_in_ball(b, "pseudo_overlap b")
-    return 1.0 / 3.0 + float(a @ b) / 2.0
+    return 1.0 / 3.0 + _dot3(a, b) / 2.0
 
 
 def haar_pure(rng: np.random.Generator | int | None = None) -> np.ndarray:
     """Haar-random pure amplitudes (normalized complex Gaussian)."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    import numpy as np
+
+    rng = np.random.default_rng(rng)  # a Generator is returned as it is
     psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     return psi / np.linalg.norm(psi)

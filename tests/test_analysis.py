@@ -249,10 +249,7 @@ def test_eigensolve_counts(monkeypatch):
 
 
 def test_hermiticity_check_counts(monkeypatch):
-    """rho is checked once, where it enters; T and the bridge's images are not checked again.
-
-    assert_hermitian converts a matrix for the same check, _hermitian_rows.
-    """
+    """rho is checked once, where it enters; T and the bridge's images are not checked again."""
     checks = _count_calls(monkeypatch, "_hermitian_rows")
     valid = random_density(rank=3, rng=np.random.default_rng(613))
     invalid = np.diag([0.8, 0.8, -0.6]).astype(complex)

@@ -631,11 +631,12 @@ def test_no_literal_tolerances_outside_the_table():
     assert found == []
 
 
-# the only functions of the analysis, bridge and dynamics modules that may
-# call BLAS (ROADMAP items 1 and 4): the sampler, the expectations of the
-# spin matrices and the OBJ mesh
-BLAS_EXEMPT = {"random_density", "expectations", "export_scene_obj"}
+# the only functions of the analysis, bridge, dynamics and pure-state modules
+# that may call BLAS: the two samplers, whose draws come from numpy's
+# generator, and the expectations of the spin matrices
+BLAS_EXEMPT = {"random_density", "haar_pure", "expectations"}
 BLAS_ATTRIBUTES = {"linalg", "dot", "outer", "kron", "einsum", "trace"}
+LINTED = ("state.py", "linalg.py", "geometry.py", "spin1.py", "dynamics.py", "purestates.py")
 
 
 def _calls_blas(node) -> bool:
@@ -653,11 +654,12 @@ def test_no_blas_on_the_analysis_and_bridge_path():
     """No @, np.linalg, np.dot, np.outer, np.kron, np.einsum or np.trace outside BLAS_EXEMPT.
 
     These call BLAS or sum in an order of numpy's choosing, so their last
-    bit can depend on the CPU's kernel; the analysis, the bridge and the
-    trajectories run on Python scalars instead.
+    bit can depend on the CPU's kernel; the analysis, the bridge, the
+    trajectories, the OBJ mesh and the pure states run on Python scalars
+    instead.
     """
     found, exempt_seen = [], set()
-    for name in ("state.py", "linalg.py", "geometry.py", "spin1.py", "dynamics.py"):
+    for name in LINTED:
         with open(os.path.join(SRC, name), "r", encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=name)
         exempt = set()
@@ -674,16 +676,17 @@ def test_no_blas_on_the_analysis_and_bridge_path():
     assert exempt_seen == BLAS_EXEMPT
 
 
-# the public functions of the analysis and bridge modules that take or return
-# numpy arrays: each converts and checks its input once, so the scalar core
-# calls their row functions instead
+# the public functions of the analysis, bridge, dynamics and pure-state modules
+# that take or return numpy arrays: each converts and checks its input once, so
+# the scalar core calls their row functions instead
 ARRAY_EDGE = {
     "analyse", "assert_density", "check_state", "classify_rank", "compose", "decompose",
     "gamma_norm", "metric_tensor", "params_from_bloch_tensor", "random_density", "semi_axes",
-    "validate", "assert_hermitian", "eig_hermitian3", "eig_sym3", "eigvals_hermitian4",
-    "partial_transpose", "build_scene", "export_scene_obj",
-    "expectations", "from_two_qubit", "ppt_separable", "singlet_overlap", "spin_set",
-    "to_two_qubit", "custom", "evolve", "generator_matrix", "trajectory",
+    "validate", "eig_hermitian3", "eig_sym3", "eigvals_hermitian4", "partial_transpose",
+    "build_scene", "expectations", "from_two_qubit", "ppt_separable", "singlet_overlap",
+    "spin_set", "to_two_qubit", "custom", "evolve", "generator_matrix", "trajectory",
+    "rik_decompose", "bloch_from_pure", "density_from_pure", "orthogonal_bloch_family",
+    "mub_bases", "pseudo_qubit", "pseudo_overlap", "haar_pure",
 }
 # the reference route: a, q and omega as expectation values of the spin matrices
 ARRAY_EDGE_EXEMPT = {"expectations"}
@@ -697,14 +700,14 @@ def _imports_numpy(fn) -> bool:
 
 
 def test_no_array_edge_inside_the_package():
-    """No function of state, linalg, geometry, spin1 or dynamics calls a public array function.
+    """No function of state, linalg, geometry, spin1, dynamics or purestates calls an array edge.
 
     A matrix is converted to rows and checked once, where it enters; a
     call back into the array edge would convert and check it again.  Every
     public function of these modules that imports numpy is in ARRAY_EDGE.
     """
     found, defined = [], set()
-    for name in ("state.py", "linalg.py", "geometry.py", "spin1.py", "dynamics.py"):
+    for name in LINTED:
         with open(os.path.join(SRC, name), "r", encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=name)
         for fn in tree.body:

@@ -1,14 +1,14 @@
-"""The commands that run on Python scalars never import numpy.
+"""Every command but random runs on Python scalars and never imports numpy.
 
-analyze (text and JSON, including its parse failures and the exit-2
-report of a matrix that is not positive), scene as JSON, bridge in both
-directions, pseudo and evolve (with a canonical or a custom generator,
-with scenes, and on its exit-1 errors) read the library's scalar
-records, so numpy must not be in sys.modules when they exit, under
-python -O as well.  random, mub, ortho, scene --format obj and amplitude
-files compute with numpy and load it: they are the control that the
-probe sees an import.  A lint keeps numpy out of the module level of the
-modules on that path.
+analyze (text and JSON, of density and amplitude files, including their
+parse failures and the exit-2 report of a matrix that is not positive),
+scene as JSON and as an OBJ mesh, bridge in both directions, pseudo,
+mub, ortho and evolve (with a canonical or a custom generator, with
+scenes, and on its exit-1 errors) read the library's scalar records, so
+numpy must not be in sys.modules when they exit, under python -O as
+well.  random samples with numpy and loads it: it is the control that
+the probe sees an import.  A lint keeps numpy out of the module level of
+the modules on that path.
 """
 
 import ast
@@ -25,7 +25,8 @@ SRC = os.path.join(ROOT, "src", "qutrit3d")
 
 # the modules that the numpy-free commands import
 SCALAR_MODULES = (
-    "__init__", "errors", "tolerances", "linalg", "state", "geometry", "spin1", "dynamics", "cli",
+    "__init__", "errors", "tolerances", "linalg", "state", "geometry", "spin1", "dynamics",
+    "purestates", "cli",
 )
 
 
@@ -55,6 +56,7 @@ def files(tmp_path_factory):
         "nonfinite": nonfinite,
         "pure_a": {"amplitudes": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]},
         "pure_b": {"amplitudes": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+        "pure_unnormalised": {"amplitudes": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.1]]},
         "generator": _payload(np.array([[1.0, 0.5j, 0.0], [-0.5j, 0.0, 0.25], [0.0, 0.25, -1.0]])),
         "big_generator": _payload(np.diag([2.0, 0.0, -2.0])),
     }
@@ -94,13 +96,14 @@ NUMPY_FREE = {
     "evolve_overflow": (
         ["evolve", "{valid}", "--generator", "custom:{big_generator}", "--theta", "1e308"], 1
     ),
-}
-WITH_NUMPY = {
-    "random": (["random", "--seed", "3"], 0),
     "mub": (["mub", "--basis", "2", "--vector", "1"], 0),
     "ortho": (["ortho", "{pure_a}", "{pure_b}"], 0),
     "scene_obj": (["scene", "{valid}", "--format", "obj"], 0),
     "amplitudes": (["analyze", "{pure_a}"], 0),
+    "amplitudes_unnormalised": (["analyze", "{pure_unnormalised}"], 1),
+}
+WITH_NUMPY = {
+    "random": (["random", "--seed", "3"], 0),
 }
 
 

@@ -20,9 +20,22 @@ scalar analysis from the input check to the serialised output.
 
 The child builds its inputs without BLAS (elementwise numpy, outer
 products, the mutually unbiased bases), so only the library can make the
-digests differ.
+digests differ between kernels.  Those inputs do go through numpy's SIMD
+loops, whose complex multiply fuses operations at some levels and not at
+others, so they can differ between SIMD levels.
 
-Run directly, ``python tests/test_kernels.py`` prints the child's JSON.
+numpy picks its SIMD loops at run time too, and NPY_DISABLE_CPU_FEATURES
+holds it to a lower level.  A second test runs every command but random
+(the ten golden commands, all twelve mub states, ortho on seeded pairs,
+analyze --json of seeded amplitude files and scene --format obj of seeded
+densities) in a child per SIMD level, X86_V4 down to the X86_V2
+baseline, and in one child under the Prescott kernel.  The parent writes
+the inputs as JSON, so no child's numpy touches them, and every child
+must print the same bytes.
+
+Run directly, ``python tests/test_kernels.py`` prints the kernel child's
+JSON, and ``python tests/test_kernels.py MANIFEST`` runs the CLI calls
+that MANIFEST lists and prints their digest and SIMD features.
 """
 
 import contextlib
@@ -30,6 +43,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -219,5 +233,128 @@ def test_same_bytes_under_every_openblas_kernel():
             assert out == golden, (core, name)
 
 
+# highest SIMD level left -> the NPY_DISABLE_CPU_FEATURES that holds numpy to it
+SIMD_LEVELS = {
+    "X86_V4": "",
+    "X86_V3": "X86_V4 AVX512_ICL AVX512_SPR",
+    "X86_V2": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+}
+
+
+def _simd_found() -> list:
+    """The SIMD targets numpy dispatches to in this process, as np.show_runtime() lists them."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+
+
+def _cli_outputs(manifest: str) -> dict:
+    """The digest of the exit codes and stdout of the CLI calls listed in manifest."""
+    with open(manifest, "r", encoding="utf-8") as fh:
+        calls = json.load(fh)
+    outputs = {name: _run(argv) for name, argv in calls}
+    return {
+        "found": _simd_found(),
+        "digest": hashlib.sha256(json.dumps(outputs).encode()).hexdigest(),
+        "failed": [name for name, (code, _) in outputs.items() if code != 0],
+        "golden": {name: outputs[name] for name in GOLDEN_COMMANDS},
+    }
+
+
+def _cli_calls(tmp) -> list:
+    """(name, argv) of every command but random, on seeded inputs written to tmp as JSON."""
+    from qutrit3d.state import random_density
+
+    rng = np.random.default_rng(20261019)
+    calls = list(GOLDEN_COMMANDS.items())
+    calls += [(f"mub_{b}_{v}", ["mub", "--basis", str(b), "--vector", str(v)])
+              for b in (1, 2, 3, 4) for v in (1, 2, 3)]
+
+    def write(name, obj):
+        path = os.path.join(tmp, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        return path
+
+    for i in range(8):
+        psi, chi = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2))
+        if i % 2 == 0:  # an orthogonal pair half of the time
+            chi -= np.sum(psi.conj() * chi) * psi
+        chi /= np.sqrt(np.sum(np.abs(chi) ** 2))
+        a, b = (write(f"{name}{i}", {"amplitudes": [[x.real, x.imag] for x in v]})
+                for name, v in (("a", psi), ("b", chi)))
+        rho = random_density(i % 3 + 1, rng)
+        state = write(f"rho{i}", {"re": rho.real.tolist(), "im": rho.imag.tolist()})
+        calls += [
+            (f"ortho_{i}", ["ortho", a, b]),
+            (f"amplitudes_{i}", ["analyze", a, "--json"]),
+            (f"obj_{i}", ["scene", state, "--format", "obj", "--lat", str(4 + i), "--lon", "9"]),
+        ]
+    return calls
+
+
+def _child(env_update: dict, manifest: str) -> tuple:
+    """(parsed stdout, stderr) of this file run on manifest with env_update in its environment."""
+    env = dict(os.environ)
+    for name in ("QUTRIT_SEED", "NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES",
+                 "OPENBLAS_CORETYPE"):
+        env.pop(name, None)
+    env.update(env_update)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), manifest],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=600,
+    )
+    assert res.returncode == 0, (env_update, res.stderr)
+    return json.loads(res.stdout), res.stderr
+
+
+def test_same_cli_bytes_under_every_simd_level_and_kernel(tmp_path):
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the SIMD levels held here are x86-64 ones")
+    from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__
+
+    levels = set(__cpu_baseline__) | set(__cpu_dispatch__)
+    if not {"X86_V2", "X86_V3", "X86_V4"} <= levels:
+        pytest.skip(f"numpy does not name the x86-64 levels: {sorted(levels)}")
+    manifest = str(tmp_path / "calls.json")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump(_cli_calls(str(tmp_path)), fh)
+
+    results, cores = {}, set()
+    for level, disabled in SIMD_LEVELS.items():
+        out, err = _child({"NPY_DISABLE_CPU_FEATURES": disabled, "OPENBLAS_VERBOSE": "2"}, manifest)
+        left_on = set(disabled.split()) & set(out["found"])
+        if left_on:
+            pytest.skip(f"NPY_DISABLE_CPU_FEATURES left {sorted(left_on)} on")
+        results[level] = out
+        cores.update(line for line in err.splitlines() if line.startswith("Core:"))
+    if _openblas_dynamic_arch() and "Prescott" in _host_coretypes():
+        out, err = _child({"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_VERBOSE": "2"}, manifest)
+        # OpenBLAS names the kernel it loaded: the override took effect
+        if not {line for line in err.splitlines() if line.startswith("Core:")} - cores:
+            pytest.skip("OPENBLAS_CORETYPE=Prescott loaded the default kernel")
+        results["Prescott"] = out
+
+    # the held levels run fewer SIMD targets than the full one, where the host has them
+    assert not set(results["X86_V2"]["found"]) & {"X86_V3", "X86_V4"}
+    digests = {name: r["digest"] for name, r in results.items()}
+    assert len(set(digests.values())) == 1, digests
+    for name, r in results.items():
+        assert r["failed"] == [], (name, r["failed"])
+    for golden in GOLDEN_COMMANDS:
+        with open(os.path.join(GOLDEN, golden), "r", encoding="utf-8") as fh:
+            want = fh.read()
+        for name, r in results.items():
+            assert r["golden"][golden] == [0, want], (name, golden)
+
+
 if __name__ == "__main__":
-    print(json.dumps({"digest": _digest(), "golden": _golden_outputs()}))
+    if len(sys.argv) > 1:
+        print(json.dumps(_cli_outputs(sys.argv[1])))
+    else:
+        print(json.dumps({"digest": _digest(), "golden": _golden_outputs()}))

@@ -21,7 +21,6 @@ from qutrit3d.errors import (
     InternalCheckError, InvalidStateError, NotHermitianError, NotSymmetricError, TraceError,
 )
 from qutrit3d.linalg import (
-    assert_hermitian,
     det3,
     eig_hermitian3,
     eig_sym3,
@@ -366,12 +365,12 @@ def test_unconverged_jacobi_raises(monkeypatch):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_assert_hermitian_rejects_nonfinite(value):
-    M = np.eye(3, dtype=complex) / 3.0
-    M[1, 1] = value
-    with pytest.raises(NotHermitianError):
-        assert_hermitian(M)
-    with pytest.raises(NotHermitianError):
-        eig_hermitian3(M)
+    """Each solver asserts that its input is Hermitian: a non-finite entry is not."""
+    for n, solve in ((3, eig_hermitian3), (4, eigvals_hermitian4)):
+        M = np.eye(n, dtype=complex) / n
+        M[1, 1] = value
+        with pytest.raises(NotHermitianError):
+            solve(M)
 
 
 def test_assert_hermitian_rejects_entries_that_would_overflow():
@@ -405,16 +404,17 @@ def test_scalar_check_keeps_its_errors_and_messages(n):
     """
     base = np.eye(n, dtype=complex) / n
     huge = 1.7e308 + 1.7e308j
-    overflow = r"^custom overflows: an entry is above 1\.12e\+307 in modulus$"
-    nonfinite = r"^custom is not Hermitian: it has a non-finite entry$"
+    overflow = r"^matrix overflows: an entry is above 1\.12e\+307 in modulus$"
+    nonfinite = r"^matrix is not Hermitian: it has a non-finite entry$"
+    solve = eig_hermitian3 if n == 3 else eigvals_hermitian4
 
     def check(entries):
         M = base.copy()
         for (i, j), value in entries.items():
             M[i, j] = value
-        return assert_hermitian(M, what="custom")
+        return solve(M)
 
-    assert check({}) == base.tolist()
+    check({})
     with pytest.raises(ValueError, match=overflow):
         check({(0, 1): huge, (1, 0): np.conj(huge)})
     with pytest.raises(ValueError, match=overflow):
@@ -425,11 +425,11 @@ def test_scalar_check_keeps_its_errors_and_messages(n):
             check({(n - 1, 0): value})
         with pytest.raises(NotHermitianError, match=nonfinite):
             check({(0, 1): huge, (n - 1, n - 1): value, (1, 0): 0.5})
-    deviation = r"^custom is not Hermitian: max \|M - M\^dag\| = 2\.500e-10$"
+    deviation = r"^matrix is not Hermitian: max \|M - M\^dag\| = 2\.500e-10$"
     with pytest.raises(NotHermitianError, match=deviation):
         check({(0, n - 1): 2.5e-10})
     # a deviation of exactly HERM_TOL passes
-    assert check({(0, n - 1): 1e-10})[0][n - 1] == 1e-10
+    check({(0, n - 1): 1e-10})
 
 
 @pytest.mark.filterwarnings("error")

@@ -180,3 +180,14 @@ def test_pseudo_ppt_threshold_sanity():
     outside = np.array([0.0, 0.0, np.sqrt(1.0 / 3.0) + 1e-3])
     assert ppt_separable(pseudo_qubit(inside))
     assert not ppt_separable(pseudo_qubit(outside))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_bloch_vectors_are_outside_the_ball(bad):
+    v, zero = [0.0, bad, 0.0], [0.0, 0.0, 0.0]
+    with pytest.raises(OutOfBallError, match="^pseudo_qubit: "):
+        pseudo_qubit(v)
+    with pytest.raises(OutOfBallError, match="^pseudo_overlap a: "):
+        pseudo_overlap(v, zero)
+    with pytest.raises(OutOfBallError, match="^pseudo_overlap b: "):
+        pseudo_overlap(zero, v)

@@ -11,7 +11,8 @@ scalar records, on a seeded set of states that covers
 rank 1, 2 and 3, double roots of T, states within 10x of RANK_TOL and of
 SING_TOL, and entries that are -0.0.  The numpy expressions that the
 scalar parse and compose replace are checked repr for repr, signed zeros
-included, and eig_hermitian3 against the scalar eigensystem it converts.
+included, eig_hermitian3 against the scalar eigensystem it converts, and
+the pure-state arrays against the lists of _pure, _projector and _mub.
 """
 
 import json
@@ -233,6 +234,25 @@ def test_eig_hermitian3_converts_the_scalar_eigensystem():
         assert repr(es.values.tolist()) == repr(values)
         assert repr(es.vectors.tolist()) == repr(V)
         assert es.vectors.dtype == (float if np.isrealobj(M) else complex)
+
+
+def test_pure_state_arrays_convert_the_scalar_core():
+    """rik_decompose, density_from_pure and mub_bases are _pure, _projector and _mub as arrays."""
+    rng = np.random.default_rng(1106)
+    amps = [purestates.haar_pure(rng) for _ in range(50)]
+    # a leading component under the gauge threshold, signed zeros and a norm off by ulps
+    amps += [np.array([1e-15, 1j, 0.0]), np.array([complex(-0.0, 0.6), 0.8, complex(0.0, -0.0)]),
+             np.array([0.6 + 1e-13, 0.8j, 0.0])]
+    cases = [(purestates._pure(a.tolist()), purestates.rik_decompose(a)) for a in amps]
+    for core, array_basis in zip(purestates._mub(), purestates.mub_bases().bases):
+        cases += list(zip(core, array_basis))
+    for core, arrays in cases:
+        _assert_fields_convert(core, arrays, ("amp", "r", "k"))
+        assert (arrays.amp.dtype, arrays.r.dtype, arrays.k.dtype) == (complex, float, float)
+        rows = purestates._projector(core.amp)
+        for p in (core, arrays):
+            rho = purestates.density_from_pure(p)
+            assert rho.dtype == complex and repr(rho.tolist()) == repr(rows)
 
 
 def test_four_by_four_parse_is_the_numpy_expression():
