@@ -12,12 +12,12 @@ it also holds under python -O).
 
 Sign convention: evolution uses U = exp(-i theta G).
 
-Every command but random runs on Python scalars: a state or amplitude
-file is parsed straight to rows and checked once, there, and the
-report, scene, OBJ mesh, trajectory, unbiased bases and payloads read
-the library's records (Analysis, EllipsoidScene, Trajectory, PureState)
-as the scalar core fills them, with lists, and none of them imports
-numpy.  random samples with numpy's generator and imports it.
+Every command runs on Python scalars: a state or amplitude file is
+parsed straight to rows and checked once, there, and the report, scene,
+OBJ mesh, trajectory, unbiased bases, samples and payloads read the
+library's records (Analysis, EllipsoidScene, Trajectory, PureState) as
+the scalar core fills them, with lists.  Only random imports numpy, for
+its generator's draws.  Every exit-1 message about a file names it.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ from .state import (
     _density_rows,
     _gamma_norm,
     _metric,
+    _projector,
+    _random_rows,
     _record,
     _state_rows,
-    classify_rank,
-    random_density,
 )
 from .tolerances import MUB_TOL, ORTHO_TOL
 
@@ -109,15 +109,26 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _grid(obj, key: str, n: int) -> list:
+def _seed(text: str) -> int:
+    """argparse type of --seed, and the form of QUTRIT_SEED: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return seed
+
+
+def _grid(obj, path: str, key: str, n: int) -> list:
     rows = obj.get(key)
     if not isinstance(rows, list) or len(rows) != n:
-        raise CliIOError(f'"{key}" must be a {n}x{n} array')
+        raise CliIOError(f'{path}: "{key}" must be a {n}x{n} array')
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
-            raise CliIOError(f'"{key}" row {i} must have {n} entries')
-        out.append([_float(cell, f'"{key}"[{i}][{j}]') for j, cell in enumerate(row)])
+            raise CliIOError(f'{path}: "{key}" row {i} must have {n} entries')
+        out.append([_float(cell, f'{path}: "{key}"[{i}][{j}]') for j, cell in enumerate(row)])
     return out
 
 
@@ -134,25 +145,25 @@ def _read_json(path: str) -> dict:
     return obj
 
 
-def _matrix_from_obj(obj: dict, n: int) -> list:
-    """The n x n matrix of a {"re": .., "im": ..} object as rows of Python complex re + 1j * im."""
-    re, im = _grid(obj, "re", n), _grid(obj, "im", n)
+def _matrix_from_obj(obj: dict, path: str, n: int) -> list:
+    """path's n x n {"re": .., "im": ..} matrix as rows of Python complex re + 1j * im."""
+    re, im = _grid(obj, path, "re", n), _grid(obj, path, "im", n)
     return [[x + 1j * y for x, y in zip(rrow, irow)] for rrow, irow in zip(re, im)]
 
 
 def _pure_from_obj(obj: dict, path: str):
-    """The PureState, of lists, of an {"amplitudes": ..} object."""
+    """The PureState, of lists, of path's {"amplitudes": ..} object."""
     from .purestates import _pure
 
     amps = obj["amplitudes"]
     if not isinstance(amps, list) or len(amps) != 3:
-        raise CliIOError('"amplitudes" must hold 3 [re, im] pairs')
+        raise CliIOError(f'{path}: "amplitudes" must hold 3 [re, im] pairs')
     psi = []
     for i, pair in enumerate(amps):
         if not isinstance(pair, list) or len(pair) != 2:
-            raise CliIOError(f'"amplitudes"[{i}] must be an [re, im] pair')
-        re = _float(pair[0], f'"amplitudes"[{i}][0]')
-        psi.append(re + 1j * _float(pair[1], f'"amplitudes"[{i}][1]'))
+            raise CliIOError(f'{path}: "amplitudes"[{i}] must be an [re, im] pair')
+        re = _float(pair[0], f'{path}: "amplitudes"[{i}][0]')
+        psi.append(re + 1j * _float(pair[1], f'{path}: "amplitudes"[{i}][1]'))
     try:
         return _pure(psi)
     except NotNormalizedError as exc:
@@ -176,11 +187,9 @@ def load_state_file(path: str) -> list:
     """
     obj = _read_json(path)
     if "amplitudes" in obj:
-        from .purestates import _projector
-
         return _checked(path, _density_rows, _projector(_pure_from_obj(obj, path).amp))
     if "re" in obj or "im" in obj:
-        return _checked(path, _density_rows, _matrix_from_obj(obj, 3))
+        return _checked(path, _density_rows, _matrix_from_obj(obj, path, 3))
     raise CliIOError(f'{path}: expected "re"/"im" or "amplitudes" keys')
 
 
@@ -332,7 +341,7 @@ def cmd_mub(args) -> int:
         raise CliIOError(f"--basis must be 1..4, got {args.basis}")
     if args.vector not in (1, 2, 3):
         raise CliIOError(f"--vector must be 1..3, got {args.vector}")
-    from .purestates import _mub, _projector
+    from .purestates import _mub
 
     bases = list(_mub())
     state = bases.pop(args.basis - 1)[args.vector - 1]
@@ -363,7 +372,7 @@ def _generator_from_flag(flag: str):
 
     if flag.startswith("custom:"):
         path = flag.split(":", 1)[1]
-        return _checked(path, _solved, _matrix_from_obj(_read_json(path), 3))
+        return _checked(path, _solved, _matrix_from_obj(_read_json(path), path, 3))
     if flag not in GENERATORS:
         raise CliIOError(
             f"unknown generator {flag!r}; use rot|twist|counter:x|y|z or custom:<path>"
@@ -392,7 +401,7 @@ def cmd_bridge(args) -> int:
         rho4 = _to_two_qubit(rho3)
         _emit(json.dumps(density_payload(rho4), indent=2) + "\n", args.out)
     else:
-        rho4 = _matrix_from_obj(_read_json(args.path), 4)
+        rho4 = _matrix_from_obj(_read_json(args.path), args.path, 4)
         rho3 = _checked(args.path, _from_two_qubit, rho4)
         _emit(json.dumps(density_payload(rho3), indent=2) + "\n", args.out)
     return EXIT_OK
@@ -425,10 +434,16 @@ def cmd_random(args) -> int:
     seed = args.seed
     if seed is None:
         env = os.environ.get("QUTRIT_SEED")
-        seed = int(env) if env else 0
-    rho = random_density(rank=args.rank, rng=seed)
+        try:
+            seed = _seed(env) if env else 0
+        except argparse.ArgumentTypeError as exc:
+            raise CliIOError(f"QUTRIT_SEED: {exc}") from None
+    rho = _density_rows(_random_rows(args.rank, seed))
+    an = _record(rho)
+    if an.rank is None:  # a mixture of projectors is positive
+        raise InternalCheckError(f"sampled state is not positive: {an.eigenvalues[-1]:.3e}")
     out = json.dumps(density_payload(rho), indent=2) + "\n"
-    out += f"rank: {classify_rank(rho).rank}\n"
+    out += f"rank: {an.rank.rank}\n"
     _emit(out, args.out)
     return EXIT_OK
 
@@ -517,7 +532,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="sample a random density matrix")
     p.add_argument("--rank", type=int, choices=(1, 2, 3), default=3)
-    p.add_argument("--seed", type=int, default=None, help="defaults to QUTRIT_SEED or 0")
+    p.add_argument("--seed", type=_seed, default=None, help="defaults to QUTRIT_SEED or 0")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_random)
 

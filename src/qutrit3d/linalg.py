@@ -74,7 +74,7 @@ def _square_rows(M, n: int, what: str, error: type = ValueError, dtype=complex) 
     return M.tolist()
 
 
-def _hermitian_rows(rows: list, what: str = "matrix") -> list:
+def _hermitian_rows(rows: list, what: str) -> list:
     """Rows of Python numbers, returned once checked in one pass.
 
     NotHermitianError for a non-finite entry or max |M - M^dag| above
@@ -351,7 +351,8 @@ def _eig3(M: np.ndarray, dtype: type) -> EigenSystem3:
     """The EigenSystem3 of M as a float or complex array, checked and solved on its rows."""
     import numpy as np
 
-    vals, V = _eigensystem3(_hermitian_rows(_square_rows(M, 3, "Hermitian matrix", dtype=dtype)))
+    what = "Hermitian matrix"
+    vals, V = _eigensystem3(_hermitian_rows(_square_rows(M, 3, what, dtype=dtype), what))
     return EigenSystem3(values=np.array(vals), vectors=np.array(V, dtype=dtype))
 
 
@@ -365,7 +366,8 @@ def eigvals_hermitian4(M: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a 4x4 Hermitian matrix; any other shape is a ValueError."""
     import numpy as np
 
-    return np.array(_eigvals(_hermitian_rows(_square_rows(M, 4, "Hermitian matrix"))))
+    what = "Hermitian matrix"
+    return np.array(_eigvals(_hermitian_rows(_square_rows(M, 4, what), what)))
 
 
 def det3(M: np.ndarray) -> complex:

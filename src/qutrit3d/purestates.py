@@ -5,8 +5,8 @@ and k once the global phase is fixed; the Bloch vector is then the cross
 product a = 2 r x k, and orthogonality of two states becomes a pair of
 real dot-product conditions.  The module also provides the four mutually
 unbiased bases and the pseudo-qubit family (correlation tensor pinned to
-identity/3, Bloch ball of radius 2/3).  The core computes on Python
-complex; the public functions convert its lists to numpy arrays.
+identity/3, Bloch ball of radius 2/3).  The core and the Haar sampler compute
+on Python complex; the public functions convert their lists to arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import NotNormalizedError, OutOfBallError
 from .linalg import _dot3, vector_norm
-from .state import PSEUDO_TENSOR, _bundle, _compose
+from .state import PSEUDO_TENSOR, _bundle, _compose, _haar, _projector
 from .tolerances import BALL_TOL, GAUGE_EPS, NORM_TOL, ORTHO_TOL
 
 _BALL_RADIUS_SQ = 4.0 / 9.0  # pseudo-qubit Bloch ball, |a|^2 <= 4/9
@@ -77,16 +77,17 @@ def rik_decompose(amp: np.ndarray) -> PureState:
     return _pure_arrays(_pure(np.asarray(amp, dtype=complex).reshape(3).tolist()))
 
 
+def _bloch(p: PureState) -> list:
+    """a = 2 r x k of either form of PureState, in the operations of 2.0 * np.cross."""
+    (r0, r1, r2), (k0, k1, k2) = p.r, p.k
+    return [2.0 * (r1 * k2 - r2 * k1), 2.0 * (r2 * k0 - r0 * k2), 2.0 * (r0 * k1 - r1 * k0)]
+
+
 def bloch_from_pure(p: PureState) -> np.ndarray:
-    """Bloch vector a = 2 r x k; vanishes for real states."""
+    """Bloch vector a = 2 r x k (_bloch); vanishes for real states."""
     import numpy as np
 
-    return 2.0 * np.cross(p.r, p.k)
-
-
-def _projector(amp: list) -> list:
-    """|psi><psi| as rows of Python complex: entry (i, j) is amp_i conj(amp_j)."""
-    return [[x * y.conjugate() for y in amp] for x in amp]
+    return np.array(_bloch(p))
 
 
 def density_from_pure(p: PureState) -> np.ndarray:
@@ -132,7 +133,7 @@ def orthogonal_bloch_family(theta: float, phi: float, chi: float) -> tuple[np.nd
     import numpy as np
 
     ref, partner = reference_state(theta), orthogonal_state(theta, phi, chi)
-    return 2.0 * np.cross(ref.r, ref.k), 2.0 * np.cross(partner.r, partner.k)
+    return np.array(_bloch(ref)), np.array(_bloch(partner))
 
 
 def _mub() -> tuple:
@@ -189,9 +190,7 @@ def pseudo_overlap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def haar_pure(rng: np.random.Generator | int | None = None) -> np.ndarray:
-    """Haar-random pure amplitudes (normalized complex Gaussian)."""
+    """Haar-random pure amplitudes (normalized complex Gaussian, _haar)."""
     import numpy as np
 
-    rng = np.random.default_rng(rng)  # a Generator is returned as it is
-    psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    return psi / np.linalg.norm(psi)
+    return np.array(_haar(np.random.default_rng(rng)))  # a Generator is returned as it is

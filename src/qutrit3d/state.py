@@ -12,8 +12,8 @@ once (_density_rows), where it enters: at the public array edge
 _state_rows) takes checked rows, never checks them again and computes
 the Analysis, of lists, in Python floats from them and T's spectrum.
 Each float operation rounds once, as numpy's elementwise operations do,
-so the bits are the same, and no BLAS is called.  The public functions
-convert the records to arrays.
+so the bits are the same, and no BLAS is called; the sampler takes only
+its draws from numpy.  The public functions convert the records to arrays.
 
 Conventions (fixed wire format):
   T = 1 - 2 Re(rho)
@@ -405,8 +405,31 @@ def classify_rank(rho: np.ndarray) -> RankReport:
     return RankReport(an.rank.rank, an.rank.case, np.array(an.eigenvalues))
 
 
+def _projector(amp: list) -> list:
+    """|psi><psi| as rows of Python complex: entry (i, j) is amp_i conj(amp_j)."""
+    return [[x * y.conjugate() for y in amp] for x in amp]
+
+
+def _haar(rng: np.random.Generator) -> list:
+    """Haar-random amplitudes: two standard_normal(3) draws as Python complex, normalised."""
+    psi = list(map(complex, rng.standard_normal(3).tolist(), rng.standard_normal(3).tolist()))
+    scale = 1.0 / vector_norm(psi)  # as numpy divides a complex by a real
+    return [x * scale for x in psi]
+
+
+def _random_rows(rank: int, rng: np.random.Generator | int | None) -> list:
+    """random_density's rows: sum w |psi><psi|, exactly Hermitian, times 1 / its trace."""
+    import numpy as np
+
+    rng = np.random.default_rng(rng)  # a Generator is returned as it is
+    terms = [(w, _projector(_haar(rng))) for w in rng.dirichlet([1.0] * rank).tolist()]
+    rho = [[sum(w * P[i][j] for w, P in terms) for j in range(3)] for i in range(3)]
+    scale = 1.0 / (rho[0][0].real + rho[1][1].real + rho[2][2].real)
+    return [[x * scale for x in row] for row in rho]
+
+
 def random_density(rank: int = 3, rng: np.random.Generator | int | None = None) -> np.ndarray:
-    """Seeded sampler: Dirichlet-weighted mixture of Haar-random pure states.
+    """Seeded sampler: Dirichlet-weighted mixture of Haar-random pure states (_random_rows).
 
     The number of mixture components equals the requested rank, which the
     output achieves with probability one.
@@ -415,13 +438,4 @@ def random_density(rank: int = 3, rng: np.random.Generator | int | None = None) 
 
     if rank not in (1, 2, 3):
         raise ValueError(f"rank must be 1, 2 or 3, got {rank}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    rho = np.zeros((3, 3), dtype=complex)
-    weights = rng.dirichlet(np.ones(rank))
-    for w in weights:
-        psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        psi /= np.linalg.norm(psi)
-        rho += w * np.outer(psi, psi.conj())
-    rho = (rho + rho.conj().T) / 2.0
-    return rho / np.trace(rho).real
+    return np.array(_random_rows(rank, rng))

@@ -481,6 +481,18 @@ def test_random_seeding_and_rank():
         res = run_cli("random", "--rank", str(rank), "--seed", "1")
         assert res.stdout.rstrip().splitlines()[-1] == f"rank: {rank}"
 
+    # a seed that is not a non-negative integer is a parse failure naming its source
+    for argv, env, where in (
+        (["--seed", "-1"], None, "argument --seed: "),
+        (["--seed", "1.5"], None, "argument --seed: "),
+        ([], {"QUTRIT_SEED": "abc"}, "error: QUTRIT_SEED: "),
+        ([], {"QUTRIT_SEED": "-2"}, "error: QUTRIT_SEED: "),
+    ):
+        res = run_cli("random", *argv, env_extra=env)
+        assert res.returncode == 1, (argv, env, res.stderr)
+        assert res.stdout == ""
+        assert where in res.stderr and "Traceback" not in res.stderr, res.stderr
+
 
 def test_out_flag_writes_file(tmp_path):
     out = tmp_path / "report.txt"
@@ -509,7 +521,8 @@ def _grid_payload(n, value, where=(0, 0)):
 
 
 # (file name, file payload or None, argv with {f} for the file); every
-# non-finite number must be rejected as a parse failure, exit 1
+# non-finite number, and every file of the wrong shape, must be rejected as a
+# parse failure of that file, exit 1
 NONFINITE_CASES = {
     "state_nan": ("s.json", _grid_payload(3, float("nan")), ["analyze", "{f}"]),
     "state_inf_off_diagonal": (
@@ -537,6 +550,22 @@ NONFINITE_CASES = {
         _grid_payload(3, float("-inf"), (2, 2)),
         ["evolve", os.path.join(DATA, "mixed.json"), "--generator", "custom:{f}", "--theta", "1"],
     ),
+    "state_wrong_shape": ("s.json", _grid_payload(2, 0.5), ["analyze", "{f}"]),
+    "amplitudes_wrong_shape": (
+        "s.json",
+        {"amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+        ["ortho", "{f}", "{f}"],
+    ),
+    "two_qubit_wrong_shape": (
+        "q.json",
+        _grid_payload(3, 1.0 / 3.0),
+        ["bridge", "{f}", "--direction", "from2q"],
+    ),
+    "generator_wrong_shape": (
+        "g.json",
+        _grid_payload(4, 0.25),
+        ["evolve", os.path.join(DATA, "mixed.json"), "--generator", "custom:{f}", "--theta", "1"],
+    ),
     "pseudo_flag_nan": (None, None, ["pseudo", "--ax", "nan"]),
     "pseudo_flag_inf": (None, None, ["pseudo", "--az=-inf"]),
     "theta_flag_inf": (
@@ -558,6 +587,8 @@ def test_nonfinite_input_exits_1(tmp_path, case):
     assert res.returncode == 1, (res.stdout, res.stderr)
     assert res.stdout == ""
     assert "error: " in res.stderr and "Traceback" not in res.stderr
+    if name is not None:  # the message names the file it rejects
+        assert res.stderr.startswith(f"error: {path}: "), res.stderr
 
 
 def test_unconverged_eigensolve_exits_3(monkeypatch, capsys):
@@ -631,12 +662,12 @@ def test_no_literal_tolerances_outside_the_table():
     assert found == []
 
 
-# the only functions of the analysis, bridge, dynamics and pure-state modules
-# that may call BLAS: the two samplers, whose draws come from numpy's
-# generator, and the expectations of the spin matrices
-BLAS_EXEMPT = {"random_density", "haar_pure", "expectations"}
-BLAS_ATTRIBUTES = {"linalg", "dot", "outer", "kron", "einsum", "trace"}
-LINTED = ("state.py", "linalg.py", "geometry.py", "spin1.py", "dynamics.py", "purestates.py")
+# the only function of the package that may call BLAS: the expectations of
+# the spin matrices, the reference route of the parameters
+BLAS_EXEMPT = {"expectations"}
+BLAS_ATTRIBUTES = {"linalg", "dot", "outer", "kron", "einsum", "trace", "cross"}
+LINTED = ("state.py", "linalg.py", "geometry.py", "spin1.py", "dynamics.py", "purestates.py",
+          "cli.py")
 
 
 def _calls_blas(node) -> bool:
@@ -651,12 +682,12 @@ def _calls_blas(node) -> bool:
 
 
 def test_no_blas_on_the_analysis_and_bridge_path():
-    """No @, np.linalg, np.dot, np.outer, np.kron, np.einsum or np.trace outside BLAS_EXEMPT.
+    """No @ and no np.linalg, dot, outer, kron, einsum, trace or cross but in BLAS_EXEMPT.
 
     These call BLAS or sum in an order of numpy's choosing, so their last
     bit can depend on the CPU's kernel; the analysis, the bridge, the
-    trajectories, the OBJ mesh and the pure states run on Python scalars
-    instead.
+    trajectories, the OBJ mesh, the pure states, the samplers and the CLI
+    run on Python scalars instead.
     """
     found, exempt_seen = [], set()
     for name in LINTED:
@@ -700,7 +731,7 @@ def _imports_numpy(fn) -> bool:
 
 
 def test_no_array_edge_inside_the_package():
-    """No function of state, linalg, geometry, spin1, dynamics or purestates calls an array edge.
+    """No function of the LINTED modules, the CLI included, calls an array edge.
 
     A matrix is converted to rows and checked once, where it enters; a
     call back into the array edge would convert and check it again.  Every

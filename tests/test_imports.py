@@ -1,4 +1,4 @@
-"""Every command but random runs on Python scalars and never imports numpy.
+"""Every command runs on Python scalars, and every command but random never imports numpy.
 
 analyze (text and JSON, of density and amplitude files, including their
 parse failures and the exit-2 report of a matrix that is not positive),
@@ -6,8 +6,8 @@ scene as JSON and as an OBJ mesh, bridge in both directions, pseudo,
 mub, ortho and evolve (with a canonical or a custom generator, with
 scenes, and on its exit-1 errors) read the library's scalar records, so
 numpy must not be in sys.modules when they exit, under python -O as
-well.  random samples with numpy and loads it: it is the control that
-the probe sees an import.  A lint keeps numpy out of the module level of
+well.  random takes its draws from numpy's generator and loads it: it is
+the control that the probe sees an import.  A lint keeps numpy out of the module level of
 the modules on that path.
 """
 

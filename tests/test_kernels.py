@@ -11,12 +11,14 @@ eig_hermitian3, eig_sym3 and eigvals_hermitian4 outputs, of the bridge
 eigenvalues, the metric norm gamma_norm and the validity flags of the
 analysis report, of the report's text (report_text) and JSON
 (report_dict), of the scene's JSON (scene_to_dict), of trajectories
-(dynamics.trajectory, with and without scenes) and of `bridge` and
-`evolve` CLI outputs (both directions; with and without --scenes), and
-the ten golden CLI outputs byte for byte.  rho's spectrum, the positivity checks of to_two_qubit and the
-partial transpose test run the solver's values-only path, so the digest
-covers it beside the full path; the report and the scene cover the
-scalar analysis from the input check to the serialised output.
+(dynamics.trajectory, with and without scenes), of the samplers
+(random_density, haar_pure) and of `bridge` and `evolve` CLI outputs
+(both directions; with and without --scenes), and the ten golden CLI
+outputs byte for byte.  rho's spectrum, the positivity checks of
+to_two_qubit and the partial transpose test run the solver's values-only
+path, so the digest covers it beside the full path; the report and the
+scene cover the scalar analysis from the input check to the serialised
+output.
 
 The child builds its inputs without BLAS (elementwise numpy, outer
 products, the mutually unbiased bases), so only the library can make the
@@ -25,13 +27,14 @@ loops, whose complex multiply fuses operations at some levels and not at
 others, so they can differ between SIMD levels.
 
 numpy picks its SIMD loops at run time too, and NPY_DISABLE_CPU_FEATURES
-holds it to a lower level.  A second test runs every command but random
-(the ten golden commands, all twelve mub states, ortho on seeded pairs,
-analyze --json of seeded amplitude files and scene --format obj of seeded
-densities) in a child per SIMD level, X86_V4 down to the X86_V2
-baseline, and in one child under the Prescott kernel.  The parent writes
-the inputs as JSON, so no child's numpy touches them, and every child
-must print the same bytes.
+holds it to a lower level.  A second test runs every command (the ten
+golden commands, all twelve mub states, random of every rank on a few
+seeds, ortho on seeded pairs, analyze --json of seeded amplitude files
+and scene --format obj of seeded densities) in a child per SIMD level,
+X86_V4 down to the X86_V2 baseline, and in one child under the Prescott
+kernel.  The parent writes the inputs as JSON, so no child's numpy
+touches them; random's only input from numpy is its generator's draws.
+Every child must print the same bytes.
 
 Run directly, ``python tests/test_kernels.py`` prints the kernel child's
 JSON, and ``python tests/test_kernels.py MANIFEST`` runs the CLI calls
@@ -96,8 +99,9 @@ def _digest() -> str:
     from qutrit3d.dynamics import canonical_generators, custom, trajectory
     from qutrit3d.geometry import build_scene, scene_to_dict
     from qutrit3d.linalg import eig_hermitian3, eig_sym3, eigvals_hermitian4, partial_transpose
-    from qutrit3d.purestates import density_from_pure, mub_bases
+    from qutrit3d.purestates import density_from_pure, haar_pure, mub_bases
     from qutrit3d.spin1 import from_two_qubit, ppt_separable, singlet_overlap, to_two_qubit
+    from qutrit3d.state import random_density
 
     rng = np.random.default_rng(20261018)
     h = hashlib.sha256()
@@ -129,6 +133,9 @@ def _digest() -> str:
         # a two-qubit density off the symmetric sector
         rho4 = _density(rng, 4, i % 4 + 1)
         add(eigvals_hermitian4(partial_transpose(rho4)), singlet_overlap(rho4))
+    # the samplers: numpy's draws, normalised, summed and divided on Python scalars
+    for seed in range(30):
+        add(random_density(seed % 3 + 1, seed), haar_pure(seed))
     # T of the unbiased-basis states: a double root in a frame off the axes
     for basis in mub_bases().bases:
         for p in basis:
@@ -262,13 +269,15 @@ def _cli_outputs(manifest: str) -> dict:
 
 
 def _cli_calls(tmp) -> list:
-    """(name, argv) of every command but random, on seeded inputs written to tmp as JSON."""
+    """(name, argv) of every command, on seeded inputs written to tmp as JSON."""
     from qutrit3d.state import random_density
 
     rng = np.random.default_rng(20261019)
     calls = list(GOLDEN_COMMANDS.items())
     calls += [(f"mub_{b}_{v}", ["mub", "--basis", str(b), "--vector", str(v)])
               for b in (1, 2, 3, 4) for v in (1, 2, 3)]
+    calls += [(f"random_{r}_{s}", ["random", "--rank", str(r), "--seed", str(s)])
+              for r in (1, 2, 3) for s in range(4)]
 
     def write(name, obj):
         path = os.path.join(tmp, f"{name}.json")

@@ -404,8 +404,8 @@ def test_scalar_check_keeps_its_errors_and_messages(n):
     """
     base = np.eye(n, dtype=complex) / n
     huge = 1.7e308 + 1.7e308j
-    overflow = r"^matrix overflows: an entry is above 1\.12e\+307 in modulus$"
-    nonfinite = r"^matrix is not Hermitian: it has a non-finite entry$"
+    overflow = r"^Hermitian matrix overflows: an entry is above 1\.12e\+307 in modulus$"
+    nonfinite = r"^Hermitian matrix is not Hermitian: it has a non-finite entry$"
     solve = eig_hermitian3 if n == 3 else eigvals_hermitian4
 
     def check(entries):
@@ -425,7 +425,7 @@ def test_scalar_check_keeps_its_errors_and_messages(n):
             check({(n - 1, 0): value})
         with pytest.raises(NotHermitianError, match=nonfinite):
             check({(0, 1): huge, (n - 1, n - 1): value, (1, 0): 0.5})
-    deviation = r"^matrix is not Hermitian: max \|M - M\^dag\| = 2\.500e-10$"
+    deviation = r"^Hermitian matrix is not Hermitian: max \|M - M\^dag\| = 2\.500e-10$"
     with pytest.raises(NotHermitianError, match=deviation):
         check({(0, n - 1): 2.5e-10})
     # a deviation of exactly HERM_TOL passes

@@ -11,8 +11,9 @@ scalar records, on a seeded set of states that covers
 rank 1, 2 and 3, double roots of T, states within 10x of RANK_TOL and of
 SING_TOL, and entries that are -0.0.  The numpy expressions that the
 scalar parse and compose replace are checked repr for repr, signed zeros
-included, eig_hermitian3 against the scalar eigensystem it converts, and
-the pure-state arrays against the lists of _pure, _projector and _mub.
+included, eig_hermitian3 against the scalar eigensystem it converts, the
+pure-state arrays against the lists of _pure, _projector and _mub, and
+the samplers against the lists of _random_rows and _haar.
 """
 
 import json
@@ -67,7 +68,7 @@ STATES = _states()
 def _file_rows(rho):
     """rho as the CLI parses its file: rows of Python complex, and the numpy parse it replaces."""
     obj = json.loads(json.dumps({"re": rho.real.tolist(), "im": rho.imag.tolist()}))
-    rows = cli._matrix_from_obj(obj, 3)
+    rows = cli._matrix_from_obj(obj, "m.json", 3)
     old = np.array(obj["re"]) + 1j * np.array(obj["im"])
     assert repr(rows) == repr(old.tolist())
     return rows, old
@@ -255,10 +256,26 @@ def test_pure_state_arrays_convert_the_scalar_core():
             assert rho.dtype == complex and repr(rho.tolist()) == repr(rows)
 
 
+def test_samplers_convert_the_scalar_core():
+    """random_density and haar_pure are _random_rows and _haar as arrays, on the same draws."""
+    for seed in range(30):
+        rank = seed % 3 + 1
+        rho = state.random_density(rank, seed)
+        assert rho.dtype == complex and rho.shape == (3, 3)
+        assert repr(rho.tolist()) == repr(state._random_rows(rank, seed))
+        psi = purestates.haar_pure(seed)
+        assert psi.dtype == complex and psi.shape == (3,)
+        assert repr(psi.tolist()) == repr(state._haar(np.random.default_rng(seed)))
+    # a Generator is drawn from as it is, by both forms
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    assert repr(state.random_density(2, a).tolist()) == repr(state._random_rows(2, b))
+    assert repr(purestates.haar_pure(a).tolist()) == repr(state._haar(b))
+
+
 def test_four_by_four_parse_is_the_numpy_expression():
     rng = np.random.default_rng(1105)
     for _ in range(50):
         re = rng.choice([0.0, -0.0, 0.25, -1.5, 1e-300], size=(4, 4))
         im = rng.choice([0.0, -0.0, 0.25, -1.5, 1e-300], size=(4, 4))
         obj = {"re": re.tolist(), "im": im.tolist()}
-        assert repr(cli._matrix_from_obj(obj, 4)) == repr((re + 1j * im).tolist())
+        assert repr(cli._matrix_from_obj(obj, "m.json", 4)) == repr((re + 1j * im).tolist())
