@@ -49,7 +49,6 @@ from .geometry import (
     scene_to_dict,
 )
 from .linalg import _dot
-from .spin1 import _from_two_qubit, _to_two_qubit
 from .state import (
     PSEUDO_TENSOR,
     Analysis,
@@ -359,7 +358,8 @@ def cmd_mub(args) -> int:
 def cmd_pseudo(args) -> int:
     # build the tensor-=identity/3 state for any requested vector and let
     # the validity report say whether it is admissible, mirroring analyze
-    rho = _density_rows(_compose(_bundle([args.ax, args.ay, args.az], PSEUDO_TENSOR)))
+    rows = _compose(_bundle([args.ax, args.ay, args.az], PSEUDO_TENSOR))
+    rho = _checked("--ax/--ay/--az", _density_rows, rows)
     report = _report(rho)
     out = json.dumps(density_payload(rho), indent=2) + "\n"
     out += report_text(report)
@@ -396,6 +396,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_bridge(args) -> int:
+    from .spin1 import _from_two_qubit, _to_two_qubit
+
     if args.direction == "to2q":
         rho3 = load_state_file(args.path)
         rho4 = _to_two_qubit(rho3)
@@ -481,8 +483,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scene", help="export the ellipsoid scene")
     p.add_argument("path")
     p.add_argument("--format", choices=("json", "obj"), default="json")
-    p.add_argument("--lat", type=int, default=12, help="mesh rings (obj)")
-    p.add_argument("--lon", type=int, default=24, help="mesh columns (obj)")
+    p.add_argument("--lat", type=int, default=12, help="mesh rings (obj), 4..1024")
+    p.add_argument("--lon", type=int, default=24, help="mesh columns (obj), 8..2048")
     p.add_argument(
         "--surface-only",
         action="store_true",

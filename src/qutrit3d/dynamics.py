@@ -24,9 +24,10 @@ sample is rho0's rows as given; every other sample's upper triangle is
 mirrored, so it is exactly Hermitian with a real diagonal.  A Generator
 holds tuples, its matrix rows and their eigenframe, solved once when it
 is built, and the grid is a list, np.linspace's bit for bit.  custom,
-generator_matrix, evolve (a one-sample trajectory) and trajectory
-import numpy when called, check a matrix once and convert to arrays;
-the CLI hands the core the rows it parsed.
+evolve (a one-sample trajectory) and trajectory take a matrix in through
+linalg._rows and check it once; they and generator_matrix return arrays
+through linalg._array (_scene_arrays for a scene).  The CLI hands the
+core the rows it parsed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .geometry import EllipsoidScene, _scene, _scene_arrays
-from .linalg import _eigensystem3, _hermitian_rows, _square_rows
+from .linalg import _array, _eigensystem3, _hermitian_rows, _rows
 from .spin1 import _spin_rows
 from .state import _as_rows, _state_rows
 
@@ -128,7 +129,7 @@ def two_axis_counter(axis: str) -> Generator:
 
 def custom(H: np.ndarray) -> Generator:
     """A Hermitian 3x3 generator, copied to rows so later writes to H cannot reach it."""
-    return _solved(_square_rows(H, 3, "custom generator"))
+    return _solved(_rows(H, (3, 3), "custom generator"))
 
 
 def canonical_generators() -> list[Generator]:
@@ -142,9 +143,7 @@ def generator_label(g: Generator) -> str:
 
 def generator_matrix(g: Generator) -> np.ndarray:
     """Hermitian matrix of a generator (S_j, S_j^2, A_j or the custom H), a writable array."""
-    import numpy as np
-
-    return np.array(g.matrix)
+    return _array(g.matrix)
 
 
 def _grid(theta_max: float, n: int) -> list:
@@ -230,9 +229,7 @@ def _trajectory(rows: list, g: Generator, thetas: list, with_scenes: bool) -> Tr
 
 def evolve(rho: np.ndarray, g: Generator, theta: float) -> np.ndarray:
     """rho' = U rho U^dag with U = exp(-i theta G): the one-sample _trajectory."""
-    import numpy as np
-
-    return np.array(_trajectory(_state_rows(_as_rows(rho)), g, [float(theta)], False).states[0])
+    return _array(_trajectory(_state_rows(_as_rows(rho)), g, [float(theta)], False).states[0])
 
 
 def trajectory(
@@ -248,8 +245,6 @@ def trajectory(
     point, no compounded stepping), reusing a single eigendecomposition of
     the generator, solved when it was built.
     """
-    import numpy as np
-
     t = _trajectory(_state_rows(_as_rows(rho0)), g, _grid(theta_max, n), with_scenes)
     scenes = None if t.scenes is None else [_scene_arrays(s) for s in t.scenes]
-    return Trajectory(np.array(t.thetas), [np.array(s) for s in t.states], scenes)
+    return Trajectory(_array(t.thetas), [_array(s) for s in t.states], scenes)

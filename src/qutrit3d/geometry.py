@@ -10,8 +10,9 @@ eigenvector, which for real pure states points along the state vector).
 
 Rows in, arrays at the edge: _scene builds an EllipsoidScene of lists of
 Python floats from checked rows, build_scene checks its input once and
-converts that record to numpy arrays in place, and scene_to_dict and the
-exporters, the OBJ mesh included, read either on Python floats.
+converts that record to arrays in place (through linalg._array), and
+scene_to_dict and the exporters, the OBJ mesh included, read either on
+Python floats (an array through linalg._rows).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateMeshError, InternalCheckError, InvalidStateError
-from .linalg import _dot3, vector_norm
+from .linalg import _array, _dot3, _rows, vector_norm
 from .state import (
     FULL_3D,
     POINT,
@@ -78,11 +79,9 @@ def build_scene(rho: np.ndarray) -> EllipsoidScene:
 
 def _scene_arrays(s: EllipsoidScene) -> EllipsoidScene:
     """A scene of lists, as _scene builds it, converted to numpy arrays in place."""
-    import numpy as np
-
-    s.semi_axes, s.frame, s.bloch = np.array(s.semi_axes), np.array(s.frame), np.array(s.bloch)
+    s.semi_axes, s.frame, s.bloch = _array(s.semi_axes), _array(s.frame), _array(s.bloch)
     for r in s.rays:
-        r.dir = np.array(r.dir)
+        r.dir = _array(r.dir)
     return s
 
 
@@ -112,13 +111,9 @@ def _scene(rows: list) -> EllipsoidScene:
     return EllipsoidScene(case, r.semi_axes, r.frame, a, rays)
 
 
-def _floats(x) -> list:
-    """A list field as it is; any other field (an array) as the nested list of its floats."""
-    if isinstance(x, list):
-        return x
-    import numpy as np
-
-    return np.asarray(x, dtype=float).tolist()
+def _floats(x, shape: tuple = (3,)) -> list:
+    """A list field as it is; any other field (an array) of shape as nested lists of floats."""
+    return x if isinstance(x, list) else _rows(x, shape, "scene field", dtype=float)
 
 
 def scene_to_dict(s: EllipsoidScene) -> dict:
@@ -127,7 +122,7 @@ def scene_to_dict(s: EllipsoidScene) -> dict:
         "version": 1,
         "case": s.case,
         "semi_axes": _floats(s.semi_axes),
-        "frame": _floats(s.frame),
+        "frame": _floats(s.frame, (3, 3)),
         "bloch": _floats(s.bloch),
         "rays": [{"dir": _floats(r.dir), "style": r.style, "label": r.label} for r in s.rays],
     }
@@ -148,14 +143,15 @@ def export_scene_obj(
     """Wavefront OBJ text for a scene.
 
     The three_d case meshes a UV sphere (lat rings of lon points plus two
-    poles, lat*lon + 2 vertices) scaled by the semi-axes and rotated into
-    the lab frame; degenerate cases emit the segment and annotation rays
-    as line records.  A nonzero Bloch vector is always emitted as a line
-    record tagged by comment.  With surface_only=True only the mesh is
+    poles, lat*lon + 2 vertices; 4 <= lat <= 1024 and 8 <= lon <= 2048
+    bound it) scaled by the semi-axes and rotated into the lab frame;
+    degenerate cases emit the segment and annotation rays as line
+    records.  A nonzero Bloch vector is always emitted as a line record
+    tagged by comment.  With surface_only=True only the mesh is
     emitted, which a degenerate scene cannot provide.
     """
-    if lat < 4 or lon < 8:
-        raise ValueError(f"mesh needs lat >= 4 and lon >= 8, got lat={lat}, lon={lon}")
+    if not (4 <= lat <= 1024 and 8 <= lon <= 2048):
+        raise ValueError(f"mesh needs 4 <= lat <= 1024, 8 <= lon <= 2048, got lat={lat}, lon={lon}")
     if surface_only and s.case != CASE_THREE_D:
         raise DegenerateMeshError(f"no surface mesh for a {s.case} scene")
 
@@ -173,7 +169,7 @@ def export_scene_obj(
         vcount += 1
         return vcount
 
-    frame = _floats(s.frame)
+    frame = _floats(s.frame, (3, 3))
     if s.case == CASE_THREE_D:
         radii = _floats(s.semi_axes)
 

@@ -3,12 +3,14 @@
 Self-contained Hermitian eigendecomposition (cyclic Jacobi),
 determinants and the two-qubit partial transpose.  Everything here is a
 pure function, with no shared state.
-Rows in, arrays at the edge: the check (_hermitian_rows) and the
-solvers (_eigensystem3, _eigvals) take a matrix as rows of Python
-numbers and return lists.  The public functions convert numpy input to
-rows, check them once and convert the results back to arrays, importing
-numpy only when called; the solvers take checked rows and never check
-them again, and the package's analysis and its CLI call them directly.
+Rows in, arrays at the edge, for the whole package: an argument comes
+in through _rows, which checks its exact shape and returns nested lists
+of Python numbers, and a result goes out through _array (numpy.asarray).
+Both import numpy when called; elsewhere only the samplers' draws and
+the spin1 expectation reference do.  The check (_hermitian_rows) and the
+solvers (_eigensystem3, _eigvals) take a matrix as rows and return
+lists; the solvers never check their rows again, and the package's
+analysis and its CLI call them directly.
 
 The check and the solvers work on Python scalars and call no BLAS: the
 check is one pass over the rows, and one Jacobi kernel per size solves
@@ -64,14 +66,22 @@ class EigenSystem3:
     vectors: np.ndarray
 
 
-def _square_rows(M, n: int, what: str, error: type = ValueError, dtype=complex) -> list:
-    """M's rows as lists of Python numbers of dtype; error unless M is n x n."""
+def _rows(x, shape: tuple, what: str, error: type = ValueError, dtype=complex) -> list:
+    """x as nested lists of Python numbers of dtype (None keeps x's); error unless x has shape."""
     import numpy as np
 
-    M = np.asarray(M, dtype=dtype)
-    if M.shape != (n, n):
-        raise error(f"{what} must be {n}x{n}, got {M.shape}")
-    return M.tolist()
+    x = np.asarray(x, dtype=dtype)
+    if x.shape != shape:
+        size = "x".join(map(str, shape)) if len(shape) > 1 else f"of length {shape[0]}"
+        raise error(f"{what} must be {size}, got {x.shape}")
+    return x.tolist()
+
+
+def _array(x, dtype=None):
+    """numpy.asarray(x, dtype): the one way a result leaves the package."""
+    import numpy as np
+
+    return np.asarray(x, dtype=dtype)
 
 
 def _hermitian_rows(rows: list, what: str) -> list:
@@ -336,9 +346,7 @@ def eig_hermitian3(M: np.ndarray) -> EigenSystem3:
     Real input is solved in real arithmetic and gets real eigenvectors;
     any other shape is a ValueError.
     """
-    import numpy as np
-
-    return _eig3(M, float if np.isrealobj(M) else complex)
+    return _eig3(M, complex if _array(M).dtype.kind == "c" else float)
 
 
 def eig_sym3(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,11 +357,9 @@ def eig_sym3(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _eig3(M: np.ndarray, dtype: type) -> EigenSystem3:
     """The EigenSystem3 of M as a float or complex array, checked and solved on its rows."""
-    import numpy as np
-
     what = "Hermitian matrix"
-    vals, V = _eigensystem3(_hermitian_rows(_square_rows(M, 3, what, dtype=dtype), what))
-    return EigenSystem3(values=np.array(vals), vectors=np.array(V, dtype=dtype))
+    vals, V = _eigensystem3(_hermitian_rows(_rows(M, (3, 3), what, dtype=dtype), what))
+    return EigenSystem3(values=_array(vals), vectors=_array(V, dtype))
 
 
 def _eigvals(rows: list) -> list:
@@ -364,10 +370,8 @@ def _eigvals(rows: list) -> list:
 
 def eigvals_hermitian4(M: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a 4x4 Hermitian matrix; any other shape is a ValueError."""
-    import numpy as np
-
     what = "Hermitian matrix"
-    return np.array(_eigvals(_hermitian_rows(_square_rows(M, 4, what), what)))
+    return _array(_eigvals(_hermitian_rows(_rows(M, (4, 4), what), what)))
 
 
 def det3(M: np.ndarray) -> complex:
@@ -384,11 +388,8 @@ def partial_transpose(M: np.ndarray) -> np.ndarray:
     Basis order |00>, |01>, |10>, |11>.  Keeps M's dtype; applying it
     twice returns the input exactly.  Any other shape is a ValueError.
     """
-    import numpy as np
-
-    M = np.asarray(M)
-    rows = _square_rows(M, 4, "two-qubit operator", dtype=M.dtype)
-    return np.array(_partial_transpose(rows), dtype=M.dtype)
+    dtype = _array(M).dtype
+    return _array(_partial_transpose(_rows(M, (4, 4), "two-qubit operator", dtype=dtype)), dtype)
 
 
 def _partial_transpose(rows: list) -> list:

@@ -6,7 +6,9 @@ product a = 2 r x k, and orthogonality of two states becomes a pair of
 real dot-product conditions.  The module also provides the four mutually
 unbiased bases and the pseudo-qubit family (correlation tensor pinned to
 identity/3, Bloch ball of radius 2/3).  The core and the Haar sampler compute
-on Python complex; the public functions convert their lists to arrays.
+on Python complex.  Amplitudes and pseudo-qubit vectors come in through
+linalg._rows, of exactly three entries, and the public functions return
+their lists through linalg._array (_pure_arrays for a PureState).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotNormalizedError, OutOfBallError
-from .linalg import _dot3, vector_norm
+from .linalg import _array, _dot3, _rows, vector_norm
 from .state import PSEUDO_TENSOR, _bundle, _compose, _haar, _projector
 from .tolerances import BALL_TOL, GAUGE_EPS, NORM_TOL, ORTHO_TOL
 
@@ -64,17 +66,13 @@ def _pure(amp: list) -> PureState:
 
 def _pure_arrays(p: PureState) -> PureState:
     """A PureState of lists, as _pure builds it, converted to numpy arrays in place."""
-    import numpy as np
-
-    p.amp, p.r, p.k = np.array(p.amp), np.array(p.r), np.array(p.k)
+    p.amp, p.r, p.k = _array(p.amp), _array(p.r), _array(p.k)
     return p
 
 
 def rik_decompose(amp: np.ndarray) -> PureState:
     """Normalize-check, fix the global phase, split into r + i k (_pure), as arrays."""
-    import numpy as np
-
-    return _pure_arrays(_pure(np.asarray(amp, dtype=complex).reshape(3).tolist()))
+    return _pure_arrays(_pure(_rows(amp, (3,), "amplitudes")))
 
 
 def _bloch(p: PureState) -> list:
@@ -85,16 +83,12 @@ def _bloch(p: PureState) -> list:
 
 def bloch_from_pure(p: PureState) -> np.ndarray:
     """Bloch vector a = 2 r x k (_bloch); vanishes for real states."""
-    import numpy as np
-
-    return np.array(_bloch(p))
+    return _array(_bloch(p))
 
 
 def density_from_pure(p: PureState) -> np.ndarray:
     """Rank-one projector |psi><psi| (_projector), as an array."""
-    import numpy as np
-
-    return np.array(_projector(np.asarray(p.amp).tolist()))
+    return _array(_projector(_rows(p.amp, (3,), "amplitudes", dtype=None)))
 
 
 def orthogonal(p: PureState, q: PureState) -> bool:
@@ -130,10 +124,8 @@ def orthogonal_bloch_family(theta: float, phi: float, chi: float) -> tuple[np.nd
                 -cos^2 phi cos theta sin theta)
     so a . a' = -4 cos^2 phi cos^2 theta sin^2 theta is never positive.
     """
-    import numpy as np
-
     ref, partner = reference_state(theta), orthogonal_state(theta, phi, chi)
-    return np.array(_bloch(ref)), np.array(_bloch(partner))
+    return _array(_bloch(ref)), _array(_bloch(partner))
 
 
 def _mub() -> tuple:
@@ -161,9 +153,7 @@ def mub_bases() -> MubFamily:
 
 
 def _check_in_ball(a: np.ndarray, name: str) -> list:
-    import numpy as np
-
-    a = np.asarray(a, dtype=float).reshape(3).tolist()
+    a = _rows(a, (3,), f"{name}: the Bloch vector", dtype=float)
     aa = _dot3(a, a)
     if not aa <= _BALL_RADIUS_SQ + BALL_TOL:  # so also for a non-finite a: NaN compares false
         raise OutOfBallError(f"{name}: a.a = {aa:.12g} is not within 4/9")
@@ -176,10 +166,8 @@ def pseudo_qubit(a: np.ndarray) -> np.ndarray:
     The admissible vectors fill a ball of radius 2/3; on its surface the
     spectrum is (2/3, 1/3, 0), at the center the state is maximally mixed.
     """
-    import numpy as np
-
     a = _check_in_ball(a, "pseudo_qubit")
-    return np.array(_compose(_bundle(a, PSEUDO_TENSOR)))
+    return _array(_compose(_bundle(a, PSEUDO_TENSOR)))
 
 
 def pseudo_overlap(a: np.ndarray, b: np.ndarray) -> float:
@@ -193,4 +181,4 @@ def haar_pure(rng: np.random.Generator | int | None = None) -> np.ndarray:
     """Haar-random pure amplitudes (normalized complex Gaussian, _haar)."""
     import numpy as np
 
-    return np.array(_haar(np.random.default_rng(rng)))  # a Generator is returned as it is
+    return _array(_haar(np.random.default_rng(rng)))  # a Generator is returned as it is

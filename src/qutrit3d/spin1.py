@@ -14,10 +14,11 @@ from_two_qubit reads (1/2) B^dag rho4 B, whose 3x3 block is the qutrit
 state and whose singlet row decides whether rho4 is symmetric.  The
 image also carries the partial transpose separability test.
 
-Rows in, arrays at the edge: _to_two_qubit and the PPT test take a
-state's checked rows (state._as_rows), _from_two_qubit checks the
-two-qubit rows it is handed, once, and the public functions convert the
-results to arrays, importing numpy only when called.
+Rows in, arrays at the edge: every matrix comes in through linalg._rows
+and every result goes out through linalg._array.  _to_two_qubit and the
+PPT test take a state's checked rows (state._as_rows), _from_two_qubit
+checks the two-qubit rows it is handed, once.  Only the expectation
+reference (expectations) computes with numpy, and imports it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidStateError, NotSymmetricError, TraceError
-from .linalg import _eigvals, _hermitian_rows, _partial_transpose, _square_rows
+from .linalg import _array, _eigvals, _hermitian_rows, _partial_transpose, _rows
 from .state import StateParams, _as_rows, _state_rows, assert_density
 from .tolerances import HERM_TOL, RANK_TOL, TRACE_TOL
 
@@ -78,10 +79,8 @@ def _spin_rows() -> Spin1Set:
 
 def spin_set() -> Spin1Set:
     """(S_j, S_j^2, A_j) as complex arrays of the exact tables (_spin_rows)."""
-    import numpy as np
-
     r = _spin_rows()
-    return Spin1Set(*(tuple(map(np.array, ops)) for ops in (r.S, r.S2, r.A)))
+    return Spin1Set(*(tuple(map(_array, ops)) for ops in (r.S, r.S2, r.A)))
 
 
 def expectations(rho: np.ndarray) -> StateParams:
@@ -128,9 +127,7 @@ def to_two_qubit(rho: np.ndarray) -> np.ndarray:
     The image has the same spectrum plus one extra zero, and zero overlap
     with the singlet.
     """
-    import numpy as np
-
-    return np.array(_to_two_qubit(_as_rows(rho)))
+    return _array(_to_two_qubit(_as_rows(rho)))
 
 
 def _to_two_qubit(rows: list) -> list:
@@ -144,7 +141,7 @@ def singlet_overlap(rho4: np.ndarray) -> float:
     InvalidStateError unless rho4 is 4x4, NotHermitianError unless it is
     finite and Hermitian, as from_two_qubit checks it.
     """
-    rows = _square_rows(rho4, 4, "two-qubit state", InvalidStateError)
+    rows = _rows(rho4, (4, 4), "two-qubit state", InvalidStateError)
     rows = _hermitian_rows(rows, what="two-qubit state")
     return _half_sandwich(_B_DAG_ROWS[3:], rows)[0][0].real
 
@@ -154,9 +151,7 @@ def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
 
     InvalidStateError unless rho4 is 4x4.
     """
-    import numpy as np
-
-    return np.array(_from_two_qubit(_square_rows(rho4, 4, "two-qubit state", InvalidStateError)))
+    return _array(_from_two_qubit(_rows(rho4, (4, 4), "two-qubit state", InvalidStateError)))
 
 
 def _from_two_qubit(rows: list) -> list:

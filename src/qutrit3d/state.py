@@ -6,14 +6,16 @@ and derives the metric tensor.  analyse() reads everything else from two
 spectra: rho's (positivity, rank) and T's (frame, semi-axes,
 principal-minor diagnostics, geometry case).
 
-Rows in, arrays at the edge.  A matrix is converted to rows and checked
+Rows in, arrays at the edge.  Every argument comes in through
+linalg._rows, which checks its shape, and a state's matrix is checked
 once (_density_rows), where it enters: at the public array edge
-(_as_rows) or in the CLI's parse.  The scalar core (_record, _spectrum,
-_state_rows) takes checked rows, never checks them again and computes
-the Analysis, of lists, in Python floats from them and T's spectrum.
-Each float operation rounds once, as numpy's elementwise operations do,
-so the bits are the same, and no BLAS is called; the sampler takes only
-its draws from numpy.  The public functions convert the records to arrays.
+(_as_rows) or in the CLI's parse.  The scalar core (_record, _spectrum, _state_rows)
+takes checked rows, never checks them again and computes the Analysis,
+of lists, in Python floats from them and T's spectrum.  Each float
+operation rounds once, as numpy's elementwise operations do, so the bits
+are the same, and no BLAS is called; the sampler takes only its draws
+from numpy.  The public functions return their records through
+linalg._array (_state_params for a StateParams).
 
 Conventions (fixed wire format):
   T = 1 - 2 Re(rho)
@@ -34,7 +36,7 @@ from .errors import (
     TraceError,
 )
 from .linalg import (
-    _ENTRY_MAX, _dot3, _eigensystem3, _eigvals, _hermitian_rows, _square_rows, det3, vector_norm,
+    _ENTRY_MAX, _array, _dot3, _eigensystem3, _eigvals, _hermitian_rows, _rows, det3, vector_norm,
 )
 from .tolerances import RANK_TOL, SEGMENT_SLACK, SING_TOL, TRACE_TOL
 
@@ -82,7 +84,7 @@ class RankReport:
 
 def _as_rows(rho: np.ndarray) -> list:
     """rho's rows of Python complex, checked (_density_rows); TraceError unless it is 3x3."""
-    return _density_rows(_square_rows(rho, 3, "density matrix", TraceError))
+    return _density_rows(_rows(rho, (3, 3), "density matrix", TraceError))
 
 
 def assert_density(rho: np.ndarray) -> None:
@@ -112,9 +114,7 @@ def decompose(rho: np.ndarray) -> StateParams:
 
 def _state_params(p: StateParams) -> StateParams:
     """StateParams of lists converted to arrays."""
-    import numpy as np
-
-    return StateParams(*(np.array(x) for x in (p.a, p.q, p.omega, p.T)))
+    return StateParams(_array(p.a), _array(p.q), _array(p.omega), _array(p.T))
 
 
 def _identity_minus(M) -> list:
@@ -134,17 +134,13 @@ def _params(rows: list) -> StateParams:
 
 def compose(p: StateParams) -> np.ndarray:
     """Rebuild the density matrix: rho = ((1 - T) - i E(a)) / 2, as _compose computes it."""
-    import numpy as np
-
-    return np.array(_compose(_param_lists(p)))
+    return _array(_compose(_param_lists(p)))
 
 
 def _param_lists(p: StateParams) -> StateParams:
-    """A StateParams of arrays or sequences as a StateParams of lists."""
-    import numpy as np
-
-    a, T = (np.asarray(x, dtype=float).tolist() for x in (p.a, p.T))
-    q, omega = (np.asarray(x).tolist() for x in (p.q, p.omega))
+    """A StateParams of arrays or sequences as one of lists; ValueError for a wrong shape."""
+    a, T = _rows(p.a, (3,), "a", dtype=float), _rows(p.T, (3, 3), "T", dtype=float)
+    q, omega = _rows(p.q, (3,), "q", dtype=None), _rows(p.omega, (3,), "omega", dtype=None)
     return StateParams(a, q, omega, T)
 
 
@@ -178,9 +174,7 @@ def _compose(p: StateParams) -> list:
 
 def params_from_bloch_tensor(a: np.ndarray, T: np.ndarray) -> StateParams:
     """Bundle (a, T) into StateParams, deriving omega and q from T."""
-    import numpy as np
-
-    a, T = (np.asarray(x, dtype=float).tolist() for x in (a, T))
+    a, T = _rows(a, (3,), "a", dtype=float), _rows(T, (3, 3), "T", dtype=float)
     return _state_params(_bundle(a, T))
 
 
@@ -215,19 +209,15 @@ def _metric(T: list) -> list | None:
 
 def metric_tensor(T: np.ndarray) -> MetricTensor:
     """Gamma = (1 - T) / det(1 - T), undefined when the determinant vanishes."""
-    import numpy as np
-
-    gamma = _metric(np.asarray(T, dtype=float).tolist())
+    gamma = _metric(_rows(T, (3, 3), "T", dtype=float))
     if gamma is None:
         return MetricTensor(gamma=None, defined=False)
-    return MetricTensor(gamma=np.array(gamma), defined=True)
+    return MetricTensor(gamma=_array(gamma), defined=True)
 
 
 def gamma_norm(a: np.ndarray, T: np.ndarray) -> float:
     """a . Gamma . a, the metric norm of the Bloch vector (_gamma_norm)."""
-    import numpy as np
-
-    return _gamma_norm(np.asarray(a, dtype=float).tolist(), np.asarray(T, dtype=float).tolist())
+    return _gamma_norm(_rows(a, (3,), "a", dtype=float), _rows(T, (3, 3), "T", dtype=float))
 
 
 def _gamma_norm(a: list, T: list) -> float:
@@ -243,14 +233,12 @@ def _gamma_norm(a: list, T: list) -> float:
 
 def semi_axes(tensor_eigenvalues: np.ndarray) -> np.ndarray:
     """Ellipsoid semi-axes eps_j = sqrt((1-lambda_k)(1-lambda_l)), descending input."""
-    import numpy as np
-
-    return np.array(_semi_axes(tensor_eigenvalues))
+    return _array(_semi_axes(_rows(tensor_eigenvalues, (3,), "tensor eigenvalues", dtype=float)))
 
 
-def _semi_axes(tensor_eigenvalues) -> list:
-    """semi_axes as a list of Python floats."""
-    l0, l1, l2 = (1.0 - float(x) for x in tensor_eigenvalues)
+def _semi_axes(tensor_eigenvalues: list) -> list:
+    """semi_axes of three Python floats, as a list."""
+    l0, l1, l2 = (1.0 - x for x in tensor_eigenvalues)
     return [math.sqrt(max(p, 0.0)) for p in (l1 * l2, l0 * l2, l0 * l1)]
 
 
@@ -275,10 +263,8 @@ def _state_rows(rows: list) -> list:
 
 def check_state(rho: np.ndarray) -> np.ndarray:
     """rho as a complex density matrix; NotPositiveError unless it is a state."""
-    import numpy as np
-
     _state_rows(_as_rows(rho))
-    return np.asarray(rho, dtype=complex)
+    return _array(rho, complex)
 
 
 def _not_positive(eigenvalues) -> NotPositiveError:
@@ -336,12 +322,10 @@ def _validity(tvals: list, frame: list, a: list, positive: bool) -> ValidityRepo
 
 def analyse(rho: np.ndarray) -> Analysis:
     """Analyse a Hermitian trace-one matrix (_record), its record converted to arrays."""
-    import numpy as np
-
     r = _record(_as_rows(rho))
-    values = np.array(r.eigenvalues)
+    values = _array(r.eigenvalues)
     rank = None if r.rank is None else RankReport(r.rank.rank, r.rank.case, values)
-    arrays = (np.array(x) for x in (r.tensor_eigenvalues, r.frame, r.semi_axes))
+    arrays = map(_array, (r.tensor_eigenvalues, r.frame, r.semi_axes))
     return Analysis(_state_params(r.params), values, *arrays, r.validity, rank)
 
 
@@ -397,12 +381,10 @@ def _rank_case(rank: int, tvals: list, eps_u: float, a: list) -> str:
 
 def classify_rank(rho: np.ndarray) -> RankReport:
     """Rank and geometry case of a valid state (_record); NotPositiveError otherwise."""
-    import numpy as np
-
     an = _record(_as_rows(rho))
     if an.rank is None:
         raise _not_positive(an.eigenvalues)
-    return RankReport(an.rank.rank, an.rank.case, np.array(an.eigenvalues))
+    return RankReport(an.rank.rank, an.rank.case, _array(an.eigenvalues))
 
 
 def _projector(amp: list) -> list:
@@ -434,8 +416,6 @@ def random_density(rank: int = 3, rng: np.random.Generator | int | None = None) 
     The number of mixture components equals the requested rank, which the
     output achieves with probability one.
     """
-    import numpy as np
-
     if rank not in (1, 2, 3):
         raise ValueError(f"rank must be 1, 2 or 3, got {rank}")
-    return np.array(_random_rows(rank, rng))
+    return _array(_random_rows(rank, rng))

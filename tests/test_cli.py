@@ -256,8 +256,12 @@ def test_scene_obj_output(tmp_path):
     )
     assert degenerate.returncode == 2
 
-    coarse = run_cli("scene", data_path("mixed"), "--format", "obj", "--lat", "2")
-    assert coarse.returncode == 1
+    # a mesh outside 4 <= lat <= 1024, 8 <= lon <= 2048 is one exit-1 message
+    for flag, value in (("--lat", "2"), ("--lat", "1025"), ("--lon", "2049")):
+        res = run_cli("scene", data_path("mixed"), "--format", "obj", flag, value)
+        assert res.returncode == 1, (flag, value)
+        assert res.stderr.startswith("error: mesh needs 4 <= lat <= 1024, 8 <= lon <= 2048, got ")
+        assert len(res.stderr.splitlines()) == 1
 
 
 def test_evolve_mixed_state_is_fixed_point():
@@ -707,6 +711,41 @@ def test_no_blas_on_the_analysis_and_bridge_path():
     assert exempt_seen == BLAS_EXEMPT
 
 
+# the only functions of the package that import numpy: the array edge (linalg._rows
+# in, linalg._array out), the draws of the two samplers and the expectation reference
+NUMPY_EDGE = {"_rows", "_array", "_random_rows", "haar_pure", "expectations"}
+
+
+def _is_numpy_import(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+def test_numpy_enters_only_at_the_edge():
+    """No function of the LINTED modules imports numpy but those in NUMPY_EDGE.
+
+    An argument becomes rows, and rows become an array, in one place each,
+    so every vector, tensor and matrix argument gets the same shape check.
+    """
+    found, seen = [], set()
+    for name in LINTED:
+        with open(os.path.join(SRC, name), "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        edge = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in NUMPY_EDGE:
+                seen.add(node.name)
+                edge.update(id(n) for n in ast.walk(node))
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in edge and _is_numpy_import(node)
+        ]
+    assert found == []
+    assert seen == NUMPY_EDGE
+
+
 # the public functions of the analysis, bridge, dynamics and pure-state modules
 # that take or return numpy arrays: each converts and checks its input once, so
 # the scalar core calls their row functions instead
@@ -724,10 +763,7 @@ ARRAY_EDGE_EXEMPT = {"expectations"}
 
 
 def _imports_numpy(fn) -> bool:
-    return any(
-        isinstance(n, ast.Import) and any(alias.name == "numpy" for alias in n.names)
-        for n in ast.walk(fn)
-    )
+    return any(_is_numpy_import(n) for n in ast.walk(fn))
 
 
 def test_no_array_edge_inside_the_package():
@@ -802,6 +838,11 @@ def test_overflowing_report_exits_with_one_message(tmp_path, capsys):
         assert code == 1, (argv, out, err)
         assert not NONFINITE_TOKEN.search(out), argv
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "overflows" in err
+    # a Bloch vector whose density matrix overflows is named by its flags
+    code, out, err = _main(capsys, "pseudo", "--ay", "1e308")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: --ax/--ay/--az: density matrix overflows"), err
     for path in files:
         assert _main(capsys, "scene", path) == (2, "", "error: state is not positive semidefinite\n")
 

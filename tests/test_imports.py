@@ -153,6 +153,15 @@ def test_numpy_commands_import_it(case, files):
     assert "numpy" in names
 
 
+def test_only_bridge_loads_spin1(files):
+    """analyze never compiles the spin-1 module; bridge, its one command, does."""
+    for case, loaded in (("analyze_text", False), ("bridge_to2q", True)):
+        argv, code = NUMPY_FREE[case]
+        got, err, names = _imports((), "qutrit3d", argv, files)
+        assert got == code, err
+        assert ("qutrit3d.spin1" in names) == loaded, case
+
+
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
 def test_package_import_loads_no_numpy(flags, files, tmp_path):
     # a module that imports the package and resolves one quick-start name

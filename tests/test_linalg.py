@@ -27,8 +27,14 @@ from qutrit3d.linalg import (
     eigvals_hermitian4,
     partial_transpose,
 )
+from qutrit3d.purestates import (
+    PureState, density_from_pure, pseudo_overlap, pseudo_qubit, rik_decompose,
+)
 from qutrit3d.spin1 import from_two_qubit, to_two_qubit
-from qutrit3d.state import assert_density, check_state, decompose, random_density
+from qutrit3d.state import (
+    StateParams, assert_density, check_state, compose, decompose, gamma_norm, metric_tensor,
+    params_from_bloch_tensor, random_density, semi_axes, validate,
+)
 from qutrit3d.tolerances import DEGEN_GAP
 
 
@@ -322,7 +328,7 @@ PAST_THE_SHAPE = {"decompose": TraceError, "from_two_qubit": NotSymmetricError}
 
 @pytest.mark.parametrize("name", sorted(SIZED_FUNCTIONS))
 def test_eigensolvers_check_their_shape(name):
-    """Each solver, the partial transpose and each caller of _square_rows takes its own size only.
+    """Each solver, the partial transpose and each matrix argument read by _rows takes one size.
 
     Any other shape is an error of the caller's type naming it.  A 3x3
     solver used to return three of diag(4, 1, 3, 2)'s four eigenvalues, a
@@ -343,6 +349,51 @@ def test_eigensolvers_check_their_shape(name):
         shape = str(M.shape).replace("(", r"\(").replace(")", r"\)")
         with pytest.raises(error, match=rf"^{what} must be {n}x{n}, got {shape}$"):
             values(M)
+
+
+def _with_a(a):
+    """The maximally mixed state's parameters with the Bloch vector a."""
+    p = decompose(np.eye(3) / 3.0)
+    return StateParams(a, p.q, p.omega, p.T)
+
+
+FOUR = np.array([0.1, 0.0, 0.0, 5.0])
+SHAPED_ARGUMENTS = {
+    # name: (a call with one vector or tensor argument of the wrong shape, its ValueError)
+    "gamma_norm a": (lambda: gamma_norm(FOUR, np.eye(3) / 3.0), "a must be of length 3, got (4,)"),
+    "gamma_norm T": (lambda: gamma_norm(FOUR[:3], np.eye(4)), "T must be 3x3, got (4, 4)"),
+    "params_from_bloch_tensor": (lambda: params_from_bloch_tensor(FOUR, np.eye(3) / 3.0),
+                                 "a must be of length 3, got (4,)"),
+    "compose": (lambda: compose(_with_a(FOUR)), "a must be of length 3, got (4,)"),
+    "validate": (lambda: validate(_with_a(FOUR)), "a must be of length 3, got (4,)"),
+    "metric_tensor": (lambda: metric_tensor(np.eye(4)), "T must be 3x3, got (4, 4)"),
+    "semi_axes": (lambda: semi_axes(FOUR), "tensor eigenvalues must be of length 3, got (4,)"),
+    "rik_decompose": (lambda: rik_decompose([0.6, 0.8j, 0.0, 0.0]),
+                      "amplitudes must be of length 3, got (4,)"),
+    "density_from_pure": (lambda: density_from_pure(PureState(FOUR + 0j, FOUR, 0.0 * FOUR)),
+                          "amplitudes must be of length 3, got (4,)"),
+    "pseudo_qubit": (lambda: pseudo_qubit(np.zeros(4)),
+                     "pseudo_qubit: the Bloch vector must be of length 3, got (4,)"),
+    # a row of three is not a vector of three
+    "pseudo_qubit row": (lambda: pseudo_qubit(np.zeros((1, 3))),
+                         "pseudo_qubit: the Bloch vector must be of length 3, got (1, 3)"),
+    "pseudo_overlap": (lambda: pseudo_overlap(np.zeros(3), np.zeros(4)),
+                       "pseudo_overlap b: the Bloch vector must be of length 3, got (4,)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPED_ARGUMENTS))
+def test_vector_and_tensor_arguments_check_their_shape(name):
+    """Each vector or tensor argument is read by _rows at its exact shape, or a ValueError names it.
+
+    gamma_norm used to drop a fourth Bloch component, params_from_bloch_tensor
+    kept it, density_from_pure built a 4x4 "density" of four amplitudes,
+    and the others raised a bare unpacking error.
+    """
+    call, message = SHAPED_ARGUMENTS[name]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_unconverged_jacobi_raises(monkeypatch):
