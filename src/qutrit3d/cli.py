@@ -18,6 +18,8 @@ OBJ mesh, trajectory, unbiased bases, samples and payloads read the
 library's records (Analysis, EllipsoidScene, Trajectory, PureState) as
 the scalar core fills them, with lists.  Only random imports numpy, for
 its generator's draws.  Every exit-1 message about a file names it.
+Output leaves one way: _dump renders every JSON payload, _emit writes a
+command's text as it is to stdout or --out, main prints the error line.
 """
 
 from __future__ import annotations
@@ -41,13 +43,7 @@ from .errors import (
     QutritError,
     TraceError,
 )
-from .geometry import (
-    RANK_CASE_TO_SCENE,
-    _scene,
-    export_scene_json,
-    export_scene_obj,
-    scene_to_dict,
-)
+from .geometry import RANK_CASE_TO_SCENE, _scene, export_scene_obj, scene_to_dict
 from .linalg import _dot
 from .state import (
     PSEUDO_TENSOR,
@@ -62,7 +58,6 @@ from .state import (
     _projector,
     _random_rows,
     _record,
-    _state_rows,
 )
 from .tolerances import MUB_TOL, ORTHO_TOL
 
@@ -206,15 +201,21 @@ def amplitudes_payload(psi) -> dict:
     return {"amplitudes": [[float(c.real), float(c.imag)] for c in psi]}
 
 
+def _dump(obj) -> str:
+    """The CLI's JSON of obj: two-space indent and one trailing newline."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def _emit(text: str, out: str | None) -> None:
+    """Write text as it is to stdout, or to the file out."""
     if out is None:
-        print(text, end="" if text.endswith("\n") else "\n")
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise CliIOError(f"cannot write {out}: {exc}") from exc
+        print(text, end="")
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliIOError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +315,14 @@ def report_dict(report: tuple[Analysis, float | None]) -> dict:
 
 def cmd_analyze(args) -> int:
     report = _report(load_state_file(args.path))
-    text = (
-        json.dumps(report_dict(report), indent=2) + "\n"
-        if args.json
-        else report_text(report)
-    )
-    _emit(text, args.out)
+    _emit(_dump(report_dict(report)) if args.json else report_text(report), args.out)
     return EXIT_OK if report[0].validity.overall else EXIT_INVALID
 
 
 def cmd_scene(args) -> int:
     scene = _scene(load_state_file(args.path))
     if args.format == "json":
-        _emit(export_scene_json(scene) + "\n", args.out)
+        _emit(_dump(scene_to_dict(scene)), args.out)
     else:
         _emit(
             export_scene_obj(scene, lat=args.lat, lon=args.lon, surface_only=args.surface_only),
@@ -336,10 +332,6 @@ def cmd_scene(args) -> int:
 
 
 def cmd_mub(args) -> int:
-    if args.basis not in (1, 2, 3, 4):
-        raise CliIOError(f"--basis must be 1..4, got {args.basis}")
-    if args.vector not in (1, 2, 3):
-        raise CliIOError(f"--vector must be 1..3, got {args.vector}")
     from .purestates import _mub
 
     bases = list(_mub())
@@ -348,7 +340,7 @@ def cmd_mub(args) -> int:
     if max(cross) - min(cross) > MUB_TOL:
         raise InternalCheckError("cross-basis overlaps are not uniform")
     report = _report(_density_rows(_projector(state.amp)))
-    out = json.dumps(amplitudes_payload(state.amp), indent=2) + "\n"
+    out = _dump(amplitudes_payload(state.amp))
     out += f"cross-basis overlap modulus: {_fmt(sum(cross) / len(cross))}\n"
     out += report_text(report)
     _emit(out, args.out)
@@ -361,9 +353,7 @@ def cmd_pseudo(args) -> int:
     rows = _compose(_bundle([args.ax, args.ay, args.az], PSEUDO_TENSOR))
     rho = _checked("--ax/--ay/--az", _density_rows, rows)
     report = _report(rho)
-    out = json.dumps(density_payload(rho), indent=2) + "\n"
-    out += report_text(report)
-    _emit(out, args.out)
+    _emit(_dump(density_payload(rho)) + report_text(report), args.out)
     return EXIT_OK if report[0].validity.overall else EXIT_INVALID
 
 
@@ -386,12 +376,12 @@ def cmd_evolve(args) -> int:
     rho = load_state_file(args.path)
     g = _generator_from_flag(args.generator)
     thetas = _grid(args.theta, args.steps)
-    traj = _trajectory(_state_rows(rho), g, thetas, args.scenes)
+    traj = _trajectory(rho, g, thetas, args.scenes)
     records = [{"theta": t, "state": density_payload(s)} for t, s in zip(thetas, traj.states)]
     if traj.scenes is not None:
         for record, scene in zip(records, traj.scenes):
             record["scene"] = scene_to_dict(scene)
-    _emit(json.dumps(records, indent=2) + "\n", args.out)
+    _emit(_dump(records), args.out)
     return EXIT_OK
 
 
@@ -399,13 +389,11 @@ def cmd_bridge(args) -> int:
     from .spin1 import _from_two_qubit, _to_two_qubit
 
     if args.direction == "to2q":
-        rho3 = load_state_file(args.path)
-        rho4 = _to_two_qubit(rho3)
-        _emit(json.dumps(density_payload(rho4), indent=2) + "\n", args.out)
+        rho = _to_two_qubit(load_state_file(args.path))
     else:
         rho4 = _matrix_from_obj(_read_json(args.path), args.path, 4)
-        rho3 = _checked(args.path, _from_two_qubit, rho4)
-        _emit(json.dumps(density_payload(rho3), indent=2) + "\n", args.out)
+        rho = _checked(args.path, _from_two_qubit, rho4)
+    _emit(_dump(density_payload(rho)), args.out)
     return EXIT_OK
 
 
@@ -424,9 +412,10 @@ def cmd_ortho(args) -> int:
     overlap = abs(_dot(p.amp, q.amp))
     inner_verdict = overlap <= ORTHO_TOL
     rk_verdict = purestates.orthogonal(p, q)
-    print(f"inner-product modulus: {_fmt(overlap)}")
-    print(f"inner-product verdict: {'orthogonal' if inner_verdict else 'not orthogonal'}")
-    print(f"rk-condition verdict: {'orthogonal' if rk_verdict else 'not orthogonal'}")
+    text = f"inner-product modulus: {_fmt(overlap)}\n"
+    for name, ok in (("inner-product", inner_verdict), ("rk-condition", rk_verdict)):
+        text += f"{name} verdict: {'orthogonal' if ok else 'not orthogonal'}\n"
+    _emit(text, None)
     if inner_verdict != rk_verdict:
         raise InternalCheckError("orthogonality criteria disagree")
     return EXIT_OK
@@ -444,9 +433,7 @@ def cmd_random(args) -> int:
     an = _record(rho)
     if an.rank is None:  # a mixture of projectors is positive
         raise InternalCheckError(f"sampled state is not positive: {an.eigenvalues[-1]:.3e}")
-    out = json.dumps(density_payload(rho), indent=2) + "\n"
-    out += f"rank: {an.rank.rank}\n"
-    _emit(out, args.out)
+    _emit(_dump(density_payload(rho)) + f"rank: {an.rank.rank}\n", args.out)
     return EXIT_OK
 
 
@@ -473,14 +460,17 @@ def make_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command but ortho takes the one --out flag
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output to a file")
+    with_out = functools.partial(sub.add_parser, parents=[out])
 
-    p = sub.add_parser("analyze", help="report state parameters, validity, rank and case")
+    p = with_out("analyze", help="report state parameters, validity, rank and case")
     p.add_argument("path", help="state JSON file (re/im density or amplitudes)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p.add_argument("--out", default=None, help="write output to a file")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("scene", help="export the ellipsoid scene")
+    p = with_out("scene", help="export the ellipsoid scene")
     p.add_argument("path")
     p.add_argument("--format", choices=("json", "obj"), default="json")
     p.add_argument("--lat", type=int, default=12, help="mesh rings (obj), 4..1024")
@@ -490,23 +480,20 @@ def make_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="mesh only; fails for degenerate scenes",
     )
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scene)
 
-    p = sub.add_parser("mub", help="emit a mutually unbiased basis state")
-    p.add_argument("--basis", type=int, required=True, help="basis index 1..4")
-    p.add_argument("--vector", type=int, required=True, help="vector index 1..3")
-    p.add_argument("--out", default=None)
+    p = with_out("mub", help="emit a mutually unbiased basis state")
+    p.add_argument("--basis", type=int, choices=(1, 2, 3, 4), required=True, help="basis index")
+    p.add_argument("--vector", type=int, choices=(1, 2, 3), required=True, help="vector index")
     p.set_defaults(func=cmd_mub)
 
-    p = sub.add_parser("pseudo", help="emit a pseudo-qubit state (tensor = identity/3)")
+    p = with_out("pseudo", help="emit a pseudo-qubit state (tensor = identity/3)")
     p.add_argument("--ax", type=_finite_float, default=0.0)
     p.add_argument("--ay", type=_finite_float, default=0.0)
     p.add_argument("--az", type=_finite_float, default=0.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pseudo)
 
-    p = sub.add_parser("evolve", help="sample a unitary trajectory (U = exp(-i theta G))")
+    p = with_out("evolve", help="sample a unitary trajectory (U = exp(-i theta G))")
     p.add_argument("path")
     p.add_argument(
         "--generator",
@@ -516,15 +503,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--theta", type=_finite_float, required=True, help="grid end point (radians)"
     )
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=int, default=50, help="grid samples, 2..100000")
     p.add_argument("--scenes", action="store_true", help="attach a scene per sample")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("bridge", help="map to/from the symmetric two-qubit picture")
+    p = with_out("bridge", help="map to/from the symmetric two-qubit picture")
     p.add_argument("path")
     p.add_argument("--direction", choices=("to2q", "from2q"), required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bridge)
 
     p = sub.add_parser("ortho", help="compare two orthogonality criteria on pure states")
@@ -532,10 +517,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("path_b")
     p.set_defaults(func=cmd_ortho)
 
-    p = sub.add_parser("random", help="sample a random density matrix")
+    p = with_out("random", help="sample a random density matrix")
     p.add_argument("--rank", type=int, choices=(1, 2, 3), default=3)
     p.add_argument("--seed", type=_seed, default=None, help="defaults to QUTRIT_SEED or 0")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_random)
 
     return parser
@@ -546,18 +530,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliIOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (CliIOError, ValueError) as exc:
+        code, error = EXIT_IO, exc
     except (InvalidStateError, OutOfBallError, NotSymmetricError, DegenerateMeshError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        code, error = EXIT_INVALID, exc
     except InternalCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, error = EXIT_INTERNAL, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

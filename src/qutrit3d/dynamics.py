@@ -147,7 +147,7 @@ def generator_matrix(g: Generator) -> np.ndarray:
 
 
 def _grid(theta_max: float, n: int) -> list:
-    """The uniform theta grid of n >= 2 samples on [0, theta_max], as a list of floats.
+    """The uniform theta grid of 2 <= n <= 100000 samples on [0, theta_max], a list of floats.
 
     Bit for bit np.linspace(0.0, theta_max, n): i * step + 0.0, or
     i / (n - 1) * theta_max + 0.0 where the step underflows to zero, and
@@ -155,6 +155,8 @@ def _grid(theta_max: float, n: int) -> list:
     """
     if n < 2:
         raise ValueError(f"trajectory needs at least 2 samples, got {n}")
+    if n > 100000:
+        raise ValueError(f"trajectory takes at most 100000 samples, got {n}")
     theta, div = float(theta_max), n - 1
     step = theta / div
     grid = [(i * step if step else i / div * theta) + 0.0 for i in range(n)]
@@ -179,7 +181,7 @@ def _in_eigenframe(rows: list, u: list, uc: list) -> tuple:
 
 
 def _trajectory(rows: list, g: Generator, thetas: list, with_scenes: bool) -> Trajectory:
-    """The samples at each theta of a state's checked rows, a Trajectory of lists.
+    """The samples at each theta of a density's checked rows, a Trajectory of lists.
 
     In the eigenframe a sample is D = R with R_jk turned by the pair phase
     e^{-i phi}, phi = theta (lambda_j - lambda_k).  So entry (m, n) of
@@ -187,10 +189,12 @@ def _trajectory(rows: list, g: Generator, thetas: list, with_scenes: bool) -> Tr
     (_eigenframe's products), with C = sum_j R_jj x_j fixed along the
     trajectory.  Each pair phase is formed in real arithmetic from
     cos/sin of theta lambda_j, and the upper triangle is mirrored.  At
-    theta = 0 a sample is the rows as they are.  ValueError when
-    theta * max|lambda| is not a finite float.  Scenes are _scene of each
-    sample's rows, which the core built and does not check again.
+    theta = 0 a sample is the rows as they are.  NotPositiveError unless
+    the rows are a state (_state_rows); ValueError when theta * max|lambda|
+    is not a finite float.  Scenes are _scene of each sample's rows, which
+    the core built and does not check again.
     """
+    rows = _state_rows(rows)
     lam, u, uc, constant, phased = g.frame
     big = max(abs(lam[0]), abs(lam[-1]))
     (d0, d1, d2), (ra, rb, rc) = _in_eigenframe(rows, u, uc)
@@ -229,7 +233,7 @@ def _trajectory(rows: list, g: Generator, thetas: list, with_scenes: bool) -> Tr
 
 def evolve(rho: np.ndarray, g: Generator, theta: float) -> np.ndarray:
     """rho' = U rho U^dag with U = exp(-i theta G): the one-sample _trajectory."""
-    return _array(_trajectory(_state_rows(_as_rows(rho)), g, [float(theta)], False).states[0])
+    return _array(_trajectory(_as_rows(rho), g, [float(theta)], False).states[0])
 
 
 def trajectory(
@@ -245,6 +249,6 @@ def trajectory(
     point, no compounded stepping), reusing a single eigendecomposition of
     the generator, solved when it was built.
     """
-    t = _trajectory(_state_rows(_as_rows(rho0)), g, _grid(theta_max, n), with_scenes)
+    t = _trajectory(_as_rows(rho0), g, _grid(theta_max, n), with_scenes)
     scenes = None if t.scenes is None else [_scene_arrays(s) for s in t.scenes]
     return Trajectory(_array(t.thetas), [_array(s) for s in t.states], scenes)

@@ -103,16 +103,25 @@ def orthogonal(p: PureState, q: PureState) -> bool:
     return math.hypot(re, im) <= ORTHO_TOL
 
 
+def _reference(theta: float) -> PureState:
+    """(cos t, i sin t, 0) as lists: Bloch vector (0, 0, sin 2t)."""
+    return _pure([complex(math.cos(theta)), 1j * math.sin(theta), 0j])
+
+
+def _orthogonal(theta: float, phi: float, chi: float) -> PureState:
+    """The general state orthogonal to _reference(theta), as lists."""
+    return _pure([complex(math.sin(theta) * math.cos(phi)), -1j * math.cos(theta) * math.cos(phi),
+                  cmath.exp(1j * chi) * math.sin(phi)])
+
+
 def reference_state(theta: float) -> PureState:
-    """(cos t, i sin t, 0): Bloch vector (0, 0, sin 2t)."""
-    return _pure_arrays(_pure([complex(math.cos(theta)), 1j * math.sin(theta), 0j]))
+    """(cos t, i sin t, 0) (_reference), as arrays."""
+    return _pure_arrays(_reference(theta))
 
 
 def orthogonal_state(theta: float, phi: float, chi: float) -> PureState:
-    """The general state orthogonal to reference_state(theta)."""
-    amp = [complex(math.sin(theta) * math.cos(phi)), -1j * math.cos(theta) * math.cos(phi),
-           cmath.exp(1j * chi) * math.sin(phi)]
-    return _pure_arrays(_pure(amp))
+    """The general state orthogonal to reference_state(theta) (_orthogonal), as arrays."""
+    return _pure_arrays(_orthogonal(theta, phi, chi))
 
 
 def orthogonal_bloch_family(theta: float, phi: float, chi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +133,7 @@ def orthogonal_bloch_family(theta: float, phi: float, chi: float) -> tuple[np.nd
                 -cos^2 phi cos theta sin theta)
     so a . a' = -4 cos^2 phi cos^2 theta sin^2 theta is never positive.
     """
-    ref, partner = reference_state(theta), orthogonal_state(theta, phi, chi)
-    return _array(_bloch(ref)), _array(_bloch(partner))
+    return _array(_bloch(_reference(theta))), _array(_bloch(_orthogonal(theta, phi, chi)))
 
 
 def _mub() -> tuple:

@@ -204,9 +204,11 @@ def test_invalid_state_spectrum_fallback_naming(tmp_path):
 
 
 def test_mub_out_of_range_exit_1():
-    assert run_cli("mub", "--basis", "5", "--vector", "1").returncode == 1
-    assert run_cli("mub", "--basis", "0", "--vector", "1").returncode == 1
-    assert run_cli("mub", "--basis", "2", "--vector", "4").returncode == 1
+    for argv, flag in ((("5", "1"), "--basis"), (("0", "1"), "--basis"), (("2", "4"), "--vector")):
+        res = run_cli("mub", "--basis", argv[0], "--vector", argv[1])
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"qutrit3d mub: error: argument {flag}: invalid choice: ")
 
 
 def test_mub_reports_cross_overlap():
@@ -330,6 +332,13 @@ def test_evolve_with_scenes_and_custom_generator(tmp_path):
     assert run_cli(
         "evolve", data_path("mixed"), "--generator", "spin:q", "--theta", "1"
     ).returncode == 1
+
+
+def test_evolve_steps_above_the_bound_exit_1(capsys):
+    argv = ["evolve", data_path("mixed"), "--generator", "rot:x", "--theta", "1"]
+    code, out, err = _main(capsys, *argv, "--steps", "100001")
+    assert (code, out) == (1, "")
+    assert err == "error: trajectory takes at most 100000 samples, got 100001\n"
 
 
 def test_evolve_phase_overflow_exits_1(tmp_path):
@@ -746,9 +755,9 @@ def test_numpy_enters_only_at_the_edge():
     assert seen == NUMPY_EDGE
 
 
-# the public functions of the analysis, bridge, dynamics and pure-state modules
-# that take or return numpy arrays: each converts and checks its input once, so
-# the scalar core calls their row functions instead
+# the public functions of the LINTED modules that take or return numpy arrays:
+# each converts and checks its input once, so the scalar core calls their row
+# functions instead
 ARRAY_EDGE = {
     "analyse", "assert_density", "check_state", "classify_rank", "compose", "decompose",
     "gamma_norm", "metric_tensor", "params_from_bloch_tensor", "random_density", "semi_axes",
@@ -756,43 +765,101 @@ ARRAY_EDGE = {
     "build_scene", "expectations", "from_two_qubit", "ppt_separable", "singlet_overlap",
     "spin_set", "to_two_qubit", "custom", "evolve", "generator_matrix", "trajectory",
     "rik_decompose", "bloch_from_pure", "density_from_pure", "orthogonal_bloch_family",
-    "mub_bases", "pseudo_qubit", "pseudo_overlap", "haar_pure",
+    "mub_bases", "pseudo_qubit", "pseudo_overlap", "haar_pure", "reference_state",
+    "orthogonal_state", "build_report",
 }
 # the reference route: a, q and omega as expectation values of the spin matrices
 ARRAY_EDGE_EXEMPT = {"expectations"}
+# the conversions between rows and arrays: linalg._rows in, linalg._array out, and
+# the record converters; geometry._floats reads a scene field of either form, so
+# a function that reads a scene through it is no edge
+CONVERTERS = {"_array", "_rows", "_state_params", "_scene_arrays", "_pure_arrays"}
+EITHER_FORM = {"_floats"}
 
 
-def _imports_numpy(fn) -> bool:
-    return any(_is_numpy_import(n) for n in ast.walk(fn))
+def _functions():
+    """(module, function) for every top-level function of the LINTED modules."""
+    for name in LINTED:
+        with open(os.path.join(SRC, name), "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        yield from ((name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef))
+
+
+def _array_edges(functions) -> set:
+    """The public functions that import numpy or refer, by name, to a converter.
+
+    A private function that refers to a converter, or to such a private
+    function, counts as one; functions of one name are taken together.
+    """
+    refers, numpy = {}, set()
+    for _, fn in functions:
+        names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        refers.setdefault(fn.name, set()).update(names)
+        if any(_is_numpy_import(n) for n in ast.walk(fn)):
+            numpy.add(fn.name)
+    converting, grown = set(CONVERTERS), True
+    while grown:
+        more = {
+            f for f, names in refers.items()
+            if f.startswith("_") and f not in EITHER_FORM and names & converting
+        }
+        grown = not more <= converting
+        converting |= more
+    return {
+        f for f, names in refers.items()
+        if not f.startswith("_") and (f in numpy or names & converting)
+    }
 
 
 def test_no_array_edge_inside_the_package():
     """No function of the LINTED modules, the CLI included, calls an array edge.
 
     A matrix is converted to rows and checked once, where it enters; a
-    call back into the array edge would convert and check it again.  Every
-    public function of these modules that imports numpy is in ARRAY_EDGE.
+    call back into the array edge would convert and check it again.  The
+    array edges are derived from the source, and ARRAY_EDGE names them.
     """
-    found, defined = [], set()
-    for name in LINTED:
-        with open(os.path.join(SRC, name), "r", encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
-        for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            defined.add(fn.name)
-            if not fn.name.startswith("_") and _imports_numpy(fn):
-                assert fn.name in ARRAY_EDGE, f"{name}: {fn.name} is an array edge"
-            if fn.name in ARRAY_EDGE_EXEMPT:
-                continue
-            for node in ast.walk(fn):
+    functions = list(_functions())
+    assert _array_edges(functions) == ARRAY_EDGE
+    found = [
+        f"{name}:{node.lineno} {fn.name} calls {callee}"
+        for name, fn in functions
+        if fn.name not in ARRAY_EDGE_EXEMPT
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and (callee := getattr(node.func, "id", getattr(node.func, "attr", None))) in ARRAY_EDGE
+    ]
+    assert found == []
+
+
+# the one JSON renderer and the one writer: the CLI's text leaves through _emit, and
+# main prints the one error line; geometry.export_scene_json is a library function
+OUTPUT_CALLS = {
+    "dumps": {"cli.py:_dump", "geometry.py:export_scene_json"},
+    "print": {"cli.py:_emit", "cli.py:main"},
+}
+
+
+def test_output_leaves_through_one_renderer_and_one_writer():
+    """json.dumps and print are called only where OUTPUT_CALLS allows, and --out is declared once."""
+    found, out_flags = [], 0
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for stmt in tree.body:
+            where = f"{name}:{getattr(stmt, 'name', '')}"
+            for node in ast.walk(stmt):
                 if not isinstance(node, ast.Call):
                     continue
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if callee in ARRAY_EDGE:
-                    found.append(f"{name}:{node.lineno} {fn.name} calls {callee}")
+                if callee in OUTPUT_CALLS and where not in OUTPUT_CALLS[callee]:
+                    found.append(f"{name}:{node.lineno} {callee}")
+                if callee == "add_argument" and any(
+                    isinstance(a, ast.Constant) and a.value == "--out" for a in node.args
+                ):
+                    out_flags += 1
     assert found == []
-    assert ARRAY_EDGE <= defined
+    assert out_flags == 1
 
 
 def test_analyze_golden_bytes_under_optimize():

@@ -233,6 +233,16 @@ def test_trajectory_rotation_preserves_axes():
 def test_trajectory_needs_two_samples():
     with pytest.raises(ValueError):
         trajectory(np.eye(3) / 3.0, rotation("x"), 1.0, 1)
+    # the grid is checked before the state's positivity
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        trajectory(np.diag([1.2, 0.1, -0.3]), rotation("x"), 1.0, 1)
+
+
+def test_trajectory_takes_at_most_100000_samples():
+    with pytest.raises(ValueError, match="at most 100000 samples, got 100001"):
+        _grid(1.0, 100001)
+    with pytest.raises(ValueError, match="at most 100000 samples, got 100001"):
+        trajectory(np.eye(3) / 3.0, rotation("x"), 1.0, 100001)
 
 
 def test_phase_overflow_raises_value_error():
