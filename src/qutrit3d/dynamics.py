@@ -27,7 +27,9 @@ is built, and the grid is a list, np.linspace's bit for bit.  custom,
 evolve (a one-sample trajectory) and trajectory take a matrix in through
 linalg._rows and check it once; they and generator_matrix return arrays
 through linalg._array (_scene_arrays for a scene).  The CLI hands the
-core the rows it parsed.
+core the rows it parsed.  A sample is unitarily equivalent to rho0, so
+every scene reuses rho0's spectrum, solved once in the positivity check:
+a scene trajectory costs one eigensolve per sample, T(theta)'s.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from types import MappingProxyType
 from .geometry import EllipsoidScene, _scene, _scene_arrays
 from .linalg import _array, _eigensystem3, _hermitian_rows, _rows
 from .spin1 import _spin_rows
-from .state import _as_rows, _state_rows
+from .state import _as_rows, _not_positive, _spectrum
 
 _SHORT = {"rotation": "rot", "one_axis_twist": "twist", "two_axis_counter": "counter"}
 # the upper triangle of a sample, row by row, and the pairs (j, k) of eigenvalues
@@ -190,11 +192,15 @@ def _trajectory(rows: list, g: Generator, thetas: list, with_scenes: bool) -> Tr
     trajectory.  Each pair phase is formed in real arithmetic from
     cos/sin of theta lambda_j, and the upper triangle is mirrored.  At
     theta = 0 a sample is the rows as they are.  NotPositiveError unless
-    the rows are a state (_state_rows); ValueError when theta * max|lambda|
-    is not a finite float.  Scenes are _scene of each sample's rows, which
-    the core built and does not check again.
+    the rows are a state (their _spectrum, kept for the scenes); ValueError
+    when theta * max|lambda| is not a finite float.  Scenes are _scene of each sample's rows, which
+    the core built and does not check again, with rho0's spectrum: a
+    sample is unitarily equivalent to rho0, so it has rho0's eigenvalues,
+    positivity and rank, and its scene solves T alone.
     """
-    rows = _state_rows(rows)
+    spectrum = _spectrum(rows)
+    if not spectrum[1]:
+        raise _not_positive(spectrum[0])
     lam, u, uc, constant, phased = g.frame
     big = max(abs(lam[0]), abs(lam[-1]))
     (d0, d1, d2), (ra, rb, rc) = _in_eigenframe(rows, u, uc)
@@ -227,7 +233,7 @@ def _trajectory(rows: list, g: Generator, thetas: list, with_scenes: bool) -> Tr
             [e01.conjugate(), complex(e11), e12],
             [e02.conjugate(), e12.conjugate(), complex(e22)],
         ])
-    scenes = [_scene(s) for s in states] if with_scenes else None
+    scenes = [_scene(s, spectrum) for s in states] if with_scenes else None
     return Trajectory(thetas=thetas, states=states, scenes=scenes)
 
 

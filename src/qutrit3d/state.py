@@ -329,16 +329,18 @@ def analyse(rho: np.ndarray) -> Analysis:
     return Analysis(_state_params(r.params), values, *arrays, r.validity, rank)
 
 
-def _record(rows: list) -> Analysis:
+def _record(rows: list, spectrum: tuple | None = None) -> Analysis:
     """Analyse rho's checked rows: one values-only spectrum of rho, one eigensolve of T.
 
-    Positivity and rank come from rho's spectrum; the frame, semi-axes,
-    minor diagnostics and geometry case from T's, which _bundle builds
-    exactly symmetric, so it is not checked again.  A matrix that is not
-    positive is reported, not raised; InternalCheckError means the
-    geometry case failed its own consistency checks.
+    Positivity and rank come from rho's spectrum, or from ``spectrum``,
+    the _spectrum of a unitarily equivalent state (a trajectory's rho0),
+    which skips rho's solve; the frame, semi-axes, minor diagnostics and
+    geometry case from T's, which _bundle builds exactly symmetric, so it
+    is not checked again.  A matrix that is not positive is reported, not
+    raised; InternalCheckError means the geometry case failed its own
+    consistency checks.
     """
-    values, positive = _spectrum(rows)
+    values, positive = _spectrum(rows) if spectrum is None else spectrum
     p = _params(rows)
     tvals, frame = _eigensystem3(p.T)
     eps = _semi_axes(tvals)

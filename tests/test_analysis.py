@@ -240,7 +240,7 @@ def test_eigensolve_counts(monkeypatch):
     assert count(dynamics.rotation, "x") == (0, 0)
     assert count(dynamics.custom, np.diag([1.0, 0.0, -1.0])) == (1, 0)
     g = dynamics.one_axis_twist("x")
-    assert count(dynamics.trajectory, valid, g, 1.0, n, with_scenes=True) == (n, 1 + n)
+    assert count(dynamics.trajectory, valid, g, 1.0, n, with_scenes=True) == (n, 1)
     assert count(dynamics.trajectory, valid, g, 1.0, n) == (0, 1)
     assert count(dynamics.evolve, valid, g, 1.0) == (0, 1)
     assert count(spin1.to_two_qubit, valid) == (0, 1)

@@ -78,6 +78,14 @@ def test_scene_golden_bytes():
         assert res.stdout == read_golden(f"scene_{name}.json"), name
 
 
+def test_evolve_scenes_golden_bytes():
+    # a twisting orbit of the maximally mixed state, scenes included
+    argv = ("--generator", "twist:x", "--theta", "1.3", "--steps", "7", "--scenes")
+    res = run_cli("evolve", data_path("mixed"), *argv)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == read_golden("evolve_scenes_mixed.json")
+
+
 def test_mub_golden_bytes():
     for basis in (1, 2, 3, 4):
         res = run_cli("mub", "--basis", str(basis), "--vector", "1")

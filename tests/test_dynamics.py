@@ -6,13 +6,16 @@ parameter extraction.
 """
 
 import dataclasses
+import math
 import sys
 
 import numpy as np
 import pytest
 
+from qutrit3d import geometry
 from qutrit3d.dynamics import (
     _grid,
+    _trajectory,
     canonical_generators,
     custom,
     evolve,
@@ -24,9 +27,12 @@ from qutrit3d.dynamics import (
     two_axis_counter,
 )
 from qutrit3d.errors import InvalidStateError, NotHermitianError
+from qutrit3d.geometry import _scene, scene_to_dict
 from qutrit3d.purestates import pseudo_qubit
 from qutrit3d.spin1 import _spin_rows, spin_set
-from qutrit3d.state import decompose, gamma_norm, random_density
+from qutrit3d.state import (
+    _as_rows, _density_rows, _record, decompose, gamma_norm, random_density,
+)
 
 
 def test_generator_matrices():
@@ -285,3 +291,63 @@ def test_trajectory_against_an_eigh_oracle():
                         assert M[j][j].imag == 0.0
                         for k in range(j + 1, 3):
                             assert M[k][j] == M[j][k].conjugate()
+
+
+def test_scenes_reuse_rho0_spectrum_byte_for_byte():
+    # each scene of a trajectory, built with rho0's spectrum, is the scene of
+    # its sample solved on its own: nine generators and a custom one, ranks
+    # 1-3, three grids, and no sample whose own rank differs from rho0's
+    rng = np.random.default_rng(2020)
+    X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    gens = canonical_generators() + [custom((X + X.conj().T) / 2.0)]
+    grids = [_grid(1.3, 7), _grid(2.0 * math.pi, 5), _grid(float(rng.uniform(0.5, 20.0)), 4)]
+    for rank in (1, 2, 3):
+        for _ in range(2):
+            rows = _as_rows(random_density(rank=rank, rng=rng))
+            assert _record(rows).rank.rank == rank
+            for g in gens:
+                for grid in grids:
+                    t = _trajectory(rows, g, grid, True)
+                    for sample, scene in zip(t.states, t.scenes):
+                        assert _record(sample).rank.rank == rank, generator_label(g)
+                        assert scene_to_dict(scene) == scene_to_dict(_scene(sample))
+
+
+def _eigenbasis_state(seed: int, values: tuple) -> list:
+    """Rows of sum_k values_k |v_k><v_k|, v a seeded Gram-Schmidt basis, on Python complex."""
+    rng = np.random.default_rng(seed)
+    basis = []
+    for _ in range(3):
+        v = list(map(complex, rng.standard_normal(3).tolist(), rng.standard_normal(3).tolist()))
+        for u in basis:
+            d = sum(x * y.conjugate() for x, y in zip(v, u))
+            v = [x - d * y for x, y in zip(v, u)]
+        norm = math.sqrt(sum(abs(x) ** 2 for x in v))
+        basis.append([x / norm for x in v])
+    return _density_rows([
+        [sum(w * v[i] * v[j].conjugate() for w, v in zip(values, basis)) for j in range(3)]
+        for i in range(3)
+    ])
+
+
+@pytest.mark.parametrize("seed, values", [
+    (6, (0.6, 0.4 - 1e-9, 1e-9)),  # lambda_min at RANK_TOL: rank 2 or 3 per sample
+    (3, (0.6, 0.4 + 1e-9, -1e-9)),  # lambda_min at -RANK_TOL: positive or not per sample
+])
+def test_rank_and_case_are_rho0s_along_a_flickering_orbit(monkeypatch, seed, values):
+    rows = _eigenbasis_state(seed, values)
+    g = one_axis_twist("x")
+    t = _trajectory(rows, g, _grid(1.3, 7), False)
+    own = {(r.rank.rank, r.rank.case) if r.rank else None for r in map(_record, t.states)}
+    assert len(own) > 1  # solved on its own, a sample's rank crosses RANK_TOL by rounding
+    records = []
+
+    def record(*args):
+        records.append(_record(*args))
+        return records[-1]
+
+    monkeypatch.setattr(geometry, "_record", record)
+    t = _trajectory(rows, g, _grid(1.3, 7), True)
+    r0 = _record(rows).rank
+    assert len(t.scenes) == len(records) == 7
+    assert {(r.rank.rank, r.rank.case) for r in records} == {(r0.rank, r0.case)}
