@@ -394,4 +394,10 @@ def partial_transpose(M: np.ndarray) -> np.ndarray:
 
 def _partial_transpose(rows: list) -> list:
     """The partial transpose of a 4x4 matrix's rows: entry (2a + b, 2c + d) is M[2a + d][2c + b]."""
-    return [[rows[i - i % 2 + j % 2][j - j % 2 + i % 2] for j in range(4)] for i in range(4)]
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = rows
+    return [
+        [m00, m10, m02, m12],
+        [m01, m11, m03, m13],
+        [m20, m30, m22, m32],
+        [m21, m31, m23, m33],
+    ]

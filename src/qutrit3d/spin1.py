@@ -6,13 +6,15 @@ A_j = S_k S_l + S_l S_k.
 
 A qutrit is also the triplet (symmetric) sector of two qubits, so the
 bridge is one constant basis B = sqrt(2) [t_x t_y t_z psi_-] with
-t_j = (s_j x 1)|psi_->, the magic basis of Hill and Wootters.  B's
-entries are 0, +-1 or +-i: the bridge runs on Python scalars, its
-products are exact and only its sums round.  to_two_qubit returns
-rho4 = W h W^dag with W = B[:, :3] / sqrt(2) and h = (rho + rho^dag)/2;
-from_two_qubit reads (1/2) B^dag rho4 B, whose 3x3 block is the qutrit
-state and whose singlet row decides whether rho4 is symmetric.  The
-image also carries the partial transpose separability test.
+t_j = (s_j x 1)|psi_->, the magic basis of Hill and Wootters.
+to_two_qubit returns rho4 = W h W^dag with W = B[:, :3] / sqrt(2) and
+h = (rho + rho^dag)/2; from_two_qubit reads (1/2) B^dag rho4 B, whose
+3x3 block is the qutrit state and whose singlet row decides whether
+rho4 is symmetric.  The image also carries the partial transpose
+separability test.  B's entries are 0, +-1 or +-i, so every entry of
+either sandwich is a signed sum of real and imaginary parts of h:
+both are written out as such sums on Python floats, in a fixed order,
+and only the sums and the final complex halving round.
 
 Rows in, arrays at the edge: every matrix comes in through linalg._rows
 and every result goes out through linalg._array.  _to_two_qubit and the
@@ -47,15 +49,6 @@ _A = (
     ((0, 0, -1), (0, 0, 0), (-1, 0, 0)),
     ((0, -1, 0), (-1, 0, 0), (0, 0, 0)),
 )
-
-# B = sqrt(2) [t_x t_y t_z psi_-], rows |00>, |01>, |10>, |11>
-_B = ((-1, 1j, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1), (1, 1j, 0, 0))
-# the nonzero entries of the rows of sqrt(2) W = B[:, :3] and of B^dag
-_TRIPLET_ROWS = tuple(tuple((j, c) for j, c in enumerate(row[:3]) if c) for row in _B)
-_B_DAG_ROWS = tuple(
-    tuple((p, row[j].conjugate()) for p, row in enumerate(_B) if row[j]) for j in range(4)
-)
-
 
 @dataclass(frozen=True)
 class Spin1Set:
@@ -100,25 +93,6 @@ def expectations(rho: np.ndarray) -> StateParams:
     return StateParams(a=a, q=q, omega=omega, T=T)
 
 
-def _half_sandwich(rows, A: list) -> list:
-    """(1/2) X H X^dag as nested lists of Python complex, H the Hermitian part of A.
-
-    ``rows`` holds the nonzero (column, entry) pairs of each row of X,
-    whose entries are +-1 or +-i, so every product is exact and only the
-    sums round; A is given as rows of Python complex.  One triangle is summed and mirrored: the result is
-    exactly Hermitian, with a real diagonal and no -0.0 imaginary part.
-    """
-    H = [[0.5 * (x + y.conjugate()) for x, y in zip(row, col)] for row, col in zip(A, zip(*A))]
-    n = len(rows)
-    out = [[0j] * n for _ in range(n)]
-    for p in range(n):
-        for q in range(p, n):
-            z = 0.5 * sum(c * H[j][k] * d.conjugate() for j, c in rows[p] for k, d in rows[q])
-            out[p][q], out[q][p] = z, complex(z.real, 0.0 - z.imag)
-        out[p][p] = complex(out[p][p].real)
-    return out
-
-
 def to_two_qubit(rho: np.ndarray) -> np.ndarray:
     """Embed a qutrit state into the symmetric two-qubit sector: W h W^dag (_to_two_qubit).
 
@@ -131,8 +105,79 @@ def to_two_qubit(rho: np.ndarray) -> np.ndarray:
 
 
 def _to_two_qubit(rows: list) -> list:
-    """to_two_qubit of a qutrit state's checked rows; NotPositiveError unless they are a state."""
-    return _half_sandwich(_TRIPLET_ROWS, _state_rows(rows))
+    """to_two_qubit of a qutrit state's checked rows; NotPositiveError unless they are a state.
+
+    W h W^dag = (1/2) X h X^dag with X = sqrt(2) W, whose rows are
+    (-1, i, 0), (0, 0, 1), (0, 0, 1) and (1, i, 0), written out.  Entry
+    (p, q) of the upper triangle sums c conj(d) h_jk over the nonzero
+    c = X_pj, then d = X_qk, the order of a generic loop.  Each c conj(d)
+    is +-1 or +-i, so each term is +-Re h_jk or +-Im h_jk, picked exactly,
+    and h is formed on one triangle: h_kj = conj(h_jk) but for the sign
+    of a zero.  A sum that starts at +0.0 is never -0.0, so the sign of a
+    zero term cannot matter, and the zero Im h_jj are left out.  The
+    halving stays a complex product: its real part's zero sign can
+    depend on the imaginary sum.
+    """
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = _state_rows(rows)
+    r00, r11 = 0.5 * (a00.real + a00.real), 0.5 * (a11.real + a11.real)
+    r22 = 0.5 * (a22.real + a22.real)
+    r01, i01 = 0.5 * (a01.real + a10.real), 0.5 * (a01.imag - a10.imag)
+    r02, i02 = 0.5 * (a02.real + a20.real), 0.5 * (a02.imag - a20.imag)
+    r12, i12 = 0.5 * (a12.real + a21.real), 0.5 * (a12.imag - a21.imag)
+    z01 = 0.5 * complex(0.0 - r02 - i12, 0.0 - i02 + r12)  # rows 1 and 2 of X are equal
+    z11 = 0.5 * complex(0.0 + r22, 0.0)
+    z13 = 0.5 * complex(0.0 + r02 - i12, 0.0 - i02 - r12)
+    return _hermitian4(
+        0.5 * complex(0.0 + r00 - i01 - i01 + r11, 0.0 + r01 - r01), z01, z01,
+        0.5 * complex(0.0 - r00 - i01 + i01 + r11, 0.0 + r01 + r01),
+        z11, z11, z13, z11, z13,
+        0.5 * complex(0.0 + r00 + i01 + i01 + r11, 0.0 - r01 + r01),
+    )
+
+
+def _b_sandwich(rows: list) -> list:
+    """M = (1/2) B^dag h B of a 4x4 matrix's rows, h their Hermitian part.
+
+    Written out as _to_two_qubit's sandwich is, over the nonzero entries
+    of the rows of B^dag: (-1, 0, 0, 1), (-i, 0, 0, -i), (0, 1, 1, 0) and
+    (0, 1, -1, 0).
+    """
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
+    r00, r11 = 0.5 * (a00.real + a00.real), 0.5 * (a11.real + a11.real)
+    r22, r33 = 0.5 * (a22.real + a22.real), 0.5 * (a33.real + a33.real)
+    r01, i01 = 0.5 * (a01.real + a10.real), 0.5 * (a01.imag - a10.imag)
+    r02, i02 = 0.5 * (a02.real + a20.real), 0.5 * (a02.imag - a20.imag)
+    r03, i03 = 0.5 * (a03.real + a30.real), 0.5 * (a03.imag - a30.imag)
+    r12, i12 = 0.5 * (a12.real + a21.real), 0.5 * (a12.imag - a21.imag)
+    r13, i13 = 0.5 * (a13.real + a31.real), 0.5 * (a13.imag - a31.imag)
+    r23, i23 = 0.5 * (a23.real + a32.real), 0.5 * (a23.imag - a32.imag)
+    return _hermitian4(
+        0.5 * complex(0.0 + r00 - r03 - r03 + r33, 0.0 - i03 + i03),
+        0.5 * complex(0.0 + i03 + i03, 0.0 - r00 - r03 + r03 + r33),
+        0.5 * complex(0.0 - r01 - r02 + r13 + r23, 0.0 - i01 - i02 - i13 - i23),
+        0.5 * complex(0.0 - r01 + r02 + r13 - r23, 0.0 - i01 + i02 - i13 + i23),
+        0.5 * complex(0.0 + r00 + r03 + r03 + r33, 0.0 + i03 - i03),
+        0.5 * complex(0.0 + i01 + i02 - i13 - i23, 0.0 - r01 - r02 - r13 - r23),
+        0.5 * complex(0.0 + i01 - i02 - i13 + i23, 0.0 - r01 + r02 - r13 + r23),
+        0.5 * complex(0.0 + r11 + r12 + r12 + r22, 0.0 + i12 - i12),
+        0.5 * complex(0.0 + r11 - r12 + r12 - r22, 0.0 - i12 - i12),
+        0.5 * complex(0.0 + r11 - r12 - r12 + r22, 0.0 - i12 + i12),
+    )
+
+
+def _hermitian4(z00, z01, z02, z03, z11, z12, z13, z22, z23, z33) -> list:
+    """The rows of the Hermitian 4x4 matrix with upper triangle z_pq and a real diagonal.
+
+    z_qp = complex(z_pq.real, 0.0 - z_pq.imag), so no imaginary part is -0.0.
+    """
+    return [
+        [complex(z00.real), z01, z02, z03],
+        [complex(z01.real, 0.0 - z01.imag), complex(z11.real), z12, z13],
+        [complex(z02.real, 0.0 - z02.imag), complex(z12.real, 0.0 - z12.imag),
+         complex(z22.real), z23],
+        [complex(z03.real, 0.0 - z03.imag), complex(z13.real, 0.0 - z13.imag),
+         complex(z23.real, 0.0 - z23.imag), complex(z33.real)],
+    ]
 
 
 def singlet_overlap(rho4: np.ndarray) -> float:
@@ -143,7 +188,7 @@ def singlet_overlap(rho4: np.ndarray) -> float:
     """
     rows = _rows(rho4, (4, 4), "two-qubit state", InvalidStateError)
     rows = _hermitian_rows(rows, what="two-qubit state")
-    return _half_sandwich(_B_DAG_ROWS[3:], rows)[0][0].real
+    return _b_sandwich(rows)[3][3].real
 
 
 def from_two_qubit(rho4: np.ndarray) -> np.ndarray:
@@ -166,7 +211,7 @@ def _from_two_qubit(rows: list) -> list:
     singlet (reason "singlet_overlap"); last, TraceError when the block's
     trace is not 1.
     """
-    M = _half_sandwich(_B_DAG_ROWS, _hermitian_rows(rows, what="two-qubit state"))
+    M = _b_sandwich(_hermitian_rows(rows, what="two-qubit state"))
     mismatch = 4.0 * max(abs(M[j][3].real) for j in range(3))
     if mismatch > HERM_TOL:
         raise NotSymmetricError("bloch_mismatch", f"local Bloch vectors differ by {mismatch:.3e}")

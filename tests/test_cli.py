@@ -870,6 +870,43 @@ def test_output_leaves_through_one_renderer_and_one_writer():
     assert out_flags == 1
 
 
+# the functions of the package that still call the builtin sum: CPython 3.12 made a
+# float sum compensated, so a float sum's last bit depends on the interpreter.  The
+# list only shrinks as sums are written out in a fixed order; _record's is an int
+# count of bools, which every CPython sums alike
+SUM_CALLERS = {
+    "linalg.py:vector_norm", "linalg.py:_dot", "linalg.py:_reorthonormalize_cluster",
+    "state.py:_random_rows", "state.py:_record", "cli.py:cmd_mub",
+}
+
+
+def test_builtin_sum_only_where_it_is_left():
+    """sum( only in SUM_CALLERS, and math.fsum and statistics nowhere in the package."""
+    callers, found = set(), []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum":
+                    callers.add(f"{name}:{getattr(stmt, 'name', node.lineno)}")
+                names = {getattr(node, a, None) for a in ("attr", "id")} | _imported_names(node)
+                if names & {"fsum", "statistics"}:
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []
+    assert callers == SUM_CALLERS
+
+
+def _imported_names(node) -> set:
+    """The modules an import statement names, and the names it imports from them."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        return {(node.module or "").split(".")[0]} | {alias.name for alias in node.names}
+    return set()
+
+
 def test_analyze_golden_bytes_under_optimize():
     for name in CANONICAL:
         res = run_cli("analyze", data_path(name), flags=("-O",))
