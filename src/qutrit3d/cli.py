@@ -44,7 +44,7 @@ from .errors import (
     TraceError,
 )
 from .geometry import RANK_CASE_TO_SCENE, _scene, export_scene_obj, scene_to_dict
-from .linalg import _dot
+from .linalg import _dot, _sum
 from .state import (
     PSEUDO_TENSOR,
     Analysis,
@@ -341,7 +341,7 @@ def cmd_mub(args) -> int:
         raise InternalCheckError("cross-basis overlaps are not uniform")
     report = _report(_density_rows(_projector(state.amp)))
     out = _dump(amplitudes_payload(state.amp))
-    out += f"cross-basis overlap modulus: {_fmt(sum(cross) / len(cross))}\n"
+    out += f"cross-basis overlap modulus: {_fmt(_sum(cross) / len(cross))}\n"
     out += report_text(report)
     _emit(out, args.out)
     return EXIT_OK

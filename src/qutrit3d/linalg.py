@@ -36,6 +36,16 @@ for the scalars:
 Real input (the correlation tensor T) stays real throughout.  Jacobi,
 not a closed form: Cardano-type solvers lose accuracy near double roots
 (Kopp, arXiv:physics/0610206), where the positivity verdict lives.
+
+Where only the verdict lambda_min >= floor is read (a state's positivity,
+the PPT test), _at_least proves the Jacobi's answer without solving: a
+shifted LDL^dag certifies True (Rump, BIT 46 (2006)), and a Rayleigh
+quotient built from its first non-positive pivot certifies False.  Its
+band, where it answers None, is |lambda_min - floor| within CERT_MARGIN
+widened by the rows' skew, plus rows with an entry above 1; there the
+Jacobi decides.  The Jacobi stays the verdict's definition: a proof only
+reproduces it, so no output byte depends on which of the two answered,
+and the error message and every reader of the values still solve.
 """
 
 from __future__ import annotations
@@ -43,9 +53,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InternalCheckError, NotHermitianError
-from .tolerances import DEGEN_GAP, GS_RESIDUAL, HERM_TOL, JACOBI_SCALE_FLOOR, JACOBI_STOP
+from .tolerances import (
+    CERT_GAMMA, CERT_MARGIN, CERT_SKEW, DEGEN_GAP, GS_RESIDUAL, HERM_TOL, JACOBI_SCALE_FLOOR,
+    JACOBI_STOP,
+)
 
 _MAX_SWEEPS = 60
 # Largest accepted entry modulus: a 4x4 matrix within it has Frobenius norm <= max/4, so
@@ -113,9 +127,21 @@ def _entry_error(rows: list, what: str) -> Exception:
     return NotHermitianError(f"{what} is not Hermitian: it has a non-finite entry")
 
 
+def _sum(terms):
+    """0.0 + t0 + t1 + ..., left to right: the builtin sum of CPython <= 3.11 on every CPython.
+
+    A -0.0 term still gives +0.0, and complex terms a complex sum; 3.12
+    made the builtin sum of floats compensated, which moves a last bit.
+    """
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 def vector_norm(v) -> float:
     """Euclidean norm of a sequence of Python numbers, summed in order, without BLAS."""
-    return math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in v))
+    return math.sqrt(_sum(x.real * x.real + x.imag * x.imag for x in v))
 
 
 def _dot3(u, w) -> float:
@@ -268,8 +294,8 @@ def _jacobi4(rows: list) -> list:
 
 
 def _dot(u: list, w: list):
-    """<u|w> = sum conj(u_i) w_i."""
-    return sum(x.conjugate() * y for x, y in zip(u, w))
+    """<u|w> = sum conj(u_i) w_i, summed in order (_sum)."""
+    return _sum(x.conjugate() * y for x, y in zip(u, w))
 
 
 def _fix_phase(v: list) -> list:
@@ -290,7 +316,7 @@ def _reorthonormalize_cluster(cols: list, idx: range) -> None:
     n = len(cols[0])
     chosen: list[list] = []
     for j in range(n):
-        w = [sum(v[r] * v[j].conjugate() for v in cluster) for r in range(n)]
+        w = [_sum(v[r] * v[j].conjugate() for v in cluster) for r in range(n)]
         for u in chosen:
             d = _dot(u, w)
             w = [x - y * d for x, y in zip(w, u)]
@@ -366,6 +392,79 @@ def _eigvals(rows: list) -> list:
     """Descending eigenvalues of checked 3x3 or 4x4 Hermitian rows; 3x3 ones equal the full solve's."""
     vals = _jacobi3(rows, with_vectors=False)[0] if len(rows) == 3 else _jacobi4(rows)
     return sorted(vals, reverse=True)
+
+
+def _at_least(rows: list, floor: float) -> bool | None:
+    """Whether the Jacobi finds lambda_min >= floor for checked 3x3 or 4x4 rows, where provable.
+
+    True or False only where it is proven, None in the band the proof
+    cannot reach (the caller then runs the Jacobi).  None for an entry
+    above 1 in modulus; below that the Jacobi's error stays under half
+    the margin m = CERT_MARGIN + CERT_SKEW ||A - A^dag||_F, which also
+    covers the gap between both triangles, read by the Jacobi, and H, the
+    Hermitian matrix of the lower one, read here.  P = H - (floor + m) 1
+    is factored as LDL^dag without pivoting: positive pivots with
+    CERT_GAMMA sum_k d_k |l_k|^2 below m / 2 prove lambda_min > floor + m / 2,
+    since P + dP = LDL^dag with ||dP|| within that sum.  At the first pivot
+    d_k <= 0, _witness tries to prove lambda_min < floor - m.
+    """
+    if max(map(abs, chain.from_iterable(rows))) > 1.0:
+        return None
+    skew = 0.0
+    for i, row in enumerate(rows):
+        y = row[i].imag
+        skew += 4.0 * y * y
+        for j in range(i):
+            z = row[j] - rows[j][i].conjugate()
+            skew += 2.0 * (z.real * z.real + z.imag * z.imag)
+    margin = CERT_MARGIN + CERT_SKEW * math.sqrt(skew)
+    shift = floor + margin
+    L, d, bound = [], [], 0.0
+    for i, row in enumerate(rows):
+        Li, sub = [], 0.0
+        L.append(Li)
+        for j in range(i):
+            z, Lj = row[j], L[j]
+            for k in range(j):
+                z -= Li[k] * d[k] * Lj[k].conjugate()
+            z /= d[j]
+            Li.append(z)
+            sub += d[j] * (z.real * z.real + z.imag * z.imag)
+        t = row[i].real - shift - sub
+        if not t > 0.0:  # also for a NaN pivot
+            return _witness(rows, L, floor - margin)
+        d.append(t)
+        bound += t + sub
+    return True if CERT_GAMMA * bound < margin / 2.0 else None
+
+
+def _witness(rows: list, L: list, ceiling: float) -> bool | None:
+    """False when a Rayleigh quotient of H provably lies below ceiling, else None.
+
+    L holds rows 0..k of the unit lower factor, below its diagonal, and x
+    solves L^dag x = e_k on the leading block, so x^dag P x = d_k <= 0.
+    r = x^dag H x / x^dag x, summed on the lower triangle, bounds
+    lambda_min from above; its rounding is within CERT_GAMMA |x|^T |H| |x|
+    / x^dag x, at most CERT_GAMMA (k + 1) for entries of modulus <= 1.
+    """
+    k = len(L) - 1
+    x = [0.0] * k + [1.0]
+    for j in range(k - 1, -1, -1):
+        z = 0.0
+        for i in range(j + 1, k + 1):
+            z -= L[i][j].conjugate() * x[i]
+        x[j] = z
+    num = xx = 0.0
+    for i, z in enumerate(x):
+        row, y = rows[i], 0.0
+        for j in range(i):
+            y += row[j] * x[j]
+        w = z.real * z.real + z.imag * z.imag
+        num += row[i].real * w + 2.0 * (z.conjugate() * y).real
+        xx += w
+    if not (k + 1) * xx < math.inf:  # no product above overflowed
+        return None
+    return False if num / xx + CERT_GAMMA * (k + 1) < ceiling else None
 
 
 def eigvals_hermitian4(M: np.ndarray) -> np.ndarray:

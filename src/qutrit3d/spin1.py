@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidStateError, NotSymmetricError, TraceError
-from .linalg import _array, _eigvals, _hermitian_rows, _partial_transpose, _rows
+from .linalg import _array, _at_least, _eigvals, _hermitian_rows, _partial_transpose, _rows
 from .state import StateParams, _as_rows, _state_rows, assert_density
 from .tolerances import HERM_TOL, RANK_TOL, TRACE_TOL
 
@@ -235,7 +235,10 @@ def ppt_separable(rho: np.ndarray) -> bool:
     """Positive partial transpose test in the two-qubit picture.
 
     For two qubits PPT is necessary and sufficient, so this decides
-    separability of the symmetric image exactly.
+    separability of the symmetric image exactly.  The verdict is the
+    Jacobi's, lambda_min >= -RANK_TOL of the partial transpose: proven
+    by linalg._at_least where it can, solved (_eigvals) where it cannot.
     """
-    vals = _eigvals(_partial_transpose(_to_two_qubit(_as_rows(rho))))
-    return vals[-1] >= -RANK_TOL
+    pt = _partial_transpose(_to_two_qubit(_as_rows(rho)))
+    verdict = _at_least(pt, -RANK_TOL)
+    return _eigvals(pt)[-1] >= -RANK_TOL if verdict is None else verdict

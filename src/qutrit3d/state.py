@@ -36,7 +36,8 @@ from .errors import (
     TraceError,
 )
 from .linalg import (
-    _ENTRY_MAX, _array, _dot3, _eigensystem3, _eigvals, _hermitian_rows, _rows, det3, vector_norm,
+    _ENTRY_MAX, _array, _at_least, _dot3, _eigensystem3, _eigvals, _hermitian_rows, _rows, _sum,
+    det3, vector_norm,
 )
 from .tolerances import RANK_TOL, SEGMENT_SLACK, SING_TOL, TRACE_TOL
 
@@ -247,14 +248,21 @@ def _spectrum(rows: list) -> tuple[list, bool]:
 
     The package's one positivity verdict: rho is positive semidefinite
     when its smallest eigenvalue is at least -RANK_TOL.  Only values are
-    read, so the solve computes no eigenvectors.
+    read, so the solve computes no eigenvectors.  _state_rows, which
+    reads the verdict alone, proves it without the solve where it can.
     """
     values = _eigvals(rows)
     return values, values[-1] >= -RANK_TOL
 
 
 def _state_rows(rows: list) -> list:
-    """Checked rows, returned when they are a state; NotPositiveError otherwise."""
+    """Checked rows, returned when they are a state; NotPositiveError otherwise.
+
+    A proven True of linalg._at_least returns them at once; otherwise the
+    verdict and the error's eigenvalue are _spectrum's, as without it.
+    """
+    if _at_least(rows, -RANK_TOL):
+        return rows
     values, positive = _spectrum(rows)
     if not positive:
         raise _not_positive(values)
@@ -407,7 +415,7 @@ def _random_rows(rank: int, rng: np.random.Generator | int | None) -> list:
 
     rng = np.random.default_rng(rng)  # a Generator is returned as it is
     terms = [(w, _projector(_haar(rng))) for w in rng.dirichlet([1.0] * rank).tolist()]
-    rho = [[sum(w * P[i][j] for w, P in terms) for j in range(3)] for i in range(3)]
+    rho = [[_sum(w * P[i][j] for w, P in terms) for j in range(3)] for i in range(3)]
     scale = 1.0 / (rho[0][0].real + rho[1][1].real + rho[2][2].real)
     return [[x * scale for x in row] for row in rho]
 

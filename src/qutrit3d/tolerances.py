@@ -23,6 +23,17 @@ RANK_TOL = 1e-9
 # Im(rho) n = (a x n)/2, so |a x n| <= 2 sqrt(RANK_TOL).
 SEGMENT_SLACK = 2.0 * math.sqrt(RANK_TOL)
 
+# Certified positivity verdicts (linalg._at_least).  A verdict
+# lambda_min >= floor is proven only outside the band floor +- CERT_MARGIN,
+# widened by CERT_SKEW times ||A - A^dag||_F: the Jacobi's own error on
+# entries of modulus <= 1 stays below CERT_MARGIN / 2.  CERT_GAMMA bounds
+# the rounding of an LDL^dag of order <= 4 or of a Rayleigh quotient, in
+# units of u = 2^-53 (Higham, ASNA 2nd ed., Thms 9.3, 10.3 and Lemma 3.5
+# for complex products), with room to spare.
+CERT_MARGIN = RANK_TOL / 100.0
+CERT_SKEW = 16.0
+CERT_GAMMA = 64.0 * 2.0**-53
+
 # det(1 - T) below this means the metric tensor is treated as undefined.
 SING_TOL = 1e-10
 

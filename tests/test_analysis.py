@@ -33,6 +33,7 @@ from qutrit3d.state import (
     random_density,
     validate,
 )
+from qutrit3d.tolerances import RANK_TOL
 
 MODULES = (linalg, state, geometry, dynamics, spin1, cli, qutrit3d)
 
@@ -211,11 +212,21 @@ def test_threshold_state_gets_one_verdict(tmp_path):
     assert (lines[7] == "rank: n/a") == (not valid)
 
 
+def band_density():
+    """A non-diagonal state with lambda_min = -RANK_TOL + 1e-13: inside the band of _at_least."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    R = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    lam = RANK_TOL - 1e-13
+    return (R @ np.diag([0.6, 0.4 + lam, -lam]) @ R.T).astype(complex)
+
+
 def test_eigensolve_counts(monkeypatch):
     """Full eigensolves (linalg._eigensystem3) and values-only spectra (linalg._eigvals) per call.
 
     rho's positivity and rank read eigenvalues only; T and the generators
     need their eigenvectors.  eig_hermitian3 converts one _eigensystem3.
+    Where only the positivity or PPT verdict is read, linalg._at_least
+    proves it without a solve, except in its band, where the Jacobi runs.
     """
     full = _count_calls(monkeypatch, "_eigensystem3")
     values = _count_calls(monkeypatch, "_eigvals")
@@ -241,11 +252,18 @@ def test_eigensolve_counts(monkeypatch):
     assert count(dynamics.custom, np.diag([1.0, 0.0, -1.0])) == (1, 0)
     g = dynamics.one_axis_twist("x")
     assert count(dynamics.trajectory, valid, g, 1.0, n, with_scenes=True) == (n, 1)
-    assert count(dynamics.trajectory, valid, g, 1.0, n) == (0, 1)
-    assert count(dynamics.evolve, valid, g, 1.0) == (0, 1)
-    assert count(spin1.to_two_qubit, valid) == (0, 1)
-    # one spectrum of rho, one of the partial transpose, both on rows
-    assert count(spin1.ppt_separable, valid) == (0, 2)
+    assert count(dynamics.trajectory, valid, g, 1.0, n) == (0, 0)
+    assert count(dynamics.evolve, valid, g, 1.0) == (0, 0)
+    assert count(spin1.to_two_qubit, valid) == (0, 0)
+    # rho's verdict and the partial transpose's, both proven
+    assert count(spin1.ppt_separable, valid) == (0, 0)
+    # in the band the verdict falls back to one values-only spectrum
+    band = band_density()
+    assert linalg._at_least(state._as_rows(band), -RANK_TOL) is None
+    for fn, args in ((check_state, ()), (spin1.to_two_qubit, ()), (dynamics.evolve, (g, 1.0)),
+                     (dynamics.trajectory, (g, 1.0, n))):
+        assert count(fn, band, *args) == (0, 1), fn.__name__
+    assert count(cli.build_report, band) == (1, 1)
 
 
 def test_hermiticity_check_counts(monkeypatch):

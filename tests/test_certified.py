@@ -1,0 +1,240 @@
+"""The proven verdicts of linalg._at_least, against the Jacobi and against exact arithmetic.
+
+_at_least(rows, floor) answers True or False only where it can prove what
+the Jacobi decides for lambda_min >= floor, and None elsewhere, where the
+callers run the Jacobi.  The agreement test compares every answer with
+_eigvals(rows)[-1] >= -RANK_TOL on seeded families: the perfbench input
+kinds for rho and for its partial transpose, spectra moved to within
+10^-13 .. 10^-6 of the threshold on either side, rows Hermitian only to
+within HERM_TOL, and zero rows, singular leading blocks and entries
+above 1.  The exact test decides lambda_min >= -RANK_TOL of exactly
+Hermitian rows with integers alone, from the signs of the coefficients of
+the characteristic polynomial of A + RANK_TOL 1.
+"""
+
+import importlib.util
+import itertools
+import os
+
+import numpy as np
+
+from qutrit3d.linalg import _at_least, _eigvals, _partial_transpose
+from qutrit3d.spin1 import _to_two_qubit
+from qutrit3d.tolerances import CERT_MARGIN, HERM_TOL, RANK_TOL
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _perfbench_inputs():
+    """perfbench/inputs.py, the benchmark's seeded input kinds (numpy only), as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", os.path.join(ROOT, "perfbench", "inputs.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _jacobi(rows) -> bool:
+    return _eigvals(rows)[-1] >= -RANK_TOL
+
+
+def _hermitian(M) -> list:
+    """Rows of M's upper triangle mirrored, with a real diagonal: exactly Hermitian."""
+    n = len(M)
+    rows = [[complex(M[i][j]) if i < j else 0j for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = complex(M[i][i].real)
+        for j in range(i):
+            rows[i][j] = rows[j][i].conjugate()
+    return rows
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+def _near_threshold(rng, n, lo=-13.0, hi=-6.0):
+    """Q diag(lam) Q^dag with lam_min = -RANK_TOL +- 10^U(lo, hi), trace one, as an array."""
+    lam = rng.dirichlet(np.ones(n - 1)).tolist()
+    lam.append(-RANK_TOL + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi))
+    lam[0] -= lam[-1]
+    Q = _unitary(rng, n)
+    return (Q * lam) @ Q.conj().T
+
+
+def _skewed(rng, M):
+    """M with each upper entry moved by up to HERM_TOL / 2: Hermitian only within HERM_TOL."""
+    M = np.array(M, dtype=complex)
+    n = len(M)
+    for i in range(n):
+        M[i, i] += 1j * rng.uniform(-0.2, 0.2) * HERM_TOL
+        for j in range(i + 1, n):
+            M[i, j] += complex(*rng.uniform(-0.35, 0.35, 2)) * HERM_TOL
+    return M.tolist()
+
+
+def _image(rows) -> list:
+    """The partial transpose of a state's two-qubit image, as the bridge builds it."""
+    return _partial_transpose(_to_two_qubit(rows))
+
+
+def _perfbench_rows(seeds) -> list:
+    """rho and, where rho is a state, its partial transpose for every perfbench state input."""
+    inputs = _perfbench_inputs()
+    found = []
+    for seed in seeds:
+        for item in inputs.analyze_inputs(seed) + inputs.bridge_inputs(seed):
+            rho = inputs.matrix(item).tolist()
+            found.append(rho)
+            if _jacobi(rho):
+                found.append(_image(rho))
+            else:  # the bridge refuses it, so its image comes from numpy
+                image = inputs.two_qubit_image(np.array(rho))
+                found.append(inputs.partial_transpose(image).tolist())
+    return found
+
+
+def _families() -> dict:
+    """Seeded rows of 3x3 and 4x4 matrices, by family."""
+    rng = np.random.default_rng(2323)
+    near = [_near_threshold(rng, 3 + i % 2) for i in range(1200)]
+    # half of them within the skew's reach of the threshold, where the widening decides
+    skewed = [_skewed(rng, _near_threshold(rng, 3 + i % 2, -13.0, -9.5 if i % 4 < 2 else -6.0))
+              for i in range(1200)]
+    states = [_hermitian(_near_threshold(rng, 3, -9.0, -6.0)) for _ in range(200)]
+    images = [_image(rho) for rho in states if _jacobi(rho)]
+    edge = [[[0j] * n for _ in range(n)] for n in (3, 4)]
+    for i in range(120):
+        n = 3 + i % 2
+        M = np.array(_near_threshold(rng, n, -13.0, -7.0))
+        # a singular leading block: a zero first row and column, or a rank-one leading 2x2
+        if i % 3 == 0:
+            M[0, :] = M[:, 0] = 0.0
+        elif i % 3 == 1:
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            M[:2, :2] = 0.5 * np.outer(v, v.conj()) / np.vdot(v, v).real
+        edge.append(_hermitian(M))
+    return {
+        "near": [_hermitian(M) for M in near],
+        "near, both triangles": [M.tolist() for M in near],
+        "skewed": skewed,
+        "images": images,
+        "edge": edge,
+    }
+
+
+def test_at_least_agrees_with_the_jacobi():
+    found = {name: [] for name in ("disagree", "band answered")}
+    for name, family in _families().items():
+        for rows in family:
+            verdict = _at_least(rows, -RANK_TOL)
+            if verdict is not None and verdict != _jacobi(rows):
+                found["disagree"].append((name, rows))
+            # the band where the Jacobi's own rounding could decide: never answered
+            lam = np.linalg.eigvalsh(np.array(rows))[0]
+            if abs(lam + RANK_TOL) <= CERT_MARGIN / 4.0 and verdict is not None:
+                found["band answered"].append((name, rows))
+    assert found == {"disagree": [], "band answered": []}
+
+
+def _largest(rows) -> float:
+    return max(abs(x) for row in rows for x in row)
+
+
+def test_at_least_decides_the_perfbench_inputs():
+    """At most 1% undecided among the inputs within the scale guard, which are nearly all.
+
+    Only analyze's renormalised non-positive states have entries above 1.
+    """
+    rows = _perfbench_rows(seeds=(1, 2))
+    verdicts = [_at_least(r, -RANK_TOL) for r in rows]
+    assert [v for v, r in zip(verdicts, rows) if v is not None and v != _jacobi(r)] == []
+    within = [v for v, r in zip(verdicts, rows) if _largest(r) <= 1.0]
+    assert len(within) >= 0.95 * len(rows)
+    assert within.count(None) <= len(within) // 100, (within.count(None), len(within))
+    # both answers occur: the states are proven, most partial transposes refuted
+    assert within.count(True) > 0 and within.count(False) > 0
+
+
+def test_at_least_leaves_entries_above_one_to_the_jacobi():
+    rng = np.random.default_rng(7)
+    for n in (3, 4):
+        Q = _unitary(rng, n)
+        M = (Q * rng.uniform(0.1, 1.0, n)) @ Q.conj().T
+        for largest in (1.0 + 2.0**-40, 2.0, 1e3):
+            rows = _hermitian(largest / _largest(M) * M)
+            assert _largest(rows) > 1.0 and _at_least(rows, -RANK_TOL) is None
+
+
+# --- exact verdicts: every float is a dyadic rational, so a common power of two makes the
+# entries Gaussian integers, and integer arithmetic decides the sign of every coefficient
+
+
+def _gaussian_integers(rows, shift: float) -> list:
+    """2^p (rows + shift 1) as rows of (re, im) integer pairs, one p for all entries."""
+    ratios = [[(x.real.as_integer_ratio(), x.imag.as_integer_ratio()) for x in row] for row in rows]
+    s = shift.as_integer_ratio()
+    den = max([s[1]] + [d for row in ratios for pair in row for _, d in pair])
+    scaled = [[tuple(n * (den // d) for n, d in pair) for pair in row] for row in ratios]
+    for i, row in enumerate(scaled):
+        row[i] = (row[i][0] + s[0] * (den // s[1]), row[i][1])
+    return scaled
+
+
+def _det(M) -> tuple:
+    """The determinant of a matrix of Gaussian integers (re, im), by the Leibniz formula."""
+    n = len(M)
+    total_re = total_im = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        re, im = 1, 0
+        for i, j in enumerate(perm):
+            a, b = M[i][j]
+            re, im = re * a - im * b, re * b + im * a
+        sign = -1 if inversions % 2 else 1
+        total_re, total_im = total_re + sign * re, total_im + sign * im
+    return total_re, total_im
+
+
+def _exact_verdict(rows) -> bool:
+    """lambda_min >= -RANK_TOL of exactly Hermitian rows, exactly.
+
+    H = A + RANK_TOL 1 has a real-rooted characteristic polynomial whose
+    coefficients are +-e_k, the sums of its principal k-minors, so all its
+    eigenvalues are >= 0 exactly when every e_k is >= 0 (Descartes' rule
+    of signs).
+    """
+    H = _gaussian_integers(rows, RANK_TOL)
+    n = len(H)
+    for k in range(1, n + 1):
+        e_k = 0
+        for idx in itertools.combinations(range(n), k):
+            re, im = _det([[H[i][j] for j in idx] for i in idx])
+            assert im == 0  # a principal minor of a Hermitian matrix is real
+            e_k += re
+        if e_k < 0:
+            return False
+    return True
+
+
+def test_exact_oracle_decides_known_spectra():
+    rng = np.random.default_rng(11)
+    for n in (3, 4):
+        Q = _unitary(rng, n)
+        for low, want in ((-2.0 * RANK_TOL, False), (-0.5 * RANK_TOL, True), (0.0, True)):
+            lam = [0.6, 0.4 - low] + [0.0] * (n - 3) + [low]
+            assert _exact_verdict(_hermitian((Q * lam) @ Q.conj().T)) == want
+
+
+def test_at_least_agrees_with_the_exact_verdict():
+    rng = np.random.default_rng(4242)
+    rows = [_hermitian(_near_threshold(rng, 3 + i % 2, -11.5, -7.0)) for i in range(240)]
+    rows += [r for r in _perfbench_rows(seeds=(3,))[:160:4] if r == _hermitian(r)]
+    answered = 0
+    for r in rows:
+        verdict = _at_least(r, -RANK_TOL)
+        if verdict is not None:
+            answered += 1
+            assert verdict == _exact_verdict(r), r
+    assert answered >= len(rows) // 2

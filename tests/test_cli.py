@@ -871,13 +871,10 @@ def test_output_leaves_through_one_renderer_and_one_writer():
 
 
 # the functions of the package that still call the builtin sum: CPython 3.12 made a
-# float sum compensated, so a float sum's last bit depends on the interpreter.  The
-# list only shrinks as sums are written out in a fixed order; _record's is an int
+# float sum compensated, so a float sum's last bit depends on the interpreter.  Float
+# and complex sums go through linalg._sum, in a fixed order; _record's is an int
 # count of bools, which every CPython sums alike
-SUM_CALLERS = {
-    "linalg.py:vector_norm", "linalg.py:_dot", "linalg.py:_reorthonormalize_cluster",
-    "state.py:_random_rows", "state.py:_record", "cli.py:cmd_mub",
-}
+SUM_CALLERS = {"state.py:_record"}
 
 
 def test_builtin_sum_only_where_it_is_left():

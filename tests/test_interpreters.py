@@ -1,19 +1,21 @@
-"""The bridge prints the same bytes under every CPython >= 3.10 that can be found.
+"""The numpy-free CLI prints the same bytes under every CPython >= 3.10 that can be found.
 
 pyproject.toml declares requires-python >= 3.10, and the interpreter's
 own arithmetic can move a last bit: CPython 3.12 made the builtin sum of
-floats compensated.  The bridge runs on Python scalars with its sums
-written out, so its bytes must not depend on the interpreter.  This
-test writes seeded density files and two-qubit files, then runs
-``python -m qutrit3d bridge`` on them in both directions under each
-other CPython found on PATH or under $PYENV_ROOT/versions, in one child
-per interpreter, and requires the exit codes, stdout and stderr of this
-interpreter's child.  The children need no numpy: the bridge imports
-none.  Amplitude files are not among the inputs: their parse goes
-through linalg.vector_norm, a builtin float sum that still differs on
-3.12 and later.
+floats compensated.  Every float sum on the output path is written out
+in a fixed order (linalg._sum), so the bytes must not depend on the
+interpreter.  The tests write seeded density, amplitude and two-qubit
+files, then run ``python -m qutrit3d`` on them under each other CPython
+found on PATH or under $PYENV_ROOT/versions, in one child per
+interpreter, and require the exit codes, stdout and stderr of this
+interpreter's child: ``bridge`` in both directions, and ``analyze``
+(text and --json), ``mub``, ``ortho``, ``scene --format obj`` and
+``evolve --scenes``.  The amplitude files include seeds whose parse
+printed other bytes under 3.12 while vector_norm called the builtin
+sum.  The children need no numpy: none of these commands imports it.
 """
 
+import functools
 import glob
 import json
 import os
@@ -72,6 +74,7 @@ def _candidates() -> list:
     return list(unique.values())
 
 
+@functools.lru_cache(maxsize=None)
 def _other_cpythons() -> dict:
     """{real path: "3.N"} of every CPython >= 3.10 that runs, this one left out.
 
@@ -100,20 +103,58 @@ def _write(path: str, M) -> str:
     return path
 
 
-def _calls(tmp) -> list:
-    """bridge argv lists over seeded state files and two-qubit files written to tmp."""
+def _write_pure(path: str, psi) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"amplitudes": [[z.real, z.imag] for z in np.asarray(psi).tolist()]}, fh)
+    return path
+
+
+def _haar(seed: int):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return psi / np.linalg.norm(psi)
+
+
+def _cli_calls(tmp) -> list:
+    """(argv, exit code) of the numpy-free commands over seeded files written to tmp.
+
+    Amplitude seeds 0-29 include 21, 23 and 27, whose analyze output moved
+    under 3.12 while vector_norm summed with the builtin sum.
+    """
+    amps = [_write_pure(os.path.join(tmp, f"amp{s}.json"), _haar(s)) for s in range(30)]
+    basis = [_write_pure(os.path.join(tmp, f"e{k}.json"), np.eye(3)[k]) for k in range(3)]
+    states = [_write(os.path.join(tmp, f"state{i}.json"), random_density(1 + i % 3, 77 + i))
+              for i in range(3)]
+    data = [os.path.join(HERE, "data", f"{name}.json") for name in ("mixed", "ket0",
+                                                                    "pseudo_boundary")]
+    calls = [(["analyze", path, *flag], 0) for path in amps + data for flag in ([], ["--json"])]
+    calls += [(["mub", "--basis", str(b), "--vector", str(v)], 0)
+              for b in range(1, 5) for v in range(1, 4)]
+    calls += [(["ortho", amps[i], amps[i + 1]], 0) for i in range(0, 10, 2)]
+    calls += [(["ortho", basis[0], basis[1]], 0), (["ortho", basis[2], amps[0]], 0)]
+    calls += [(["scene", path, "--format", "obj"], 0) for path in amps[:8] + states + data]
+    evolve = ["--theta", "1.3", "--steps", "4", "--scenes"]
+    calls += [(["evolve", path, "--generator", gen, *evolve], 0)
+              for path in states + amps[20:28:2] for gen in ("twist:x", "counter:y", "rot:z")]
+    return calls
+
+
+def _bridge_calls(tmp) -> list:
+    """(argv, exit code) of bridge over seeded state files and two-qubit files written to tmp."""
     states = [random_density(1 + i % 3, 2026 + i) for i in range(6)]
     # signed zeros and subnormal coherences, whose halving underflows
     third, z, w = 1.0 / 3.0, complex(-5e-324, 1e-323), complex(-0.0, -5e-324)
     states.append([[third, z, -0.0], [z.conjugate(), third, w], [-0.0, w.conjugate(), third]])
-    calls = [["bridge", os.path.join(HERE, "data", "mixed.json"), "--direction", "to2q"]]
+    calls = [(["bridge", os.path.join(HERE, "data", "mixed.json"), "--direction", "to2q"], 0)]
     for i, rho in enumerate(states):
         rho4 = to_two_qubit(rho)
         leaky = rho4 + 1e-6 * np.outer([0, 1, -1, 0], [0, 1, -1, 0])  # singlet weight
         calls += [
-            ["bridge", _write(os.path.join(tmp, f"rho{i}.json"), rho), "--direction", "to2q"],
-            ["bridge", _write(os.path.join(tmp, f"rho4_{i}.json"), rho4), "--direction", "from2q"],
-            ["bridge", _write(os.path.join(tmp, f"leak{i}.json"), leaky), "--direction", "from2q"],
+            (["bridge", _write(os.path.join(tmp, f"rho{i}.json"), rho), "--direction", "to2q"], 0),
+            (["bridge", _write(os.path.join(tmp, f"rho4_{i}.json"), rho4), "--direction",
+              "from2q"], 0),
+            (["bridge", _write(os.path.join(tmp, f"leak{i}.json"), leaky), "--direction",
+              "from2q"], 2),
         ]
     return calls
 
@@ -128,17 +169,25 @@ def _run(python: str, manifest: str) -> list:
     return json.loads(res.stdout)
 
 
-def test_bridge_bytes_under_every_cpython(tmp_path):
+def _same_under_every_cpython(tmp_path, calls: list) -> None:
+    """Each other CPython's child prints this one's exit codes, stdout and stderr for calls."""
     others = _other_cpythons()
     if not others:
         pytest.skip("no other CPython >= 3.10 found on PATH or under $PYENV_ROOT/versions")
     manifest = str(tmp_path / "calls.json")
-    calls = _calls(str(tmp_path))
     with open(manifest, "w", encoding="utf-8") as fh:
-        json.dump(calls, fh)
+        json.dump([argv for argv, _ in calls], fh)
     want = _run(sys.executable, manifest)
-    assert [code for code, _, _ in want] == [0] + [0, 0, 2] * (len(calls) // 3)
+    assert [code for code, _, _ in want] == [code for _, code in calls]
     for python, version in sorted(others.items()):
         got = _run(python, manifest)
-        for argv, w, g in zip(calls, want, got):
+        for (argv, _), w, g in zip(calls, want, got):
             assert g == w, (version, python, argv)
+
+
+def test_numpy_free_cli_bytes_under_every_cpython(tmp_path):
+    _same_under_every_cpython(tmp_path, _cli_calls(str(tmp_path)))
+
+
+def test_bridge_bytes_under_every_cpython(tmp_path):
+    _same_under_every_cpython(tmp_path, _bridge_calls(str(tmp_path)))

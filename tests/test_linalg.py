@@ -35,7 +35,7 @@ from qutrit3d.state import (
     StateParams, assert_density, check_state, compose, decompose, gamma_norm, metric_tensor,
     params_from_bloch_tensor, random_density, semi_axes, validate,
 )
-from qutrit3d.tolerances import DEGEN_GAP
+from qutrit3d.tolerances import DEGEN_GAP, RANK_TOL
 
 
 def random_hermitian(rng, n=3, scale=1.0):
@@ -403,9 +403,12 @@ def test_unconverged_jacobi_raises(monkeypatch):
         eig_hermitian3(random_hermitian(rng))
     with pytest.raises(InternalCheckError, match="sweep limit 1 reached"):
         eigvals_hermitian4(random_hermitian(rng, n=4))
-    # rho's values-only spectrum and real input take the same limit and message
+    # rho's values-only spectrum and real input take the same limit and message; a state
+    # with lambda_min = -RANK_TOL lies in linalg._at_least's band, so check_state solves it
+    Q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    band = Q @ np.diag([0.7, 0.3 + RANK_TOL, -RANK_TOL]) @ Q.conj().T
     with pytest.raises(InternalCheckError, match=r"^Jacobi sweep limit 1 reached: off-diagonal "):
-        check_state(random_density(3, rng))
+        check_state(band)
     X = rng.standard_normal((3, 3))
     with pytest.raises(InternalCheckError, match=r"^Jacobi sweep limit 1 reached: off-diagonal "):
         eig_sym3((X + X.T) / 2.0)
