@@ -12,17 +12,21 @@ solvers (_eigensystem3, _eigvals) take a matrix as rows and return
 lists; the solvers never check their rows again, and the package's
 analysis and its CLI call them directly.
 
-The check and the solvers work on Python scalars and call no BLAS: the
-check is one pass over the rows, and one Jacobi kernel per size solves
-them.  The 3x3 kernel (rho and T) keeps the nine entries of A, and of V
-when eigenvectors are wanted, in local variables through every sweep,
-with its three pair rotations written out; the 4x4 kernel (the partial
+The check, the solvers and the certificate work on Python scalars, call
+no BLAS and are written out on local variables per size: the check
+reads the 9 or 16 entries once, one Jacobi kernel per size solves them,
+and one certificate kernel (_at_least) factors 3x3 rows and a 4x4
+matrix's leading block alike, adding row 3 for 4x4.  The 3x3 Jacobi
+kernel (rho and T) keeps the nine entries of A, and of V when
+eigenvectors are wanted, in local variables through every sweep, with
+its three pair rotations written out; the 4x4 kernel (the partial
 transpose, values only) rotates each pair's 2x2 core on locals and
-streams the two other rows and columns through a fixed plan.  Both do
-the floating-point operations of a generic kernel over nested lists, in
-its order and on its operand types, so they give its bits; writing them
-out removes only the interpreter's indexing and loop cost.  The sort,
-the degenerate-cluster Gram-Schmidt and the phase gauge use the same
+streams the two other rows and columns through a fixed plan.  Each
+kernel does the floating-point operations of a generic loop over nested
+lists, in its order and on its operand types, so it gives its bits
+(frozen copies of the loops in the tests check that); writing them out
+removes only the interpreter's indexing and loop cost.  The sort, the
+degenerate-cluster Gram-Schmidt and the phase gauge use the same
 scalars.  Eigenvalues never depend on V, so rho's spectrum (positivity,
 rank) skips it and is bit-identical to the full solve's.  Two reasons
 for the scalars:
@@ -32,7 +36,10 @@ for the scalars:
   * the same bytes on every CPU: OpenBLAS picks its kernel at run time,
     and kernels differ in summation order and fused multiply-add, so a
     matmul's last bit depends on the machine, while Python float
-    arithmetic rounds once per IEEE operation everywhere.
+    arithmetic rounds once per IEEE operation everywhere.  libm is the
+    exception: evolve and the OBJ mesh call its sin and cos, and glibc
+    picks an FMA or a non-FMA variant from the CPU, which can move a
+    last bit.
 Real input (the correlation tensor T) stays real throughout.  Jacobi,
 not a closed form: Cardano-type solvers lose accuracy near double roots
 (Kopp, arXiv:physics/0610206), where the positivity verdict lives.
@@ -53,7 +60,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import InternalCheckError, NotHermitianError
 from .tolerances import (
@@ -99,22 +105,44 @@ def _array(x, dtype=None):
 
 
 def _hermitian_rows(rows: list, what: str) -> list:
-    """Rows of Python numbers, returned once checked in one pass.
+    """3x3 or 4x4 rows of Python numbers, returned once checked, on locals per size.
 
     NotHermitianError for a non-finite entry or max |M - M^dag| above
-    HERM_TOL, ValueError for an entry above _ENTRY_MAX in modulus.
+    HERM_TOL, ValueError for an entry above _ENTRY_MAX in modulus
+    (_entry_error).  max() drops a NaN that is not its first argument, so
+    the entries' sum tests for one.  The deviation is read on the diagonal
+    and one triangle: |a_ij - conj a_ji| and |a_ji - conj a_ij| are the same
+    float, and |a_ii - conj a_ii| is |2 Im a_ii|.
     """
-    dev = 0.0
+    dev = None
     try:
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if not abs(x) <= _ENTRY_MAX:  # also true for a NaN or infinite entry
-                    raise _entry_error(rows, what)
-                d = abs(x - rows[j][i].conjugate())
-                if d > dev:
-                    dev = d
+        if len(rows) == 3:
+            (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+            top = max(abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20),
+                      abs(a21), abs(a22))
+            total = a00 + a01 + a02 + a10 + a11 + a12 + a20 + a21 + a22
+            if top <= _ENTRY_MAX and total == total:  # false for a NaN or infinite entry
+                dev = max(abs(2.0 * a00.imag), abs(2.0 * a11.imag), abs(2.0 * a22.imag),
+                          abs(a01 - a10.conjugate()), abs(a02 - a20.conjugate()),
+                          abs(a12 - a21.conjugate()))
+        else:
+            (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), \
+                (a30, a31, a32, a33) = rows
+            top = max(abs(a00), abs(a01), abs(a02), abs(a03), abs(a10), abs(a11), abs(a12),
+                      abs(a13), abs(a20), abs(a21), abs(a22), abs(a23), abs(a30), abs(a31),
+                      abs(a32), abs(a33))
+            total = (a00 + a01 + a02 + a03 + a10 + a11 + a12 + a13 + a20 + a21 + a22 + a23
+                     + a30 + a31 + a32 + a33)
+            if top <= _ENTRY_MAX and total == total:
+                dev = max(abs(2.0 * a00.imag), abs(2.0 * a11.imag), abs(2.0 * a22.imag),
+                          abs(2.0 * a33.imag), abs(a01 - a10.conjugate()),
+                          abs(a02 - a20.conjugate()), abs(a03 - a30.conjugate()),
+                          abs(a12 - a21.conjugate()), abs(a13 - a31.conjugate()),
+                          abs(a23 - a32.conjugate()))
     except OverflowError:  # abs() of a complex whose modulus is above max float
-        raise _entry_error(rows, what) from None
+        pass
+    if dev is None:
+        raise _entry_error(rows, what)
     if dev > HERM_TOL:
         raise NotHermitianError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e}")
     return rows
@@ -407,34 +435,67 @@ def _at_least(rows: list, floor: float) -> bool | None:
     CERT_GAMMA sum_k d_k |l_k|^2 below m / 2 prove lambda_min > floor + m / 2,
     since P + dP = LDL^dag with ||dP|| within that sum.  At the first pivot
     d_k <= 0, _witness tries to prove lambda_min < floor - m.
+
+    One kernel on locals serves 3x3 rows and a 4x4's leading block, with
+    row 3 added for 4x4.  It does the generic row loop's operations in its
+    order (tests/test_certified.py keeps that loop), but for the exact ones
+    left out: adding a leading 0.0 and subtracting row 0's empty sub, as
+    no term is -0.0.
     """
-    if max(map(abs, chain.from_iterable(rows))) > 1.0:
+    four = len(rows) == 4
+    if four:
+        (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), \
+            (a30, a31, a32, a33) = rows
+        top = max(abs(a00), abs(a01), abs(a02), abs(a03), abs(a10), abs(a11), abs(a12),
+                  abs(a13), abs(a20), abs(a21), abs(a22), abs(a23), abs(a30), abs(a31),
+                  abs(a32), abs(a33))
+    else:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+        top = max(abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20),
+                  abs(a21), abs(a22))
+    if top > 1.0:
         return None
-    skew = 0.0
-    for i, row in enumerate(rows):
-        y = row[i].imag
-        skew += 4.0 * y * y
-        for j in range(i):
-            z = row[j] - rows[j][i].conjugate()
-            skew += 2.0 * (z.real * z.real + z.imag * z.imag)
+    y0, y1, y2 = a00.imag, a11.imag, a22.imag
+    z10, z20, z21 = a10 - a01.conjugate(), a20 - a02.conjugate(), a21 - a12.conjugate()
+    skew = (4.0 * y0 * y0 + 4.0 * y1 * y1 + 2.0 * (z10.real * z10.real + z10.imag * z10.imag)
+            + 4.0 * y2 * y2 + 2.0 * (z20.real * z20.real + z20.imag * z20.imag)
+            + 2.0 * (z21.real * z21.real + z21.imag * z21.imag))
+    if four:
+        y3 = a33.imag
+        z30, z31, z32 = a30 - a03.conjugate(), a31 - a13.conjugate(), a32 - a23.conjugate()
+        skew = (skew + 4.0 * y3 * y3 + 2.0 * (z30.real * z30.real + z30.imag * z30.imag)
+                + 2.0 * (z31.real * z31.real + z31.imag * z31.imag)
+                + 2.0 * (z32.real * z32.real + z32.imag * z32.imag))
     margin = CERT_MARGIN + CERT_SKEW * math.sqrt(skew)
     shift = floor + margin
-    L, d, bound = [], [], 0.0
-    for i, row in enumerate(rows):
-        Li, sub = [], 0.0
-        L.append(Li)
-        for j in range(i):
-            z, Lj = row[j], L[j]
-            for k in range(j):
-                z -= Li[k] * d[k] * Lj[k].conjugate()
-            z /= d[j]
-            Li.append(z)
-            sub += d[j] * (z.real * z.real + z.imag * z.imag)
-        t = row[i].real - shift - sub
-        if not t > 0.0:  # also for a NaN pivot
-            return _witness(rows, L, floor - margin)
-        d.append(t)
-        bound += t + sub
+    d0 = a00.real - shift
+    if not d0 > 0.0:  # also for a NaN pivot
+        return _witness(rows, [[]], floor - margin)
+    l10 = a10 / d0
+    sub = d0 * (l10.real * l10.real + l10.imag * l10.imag)
+    d1 = a11.real - shift - sub
+    if not d1 > 0.0:
+        return _witness(rows, [[], [l10]], floor - margin)
+    bound = d0 + (d1 + sub)
+    l20 = a20 / d0
+    l21 = (a21 - l20 * d0 * l10.conjugate()) / d1
+    sub = d0 * (l20.real * l20.real + l20.imag * l20.imag) + d1 * (
+        l21.real * l21.real + l21.imag * l21.imag)
+    d2 = a22.real - shift - sub
+    if not d2 > 0.0:
+        return _witness(rows, [[], [l10], [l20, l21]], floor - margin)
+    bound += d2 + sub
+    if four:
+        l30 = a30 / d0
+        l31 = (a31 - l30 * d0 * l10.conjugate()) / d1
+        l32 = (a32 - l30 * d0 * l20.conjugate() - l31 * d1 * l21.conjugate()) / d2
+        sub = (d0 * (l30.real * l30.real + l30.imag * l30.imag)
+               + d1 * (l31.real * l31.real + l31.imag * l31.imag)
+               + d2 * (l32.real * l32.real + l32.imag * l32.imag))
+        d3 = a33.real - shift - sub
+        if not d3 > 0.0:
+            return _witness(rows, [[], [l10], [l20, l21], [l30, l31, l32]], floor - margin)
+        bound += d3 + sub
     return True if CERT_GAMMA * bound < margin / 2.0 else None
 
 

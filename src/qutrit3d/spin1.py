@@ -203,19 +203,20 @@ def _from_two_qubit(rows: list) -> list:
     """The 3x3 block of M = (1/2) B^dag rho4 B, of a 4x4 matrix's rows of Python complex.
 
     Checks, in order: NotHermitianError when rho4 is not Hermitian,
-    ValueError when an entry is too large; then M's singlet row raises
-    NotSymmetricError when the two local Bloch vectors differ (reason
-    "bloch_mismatch"; 4 max|Re <t_j|rho4|psi_->| = max|a1 - a2|), the
-    correlation matrix is asymmetric (reason "tensor_asymmetry";
+    ValueError when an entry is too large; then M's singlet column, read as
+    three locals, raises NotSymmetricError when the two local Bloch vectors
+    differ (reason "bloch_mismatch"; 4 max|Re <t_j|rho4|psi_->| = max|a1 - a2|),
+    the correlation matrix is asymmetric (reason "tensor_asymmetry";
     4 max|Im <t_j|rho4|psi_->| = max|T - T^T|) or the state leaks onto the
     singlet (reason "singlet_overlap"); last, TraceError when the block's
     trace is not 1.
     """
     M = _b_sandwich(_hermitian_rows(rows, what="two-qubit state"))
-    mismatch = 4.0 * max(abs(M[j][3].real) for j in range(3))
+    m03, m13, m23 = M[0][3], M[1][3], M[2][3]
+    mismatch = 4.0 * max(abs(m03.real), abs(m13.real), abs(m23.real))
     if mismatch > HERM_TOL:
         raise NotSymmetricError("bloch_mismatch", f"local Bloch vectors differ by {mismatch:.3e}")
-    asymmetry = 4.0 * max(abs(M[j][3].imag) for j in range(3))
+    asymmetry = 4.0 * max(abs(m03.imag), abs(m13.imag), abs(m23.imag))
     if asymmetry > HERM_TOL:
         raise NotSymmetricError(
             "tensor_asymmetry", f"correlation matrix asymmetry {asymmetry:.3e}"

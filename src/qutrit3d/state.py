@@ -97,12 +97,13 @@ def assert_density(rho: np.ndarray) -> None:
 
 
 def _density_rows(rows: list) -> list:
-    """assert_density's checks on a 3x3 matrix's rows of Python numbers; returns them."""
-    rows = _hermitian_rows(rows, what="density matrix")
+    """assert_density's checks on 3x3 rows of Python numbers, on nine locals; returns the rows."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = _hermitian_rows(rows, "density matrix")
     bound = _ENTRY_MAX / 2.0
-    if max(abs(x) for row in rows for x in row) > bound:
+    if max(abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20), abs(a21),
+           abs(a22)) > bound:
         raise ValueError(f"density matrix overflows: an entry is above {bound:.3g} in modulus")
-    tr = rows[0][0] + rows[1][1] + rows[2][2]
+    tr = a00 + a11 + a22
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceError(f"density matrix trace = {tr.real:.15g}, expected 1")
     return rows

@@ -9,20 +9,60 @@ kinds for rho and for its partial transpose, spectra moved to within
 within HERM_TOL, and zero rows, singular leading blocks and entries
 above 1.  The exact test decides lambda_min >= -RANK_TOL of exactly
 Hermitian rows with integers alone, from the signs of the coefficients of
-the characteristic polynomial of A + RANK_TOL 1.
+the characteristic polynomial of A + RANK_TOL 1.  The kernels, one per
+size on local variables, must answer as the generic row loop they
+replaced, kept below verbatim as a frozen oracle, and hand _witness the
+same factor L and ceiling, on every family and on the perfbench inputs.
 """
 
 import importlib.util
 import itertools
+import math
 import os
+from itertools import chain
 
 import numpy as np
 
+from qutrit3d import linalg
 from qutrit3d.linalg import _at_least, _eigvals, _partial_transpose
 from qutrit3d.spin1 import _to_two_qubit
-from qutrit3d.tolerances import CERT_MARGIN, HERM_TOL, RANK_TOL
+from qutrit3d.tolerances import CERT_GAMMA, CERT_MARGIN, CERT_SKEW, HERM_TOL, RANK_TOL
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+# --- the oracle: the generic certificate loop over nested lists, verbatim ----------
+
+
+def _old_at_least(rows: list, floor: float) -> bool | None:
+    if max(map(abs, chain.from_iterable(rows))) > 1.0:
+        return None
+    skew = 0.0
+    for i, row in enumerate(rows):
+        y = row[i].imag
+        skew += 4.0 * y * y
+        for j in range(i):
+            z = row[j] - rows[j][i].conjugate()
+            skew += 2.0 * (z.real * z.real + z.imag * z.imag)
+    margin = CERT_MARGIN + CERT_SKEW * math.sqrt(skew)
+    shift = floor + margin
+    L, d, bound = [], [], 0.0
+    for i, row in enumerate(rows):
+        Li, sub = [], 0.0
+        L.append(Li)
+        for j in range(i):
+            z, Lj = row[j], L[j]
+            for k in range(j):
+                z -= Li[k] * d[k] * Lj[k].conjugate()
+            z /= d[j]
+            Li.append(z)
+            sub += d[j] * (z.real * z.real + z.imag * z.imag)
+        t = row[i].real - shift - sub
+        if not t > 0.0:  # also for a NaN pivot
+            return linalg._witness(rows, L, floor - margin)
+        d.append(t)
+        bound += t + sub
+    return True if CERT_GAMMA * bound < margin / 2.0 else None
 
 
 def _perfbench_inputs():
@@ -136,6 +176,35 @@ def test_at_least_agrees_with_the_jacobi():
             if abs(lam + RANK_TOL) <= CERT_MARGIN / 4.0 and verdict is not None:
                 found["band answered"].append((name, rows))
     assert found == {"disagree": [], "band answered": []}
+
+
+def test_kernels_answer_as_the_frozen_loop(monkeypatch):
+    """The same answer, and the same L and ceiling handed to _witness, at both floors.
+
+    The rows are every family, 3x3 and 4x4, and the perfbench analyze and
+    bridge inputs of seeds 1-5 with their partial transposes.
+    """
+    handed = []
+    witness = linalg._witness
+
+    def recorded(rows, L, ceiling):
+        handed.append(repr((L, ceiling)))
+        return witness(rows, L, ceiling)
+
+    monkeypatch.setattr(linalg, "_witness", recorded)
+    rows = [r for family in _families().values() for r in family]
+    rows += _perfbench_rows(seeds=(1, 2, 3, 4, 5))
+    assert {len(r) for r in rows} == {3, 4}
+    found = []
+    for r in rows:
+        for floor in (-RANK_TOL, RANK_TOL):
+            handed.clear()
+            old = _old_at_least(r, floor), handed[:]
+            handed.clear()
+            new = _at_least(r, floor), handed[:]
+            if new != old:
+                found.append((r, floor, old, new))
+    assert found == []
 
 
 def _largest(rows) -> float:

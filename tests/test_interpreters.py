@@ -13,6 +13,9 @@ interpreter's child: ``bridge`` in both directions, and ``analyze``
 ``evolve --scenes``.  The amplitude files include seeds whose parse
 printed other bytes under 3.12 while vector_norm called the builtin
 sum.  The children need no numpy: none of these commands imports it.
+The PPT certificate (linalg._at_least), which no CLI command runs on a
+partial transpose, rests on CPython's complex-by-float arithmetic, so a
+child under each interpreter also returns its answers on seeded rows.
 """
 
 import functools
@@ -26,8 +29,10 @@ import sys
 import numpy as np
 import pytest
 
-from qutrit3d.spin1 import to_two_qubit
+from qutrit3d.linalg import _at_least, _partial_transpose
+from qutrit3d.spin1 import _to_two_qubit, to_two_qubit
 from qutrit3d.state import random_density
+from qutrit3d.tolerances import RANK_TOL
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
@@ -47,6 +52,15 @@ for argv in json.load(open(sys.argv[1], encoding="utf-8")):
             code = exc.code
     results.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps(results))
+"""
+# prints the _at_least answers at floors -RANK_TOL and +RANK_TOL for the [re, im] rows of
+# the JSON file argv[1], without numpy
+VERDICTS = """
+import json, sys
+from qutrit3d.linalg import _at_least
+from qutrit3d.tolerances import RANK_TOL
+rows = [[[complex(*x) for x in row] for row in M] for M in json.load(open(sys.argv[1]))]
+print(json.dumps([[_at_least(M, f) for f in (-RANK_TOL, RANK_TOL)] for M in rows]))
 """
 PROBE = (
     "import os, sys; "
@@ -159,11 +173,35 @@ def _bridge_calls(tmp) -> list:
     return calls
 
 
-def _run(python: str, manifest: str) -> list:
+def _certificate_rows() -> list:
+    """Seeded 3x3 and 4x4 rows around lambda_min = -RANK_TOL, and bridge partial transposes.
+
+    The near ones are Q diag(lam) Q^dag with lam_min = -RANK_TOL +- 10^U(-13, -6),
+    in both triangles, half of them moved off Hermitian by up to 10^-11 per entry.
+    """
+    rng = np.random.default_rng(2424)
+    found = []
+    for i in range(240):
+        n = 3 + i % 2
+        lam = rng.dirichlet(np.ones(n - 1)).tolist()
+        lam.append(-RANK_TOL + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13.0, -6.0))
+        lam[0] -= lam[-1]
+        Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        M = (Q * lam) @ Q.conj().T
+        if i % 4 >= 2:
+            M = M + 1e-11 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        found.append(M.tolist())
+    for i in range(60):
+        rho = random_density(1 + i % 3, 3000 + i).tolist()
+        found += [rho, _partial_transpose(_to_two_qubit(rho))]
+    return found
+
+
+def _run(python: str, manifest: str, script: str = DRIVER) -> list:
     env = {k: v for k, v in os.environ.items() if k not in ("QUTRIT_SEED", "PYTHONHOME")}
     env["PYTHONPATH"] = SRC
     res = subprocess.run(
-        [python, "-c", DRIVER, manifest], capture_output=True, text=True, env=env, timeout=300
+        [python, "-c", script, manifest], capture_output=True, text=True, env=env, timeout=300
     )
     assert res.returncode == 0, (python, res.stderr)
     return json.loads(res.stdout)
@@ -191,3 +229,19 @@ def test_numpy_free_cli_bytes_under_every_cpython(tmp_path):
 
 def test_bridge_bytes_under_every_cpython(tmp_path):
     _same_under_every_cpython(tmp_path, _bridge_calls(str(tmp_path)))
+
+
+def test_certificate_verdicts_under_every_cpython(tmp_path):
+    """Each other CPython's numpy-free child gives this one's _at_least answers."""
+    others = _other_cpythons()
+    if not others:
+        pytest.skip("no other CPython >= 3.10 found on PATH or under $PYENV_ROOT/versions")
+    rows = _certificate_rows()
+    path = str(tmp_path / "rows.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump([[[[x.real, x.imag] for x in row] for row in M] for M in rows], fh)
+    want = [[_at_least(M, f) for f in (-RANK_TOL, RANK_TOL)] for M in rows]
+    assert {v for pair in want for v in pair} == {True, False, None}
+    assert _run(sys.executable, path, VERDICTS) == want
+    for python, version in sorted(others.items()):
+        assert _run(python, path, VERDICTS) == want, (version, python)

@@ -7,7 +7,9 @@ bit, the evolution exp(-i theta G) rho exp(i theta G) that dynamics.evolve
 reads from eig(G) against a raw Taylor series, determinants against numpy, and the partial transpose
 against hand-built tensor products.  The one-pass Hermiticity check on
 Python scalars keeps the errors and messages of the numpy checks it
-replaced, at the edges where Python and numpy differ.
+replaced, at the edges where Python and numpy differ, and its kernels on
+local variables, one per size, raise what the generic loop over nested
+lists raised: that loop is kept below verbatim as a frozen oracle.
 """
 
 import warnings
@@ -35,7 +37,7 @@ from qutrit3d.state import (
     StateParams, assert_density, check_state, compose, decompose, gamma_norm, metric_tensor,
     params_from_bloch_tensor, random_density, semi_axes, validate,
 )
-from qutrit3d.tolerances import DEGEN_GAP, RANK_TOL
+from qutrit3d.tolerances import DEGEN_GAP, HERM_TOL, RANK_TOL
 
 
 def random_hermitian(rng, n=3, scale=1.0):
@@ -501,6 +503,85 @@ def test_density_check_keeps_its_messages():
     overflow = r"^density matrix overflows: an entry is above 5\.62e\+306 in modulus$"
     with pytest.raises(ValueError, match=overflow):
         assert_density(rho)
+
+
+def _old_hermitian_rows(rows: list, what: str) -> list:
+    """The generic one-pass check over nested lists, verbatim."""
+    dev = 0.0
+    try:
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if not abs(x) <= linalg._ENTRY_MAX:  # also true for a NaN or infinite entry
+                    raise linalg._entry_error(rows, what)
+                d = abs(x - rows[j][i].conjugate())
+                if d > dev:
+                    dev = d
+    except OverflowError:  # abs() of a complex whose modulus is above max float
+        raise linalg._entry_error(rows, what) from None
+    if dev > HERM_TOL:
+        raise NotHermitianError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e}")
+    return rows
+
+
+def _outcome(check, rows):
+    """("ok", whether the rows come back as they went in), or the exception's type and text."""
+    try:
+        return "ok", check(rows, "Hermitian matrix") is rows
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+def _hermitian_bases(n: int) -> list:
+    """Rows of Hermitian n x n matrices: complex, real, scaled to the entry bound, and 1/n."""
+    rng = np.random.default_rng(24 + n)
+    top = np.full((n, n), linalg._ENTRY_MAX) * np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
+    return [
+        random_hermitian(rng, n, 0.3).tolist(),
+        np.real(random_hermitian(rng, n, 0.3)).tolist(),
+        (np.triu(top) + np.triu(top, 1).T).tolist(),
+        (np.eye(n, dtype=complex) / n).tolist(),
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_hermiticity_check_matches_the_frozen_loop(n):
+    """The same exception type and message, or the same rows, as the generic loop.
+
+    Each out-of-bounds value sits in every entry position in turn, and a
+    deviation above HERM_TOL, or at it, in each off-diagonal pair and each
+    diagonal imaginary part; seeded matrices skewed in every entry follow.
+    """
+    above = float(np.nextafter(linalg._ENTRY_MAX, np.inf))
+    bad = [complex(np.nan, 0.5), complex(0.5, np.nan), np.inf, -np.inf, complex(0.0, np.inf),
+           complex(1e308, 1e308), above, complex(0.0, above), complex(np.nan, 1e308)]
+    cases = []
+    for base in _hermitian_bases(n):
+        cases.append(base)
+        real = not isinstance(base[0][0], complex)
+        for i, j in np.ndindex(n, n):
+            for value in bad:
+                if not (real and isinstance(value, complex)):
+                    cases.append([row[:] for row in base])
+                    cases[-1][i][j] = value
+            if real:
+                continue
+            # off the diagonal the deviation is |delta|, on it |2 Im delta|: above or at HERM_TOL
+            deltas = (3e-10, -2e-10j, 1e-10, (0.6 + 0.8j) * 1e-10, 2.0**-33) if i < j else (
+                6e-11j, 5e-11j, -7e-11j) if i == j else ()
+            for delta in deltas:
+                cases.append([row[:] for row in base])
+                cases[-1][i][j] += delta
+    rng = np.random.default_rng(2424)
+    for _ in range(400):
+        M = random_hermitian(rng, n, rng.choice([1e-3, 1.0, 1e3]))
+        skew = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        cases.append((M + rng.choice([0.0, 1e-11, 1e-10, 1e-9]) * skew).tolist())
+    got = [_outcome(linalg._hermitian_rows, r) for r in cases]
+    assert got == [_outcome(_old_hermitian_rows, r) for r in cases]
+    # every path is taken: the rows back, both entry errors and the deviation
+    texts = " ".join(str(text) for _, text in got)
+    assert ("ok", True) in got and "overflows" in texts and "non-finite" in texts
+    assert "max |M - M^dag| = " in texts
 
 
 def test_det3_matches_numpy():
