@@ -77,7 +77,8 @@ def _fmt(x: float) -> str:
 
 
 def _vec(v: list) -> str:
-    return " ".join(_fmt(x) for x in v)
+    x, y, z = v
+    return f"{_fmt(x)} {_fmt(y)} {_fmt(z)}"
 
 
 def _float(value, where: str) -> float:

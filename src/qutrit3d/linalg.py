@@ -25,9 +25,10 @@ streams the two other rows and columns through a fixed plan.  Each
 kernel does the floating-point operations of a generic loop over nested
 lists, in its order and on its operand types, so it gives its bits
 (frozen copies of the loops in the tests check that); writing them out
-removes only the interpreter's indexing and loop cost.  The sort, the
-degenerate-cluster Gram-Schmidt and the phase gauge use the same
-scalars.  Eigenvalues never depend on V, so rho's spectrum (positivity,
+removes only the interpreter's indexing and loop cost.  The sort and
+the phase gauge are written out for three columns too (no generic
+_fix_phase is left); only a degenerate cluster's Gram-Schmidt loops
+over lists.  Eigenvalues never depend on V, so rho's spectrum (positivity,
 rank) skips it and is bit-identical to the full solve's.  Two reasons
 for the scalars:
   * speed: for n <= 4 the interpreter's per-call cost dominates, so
@@ -326,13 +327,6 @@ def _dot(u: list, w: list):
     return _sum(x.conjugate() * y for x, y in zip(u, w))
 
 
-def _fix_phase(v: list) -> list:
-    """Make the first largest-magnitude component real positive."""
-    pivot = max(v, key=abs)
-    gauge = pivot / abs(pivot)
-    return [x / gauge for x in v]
-
-
 def _reorthonormalize_cluster(cols: list, idx: range) -> None:
     """Replace a degenerate cluster's vectors by a deterministic basis.
 
@@ -374,24 +368,33 @@ def _eigensystem3(rows: list) -> tuple[list, list]:
     are re-orthonormalized so repeated runs agree bit-for-bit, and each
     vector is gauged so its first largest-magnitude component is real
     positive.  Real rows are solved in real arithmetic and get real
-    eigenvectors.
+    eigenvectors.  The sort is a stable insertion sort on strict >, which
+    orders ties as sorted() does, and the gaps are read as a scan of the
+    sorted values would read them.
     """
-    vals, V = _jacobi3(rows, with_vectors=True)
-    order = sorted(range(3), key=lambda k: -vals[k])
-    vals = [vals[k] for k in order]
-    cols = [[row[k] for row in V] for k in order]
+    (l0, l1, l2), ((v00, v01, v02), (v10, v11, v12), (v20, v21, v22)) = _jacobi3(rows, True)
+    c0, c1, c2 = (v00, v10, v20), (v01, v11, v21), (v02, v12, v22)
+    if l1 > l0:
+        l0, l1, c0, c1 = l1, l0, c1, c0
+    if l2 > l1:
+        l1, l2, c1, c2 = l2, l1, c2, c1
+        if l1 > l0:
+            l0, l1, c0, c1 = l1, l0, c1, c0
+    near01, near12 = l0 - l1 < DEGEN_GAP, l1 - l2 < DEGEN_GAP
+    if near01 or near12:
+        cols = [c0, c1, c2]
+        _reorthonormalize_cluster(cols, range(0 if near01 else 1, 3 if near12 else 2))
+        c0, c1, c2 = cols
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = _gauge(*c0), _gauge(*c1), _gauge(*c2)
+    return [l0, l1, l2], [[x0, x1, x2], [y0, y1, y2], [z0, z1, z2]]
 
-    i = 0
-    while i < 3:
-        j = i + 1
-        while j < 3 and vals[j - 1] - vals[j] < DEGEN_GAP:
-            j += 1
-        if j - i > 1:
-            _reorthonormalize_cluster(cols, range(i, j))
-        i = j
 
-    cols = [_fix_phase(v) for v in cols]
-    return vals, [list(row) for row in zip(*cols)]
+def _gauge(x, y, z) -> tuple:
+    """(x, y, z) over the phase of its first largest-modulus component, made real positive."""
+    pivot = y if abs(y) > abs(x) else x
+    pivot = z if abs(z) > abs(pivot) else pivot
+    g = pivot / abs(pivot)
+    return x / g, y / g, z / g
 
 
 def eig_hermitian3(M: np.ndarray) -> EigenSystem3:

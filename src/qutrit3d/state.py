@@ -36,7 +36,7 @@ from .errors import (
     TraceError,
 )
 from .linalg import (
-    _ENTRY_MAX, _array, _at_least, _dot3, _eigensystem3, _eigvals, _hermitian_rows, _rows, _sum,
+    _ENTRY_MAX, _array, _at_least, _eigensystem3, _eigvals, _hermitian_rows, _rows, _sum,
     det3, vector_norm,
 )
 from .tolerances import RANK_TOL, SEGMENT_SLACK, SING_TOL, TRACE_TOL
@@ -129,9 +129,21 @@ def _identity_minus(M) -> list:
 
 
 def _params(rows: list) -> StateParams:
-    """StateParams of lists of a checked density matrix's rows, T = 1 - 2 Re(rho)."""
-    a = [2.0 * rows[2][1].imag, 2.0 * rows[0][2].imag, 2.0 * rows[1][0].imag]
-    return _bundle(a, _identity_minus([[2.0 * x.real for x in row] for row in rows]))
+    """StateParams of lists of a checked density matrix's rows, T = 1 - 2 Re(rho).
+
+    The operations of _bundle(a, _identity_minus(2 Re(rho))), entry by entry on locals.
+    """
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+    t00, t11, t22 = 1.0 - 2.0 * a00.real, 1.0 - 2.0 * a11.real, 1.0 - 2.0 * a22.real
+    d0, d1, d2 = (t00 + t00) / 2.0, (t11 + t11) / 2.0, (t22 + t22) / 2.0
+    q0 = ((0.0 - 2.0 * a12.real) + (0.0 - 2.0 * a21.real)) / 2.0
+    q1 = ((0.0 - 2.0 * a02.real) + (0.0 - 2.0 * a20.real)) / 2.0
+    q2 = ((0.0 - 2.0 * a01.real) + (0.0 - 2.0 * a10.real)) / 2.0
+    return StateParams(
+        [2.0 * a21.imag, 2.0 * a02.imag, 2.0 * a10.imag], [q0, q1, q2],
+        [(1.0 - d0) / 2.0, (1.0 - d1) / 2.0, (1.0 - d2) / 2.0],
+        [[d0, q2, q1], [q2, d1, q0], [q1, q0, d2]],
+    )
 
 
 def compose(p: StateParams) -> np.ndarray:
@@ -194,18 +206,12 @@ def validate(p: StateParams) -> ValidityReport:
     return _record(_density_rows(_compose(_param_lists(p)))).validity
 
 
-def _one_minus(T: list) -> tuple[list, float]:
-    """1 - T as rows of Python floats and its determinant; ValueError when that overflows."""
+def _metric(T: list) -> list | None:
+    """Gamma = (1 - T) / det(1 - T) of T's rows, None if det <= SING_TOL, ValueError on overflow."""
     one_minus = _identity_minus(T)
     d = det3(one_minus)
     if not math.isfinite(d):
         raise ValueError("det(1 - T) overflows")
-    return one_minus, d
-
-
-def _metric(T: list) -> list | None:
-    """Gamma = (1 - T) / det(1 - T) of T's rows as rows, None when the determinant vanishes."""
-    one_minus, d = _one_minus(T)
     return [[x / d for x in row] for row in one_minus] if d > SING_TOL else None
 
 
@@ -223,11 +229,26 @@ def gamma_norm(a: np.ndarray, T: np.ndarray) -> float:
 
 
 def _gamma_norm(a: list, T: list) -> float:
-    """a . Gamma . a of a Bloch vector and T's rows, on Python floats in a fixed order."""
-    one_minus, d = _one_minus(T)
+    """a . Gamma . a of a Bloch vector and T's rows, on Python floats in a fixed order.
+
+    On locals: M = 1 - T as _identity_minus, d = det3(M), w_j = a . M[:, j]
+    and (w . a) / d, each summed in index order.  ValueError when d
+    overflows, MetricUndefinedError when d <= SING_TOL, then ValueError when
+    the norm overflows.
+    """
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = T
+    m00, m01, m02 = 1.0 - t00, 0.0 - t01, 0.0 - t02
+    m10, m11, m12 = 0.0 - t10, 1.0 - t11, 0.0 - t12
+    m20, m21, m22 = 0.0 - t20, 0.0 - t21, 1.0 - t22
+    d = (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
+         + m02 * (m10 * m21 - m11 * m20))
+    if not math.isfinite(d):
+        raise ValueError("det(1 - T) overflows")
     if d <= SING_TOL:
         raise MetricUndefinedError(f"det(1 - T) = {d:.3e} is not above {SING_TOL:g}")
-    g = _dot3([_dot3(a, col) for col in zip(*one_minus)], a) / d
+    a0, a1, a2 = a
+    g = ((a0 * m00 + a1 * m10 + a2 * m20) * a0 + (a0 * m01 + a1 * m11 + a2 * m21) * a1
+         + (a0 * m02 + a1 * m12 + a2 * m22) * a2) / d
     if not math.isfinite(g):
         raise ValueError("the metric norm a . Gamma . a overflows")
     return g
@@ -240,8 +261,11 @@ def semi_axes(tensor_eigenvalues: np.ndarray) -> np.ndarray:
 
 def _semi_axes(tensor_eigenvalues: list) -> list:
     """semi_axes of three Python floats, as a list."""
-    l0, l1, l2 = (1.0 - x for x in tensor_eigenvalues)
-    return [math.sqrt(max(p, 0.0)) for p in (l1 * l2, l0 * l2, l0 * l1)]
+    x0, x1, x2 = tensor_eigenvalues
+    l0, l1, l2 = 1.0 - x0, 1.0 - x1, 1.0 - x2
+    p0, p1, p2 = l1 * l2, l0 * l2, l0 * l1  # one below 0.0 becomes 0.0; -0.0 and NaN pass
+    return [math.sqrt(0.0 if p0 < 0.0 else p0), math.sqrt(0.0 if p1 < 0.0 else p1),
+            math.sqrt(0.0 if p2 < 0.0 else p2)]
 
 
 def _spectrum(rows: list) -> tuple[list, bool]:
@@ -311,7 +335,9 @@ def _validity(tvals: list, frame: list, a: list, positive: bool) -> ValidityRepo
         c3:  4 omega_x omega_y omega_z >= sum_j omega_j a_j^2
     with eigenbasis weights and Bloch components.  The determinant form
     never divides, so boundary states (where the metric tensor is
-    singular) are handled without special cases.
+    singular) are handled without special cases.  It is computed on
+    locals: omega_j, a . u_j in index order, and c3's sum as
+    (omega_x a_x^2 + omega_y a_y^2) + omega_z a_z^2.
 
     The three flags carry a fixed slack on the minor *values*, which near
     a double root of the spectrum is a much looser cut than the same
@@ -320,12 +346,17 @@ def _validity(tvals: list, frame: list, a: list, positive: bool) -> ValidityRepo
     min-eigenvalue >= -RANK_TOL exactly; the flags localize which
     condition a clear violation breaks.
     """
-    om = [(1.0 - t) / 2.0 for t in tvals]
-    at = [_dot3(a, col) for col in zip(*frame)]
-    c1 = all(-RANK_TOL <= w <= 1.0 + RANK_TOL for w in om)
-    minors = [4.0 * om[k] * om[l] - at[j] * at[j] for j, k, l in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
-    c2 = not any(m < -RANK_TOL for m in minors)
-    c3 = 4.0 * om[0] * om[1] * om[2] - _dot3(om, [x * x for x in at]) >= -RANK_TOL
+    t0, t1, t2 = tvals
+    o0, o1, o2 = (1.0 - t0) / 2.0, (1.0 - t1) / 2.0, (1.0 - t2) / 2.0
+    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = frame
+    a0, a1, a2 = a
+    b0, b1, b2 = a0 * f00 + a1 * f10 + a2 * f20, a0 * f01 + a1 * f11 + a2 * f21, \
+        a0 * f02 + a1 * f12 + a2 * f22
+    lo, hi = -RANK_TOL, 1.0 + RANK_TOL
+    c1 = lo <= o0 <= hi and lo <= o1 <= hi and lo <= o2 <= hi
+    c2 = not (4.0 * o1 * o2 - b0 * b0 < lo or 4.0 * o0 * o2 - b1 * b1 < lo
+              or 4.0 * o0 * o1 - b2 * b2 < lo)
+    c3 = 4.0 * o0 * o1 * o2 - (o0 * (b0 * b0) + o1 * (b1 * b1) + o2 * (b2 * b2)) >= lo
     return ValidityReport(c1_ok=c1, c2_ok=c2, c3_ok=c3, overall=positive)
 
 
@@ -344,10 +375,11 @@ def _record(rows: list, spectrum: tuple | None = None) -> Analysis:
     Positivity and rank come from rho's spectrum, or from ``spectrum``,
     the _spectrum of a unitarily equivalent state (a trajectory's rho0),
     which skips rho's solve; the frame, semi-axes, minor diagnostics and
-    geometry case from T's, which _bundle builds exactly symmetric, so it
+    geometry case from T's, which _params builds exactly symmetric, so it
     is not checked again.  A matrix that is not positive is reported, not
     raised; InternalCheckError means the geometry case failed its own
-    consistency checks.
+    consistency checks.  The rank counts rho's eigenvalues above RANK_TOL
+    as three bools added one by one.
     """
     values, positive = _spectrum(rows) if spectrum is None else spectrum
     p = _params(rows)
@@ -355,7 +387,8 @@ def _record(rows: list, spectrum: tuple | None = None) -> Analysis:
     eps = _semi_axes(tvals)
     rank = None
     if positive:
-        n = sum(v > RANK_TOL for v in values)
+        v0, v1, v2 = values
+        n = (v0 > RANK_TOL) + (v1 > RANK_TOL) + (v2 > RANK_TOL)
         rank = RankReport(n, _rank_case(n, tvals, eps[0], p.a), values)
     validity = _validity(tvals, frame, p.a, positive)
     return Analysis(p, values, tvals, frame, eps, validity, rank)

@@ -13,20 +13,31 @@ the characteristic polynomial of A + RANK_TOL 1.  The kernels, one per
 size on local variables, must answer as the generic row loop they
 replaced, kept below verbatim as a frozen oracle, and hand _witness the
 same factor L and ceiling, on every family and on the perfbench inputs.
+
+The metric norm a . Gamma . a of state._gamma_norm is checked the same
+way, in Fractions of the a and T the code computes: on dyadic rho, where
+they describe rho exactly, the paper's identity det rho = det(Re rho)
+(1 - a . Gamma . a) holds exactly, and on those and on rotated states
+with det(1 - T) within 10x of SING_TOL on both sides, _gamma_norm raises
+exactly when the exact det(1 - T) <= SING_TOL, wherever the two are
+further apart than det3's rounding bound, and its float is within the
+bound of its rounding of the exact norm.
 """
 
 import importlib.util
 import itertools
 import math
 import os
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
-from qutrit3d import linalg
+from qutrit3d import linalg, state
+from qutrit3d.errors import MetricUndefinedError
 from qutrit3d.linalg import _at_least, _eigvals, _partial_transpose
 from qutrit3d.spin1 import _to_two_qubit
-from qutrit3d.tolerances import CERT_GAMMA, CERT_MARGIN, CERT_SKEW, HERM_TOL, RANK_TOL
+from qutrit3d.tolerances import CERT_GAMMA, CERT_MARGIN, CERT_SKEW, HERM_TOL, RANK_TOL, SING_TOL
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -307,3 +318,109 @@ def test_at_least_agrees_with_the_exact_verdict():
             answered += 1
             assert verdict == _exact_verdict(r), r
     assert answered >= len(rows) // 2
+
+
+# --- the metric norm a . Gamma . a against exact arithmetic ---------------------------
+# Gamma = (1 - T) / det(1 - T).  Everything below is exact, in Fractions of the floats the
+# code computes (its a and T); u = 2^-53.  With M = 1 - T, P = sum over the six Leibniz
+# products of |M_0i M_1j M_2k| and N = sum_ij |a_i M_ij a_j|, det3's five roundings per
+# product keep |fl(det M) - det M| <= 8u P, and the norm's six per term and its division
+# keep |fl(a.Gamma.a) - a.Gamma.a| <= 16u (N + P |a.Gamma.a|) / |det M| while 8u P is far
+# below |det M|.
+
+_U = Fraction(1, 2**53)
+
+
+def _pairs(rows) -> list:
+    """Rows of Python numbers as rows of exact (re, im) Fraction pairs."""
+    return [[(Fraction(x.real), Fraction(x.imag)) for x in row] for row in rows]
+
+
+def _dyadic_rho(rng, near: bool) -> list:
+    """A seeded Hermitian trace-one 3x3 of dyadic entries, as rows of Python complex.
+
+    Generic ones have entries k / 2^8 and imaginary parts k / 2^10.  Near
+    ones have Re rho = [[1/4, 1/4 - e, 0], [1/4 - e, 1/4, 0], [0, 0, 1/2]] up to
+    a permutation, e = j 2^-38, so det(1 - T) = 2e - 4e^2 is within 10x of
+    SING_TOL on both sides of it (or its negative, for e < 0).
+    """
+    if near:
+        e = int(rng.integers(2, 140)) * 2.0**-38 * (-1.0 if rng.random() < 0.1 else 1.0)
+        re = np.array([[0.25, 0.25 - e, 0.0], [0.25 - e, 0.25, 0.0], [0.0, 0.0, 0.5]])
+        p = rng.permutation(3)
+        re = re[p][:, p]
+    else:
+        d0, d1 = rng.integers(0, 128, 2) / 2.0**8
+        off = rng.integers(-64, 65, 3) / 2.0**8
+        re = np.array([[d0, off[0], off[1]], [off[0], d1, off[2]], [off[1], off[2], 1.0 - d0 - d1]])
+    im = rng.integers(-32, 33, 3) / 2.0**10
+    im = np.array([[0.0, im[0], im[1]], [-im[0], 0.0, im[2]], [-im[1], -im[2], 0.0]])
+    return (re + 1j * im).tolist()
+
+
+def _rotated_near_singular(rng, k: float) -> list:
+    """rho with Re rho = R diag(1/2, 1/2 - k SING_TOL/2, k SING_TOL/2) R^T, and a Bloch vector."""
+    Q, Rr = np.linalg.qr(rng.standard_normal((3, 3)))
+    R = Q * np.sign(np.diag(Rr))
+    re = R @ np.diag([0.5, 0.5 - k * SING_TOL / 2.0, k * SING_TOL / 2.0]) @ R.T
+    rho = re + 1j * 1e-6 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    return ((rho + rho.conj().T) / 2.0).tolist()
+
+
+def _metric_cases() -> tuple[list, list]:
+    rng = np.random.default_rng(2525)
+    dyadic = [_dyadic_rho(rng, near=i % 2 == 1) for i in range(160)]
+    ks = (-10.0, -1.0, 0.1, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 10.0)
+    rotated = [_rotated_near_singular(rng, k) for k in ks for _ in range(4)]
+    return dyadic, rotated
+
+
+def test_metric_identity_holds_exactly_on_the_codes_a_and_t():
+    """det rho = det(Re rho) (1 - a.Gamma.a), i.e. 8 det rho = det M - a^T M a, M = 1 - T.
+
+    On dyadic rho every operation of _params is exact, so the code's a and
+    T describe rho exactly, and the identity holds in Fractions.
+    """
+    dyadic, _ = _metric_cases()
+    for rows in dyadic:
+        p = state._params(state._density_rows(rows))
+        M = [[(Fraction(i == j) - Fraction(t), Fraction(0)) for j, t in enumerate(row)]
+             for i, row in enumerate(p.T)]
+        a = [Fraction(x) for x in p.a]
+        det_m = _det(M)[0]
+        aMa = sum(a[i] * M[i][j][0] * a[j] for i in range(3) for j in range(3))
+        det_rho = _det(_pairs(rows))
+        assert det_rho == ((det_m - aMa) / 8, 0), rows
+
+
+def test_gamma_norm_against_the_exact_metric_norm():
+    """It raises exactly when det(1 - T) <= SING_TOL outside 8u P, and its float is within bound."""
+    dyadic, rotated = _metric_cases()
+    s = Fraction(SING_TOL)
+    inside = raised = computed = 0
+    for rows in dyadic + rotated:
+        p = state._params(state._density_rows(rows))
+        M = [[Fraction(i == j) - Fraction(t) for j, t in enumerate(row)]
+             for i, row in enumerate(p.T)]
+        a = [Fraction(x) for x in p.a]
+        products = [(-1 if sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3)) % 2
+                     else 1) * M[0][perm[0]] * M[1][perm[1]] * M[2][perm[2]]
+                    for perm in itertools.permutations(range(3))]
+        d, P = sum(products), sum(map(abs, products))
+        n = sum(a[i] * M[i][j] * a[j] for i in range(3) for j in range(3))
+        N = sum(abs(a[i] * M[i][j] * a[j]) for i in range(3) for j in range(3))
+        try:
+            g = state._gamma_norm(p.a, p.T)
+        except MetricUndefinedError:
+            g = None
+        if abs(d - s) <= 8 * _U * P:
+            inside += 1
+            continue
+        assert (g is None) == (d <= s), (rows, float(d))
+        if g is None:
+            raised += 1
+            continue
+        computed += 1
+        exact = n / d
+        assert abs(Fraction(g) - exact) <= 16 * _U * (N + P * abs(exact)) / abs(d), rows
+    assert inside <= 6 and raised >= 20 and computed >= 100, (inside, raised, computed)

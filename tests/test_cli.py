@@ -870,11 +870,11 @@ def test_output_leaves_through_one_renderer_and_one_writer():
     assert out_flags == 1
 
 
-# the functions of the package that still call the builtin sum: CPython 3.12 made a
-# float sum compensated, so a float sum's last bit depends on the interpreter.  Float
-# and complex sums go through linalg._sum, in a fixed order; _record's is an int
-# count of bools, which every CPython sums alike
-SUM_CALLERS = {"state.py:_record"}
+# the functions of the package that still call the builtin sum: none.  CPython 3.12
+# made a float sum compensated, so a float sum's last bit depends on the interpreter.
+# Float and complex sums go through linalg._sum, in a fixed order, and _record adds
+# its rank's three bools as written
+SUM_CALLERS = set()
 
 
 def test_builtin_sum_only_where_it_is_left():

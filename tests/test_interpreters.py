@@ -9,8 +9,8 @@ files, then run ``python -m qutrit3d`` on them under each other CPython
 found on PATH or under $PYENV_ROOT/versions, in one child per
 interpreter, and require the exit codes, stdout and stderr of this
 interpreter's child: ``bridge`` in both directions, and ``analyze``
-(text and --json), ``mub``, ``ortho``, ``scene --format obj`` and
-``evolve --scenes``.  The amplitude files include seeds whose parse
+(text and --json, of amplitude and density files), ``mub``, ``ortho``,
+``scene --format obj`` and ``evolve --scenes``.  The amplitude files include seeds whose parse
 printed other bytes under 3.12 while vector_norm called the builtin
 sum.  The children need no numpy: none of these commands imports it.
 The PPT certificate (linalg._at_least), which no CLI command runs on a
@@ -129,11 +129,33 @@ def _haar(seed: int):
     return psi / np.linalg.norm(psi)
 
 
+def _densities(tmp) -> list:
+    """(path, analyze's exit code) of 20 seeded density files written to tmp.
+
+    Ranks 1-3, real pure states (a double eigenvalue 1 of T), 1/3 1 (a
+    triple one) and non-positive matrices, which analyze reports with exit 2.
+    """
+    rng = np.random.default_rng(2525)
+    found = [(random_density(1 + i % 3, 500 + i), 0) for i in range(15)]
+    for v in ([1.0, 2.0, -2.0], rng.standard_normal(3)):
+        v = np.asarray(v) / np.linalg.norm(v)
+        found.append((np.outer(v, v), 0))
+    found.append((np.eye(3) / 3.0, 0))
+    for low in (-0.1, -1e-6):
+        Q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        M = (Q * [0.7, 0.3 - low, low]) @ Q.conj().T
+        found.append(((M + M.conj().T) / 2.0, 2))
+    return [(_write(os.path.join(tmp, f"density{i}.json"), M), code)
+            for i, (M, code) in enumerate(found)]
+
+
 def _cli_calls(tmp) -> list:
     """(argv, exit code) of the numpy-free commands over seeded files written to tmp.
 
     Amplitude seeds 0-29 include 21, 23 and 27, whose analyze output moved
-    under 3.12 while vector_norm summed with the builtin sum.
+    under 3.12 while vector_norm summed with the builtin sum.  The density
+    files reach the validity minors and the metric norm of states of every
+    rank and of non-positive matrices.
     """
     amps = [_write_pure(os.path.join(tmp, f"amp{s}.json"), _haar(s)) for s in range(30)]
     basis = [_write_pure(os.path.join(tmp, f"e{k}.json"), np.eye(3)[k]) for k in range(3)]
@@ -142,6 +164,8 @@ def _cli_calls(tmp) -> list:
     data = [os.path.join(HERE, "data", f"{name}.json") for name in ("mixed", "ket0",
                                                                     "pseudo_boundary")]
     calls = [(["analyze", path, *flag], 0) for path in amps + data for flag in ([], ["--json"])]
+    calls += [(["analyze", path, *flag], code) for path, code in _densities(tmp)
+              for flag in ([], ["--json"])]
     calls += [(["mub", "--basis", str(b), "--vector", str(v)], 0)
               for b in range(1, 5) for v in range(1, 4)]
     calls += [(["ortho", amps[i], amps[i + 1]], 0) for i in range(0, 10, 2)]
