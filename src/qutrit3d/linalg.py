@@ -46,12 +46,12 @@ not a closed form: Cardano-type solvers lose accuracy near double roots
 (Kopp, arXiv:physics/0610206), where the positivity verdict lives.
 
 Where only the verdict lambda_min >= floor is read (a state's positivity,
-the PPT test), _at_least proves the Jacobi's answer without solving: a
-shifted LDL^dag certifies True (Rump, BIT 46 (2006)), and a Rayleigh
-quotient built from its first non-positive pivot certifies False.  Its
-band, where it answers None, is |lambda_min - floor| within CERT_MARGIN
-widened by the rows' skew, plus rows with an entry above 1; there the
-Jacobi decides.  The Jacobi stays the verdict's definition: a proof only
+the PPT test), its one caller, state._positive, asks _at_least, which
+proves the Jacobi's answer without solving: a shifted LDL^dag certifies
+True (Rump, BIT 46 (2006)), and a Rayleigh quotient built from its first
+non-positive pivot certifies False.  Its band, where it answers None, is
+|lambda_min - floor| within CERT_MARGIN widened by the rows' skew, plus
+rows with an entry above 1; there the Jacobi decides.  The Jacobi stays the verdict's definition: a proof only
 reproduces it, so no output byte depends on which of the two answered,
 and the error message and every reader of the values still solve.
 """
@@ -105,15 +105,16 @@ def _array(x, dtype=None):
     return np.asarray(x, dtype=dtype)
 
 
-def _hermitian_rows(rows: list, what: str) -> list:
+def _hermitian_rows(rows: list, what: str, bound: float = _ENTRY_MAX) -> list:
     """3x3 or 4x4 rows of Python numbers, returned once checked, on locals per size.
 
     NotHermitianError for a non-finite entry or max |M - M^dag| above
     HERM_TOL, ValueError for an entry above _ENTRY_MAX in modulus
-    (_entry_error).  max() drops a NaN that is not its first argument, so
-    the entries' sum tests for one.  The deviation is read on the diagonal
-    and one triangle: |a_ij - conj a_ji| and |a_ji - conj a_ij| are the same
-    float, and |a_ii - conj a_ii| is |2 Im a_ii|.
+    (_entry_error), then for one above ``bound`` (a density matrix's is
+    half of it, for T = 1 - 2 Re(rho)).  max() drops a NaN that is not its
+    first argument, so the entries' sum tests for one.  The deviation is
+    read on the diagonal and one triangle: |a_ij - conj a_ji| and
+    |a_ji - conj a_ij| are the same float, and |a_ii - conj a_ii| is |2 Im a_ii|.
     """
     dev = None
     try:
@@ -146,6 +147,8 @@ def _hermitian_rows(rows: list, what: str) -> list:
         raise _entry_error(rows, what)
     if dev > HERM_TOL:
         raise NotHermitianError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e}")
+    if top > bound:
+        raise ValueError(f"{what} overflows: an entry is above {bound:.3g} in modulus")
     return rows
 
 

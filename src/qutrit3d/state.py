@@ -9,8 +9,8 @@ principal-minor diagnostics, geometry case).
 Rows in, arrays at the edge.  Every argument comes in through
 linalg._rows, which checks its shape, and a state's matrix is checked
 once (_density_rows), where it enters: at the public array edge
-(_as_rows) or in the CLI's parse.  The scalar core (_record, _spectrum, _state_rows)
-takes checked rows, never checks them again and computes the Analysis,
+(_as_rows) or in the CLI's parse.  The scalar core (_record, _spectrum, _positive,
+_state_rows) takes checked rows, never checks them again and computes the Analysis,
 of lists, in Python floats from them and T's spectrum.  Each float
 operation rounds once, as numpy's elementwise operations do, so the bits
 are the same, and no BLAS is called; the sampler takes only its draws
@@ -97,13 +97,9 @@ def assert_density(rho: np.ndarray) -> None:
 
 
 def _density_rows(rows: list) -> list:
-    """assert_density's checks on 3x3 rows of Python numbers, on nine locals; returns the rows."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = _hermitian_rows(rows, "density matrix")
-    bound = _ENTRY_MAX / 2.0
-    if max(abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20), abs(a21),
-           abs(a22)) > bound:
-        raise ValueError(f"density matrix overflows: an entry is above {bound:.3g} in modulus")
-    tr = a00 + a11 + a22
+    """assert_density's checks on 3x3 rows, returned; _hermitian_rows takes the half entry bound."""
+    rows = _hermitian_rows(rows, "density matrix", _ENTRY_MAX / 2.0)
+    tr = rows[0][0] + rows[1][1] + rows[2][2]
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceError(f"density matrix trace = {tr.real:.15g}, expected 1")
     return rows
@@ -269,28 +265,27 @@ def _semi_axes(tensor_eigenvalues: list) -> list:
 
 
 def _spectrum(rows: list) -> tuple[list, bool]:
-    """Descending eigenvalues of rho's checked rows and its positivity.
+    """Descending eigenvalues of checked 3x3 or 4x4 rows and their positivity.
 
-    The package's one positivity verdict: rho is positive semidefinite
-    when its smallest eigenvalue is at least -RANK_TOL.  Only values are
-    read, so the solve computes no eigenvectors.  _state_rows, which
-    reads the verdict alone, proves it without the solve where it can.
+    The package's one positivity verdict: the rows are positive semidefinite
+    when the Jacobi's smallest eigenvalue is at least -RANK_TOL.  Only values
+    are read, so the solve computes no eigenvectors.  _positive, for readers
+    of the verdict alone, proves it without the solve where it can.
     """
     values = _eigvals(rows)
     return values, values[-1] >= -RANK_TOL
 
 
-def _state_rows(rows: list) -> list:
-    """Checked rows, returned when they are a state; NotPositiveError otherwise.
+def _positive(rows: list) -> bool:
+    """_spectrum's verdict, proven by linalg._at_least (called only here) where it can be."""
+    verdict = _at_least(rows, -RANK_TOL)
+    return _spectrum(rows)[1] if verdict is None else verdict
 
-    A proven True of linalg._at_least returns them at once; otherwise the
-    verdict and the error's eigenvalue are _spectrum's, as without it.
-    """
-    if _at_least(rows, -RANK_TOL):
-        return rows
-    values, positive = _spectrum(rows)
-    if not positive:
-        raise _not_positive(values)
+
+def _state_rows(rows: list) -> list:
+    """Checked rows, returned when _positive; else NotPositiveError with the Jacobi's eigenvalue."""
+    if not _positive(rows):
+        raise _not_positive(_eigvals(rows))
     return rows
 
 

@@ -20,6 +20,7 @@ import qutrit3d
 from qutrit3d import cli, dynamics, geometry, linalg, spin1, state
 from qutrit3d.errors import NotPositiveError
 from qutrit3d.geometry import RANK_CASE_TO_SCENE, build_scene
+from qutrit3d.purestates import pseudo_qubit
 from qutrit3d.state import (
     POINT,
     SEGMENT_ENDPOINT,
@@ -264,6 +265,50 @@ def test_eigensolve_counts(monkeypatch):
                      (dynamics.trajectory, (g, 1.0, n))):
         assert count(fn, band, *args) == (0, 1), fn.__name__
     assert count(cli.build_report, band) == (1, 1)
+
+
+def test_verdict_fallbacks_are_counted(monkeypatch):
+    """The two paths of state._positive that test_eigensolve_counts does not take.
+
+    Pseudo-qubit states a = (a_x, 0, 0) leave PPT near a . a = 1/3: with
+    a_x = sqrt(1/3) + k 1e-9 the partial transpose's lambda_min crosses
+    -RANK_TOL between k = 2.305 and 2.31, and for k in 2.29 .. 2.33 it lies
+    in linalg._at_least's band.  There ppt_separable is the Jacobi's
+    verdict, both ways, for one values-only solve; the neighbours outside
+    the band are proven.  rho itself is proven a state, so it costs none.
+    A proven non-state is refused with the Jacobi's eigenvalue, for one
+    values-only solve.
+    """
+    full = _count_calls(monkeypatch, "_eigensystem3")
+    values = _count_calls(monkeypatch, "_eigvals")
+
+    def count(fn, *args):
+        full.clear()
+        values.clear()
+        try:
+            return fn(*args), (len(full), len(values))
+        except NotPositiveError as exc:
+            return str(exc), (len(full), len(values))
+
+    verdicts = {}
+    for k in (2.2, 2.28, 2.3, 2.305, 2.31, 2.32, 2.34, 2.4):
+        rho = pseudo_qubit(np.array([np.sqrt(1.0 / 3.0) + k * 1e-9, 0.0, 0.0]))
+        rows = state._as_rows(rho)
+        pt = linalg._partial_transpose(spin1._to_two_qubit(rows))
+        assert linalg._at_least(rows, -RANK_TOL) is True
+        band = linalg._at_least(pt, -RANK_TOL) is None
+        assert band == (2.29 < k < 2.33), k
+        verdict, cost = count(spin1.ppt_separable, rho)
+        assert verdict == (linalg._eigvals(pt)[-1] >= -RANK_TOL), k
+        assert cost == ((0, 1) if band else (0, 0)), k
+        verdicts[k] = verdict
+    assert verdicts == {k: k < 2.31 for k in verdicts}
+
+    invalid = np.diag([0.8, 0.8, -0.6]).astype(complex)
+    assert linalg._at_least(state._as_rows(invalid), -RANK_TOL) is False
+    message = "not positive: min eigenvalue -6.000e-01 < -1e-09"
+    assert count(check_state, invalid) == (message, (0, 1))
+    assert count(spin1.to_two_qubit, invalid) == (message, (0, 1))
 
 
 def test_hermiticity_check_counts(monkeypatch):

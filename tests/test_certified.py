@@ -9,7 +9,9 @@ kinds for rho and for its partial transpose, spectra moved to within
 within HERM_TOL, and zero rows, singular leading blocks and entries
 above 1.  The exact test decides lambda_min >= -RANK_TOL of exactly
 Hermitian rows with integers alone, from the signs of the coefficients of
-the characteristic polynomial of A + RANK_TOL 1.  The kernels, one per
+the characteristic polynomial of A + RANK_TOL 1; in _at_least's band,
+where state._positive falls back to the Jacobi, it checks that fallback
+too, away from a stated margin.  The kernels, one per
 size on local variables, must answer as the generic row loop they
 replaced, kept below verbatim as a frozen oracle, and hand _witness the
 same factor L and ceiling, on every family and on the perfbench inputs.
@@ -277,15 +279,15 @@ def _det(M) -> tuple:
     return total_re, total_im
 
 
-def _exact_verdict(rows) -> bool:
-    """lambda_min >= -RANK_TOL of exactly Hermitian rows, exactly.
+def _exact_verdict(rows, shift: float = RANK_TOL) -> bool:
+    """lambda_min >= -shift of exactly Hermitian rows, exactly.
 
-    H = A + RANK_TOL 1 has a real-rooted characteristic polynomial whose
+    H = A + shift 1 has a real-rooted characteristic polynomial whose
     coefficients are +-e_k, the sums of its principal k-minors, so all its
     eigenvalues are >= 0 exactly when every e_k is >= 0 (Descartes' rule
     of signs).
     """
-    H = _gaussian_integers(rows, RANK_TOL)
+    H = _gaussian_integers(rows, shift)
     n = len(H)
     for k in range(1, n + 1):
         e_k = 0
@@ -318,6 +320,39 @@ def test_at_least_agrees_with_the_exact_verdict():
             answered += 1
             assert verdict == _exact_verdict(r), r
     assert answered >= len(rows) // 2
+
+
+_BAND_DELTA = 1e-15
+
+
+def test_positive_matches_the_exact_verdict_in_the_band():
+    """state._positive where _at_least answers None: the Jacobi's verdict, against exact arithmetic.
+
+    Exactly Hermitian 3x3 and 4x4 rows with lambda_min within 10^-13 ..
+    10^-10 of -RANK_TOL, on either side, and a second family within
+    10^-16 .. 10^-10.  Wherever the exact verdicts at -RANK_TOL -+ delta,
+    delta = 1e-15, agree, lambda_min is more than delta from the
+    threshold and _positive must give that verdict.  Of the band cases,
+    the first family has none inside the margin (150 decided) and the
+    second about one in five (21 of 108 with the seed below), which are
+    only counted.
+    """
+    rng = np.random.default_rng(2626)
+    inside, decided = {}, {}
+    for lo, count in ((-13.0, 240), (-16.0, 120)):
+        inside[lo] = decided[lo] = 0
+        for i in range(count):
+            rows = _hermitian(_near_threshold(rng, 3 + i % 2, lo, -10.0))
+            if _at_least(rows, -RANK_TOL) is not None:
+                continue
+            verdict = _exact_verdict(rows, RANK_TOL - _BAND_DELTA)
+            if verdict != _exact_verdict(rows, RANK_TOL + _BAND_DELTA):
+                inside[lo] += 1
+                continue
+            assert state._positive(rows) == verdict, rows
+            decided[lo] += 1
+    assert inside[-13.0] == 0 and decided[-13.0] >= 120, (inside, decided)
+    assert 0 < inside[-16.0] < decided[-16.0], (inside, decided)
 
 
 # --- the metric norm a . Gamma . a against exact arithmetic ---------------------------

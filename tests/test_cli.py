@@ -895,6 +895,26 @@ def test_builtin_sum_only_where_it_is_left():
     assert callers == SUM_CALLERS
 
 
+# the functions of the package that call linalg._at_least: the one positivity verdict,
+# state._positive, which a state's check and the PPT test both read
+AT_LEAST_CALLERS = {"state.py:_positive"}
+
+
+def test_at_least_only_where_the_verdict_is():
+    """_at_least( called only in AT_LEAST_CALLERS, as a name or an attribute."""
+    callers = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and "_at_least" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add(f"{name}:{getattr(stmt, 'name', node.lineno)}")
+    assert callers == AT_LEAST_CALLERS
+
+
 def _imported_names(node) -> set:
     """The modules an import statement names, and the names it imports from them."""
     if isinstance(node, ast.Import):

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qutrit3d import linalg
+from qutrit3d import linalg, state
 from qutrit3d.dynamics import custom, evolve, generator_matrix
 from qutrit3d.errors import (
     InternalCheckError, InvalidStateError, NotHermitianError, NotSymmetricError, TraceError,
@@ -37,7 +37,7 @@ from qutrit3d.state import (
     StateParams, assert_density, check_state, compose, decompose, gamma_norm, metric_tensor,
     params_from_bloch_tensor, random_density, semi_axes, validate,
 )
-from qutrit3d.tolerances import DEGEN_GAP, HERM_TOL, RANK_TOL
+from qutrit3d.tolerances import DEGEN_GAP, HERM_TOL, RANK_TOL, TRACE_TOL
 
 
 def random_hermitian(rng, n=3, scale=1.0):
@@ -582,6 +582,70 @@ def test_hermiticity_check_matches_the_frozen_loop(n):
     texts = " ".join(str(text) for _, text in got)
     assert ("ok", True) in got and "overflows" in texts and "non-finite" in texts
     assert "max |M - M^dag| = " in texts
+
+
+def _old_density_rows(rows: list) -> list:
+    """The density check that rescanned the nine moduli, verbatim but for the module prefixes."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = linalg._hermitian_rows(
+        rows, "density matrix")
+    bound = linalg._ENTRY_MAX / 2.0
+    if max(abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20), abs(a21),
+           abs(a22)) > bound:
+        raise ValueError(f"density matrix overflows: an entry is above {bound:.3g} in modulus")
+    tr = a00 + a11 + a22
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise TraceError(f"density matrix trace = {tr.real:.15g}, expected 1")
+    return rows
+
+
+def _density_outcome(check, rows):
+    """("ok", whether the rows come back as they went in), or the exception's type and text."""
+    try:
+        return "ok", check(rows) is rows
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+def test_density_check_matches_the_frozen_rescan():
+    """_density_rows, whose half entry bound _hermitian_rows enforces, raises what the rescan did.
+
+    Each entry in turn is set, alone and with its Hermitian mirror, to
+    _ENTRY_MAX / 2 and to the next float on either side, in its real or
+    imaginary part, and to a non-finite or overflowing value; an entry
+    above the half bound in a matrix that is not Hermitian must still be
+    reported as not Hermitian.  Traces off by TRACE_TOL and one ulp on
+    either side, and 200 seeded states, follow.
+    """
+    half = linalg._ENTRY_MAX / 2.0
+    sizes = (float(np.nextafter(half, 0.0)), half, float(np.nextafter(half, np.inf)))
+    big = [complex(x, 0.0) for x in sizes] + [complex(0.0, x) for x in sizes]
+    bad = [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+           complex(-np.inf, 0.0), complex(0.0, np.inf), complex(1e308, 1e308)]
+    third = (np.eye(3, dtype=complex) / 3.0).tolist()
+    cases = []
+    for i, j in np.ndindex(3, 3):
+        for value in big + bad:
+            cases.append([row[:] for row in third])
+            cases[-1][i][j] = value
+            if i != j:
+                cases.append([row[:] for row in cases[-1]])
+                cases[-1][j][i] = value.conjugate()
+            # the same entry, Hermitian where it can be, in a matrix skewed elsewhere
+            k = (max(i, j) + 1) % 3
+            cases.append([row[:] for row in cases[-1]])
+            cases[-1][k][k] += 2j * HERM_TOL
+    for edge in (1.0 - TRACE_TOL, 1.0 + TRACE_TOL):
+        for x in (float(np.nextafter(edge, 0.0)), edge, float(np.nextafter(edge, 2.0))):
+            cases.append([[complex(x), 0j, 0j], [0j, 0j, 0j], [0j, 0j, 0j]])
+    rng = np.random.default_rng(2626)
+    for _ in range(200):
+        cases.append(random_density(rank=int(rng.integers(1, 4)), rng=rng).tolist())
+    got = [_density_outcome(state._density_rows, r) for r in cases]
+    assert got == [_density_outcome(_old_density_rows, r) for r in cases]
+    # every outcome occurs: the rows back, the half bound, both entry errors, skew and trace
+    texts = " ".join(str(text) for _, text in got)
+    assert ("ok", True) in got and "above 5.62e+306" in texts and "above 1.12e+307" in texts
+    assert "non-finite" in texts and "max |M - M^dag| = " in texts and "trace = " in texts
 
 
 def test_det3_matches_numpy():
