@@ -28,11 +28,11 @@ evolve (a one-sample trajectory) and trajectory take a matrix in through
 linalg._rows and check it once; they and generator_matrix return arrays
 through linalg._array (_scene_arrays for a scene).  The CLI hands the
 core the rows it parsed.  A sample is unitarily equivalent to rho0, so
-every scene reuses rho0's spectrum, solved once in the positivity check:
-a scene trajectory costs one eigensolve per sample, T(theta)'s, and one
-values-only solve of rho0.  Without scenes only the verdict is read, so
-a trajectory costs no eigensolve where linalg._at_least proves it, and
-one values-only solve in its band.
+every scene reuses rho0's positivity and rank (state._verdict), proven
+once: a scene trajectory costs one eigensolve per sample, T(theta)'s,
+and no solve of rho0 where linalg._at_least proves its verdict, one
+values-only solve in its band.  Without scenes only the positivity is
+read, at the same cost.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .geometry import EllipsoidScene, _scene, _scene_arrays
-from .linalg import _array, _eigensystem3, _hermitian_rows, _rows
+from .linalg import _array, _eigensystem3, _eigvals, _hermitian_rows, _rows
 from .spin1 import _spin_rows
-from .state import _as_rows, _not_positive, _spectrum, _state_rows
+from .state import _as_rows, _not_positive, _verdict
 
 _SHORT = {"rotation": "rot", "one_axis_twist": "twist", "two_axis_counter": "counter"}
 # the upper triangle of a sample, row by row, and the pairs (j, k) of eigenvalues
@@ -195,19 +195,16 @@ def _trajectory(rows: list, g: Generator, thetas: list, with_scenes: bool) -> Tr
     trajectory.  Each pair phase is formed in real arithmetic from
     cos/sin of theta lambda_j, and the upper triangle is mirrored.  At
     theta = 0 a sample is the rows as they are.  NotPositiveError unless
-    the rows are a state (their _spectrum, kept for the scenes; without
-    scenes _state_rows, the verdict alone); ValueError when
+    the rows are a state (their _verdict, ranked and kept for the scenes,
+    as _state_rows raises it); ValueError when
     theta * max|lambda| is not a finite float.  Scenes are _scene of each sample's rows, which
-    the core built and does not check again, with rho0's spectrum: a
+    the core built and does not check again, with rho0's verdict: a
     sample is unitarily equivalent to rho0, so it has rho0's eigenvalues,
     positivity and rank, and its scene solves T alone.
     """
-    if with_scenes:
-        spectrum = _spectrum(rows)
-        if not spectrum[1]:
-            raise _not_positive(spectrum[0])
-    else:
-        _state_rows(rows)
+    verdict = _verdict(rows, with_scenes)
+    if not verdict[0]:
+        raise _not_positive(verdict[2] or _eigvals(rows))
     lam, u, uc, constant, phased = g.frame
     big = max(abs(lam[0]), abs(lam[-1]))
     (d0, d1, d2), (ra, rb, rc) = _in_eigenframe(rows, u, uc)
@@ -240,7 +237,7 @@ def _trajectory(rows: list, g: Generator, thetas: list, with_scenes: bool) -> Tr
             [e01.conjugate(), complex(e11), e12],
             [e02.conjugate(), e12.conjugate(), complex(e22)],
         ])
-    scenes = [_scene(s, spectrum) for s in states] if with_scenes else None
+    scenes = [_scene(s, verdict) for s in states] if with_scenes else None
     return Trajectory(thetas=thetas, states=states, scenes=scenes)
 
 

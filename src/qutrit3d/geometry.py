@@ -85,15 +85,15 @@ def _scene_arrays(s: EllipsoidScene) -> EllipsoidScene:
     return s
 
 
-def _scene(rows: list, spectrum: tuple | None = None) -> EllipsoidScene:
+def _scene(rows: list, verdict: tuple | None = None) -> EllipsoidScene:
     """Scene of a valid state's checked rows: ellipsoid frame, Bloch vector, rays.
 
     The case is the rank taxonomy's (see RANK_CASE_TO_SCENE): three_d
     when all three semi-axes are alive, segment for exactly one, point
-    for none.  ``spectrum`` is passed on to _record: a trajectory's
-    samples reuse rho0's (values, positive), so each costs one eigensolve, T's.
+    for none.  ``verdict`` is passed on to _record: a trajectory's samples
+    reuse rho0's state._verdict, so each costs one eigensolve, T's.
     """
-    r = _record(rows, spectrum)
+    r = _record(rows, verdict)
     if r.rank is None:
         raise InvalidStateError("state is not positive semidefinite")
     case = RANK_CASE_TO_SCENE[r.rank.case]

@@ -45,15 +45,15 @@ Real input (the correlation tensor T) stays real throughout.  Jacobi,
 not a closed form: Cardano-type solvers lose accuracy near double roots
 (Kopp, arXiv:physics/0610206), where the positivity verdict lives.
 
-Where only the verdict lambda_min >= floor is read (a state's positivity,
-the PPT test), its one caller, state._positive, asks _at_least, which
-proves the Jacobi's answer without solving: a shifted LDL^dag certifies
-True (Rump, BIT 46 (2006)), and a Rayleigh quotient built from its first
-non-positive pivot certifies False.  Its band, where it answers None, is
-|lambda_min - floor| within CERT_MARGIN widened by the rows' skew, plus
-rows with an entry above 1; there the Jacobi decides.  The Jacobi stays the verdict's definition: a proof only
-reproduces it, so no output byte depends on which of the two answered,
-and the error message and every reader of the values still solve.
+Where only lambda_min >= floor or the count of eigenvalues above it is
+read (a state's positivity and rank, the PPT test), the one caller,
+state._verdict, asks _at_least, which proves the Jacobi's answer without
+solving: a shifted LDL^dag certifies True (Rump, BIT 46 (2006)) and, by
+its inertia at two shifts, the count; a Rayleigh quotient from its first
+non-positive pivot certifies False.  In its band (an eigenvalue within
+CERT_MARGIN of floor, widened by the rows' skew, or an entry above 1) it
+answers None and the Jacobi decides.  The Jacobi stays the definition: no
+output byte depends on which answered, and every reader of values solves.
 """
 
 from __future__ import annotations
@@ -428,7 +428,7 @@ def _eigvals(rows: list) -> list:
     return sorted(vals, reverse=True)
 
 
-def _at_least(rows: list, floor: float) -> bool | None:
+def _at_least(rows: list, floor: float, count: bool = False) -> bool | int | None:
     """Whether the Jacobi finds lambda_min >= floor for checked 3x3 or 4x4 rows, where provable.
 
     True or False only where it is proven, None in the band the proof
@@ -441,6 +441,12 @@ def _at_least(rows: list, floor: float) -> bool | None:
     CERT_GAMMA sum_k d_k |l_k|^2 below m / 2 prove lambda_min > floor + m / 2,
     since P + dP = LDL^dag with ||dP|| within that sum.  At the first pivot
     d_k <= 0, _witness tries to prove lambda_min < floor - m.
+
+    With ``count``, the Jacobi's count of eigenvalues above floor, or None:
+    past negative pivots P + dP has as many above 0 as positive pivots
+    (Sylvester), ||dP|| within CERT_GAMMA sum_k |d_k| |l_k|^2 (Higham, ASNA
+    2nd ed., Thm 9.3); below m / 2 at floor +- m, equal counts (or all at
+    floor + m) leave none within m / 2 of floor.  None for a zero or NaN pivot.
 
     One kernel on locals serves 3x3 rows and a 4x4's leading block, with
     row 3 added for 4x4.  It does the generic row loop's operations in its
@@ -473,36 +479,51 @@ def _at_least(rows: list, floor: float) -> bool | None:
                 + 2.0 * (z31.real * z31.real + z31.imag * z31.imag)
                 + 2.0 * (z32.real * z32.real + z32.imag * z32.imag))
     margin = CERT_MARGIN + CERT_SKEW * math.sqrt(skew)
-    shift = floor + margin
-    d0 = a00.real - shift
-    if not d0 > 0.0:  # also for a NaN pivot
-        return _witness(rows, [[]], floor - margin)
-    l10 = a10 / d0
-    sub = d0 * (l10.real * l10.real + l10.imag * l10.imag)
-    d1 = a11.real - shift - sub
-    if not d1 > 0.0:
-        return _witness(rows, [[], [l10]], floor - margin)
-    bound = d0 + (d1 + sub)
-    l20 = a20 / d0
-    l21 = (a21 - l20 * d0 * l10.conjugate()) / d1
-    sub = d0 * (l20.real * l20.real + l20.imag * l20.imag) + d1 * (
-        l21.real * l21.real + l21.imag * l21.imag)
-    d2 = a22.real - shift - sub
-    if not d2 > 0.0:
-        return _witness(rows, [[], [l10], [l20, l21]], floor - margin)
-    bound += d2 + sub
-    if four:
-        l30 = a30 / d0
-        l31 = (a31 - l30 * d0 * l10.conjugate()) / d1
-        l32 = (a32 - l30 * d0 * l20.conjugate() - l31 * d1 * l21.conjugate()) / d2
-        sub = (d0 * (l30.real * l30.real + l30.imag * l30.imag)
-               + d1 * (l31.real * l31.real + l31.imag * l31.imag)
-               + d2 * (l32.real * l32.real + l32.imag * l32.imag))
-        d3 = a33.real - shift - sub
-        if not d3 > 0.0:
-            return _witness(rows, [[], [l10], [l20, l21], [l30, l31, l32]], floor - margin)
-        bound += d3 + sub
-    return True if CERT_GAMMA * bound < margin / 2.0 else None
+    shift, found = floor + margin, None
+    while True:  # one pass for a verdict, a count's at floor + m and floor - m
+        # a non-positive pivot stops the factorization, a negative one only a verdict's
+        d0 = a00.real - shift
+        if not d0 > 0.0 and not (count and d0 < 0.0):  # also for a NaN pivot
+            return None if count else _witness(rows, [[]], floor - margin)
+        l10 = a10 / d0
+        n10 = l10.real * l10.real + l10.imag * l10.imag
+        sub = d0 * n10
+        d1 = a11.real - shift - sub
+        if not d1 > 0.0 and not (count and d1 < 0.0):
+            return None if count else _witness(rows, [[], [l10]], floor - margin)
+        bound = d0 + (d1 + sub)
+        l20 = a20 / d0
+        l21 = (a21 - l20 * d0 * l10.conjugate()) / d1
+        n20 = l20.real * l20.real + l20.imag * l20.imag
+        n21 = l21.real * l21.real + l21.imag * l21.imag
+        sub = d0 * n20 + d1 * n21
+        d2 = a22.real - shift - sub
+        if not d2 > 0.0 and not (count and d2 < 0.0):
+            return None if count else _witness(rows, [[], [l10], [l20, l21]], floor - margin)
+        bound += d2 + sub
+        if four:
+            l30 = a30 / d0
+            l31 = (a31 - l30 * d0 * l10.conjugate()) / d1
+            l32 = (a32 - l30 * d0 * l20.conjugate() - l31 * d1 * l21.conjugate()) / d2
+            n30 = l30.real * l30.real + l30.imag * l30.imag
+            n31 = l31.real * l31.real + l31.imag * l31.imag
+            n32 = l32.real * l32.real + l32.imag * l32.imag
+            sub = d0 * n30 + d1 * n31 + d2 * n32
+            d3 = a33.real - shift - sub
+            if not d3 > 0.0 and not (count and d3 < 0.0):
+                return None if count else _witness(
+                    rows, [[], [l10], [l20, l21], [l30, l31, l32]], floor - margin)
+            bound += d3 + sub
+        if not count:
+            return True if CERT_GAMMA * bound < margin / 2.0 else None
+        above = (d0 > 0.0) + (d1 > 0.0) + (d2 > 0.0) + (four and d3 > 0.0)
+        bound = abs(d0) * (1.0 + n10 + n20) + abs(d1) * (1.0 + n21) + abs(d2) + (
+            abs(d0) * n30 + abs(d1) * n31 + abs(d2) * n32 + abs(d3) if four else 0.0)
+        if not CERT_GAMMA * bound < margin / 2.0 or found not in (None, above):
+            return None
+        if above == len(rows) or found is not None:
+            return above
+        shift, found = floor - margin, above
 
 
 def _witness(rows: list, L: list, ceiling: float) -> bool | None:

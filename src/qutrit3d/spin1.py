@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidStateError, NotSymmetricError, TraceError
 from .linalg import _array, _hermitian_rows, _partial_transpose, _rows
-from .state import StateParams, _as_rows, _positive, _state_rows, assert_density
+from .state import StateParams, _as_rows, _state_rows, _verdict, assert_density
 from .tolerances import HERM_TOL, TRACE_TOL
 
 # eps_jkl, the Levi-Civita symbol: S_j = -i eps_j
@@ -237,7 +237,7 @@ def ppt_separable(rho: np.ndarray) -> bool:
 
     For two qubits PPT is necessary and sufficient, so this decides
     separability of the symmetric image exactly.  The verdict is a
-    state's, state._positive of the partial transpose: lambda_min >=
+    state's, state._verdict of the partial transpose: lambda_min >=
     -RANK_TOL as the Jacobi finds it, proven without the solve where it can be.
     """
-    return _positive(_partial_transpose(_to_two_qubit(_as_rows(rho))))
+    return _verdict(_partial_transpose(_to_two_qubit(_as_rows(rho))))[0]

@@ -2,15 +2,15 @@
 
 Maps a 3x3 density matrix to and from the (Bloch vector a, off-diagonal
 correlations q, diagonal weights omega, correlation tensor T) picture
-and derives the metric tensor.  analyse() reads everything else from two
-spectra: rho's (positivity, rank) and T's (frame, semi-axes,
-principal-minor diagnostics, geometry case).
+and derives the metric tensor.  analyse() reads everything else from
+rho's positivity and rank (_verdict, which rarely solves rho) and T's
+spectrum (frame, semi-axes, principal-minor diagnostics, geometry case).
 
 Rows in, arrays at the edge.  Every argument comes in through
 linalg._rows, which checks its shape, and a state's matrix is checked
 once (_density_rows), where it enters: at the public array edge
-(_as_rows) or in the CLI's parse.  The scalar core (_record, _spectrum, _positive,
-_state_rows) takes checked rows, never checks them again and computes the Analysis,
+(_as_rows) or in the CLI's parse.  The scalar core (_record, _verdict, _state_rows)
+takes checked rows, never checks them again and computes the Analysis,
 of lists, in Python floats from them and T's spectrum.  Each float
 operation rounds once, as numpy's elementwise operations do, so the bits
 are the same, and no BLAS is called; the sampler takes only its draws
@@ -76,11 +76,44 @@ class MetricTensor:
     defined: bool
 
 
-@dataclass
-class RankReport:
-    rank: int
-    case: str
-    eigenvalues: np.ndarray
+class _Record:
+    """Frozen fields named by __slots__ (_eigenvalues: eigenvalues), == and repr a dataclass's."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @property
+    def eigenvalues(self):
+        """Slot _eigenvalues, or what the function held there returns, called on first read."""
+        if callable(self._eigenvalues):
+            object.__setattr__(self, "_eigenvalues", self._eigenvalues())
+        return self._eigenvalues
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in (s.lstrip("_") for s in self.__slots__)}
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ \
+            else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild it through __init__
+        return type(self), tuple(self._fields().values())
+
+
+class RankReport(_Record):
+    """RankReport(rank, case, eigenvalues): rho's rank, geometry case and eigenvalues."""
+
+    __slots__ = ("rank", "case", "_eigenvalues")
 
 
 def _as_rows(rho: np.ndarray) -> list:
@@ -264,28 +297,32 @@ def _semi_axes(tensor_eigenvalues: list) -> list:
             math.sqrt(0.0 if p2 < 0.0 else p2)]
 
 
-def _spectrum(rows: list) -> tuple[list, bool]:
-    """Descending eigenvalues of checked 3x3 or 4x4 rows and their positivity.
+def _verdict(rows: list, ranked: bool = False) -> tuple:
+    """(positive, rank, values) of checked 3x3 or 4x4 rows: the package's one verdict.
 
-    The package's one positivity verdict: the rows are positive semidefinite
-    when the Jacobi's smallest eigenvalue is at least -RANK_TOL.  Only values
-    are read, so the solve computes no eigenvectors.  _positive, for readers
-    of the verdict alone, proves it without the solve where it can.
+    By the Jacobi's eigenvalues ``values``: positive when the smallest is
+    at least -RANK_TOL; ``rank`` (``ranked`` 3x3 rows of a state, else None)
+    counts those above RANK_TOL.  linalg._at_least (called only here) proves
+    both without them, values None: a count of 3 at RANK_TOL, else the
+    verdict at -RANK_TOL and that count; one solve decides what it cannot.
     """
-    values = _eigvals(rows)
-    return values, values[-1] >= -RANK_TOL
-
-
-def _positive(rows: list) -> bool:
-    """_spectrum's verdict, proven by linalg._at_least (called only here) where it can be."""
-    verdict = _at_least(rows, -RANK_TOL)
-    return _spectrum(rows)[1] if verdict is None else verdict
+    rank = _at_least(rows, RANK_TOL, True) if ranked else None
+    if ranked and rank == 3:
+        return True, 3, None
+    positive, values = _at_least(rows, -RANK_TOL), None
+    if positive is None or positive and ranked and rank is None:
+        values = _eigvals(rows)
+        positive = values[-1] >= -RANK_TOL
+        if ranked:
+            rank = (values[0] > RANK_TOL) + (values[1] > RANK_TOL) + (values[2] > RANK_TOL)
+    return positive, rank if positive else None, values
 
 
 def _state_rows(rows: list) -> list:
-    """Checked rows, returned when _positive; else NotPositiveError with the Jacobi's eigenvalue."""
-    if not _positive(rows):
-        raise _not_positive(_eigvals(rows))
+    """Checked rows, returned when _verdict finds them positive; else NotPositiveError."""
+    positive, _, values = _verdict(rows)
+    if not positive:
+        raise _not_positive(values or _eigvals(rows))
     return rows
 
 
@@ -299,8 +336,7 @@ def _not_positive(eigenvalues) -> NotPositiveError:
     return NotPositiveError(f"not positive: min eigenvalue {eigenvalues[-1]:.3e} < -{RANK_TOL:g}")
 
 
-@dataclass(frozen=True, slots=True)
-class Analysis:
+class Analysis(_Record):
     """Everything reported about one Hermitian trace-one matrix.
 
     ``eigenvalues`` are rho's, ``tensor_eigenvalues`` and the matching
@@ -311,13 +347,8 @@ class Analysis:
     numpy arrays, its rank sharing the array ``eigenvalues``.
     """
 
-    params: StateParams
-    eigenvalues: np.ndarray
-    tensor_eigenvalues: np.ndarray
-    frame: np.ndarray
-    semi_axes: np.ndarray
-    validity: ValidityReport
-    rank: RankReport | None
+    __slots__ = ("params", "_eigenvalues", "tensor_eigenvalues", "frame", "semi_axes",
+                 "validity", "rank")
 
 
 def _validity(tvals: list, frame: list, a: list, positive: bool) -> ValidityReport:
@@ -364,27 +395,23 @@ def analyse(rho: np.ndarray) -> Analysis:
     return Analysis(_state_params(r.params), values, *arrays, r.validity, rank)
 
 
-def _record(rows: list, spectrum: tuple | None = None) -> Analysis:
-    """Analyse rho's checked rows: one values-only spectrum of rho, one eigensolve of T.
+def _record(rows: list, verdict: tuple | None = None) -> Analysis:
+    """Analyse rho's checked rows: its ranked _verdict and one eigensolve of T.
 
-    Positivity and rank come from rho's spectrum, or from ``spectrum``,
-    the _spectrum of a unitarily equivalent state (a trajectory's rho0),
-    which skips rho's solve; the frame, semi-axes, minor diagnostics and
-    geometry case from T's, which _params builds exactly symmetric, so it
-    is not checked again.  A matrix that is not positive is reported, not
-    raised; InternalCheckError means the geometry case failed its own
-    consistency checks.  The rank counts rho's eigenvalues above RANK_TOL
-    as three bools added one by one.
+    Positivity and rank come from rho's _verdict, or from ``verdict``, that
+    of a unitarily equivalent state (a trajectory's rho0), which skips
+    rho's; the frame, semi-axes, minor diagnostics and geometry case from
+    T's, which _params builds exactly symmetric, so it is not checked
+    again.  rho's eigenvalues are the verdict's, else solved when read.  A
+    matrix that is not positive is reported, not raised; InternalCheckError
+    means the geometry case failed its own consistency checks.
     """
-    values, positive = _spectrum(rows) if spectrum is None else spectrum
+    positive, n, values = _verdict(rows, True) if verdict is None else verdict
     p = _params(rows)
     tvals, frame = _eigensystem3(p.T)
     eps = _semi_axes(tvals)
-    rank = None
-    if positive:
-        v0, v1, v2 = values
-        n = (v0 > RANK_TOL) + (v1 > RANK_TOL) + (v2 > RANK_TOL)
-        rank = RankReport(n, _rank_case(n, tvals, eps[0], p.a), values)
+    values = (lambda: _eigvals(rows)) if values is None else values
+    rank = None if n is None else RankReport(n, _rank_case(n, tvals, eps[0], p.a), values)
     validity = _validity(tvals, frame, p.a, positive)
     return Analysis(p, values, tvals, frame, eps, validity, rank)
 

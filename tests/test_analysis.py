@@ -8,6 +8,7 @@ eigensolve of T, and that a state on the positivity threshold gets one
 consistent verdict end to end.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -37,6 +38,7 @@ from qutrit3d.state import (
 from qutrit3d.tolerances import RANK_TOL
 
 MODULES = (linalg, state, geometry, dynamics, spin1, cli, qutrit3d)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def threshold_density():
@@ -226,8 +228,9 @@ def test_eigensolve_counts(monkeypatch):
 
     rho's positivity and rank read eigenvalues only; T and the generators
     need their eigenvectors.  eig_hermitian3 converts one _eigensystem3.
-    Where only the positivity or PPT verdict is read, linalg._at_least
-    proves it without a solve, except in its band, where the Jacobi runs.
+    linalg._at_least proves the positivity, PPT and rank verdicts without
+    a solve, except in its band, where the Jacobi runs once; rho's values
+    are solved where they are read: classify_rank, analyse, the JSON report.
     """
     full = _count_calls(monkeypatch, "_eigensystem3")
     values = _count_calls(monkeypatch, "_eigvals")
@@ -241,18 +244,20 @@ def test_eigensolve_counts(monkeypatch):
         fn(*args, **kwargs)
         return len(full), len(values)
 
-    assert count(cli.build_report, valid) == (1, 1)
-    assert count(cli.build_report, invalid) == (1, 1)
-    assert count(build_scene, valid) == (1, 1)
-    assert count(validate, decompose(valid)) == (1, 1)
-    assert count(validate, decompose(invalid)) == (1, 1)
+    assert count(cli.build_report, valid) == (1, 0)
+    assert count(cli.build_report, invalid) == (1, 0)
+    assert count(lambda: cli.report_dict(cli.build_report(valid))) == (1, 1)
+    assert count(build_scene, valid) == (1, 0)
+    assert count(validate, decompose(valid)) == (1, 0)
+    assert count(validate, decompose(invalid)) == (1, 0)
     assert count(classify_rank, valid) == (1, 1)
+    assert count(analyse, valid) == (1, 1)
     # a generator is solved once, when it is built: the canonical ones at import
     n = 10
     assert count(dynamics.rotation, "x") == (0, 0)
     assert count(dynamics.custom, np.diag([1.0, 0.0, -1.0])) == (1, 0)
     g = dynamics.one_axis_twist("x")
-    assert count(dynamics.trajectory, valid, g, 1.0, n, with_scenes=True) == (n, 1)
+    assert count(dynamics.trajectory, valid, g, 1.0, n, with_scenes=True) == (n, 0)
     assert count(dynamics.trajectory, valid, g, 1.0, n) == (0, 0)
     assert count(dynamics.evolve, valid, g, 1.0) == (0, 0)
     assert count(spin1.to_two_qubit, valid) == (0, 0)
@@ -265,10 +270,56 @@ def test_eigensolve_counts(monkeypatch):
                      (dynamics.trajectory, (g, 1.0, n))):
         assert count(fn, band, *args) == (0, 1), fn.__name__
     assert count(cli.build_report, band) == (1, 1)
+    assert count(lambda: cli.report_dict(cli.build_report(band))) == (1, 1)
+    assert count(dynamics.trajectory, band, g, 1.0, n, with_scenes=True) == (n, 1)
+
+
+def _perfbench_inputs():
+    """perfbench/inputs.py, the benchmark's seeded input kinds (numpy only), as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", os.path.join(ROOT, "perfbench", "inputs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_text_outputs_solve_rho_only_in_the_band(monkeypatch, capsys):
+    """Text analyze, scene, pseudo and validate call linalg._eigvals only inside the band.
+
+    The band holds the inputs whose positivity or, for a state, rank
+    linalg._at_least leaves unproven: none of the canonical files and
+    pseudo-qubit states, and of perfbench's 100 analyze inputs of seed 1
+    only the renormalised non-positive states with an entry above 1, each
+    solved once by the report and once by validate.
+    """
+    values = _count_calls(monkeypatch, "_eigvals")
+    files = [os.path.join(ROOT, "tests", "data", f"{name}.json")
+             for name in ("mixed", "ket0", "pseudo_boundary")]
+    runs = [[command, path] for command in ("analyze", "scene") for path in files]
+    runs += [["pseudo"], ["pseudo", "--az", "0.5"], ["pseudo", "--ax", str(2.0 / 3.0)],
+             ["pseudo", "--ay", "0.7"]]
+    for argv in runs:
+        values.clear()
+        cli.main(argv)
+        assert values == [], argv
+    capsys.readouterr()
+    band = 0
+    for item in _perfbench_inputs().analyze_inputs(1):
+        rho = np.array(item["re"]) + 1j * np.array(item["im"])
+        rows = state._as_rows(rho)
+        positive = linalg._at_least(rows, -RANK_TOL)
+        unproven = positive is None or positive and linalg._at_least(rows, RANK_TOL, True) is None
+        values.clear()
+        cli.report_text(cli.build_report(rho))
+        validate(decompose(rho))
+        assert len(values) == 2 * unproven, item["kind"]
+        band += unproven
+        assert not unproven or item["kind"] == "nonpositive" and max(map(abs, rho.flat)) > 1.0
+    assert 0 < band < 10, band
 
 
 def test_verdict_fallbacks_are_counted(monkeypatch):
-    """The two paths of state._positive that test_eigensolve_counts does not take.
+    """The two paths of state._verdict that test_eigensolve_counts does not take.
 
     Pseudo-qubit states a = (a_x, 0, 0) leave PPT near a . a = 1/3: with
     a_x = sqrt(1/3) + k 1e-9 the partial transpose's lambda_min crosses

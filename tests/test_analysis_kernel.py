@@ -17,10 +17,13 @@ generator rows, a c3 sum whose last bit decides its flag, products of
 just below SING_TOL or overflowing.
 """
 
+import copy
 import importlib.util
 import itertools
 import math
 import os
+import pickle
+from dataclasses import make_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -125,7 +128,10 @@ def _old_validity(tvals: list, frame: list, a: list, positive: bool) -> Validity
 
 
 def _old_record(rows: list, spectrum: tuple | None = None) -> Analysis:
-    values, positive = state._spectrum(rows) if spectrum is None else spectrum
+    if spectrum is None:  # the parent's state._spectrum, inlined
+        values = linalg._eigvals(rows)
+        spectrum = values, values[-1] >= -RANK_TOL
+    values, positive = spectrum
     p = _old_params(rows)
     tvals, frame = _old_eigensystem3(p.T)
     eps = _old_semi_axes(tvals)
@@ -145,11 +151,18 @@ def _old_vec(v: list) -> str:
 
 
 def _outcome(fn, *args):
-    """("ok", repr of the result) or ("raised", exception type, message)."""
+    """("ok", repr of the result) or ("raised", exception type, message).
+
+    A default object repr fails: it prints only an address, which the next
+    object can reuse once the first is freed, so two records would compare
+    equal unread.
+    """
     try:
-        return ("ok", repr(fn(*args)))
+        result = repr(fn(*args))
     except Exception as exc:  # noqa: BLE001 - the type is compared
         return ("raised", type(exc), str(exc))
+    assert " object at 0x" not in result, result
+    return ("ok", result)
 
 
 def _same(new, old, *args) -> None:
@@ -438,3 +451,39 @@ def test_vec_is_the_list_codes():
     for v in ([0.0, -0.0, 1e-300], [math.nan, math.inf, -math.inf], [1.0 / 3.0, -2.5e-13, 1e300],
               (0.1, 0.2, 0.3), np.array([1e-12, -1e-12, 0.5]), [1, 2, 3]):
         assert cli._vec(v) == _old_vec(v)
+
+
+# the records as the dataclasses they were: RankReport plain, Analysis frozen with slots
+_OldRankReport = make_dataclass("RankReport", ["rank", "case", "eigenvalues"])
+_OldAnalysis = make_dataclass(
+    "Analysis", ["params", "eigenvalues", "tensor_eigenvalues", "frame", "semi_axes", "validity",
+                 "rank"], frozen=True, slots=True)
+
+
+def test_records_print_and_compare_as_the_dataclasses():
+    """repr and == of Analysis and RankReport are the dataclasses', lazy eigenvalues included."""
+    for family in DENSITY.values():
+        for rows in family[::7]:
+            an, values = state._record(rows), linalg._eigvals(rows)
+            rank = an.rank and _OldRankReport(an.rank.rank, an.rank.case, values)
+            old = _OldAnalysis(an.params, values, an.tensor_eigenvalues, an.frame, an.semi_axes,
+                               an.validity, rank)
+            assert repr(an) == repr(old)
+            assert an == state._record(rows) and not an != state._record(rows)
+    report = RankReport(1, "Point", [1.0, 0.0, 0.0])
+    assert report == RankReport(1, "Point", [1.0, 0.0, 0.0])
+    assert report != RankReport(1, "Point", [1.0, 0.0, 1e-300])
+    assert report != _OldRankReport(1, "Point", [1.0, 0.0, 0.0]) and report != (1, "Point")
+    an = state._record(DENSITY["maximally mixed"][0])
+    assert an != an.rank and an.__eq__(object()) is NotImplemented
+    for record, field in ((an, "eigenvalues"), (an, "rank"), (an, "params"), (report, "rank"),
+                          (report, "eigenvalues")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(TypeError):
+        hash(an)
+    # copied and pickled as the dataclasses were, a lazy eigenvalues field solved
+    for record in (an, report, state.analyse(np.eye(3) / 3.0)):
+        for clone in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert type(clone) is type(record) and repr(clone) == repr(record)

@@ -10,8 +10,14 @@ within HERM_TOL, and zero rows, singular leading blocks and entries
 above 1.  The exact test decides lambda_min >= -RANK_TOL of exactly
 Hermitian rows with integers alone, from the signs of the coefficients of
 the characteristic polynomial of A + RANK_TOL 1; in _at_least's band,
-where state._positive falls back to the Jacobi, it checks that fallback
-too, away from a stated margin.  The kernels, one per
+where state._verdict falls back to the Jacobi, it checks that fallback
+too, away from a stated margin.  With count, _at_least proves the number
+of eigenvalues above floor from the pivots' inertia at two shifts: it is
+checked against the Jacobi's count on the same families, against the
+exact count above RANK_TOL (Descartes' rule of signs on the same
+integers) on seeded states of every rank, near the threshold and with
+near-double roots, and for its share of None on the perfbench states.
+The kernels, one per
 size on local variables, must answer as the generic row loop they
 replaced, kept below verbatim as a frozen oracle, and hand _witness the
 same factor L and ceiling, on every family and on the perfbench inputs.
@@ -191,6 +197,32 @@ def test_at_least_agrees_with_the_jacobi():
     assert found == {"disagree": [], "band answered": []}
 
 
+def test_count_agrees_with_the_jacobi():
+    """A proven count of eigenvalues above floor is the Jacobi's, 3x3 and 4x4, at both floors.
+
+    None where an eigenvalue is within CERT_MARGIN / 4 of floor, for a
+    zero pivot, and for an entry above 1.
+    """
+    found = []
+    for name, family in _families().items():
+        for rows in family[::2]:
+            values, lam = _eigvals(rows), np.linalg.eigvalsh(np.array(rows))
+            for floor in (-RANK_TOL, RANK_TOL):
+                count = _at_least(rows, floor, True)
+                if count is not None and count != sum(v > floor for v in values):
+                    found.append((name, floor, rows))
+                if count is not None and min(abs(lam - floor)) <= CERT_MARGIN / 4.0:
+                    found.append(("band answered", floor, rows))
+    assert found == []
+    shift = RANK_TOL + CERT_MARGIN  # exactly Hermitian rows have no skew
+    zero_pivot = [[shift, 0.1, 0.0], [0.1, 0.5, 0.0], [0.0, 0.0, 0.5 - shift]]
+    assert zero_pivot[0][0] - shift == 0.0 and _at_least(zero_pivot, RANK_TOL, True) is None
+    at_threshold = np.diag([0.6, 0.4 - RANK_TOL, RANK_TOL]).tolist()
+    assert _at_least(at_threshold, RANK_TOL, True) is None
+    assert _at_least((2.0 * np.array(at_threshold)).tolist(), -RANK_TOL, True) is None
+    assert _at_least(np.diag([0.6, 0.4, 0.0]).tolist(), RANK_TOL, True) == 2
+
+
 def test_kernels_answer_as_the_frozen_loop(monkeypatch):
     """The same answer, and the same L and ceiling handed to _witness, at both floors.
 
@@ -237,6 +269,21 @@ def test_at_least_decides_the_perfbench_inputs():
     assert within.count(None) <= len(within) // 100, (within.count(None), len(within))
     # both answers occur: the states are proven, most partial transposes refuted
     assert within.count(True) > 0 and within.count(False) > 0
+
+
+def test_count_decides_the_perfbench_states():
+    """A proven rank for all but at most 1% of the perfbench analyze inputs that are states."""
+    inputs = _perfbench_inputs()
+    counts = []
+    for seed in (1, 2, 3):
+        for item in inputs.analyze_inputs(seed):
+            rows = inputs.matrix(item).tolist()
+            values = _eigvals(rows)
+            if values[-1] >= -RANK_TOL:
+                counts.append(_at_least(rows, RANK_TOL, True))
+                assert counts[-1] in (None, sum(v > RANK_TOL for v in values)), rows
+    assert len(counts) == 210 and counts.count(None) <= len(counts) // 100, counts.count(None)
+    assert {1, 2, 3} <= set(counts)
 
 
 def test_at_least_leaves_entries_above_one_to_the_jacobi():
@@ -287,17 +334,35 @@ def _exact_verdict(rows, shift: float = RANK_TOL) -> bool:
     eigenvalues are >= 0 exactly when every e_k is >= 0 (Descartes' rule
     of signs).
     """
+    return all(e_k >= 0 for e_k in _minor_sums(rows, shift))
+
+
+def _minor_sums(rows, shift: float) -> list:
+    """e_1 .. e_n of 2^p (rows + shift 1), exactly: the sums of its principal k-minors."""
     H = _gaussian_integers(rows, shift)
     n = len(H)
+    sums = []
     for k in range(1, n + 1):
         e_k = 0
         for idx in itertools.combinations(range(n), k):
             re, im = _det([[H[i][j] for j in idx] for i in idx])
             assert im == 0  # a principal minor of a Hermitian matrix is real
             e_k += re
-        if e_k < 0:
-            return False
-    return True
+        sums.append(e_k)
+    return sums
+
+
+def _exact_rank(rows, threshold: float = RANK_TOL) -> int:
+    """The number of eigenvalues of exactly Hermitian rows above threshold, exactly.
+
+    H = A - threshold 1 has the real-rooted characteristic polynomial
+    x^n - e_1 x^(n-1) + e_2 x^(n-2) - ..., so Descartes' rule of signs,
+    exact for real roots, counts its roots above 0 as the sign changes of
+    (1, -e_1, e_2, -e_3, ...), zeros left out.
+    """
+    signs = [1] + [e_k if k % 2 == 0 else -e_k
+                   for k, e_k in enumerate(_minor_sums(rows, -threshold), 1) if e_k != 0]
+    return sum((a > 0) != (b > 0) for a, b in zip(signs, signs[1:]))
 
 
 def test_exact_oracle_decides_known_spectra():
@@ -307,6 +372,21 @@ def test_exact_oracle_decides_known_spectra():
         for low, want in ((-2.0 * RANK_TOL, False), (-0.5 * RANK_TOL, True), (0.0, True)):
             lam = [0.6, 0.4 - low] + [0.0] * (n - 3) + [low]
             assert _exact_verdict(_hermitian((Q * lam) @ Q.conj().T)) == want
+
+
+def test_exact_rank_counts_known_spectra():
+    """Diagonal rows hold their eigenvalues exactly: one at RANK_TOL is not above it."""
+    above = math.nextafter(RANK_TOL, 1.0)
+    for lam, want in (((0.5, 0.5, 0.0), 2), ((0.5, 0.5 - RANK_TOL, RANK_TOL), 2),
+                      ((0.5, 0.5 - above, above), 3), ((1.0, 0.0, -0.0), 1), ((0.0, 0.0, 0.0), 0),
+                      ((-0.5, 1.0, 0.5), 2), ((1.0 / 3.0,) * 3, 3)):
+        assert _exact_rank(_hermitian(np.diag(lam))) == want, lam
+    rng = np.random.default_rng(12)
+    for n in (3, 4):
+        Q = _unitary(rng, n)
+        lam = [0.6, 0.4 - (n - 2.99) * 10.0 * RANK_TOL] + [10.0 * RANK_TOL] * (n - 3) + [
+            0.1 * RANK_TOL]
+        assert _exact_rank(_hermitian((Q * lam) @ Q.conj().T)) == n - 1
 
 
 def test_at_least_agrees_with_the_exact_verdict():
@@ -326,13 +406,13 @@ _BAND_DELTA = 1e-15
 
 
 def test_positive_matches_the_exact_verdict_in_the_band():
-    """state._positive where _at_least answers None: the Jacobi's verdict, against exact arithmetic.
+    """state._verdict where _at_least answers None: the Jacobi's verdict, against exact arithmetic.
 
     Exactly Hermitian 3x3 and 4x4 rows with lambda_min within 10^-13 ..
     10^-10 of -RANK_TOL, on either side, and a second family within
     10^-16 .. 10^-10.  Wherever the exact verdicts at -RANK_TOL -+ delta,
     delta = 1e-15, agree, lambda_min is more than delta from the
-    threshold and _positive must give that verdict.  Of the band cases,
+    threshold and _verdict must give that verdict.  Of the band cases,
     the first family has none inside the margin (150 decided) and the
     second about one in five (21 of 108 with the seed below), which are
     only counted.
@@ -349,10 +429,82 @@ def test_positive_matches_the_exact_verdict_in_the_band():
             if verdict != _exact_verdict(rows, RANK_TOL + _BAND_DELTA):
                 inside[lo] += 1
                 continue
-            assert state._positive(rows) == verdict, rows
+            assert state._verdict(rows)[0] == verdict, rows
             decided[lo] += 1
     assert inside[-13.0] == 0 and decided[-13.0] >= 120, (inside, decided)
     assert 0 < inside[-16.0] < decided[-16.0], (inside, decided)
+
+
+_RANK_DELTA = 1e-15
+
+
+def _rank_families() -> dict:
+    """Seeded exactly Hermitian 3x3 states whose rank is read against RANK_TOL, by family.
+
+    Q diag(lam) Q^dag for a seeded unitary Q, s = RANK_TOL 10^U(-1, 1)
+    (within 10x of RANK_TOL on either side) and e = 10^U(-16, -11).
+    """
+    rng = np.random.default_rng(2727)
+
+    def rotated(lam):
+        Q = _unitary(rng, 3)
+        return _hermitian((Q * lam) @ Q.conj().T)
+
+    def small():
+        return RANK_TOL * 10.0 ** rng.uniform(-1.0, 1.0)
+
+    every_rank = [rotated(rng.dirichlet(np.ones(r)).tolist() + [0.0] * (3 - r))
+                  for r in (1, 2, 3) for _ in range(15)]
+    near = []
+    for _ in range(30):
+        s1, s2 = small(), small()
+        near += [rotated([0.6, 0.4 - s1, s1]), rotated([1.0 - s1 - s2, s1, s2])]
+    real_pure = []
+    for _ in range(20):
+        v = rng.standard_normal(3)
+        v /= np.linalg.norm(v)
+        real_pure.append(_hermitian(np.outer(v, v)))
+    # where the proof cannot reach: one eigenvalue at RANK_TOL -+ 10^U(-16, -11)
+    at = [rotated([0.6, 0.4 - t, t]) for t in (
+        RANK_TOL + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -11.0) for _ in range(40))]
+    double = []
+    for _ in range(15):
+        s, e = small(), 10.0 ** rng.uniform(-16.0, -11.0)
+        double += [rotated([1.0 - 2.0 * s - e, s, s + e]),
+                   rotated([(1.0 - s) / 2.0 + e, (1.0 - s) / 2.0 - e, s]),
+                   rotated([0.5 + e, 0.5 - e, 0.0])]
+    return {"every rank": every_rank, "within 10x of RANK_TOL": near, "at RANK_TOL": at,
+            "real pure": real_pure, "near-double roots": double,
+            "1/3": [_hermitian(np.eye(3) / 3.0)]}
+
+
+def test_rank_matches_the_exact_count():
+    """A proven rank count, and state._verdict's rank, against the exact count above RANK_TOL.
+
+    Wherever the exact counts above RANK_TOL -+ delta, delta = 1e-15,
+    agree, no eigenvalue is within delta of the threshold and both must
+    give that count; inside the margin a proof is impossible (its own
+    margin is above 1e-11), so the count must be None there.  With the
+    seed below every count is proven but in the family at RANK_TOL, where
+    the Jacobi decides and 4 of the 40 cases fall inside the margin.
+    """
+    families = _rank_families()
+    inside, proven = {}, {}
+    for name, family in families.items():
+        inside[name] = proven[name] = 0
+        for rows in family:
+            count = _at_least(rows, RANK_TOL, True)
+            want = _exact_rank(rows, RANK_TOL - _RANK_DELTA)
+            if want != _exact_rank(rows, RANK_TOL + _RANK_DELTA):
+                inside[name] += 1
+                assert count is None, rows
+                continue
+            assert state._verdict(rows, True)[:2] == (True, want), rows
+            if count is not None:
+                assert count == want, rows
+                proven[name] += 1
+    assert inside == {name: 4 if name == "at RANK_TOL" else 0 for name in families}, inside
+    assert all(proven[name] == len(f) for name, f in families.items() if name != "at RANK_TOL")
 
 
 # --- the metric norm a . Gamma . a against exact arithmetic ---------------------------

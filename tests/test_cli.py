@@ -612,16 +612,23 @@ def test_nonfinite_input_exits_1(tmp_path, case):
         assert res.stderr.startswith(f"error: {path}: "), res.stderr
 
 
-def test_unconverged_eigensolve_exits_3(monkeypatch, capsys):
-    # pseudo_boundary has imaginary off-diagonals, so its first sweep rotates
-    # and one sweep cannot confirm convergence
+def test_unconverged_eigensolve_exits_3(monkeypatch, capsys, tmp_path):
+    # rho's solve: pseudo_boundary has imaginary off-diagonals, so its first sweep rotates
+    # and one sweep cannot confirm convergence; only --json reads rho's eigenvalues, text
+    # analyze proves its rank without them and solves T, which is diagonal, in one sweep.
+    # T's solve: a state with real off-diagonals in every pair
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
-    code = cli.main(["analyze", data_path("pseudo_boundary")])
-    out, err = capsys.readouterr()
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: Jacobi sweep limit 1 reached")
-    assert "Traceback" not in err
+    real = tmp_path / "real.json"
+    real.write_text(json.dumps({"re": [[0.5, 0.1, 0.05], [0.1, 0.3, 0.02], [0.05, 0.02, 0.2]],
+                                "im": [[0.0] * 3] * 3}))
+    for argv in (["analyze", data_path("pseudo_boundary"), "--json"], ["analyze", str(real)]):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 3, argv
+        assert out == ""
+        assert err.startswith("error: Jacobi sweep limit 1 reached")
+        assert "Traceback" not in err
+    assert cli.main(["analyze", data_path("pseudo_boundary")]) == 0
 
 
 def test_internal_check_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -895,9 +902,9 @@ def test_builtin_sum_only_where_it_is_left():
     assert callers == SUM_CALLERS
 
 
-# the functions of the package that call linalg._at_least: the one positivity verdict,
-# state._positive, which a state's check and the PPT test both read
-AT_LEAST_CALLERS = {"state.py:_positive"}
+# the functions of the package that call linalg._at_least: the one positivity and rank
+# verdict, state._verdict, which a state's check, the PPT test and the analysis all read
+AT_LEAST_CALLERS = {"state.py:_verdict"}
 
 
 def test_at_least_only_where_the_verdict_is():
