@@ -15,11 +15,13 @@ Sign convention: evolution uses U = exp(-i theta G).
 Every command runs on Python scalars: a state or amplitude file is
 parsed straight to rows and checked once, there, and the report, scene,
 OBJ mesh, trajectory, unbiased bases, samples and payloads read the
-library's records (Analysis, EllipsoidScene, Trajectory, PureState) as
-the scalar core fills them, with lists.  Only random imports numpy, for
-its generator's draws.  Every exit-1 message about a file names it.
-Output leaves one way: _dump renders every JSON payload, _emit writes a
-command's text as it is to stdout or --out, main prints the error line.
+library's records as the scalar core fills them, with lists: plain
+__slots__ classes on linalg._Record, which compare and print as before
+but which fields(), asdict() and replace() refuse, with no __dict__
+for vars().  Only random imports numpy, for its generator's draws.  Every
+exit-1 message about a file names it.  Output leaves one way: _dump
+renders every JSON payload, _emit writes a command's text as it is to
+stdout or --out, main prints the error line.
 """
 
 from __future__ import annotations

@@ -38,11 +38,10 @@ read, at the same cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .geometry import EllipsoidScene, _scene, _scene_arrays
-from .linalg import _array, _eigensystem3, _eigvals, _hermitian_rows, _rows
+from .linalg import _Record, _array, _eigensystem3, _eigvals, _hermitian_rows, _rows
 from .spin1 import _spin_rows
 from .state import _as_rows, _not_positive, _verdict
 
@@ -52,23 +51,27 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-@dataclass(frozen=True, eq=False)
-class Generator:
+class Generator(_Record):
     """A generator's kind, axis, matrix rows and eigenframe (_eigenframe): solved once, shared."""
 
-    kind: str
-    axis: str | None
-    matrix: tuple
-    frame: tuple
+    __slots__ = ("kind", "axis", "matrix", "frame")
+    __setattr__ = __delattr__ = _Record._frozen
+    __eq__, __hash__ = object.__eq__, object.__hash__  # a value compared by identity
+
+    def __init__(self, kind: str, axis: str | None, matrix: tuple, frame: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "frame", frame)
 
 
-@dataclass
-class Trajectory:
+class Trajectory(_Record):
     """A theta grid and its samples; the scalar core (_trajectory) fills it with lists."""
 
-    thetas: np.ndarray
-    states: list[np.ndarray]
-    scenes: list[EllipsoidScene] | None = None
+    __slots__ = ("thetas", "states", "scenes")
+
+    def __init__(self, thetas, states, scenes: list[EllipsoidScene] | None = None):
+        self.thetas, self.states, self.scenes = thetas, states, scenes
 
 
 def _eigenframe(lam: list, V: list) -> tuple:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 from .errors import DegenerateMeshError, InternalCheckError, InvalidStateError
-from .linalg import _array, _dot3, _rows, vector_norm
+from .linalg import _Record, _array, _dot3, _rows, vector_norm
 from .state import (
     FULL_3D,
     POINT,
@@ -50,26 +49,25 @@ RANK_CASE_TO_SCENE = {
 }
 
 
-@dataclass
-class Ray:
-    dir: np.ndarray
-    style: str
-    label: str
+class Ray(_Record):
+    __slots__ = ("dir", "style", "label")
+
+    def __init__(self, dir: np.ndarray, style: str, label: str):
+        self.dir, self.style, self.label = dir, style, label
 
 
-@dataclass
-class EllipsoidScene:
+class EllipsoidScene(_Record):
     """Semi-axes (descending), eigenvector frame (columns), Bloch vector.
 
     The scalar core (_scene) fills it and its rays with lists of Python
     floats (``frame`` as rows); build_scene converts that record in place.
     """
 
-    case: str
-    semi_axes: np.ndarray
-    frame: np.ndarray
-    bloch: np.ndarray
-    rays: list[Ray] = field(default_factory=list)
+    __slots__ = ("case", "semi_axes", "frame", "bloch", "rays")
+
+    def __init__(self, case, semi_axes, frame, bloch, rays: list[Ray] | None = None):
+        self.case, self.semi_axes, self.frame, self.bloch = case, semi_axes, frame, bloch
+        self.rays = [] if rays is None else rays
 
 
 def build_scene(rho: np.ndarray) -> EllipsoidScene:

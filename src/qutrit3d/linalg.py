@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import InternalCheckError, NotHermitianError
 from .tolerances import (
@@ -74,8 +73,30 @@ _MAX_SWEEPS = 60
 _ENTRY_MAX = sys.float_info.max / 16.0
 
 
-@dataclass(frozen=True)
-class EigenSystem3:
+class _Record:
+    """Fields named by __slots__ (_eigenvalues: eigenvalues), set by an explicit __init__."""
+
+    __slots__ = ()
+
+    def _frozen(self, name, *value):  # a frozen record's __setattr__ and __delattr__
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in (s.lstrip("_") for s in self.__slots__)}
+
+    def __eq__(self, other):  # field by field, in order; no hash
+        return self._fields() == other._fields() if other.__class__ is self.__class__ \
+            else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild it through __init__
+        return type(self), tuple(self._fields().values())
+
+
+class EigenSystem3(_Record):
     """Sorted eigendecomposition of a 3x3 Hermitian matrix.
 
     ``values`` are real, descending.  ``vectors`` holds the matching
@@ -83,8 +104,12 @@ class EigenSystem3:
     gauged so its first largest-magnitude component is real positive.
     """
 
-    values: np.ndarray
-    vectors: np.ndarray
+    __slots__ = ("values", "vectors")
+    __setattr__ = __delattr__ = _Record._frozen
+
+    def __init__(self, values: np.ndarray, vectors: np.ndarray):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "vectors", vectors)
 
 
 def _rows(x, shape: tuple, what: str, error: type = ValueError, dtype=complex) -> list:

@@ -15,18 +15,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import NotNormalizedError, OutOfBallError
-from .linalg import _array, _dot3, _rows, vector_norm
+from .linalg import _Record, _array, _dot3, _rows, vector_norm
 from .state import PSEUDO_TENSOR, _bundle, _compose, _haar, _projector
 from .tolerances import BALL_TOL, GAUGE_EPS, NORM_TOL, ORTHO_TOL
 
 _BALL_RADIUS_SQ = 4.0 / 9.0  # pseudo-qubit Bloch ball, |a|^2 <= 4/9
 
 
-@dataclass
-class PureState:
+class PureState(_Record):
     """Gauge-fixed amplitudes with their real and imaginary parts.
 
     The first component of modulus above the gauge threshold is made
@@ -34,16 +32,19 @@ class PureState:
     depend on that choice.
     """
 
-    amp: np.ndarray
-    r: np.ndarray
-    k: np.ndarray
+    __slots__ = ("amp", "r", "k")
+
+    def __init__(self, amp: np.ndarray, r: np.ndarray, k: np.ndarray):
+        self.amp, self.r, self.k = amp, r, k
 
 
-@dataclass
-class MubFamily:
+class MubFamily(_Record):
     """Four mutually unbiased bases, three states each."""
 
-    bases: tuple[tuple[PureState, PureState, PureState], ...]
+    __slots__ = ("bases",)
+
+    def __init__(self, bases: tuple[tuple[PureState, PureState, PureState], ...]):
+        self.bases = bases
 
 
 def _pure(amp: list) -> PureState:

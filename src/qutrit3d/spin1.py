@@ -25,10 +25,8 @@ reference (expectations) computes with numpy, and imports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidStateError, NotSymmetricError, TraceError
-from .linalg import _array, _hermitian_rows, _partial_transpose, _rows
+from .linalg import _Record, _array, _hermitian_rows, _partial_transpose, _rows
 from .state import StateParams, _as_rows, _state_rows, _verdict, assert_density
 from .tolerances import HERM_TOL, TRACE_TOL
 
@@ -50,13 +48,16 @@ _A = (
     ((0, -1, 0), (-1, 0, 0), (0, 0, 0)),
 )
 
-@dataclass(frozen=True)
-class Spin1Set:
+class Spin1Set(_Record):
     """The spin matrices, their squares and the symmetrized products, as rows or arrays."""
 
-    S: tuple[np.ndarray, np.ndarray, np.ndarray]
-    S2: tuple[np.ndarray, np.ndarray, np.ndarray]
-    A: tuple[np.ndarray, np.ndarray, np.ndarray]
+    __slots__ = ("S", "S2", "A")
+    __setattr__ = __delattr__ = _Record._frozen
+
+    def __init__(self, S: tuple, S2: tuple, A: tuple):
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "S2", S2)
+        object.__setattr__(self, "A", A)
 
 
 def _spin_rows() -> Spin1Set:

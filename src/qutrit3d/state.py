@@ -26,7 +26,6 @@ Conventions (fixed wire format):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     InconsistentParamsError,
@@ -36,8 +35,8 @@ from .errors import (
     TraceError,
 )
 from .linalg import (
-    _ENTRY_MAX, _array, _at_least, _eigensystem3, _eigvals, _hermitian_rows, _rows, _sum,
-    det3, vector_norm,
+    _ENTRY_MAX, _Record, _array, _at_least, _eigensystem3, _eigvals, _hermitian_rows, _rows,
+    _sum, det3, vector_norm,
 )
 from .tolerances import RANK_TOL, SEGMENT_SLACK, SING_TOL, TRACE_TOL
 
@@ -52,68 +51,45 @@ POINT = "Point"
 PSEUDO_TENSOR = ((1.0 / 3.0, 0.0, 0.0), (0.0, 1.0 / 3.0, 0.0), (0.0, 0.0, 1.0 / 3.0))
 
 
-@dataclass
-class StateParams:
+class StateParams(_Record):
     """Bloch vector, off-diagonal correlations, diagonal weights, full tensor."""
 
-    a: np.ndarray
-    q: np.ndarray
-    omega: np.ndarray
-    T: np.ndarray
+    __slots__ = ("a", "q", "omega", "T")
+
+    def __init__(self, a: np.ndarray, q: np.ndarray, omega: np.ndarray, T: np.ndarray):
+        self.a, self.q, self.omega, self.T = a, q, omega, T
 
 
-@dataclass
-class ValidityReport:
-    c1_ok: bool  # diagonal weights in [0, 1]
-    c2_ok: bool  # 2x2 principal minors non-negative
-    c3_ok: bool  # determinant non-negative
-    overall: bool
+class ValidityReport(_Record):
+    __slots__ = ("c1_ok", "c2_ok", "c3_ok", "overall")  # c1: weights in [0, 1]; c2, c3: minors
+
+    def __init__(self, c1_ok: bool, c2_ok: bool, c3_ok: bool, overall: bool):
+        self.c1_ok, self.c2_ok, self.c3_ok, self.overall = c1_ok, c2_ok, c3_ok, overall
 
 
-@dataclass
-class MetricTensor:
-    gamma: np.ndarray | None
-    defined: bool
+class MetricTensor(_Record):
+    __slots__ = ("gamma", "defined")
 
-
-class _Record:
-    """Frozen fields named by __slots__ (_eigenvalues: eigenvalues), == and repr a dataclass's."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    @property
-    def eigenvalues(self):
-        """Slot _eigenvalues, or what the function held there returns, called on first read."""
-        if callable(self._eigenvalues):
-            object.__setattr__(self, "_eigenvalues", self._eigenvalues())
-        return self._eigenvalues
-
-    def _fields(self) -> dict:
-        return {name: getattr(self, name) for name in (s.lstrip("_") for s in self.__slots__)}
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if other.__class__ is self.__class__ \
-            else NotImplemented
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):  # copy and pickle rebuild it through __init__
-        return type(self), tuple(self._fields().values())
+    def __init__(self, gamma: np.ndarray | None, defined: bool):
+        self.gamma, self.defined = gamma, defined
 
 
 class RankReport(_Record):
-    """RankReport(rank, case, eigenvalues): rho's rank, geometry case and eigenvalues."""
+    """rho's rank, geometry case and eigenvalues (a function held there is called on first read)."""
 
     __slots__ = ("rank", "case", "_eigenvalues")
+    __setattr__ = __delattr__ = _Record._frozen
+
+    def __init__(self, rank: int, case: str, eigenvalues):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "_eigenvalues", eigenvalues)
+
+    @property
+    def eigenvalues(self):
+        if callable(self._eigenvalues):
+            object.__setattr__(self, "_eigenvalues", self._eigenvalues())
+        return self._eigenvalues
 
 
 def _as_rows(rho: np.ndarray) -> list:
@@ -247,9 +223,7 @@ def _metric(T: list) -> list | None:
 def metric_tensor(T: np.ndarray) -> MetricTensor:
     """Gamma = (1 - T) / det(1 - T), undefined when the determinant vanishes."""
     gamma = _metric(_rows(T, (3, 3), "T", dtype=float))
-    if gamma is None:
-        return MetricTensor(gamma=None, defined=False)
-    return MetricTensor(gamma=_array(gamma), defined=True)
+    return MetricTensor(None if gamma is None else _array(gamma), gamma is not None)
 
 
 def gamma_norm(a: np.ndarray, T: np.ndarray) -> float:
@@ -349,6 +323,17 @@ class Analysis(_Record):
 
     __slots__ = ("params", "_eigenvalues", "tensor_eigenvalues", "frame", "semi_axes",
                  "validity", "rank")
+    __setattr__ = __delattr__ = _Record._frozen
+    eigenvalues = RankReport.eigenvalues
+
+    def __init__(self, params, eigenvalues, tensor_eigenvalues, frame, semi_axes, validity, rank):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_eigenvalues", eigenvalues)
+        object.__setattr__(self, "tensor_eigenvalues", tensor_eigenvalues)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "semi_axes", semi_axes)
+        object.__setattr__(self, "validity", validity)
+        object.__setattr__(self, "rank", rank)
 
 
 def _validity(tvals: list, frame: list, a: list, positive: bool) -> ValidityReport:

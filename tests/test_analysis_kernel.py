@@ -23,16 +23,22 @@ import itertools
 import math
 import os
 import pickle
-from dataclasses import make_dataclass
+from dataclasses import field, fields, make_dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qutrit3d import cli, dynamics, linalg, state
+from qutrit3d import cli, dynamics, geometry, linalg, purestates, spin1, state
+from qutrit3d.dynamics import Generator, Trajectory
 from qutrit3d.errors import MetricUndefinedError
-from qutrit3d.linalg import _eigensystem3, _jacobi3, det3
-from qutrit3d.state import Analysis, RankReport, StateParams, ValidityReport
+from qutrit3d.geometry import EllipsoidScene, Ray
+from qutrit3d.linalg import EigenSystem3, _eigensystem3, _jacobi3, det3
+from qutrit3d.purestates import MubFamily, PureState
+from qutrit3d.spin1 import Spin1Set
+from qutrit3d.state import (
+    Analysis, MetricTensor, RankReport, StateParams, ValidityReport, _as_rows,
+)
 from qutrit3d.tolerances import DEGEN_GAP, RANK_TOL, SING_TOL
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -458,10 +464,91 @@ _OldRankReport = make_dataclass("RankReport", ["rank", "case", "eigenvalues"])
 _OldAnalysis = make_dataclass(
     "Analysis", ["params", "eigenvalues", "tensor_eigenvalues", "frame", "semi_axes", "validity",
                  "rank"], frozen=True, slots=True)
+# every record and its oracle: the other eleven with their old decorators' flags
+_OLD = {
+    Analysis: _OldAnalysis,
+    RankReport: _OldRankReport,
+    StateParams: make_dataclass("StateParams", ["a", "q", "omega", "T"]),
+    ValidityReport: make_dataclass("ValidityReport", ["c1_ok", "c2_ok", "c3_ok", "overall"]),
+    MetricTensor: make_dataclass("MetricTensor", ["gamma", "defined"]),
+    EigenSystem3: make_dataclass("EigenSystem3", ["values", "vectors"], frozen=True),
+    Ray: make_dataclass("Ray", ["dir", "style", "label"]),
+    EllipsoidScene: make_dataclass(
+        "EllipsoidScene",
+        ["case", "semi_axes", "frame", "bloch", ("rays", list, field(default_factory=list))]),
+    Generator: make_dataclass("Generator", ["kind", "axis", "matrix", "frame"], frozen=True,
+                              eq=False),
+    Trajectory: make_dataclass("Trajectory", ["thetas", "states", ("scenes", list, None)]),
+    PureState: make_dataclass("PureState", ["amp", "r", "k"]),
+    MubFamily: make_dataclass("MubFamily", ["bases"]),
+    Spin1Set: make_dataclass("Spin1Set", ["S", "S2", "A"], frozen=True),
+}
+# RankReport has been frozen since it left its dataclass, unlike its oracle
+_FROZEN = {Analysis, RankReport, EigenSystem3, Generator, Spin1Set}
+
+
+def _records() -> list:
+    """Records of every type, of lists from the scalar core and of arrays from the public API."""
+    records = [spin1._spin_rows(), spin1.spin_set(), purestates.mub_bases(),
+               purestates._pure([0.6j, 0.8 + 0j, 0j]), purestates.rik_decompose([0.6, 0.0, 0.8j])]
+    for family in ("perfbench analyze, seeds 1-5", "real pure", "maximally mixed"):
+        for rows in DENSITY[family][::9]:
+            an = state._record(rows)
+            records += [an, an.params, an.validity, state.analyse(np.array(rows)),
+                        EigenSystem3(*_eigensystem3(an.params.T))]
+            if an.rank is not None:
+                scene = geometry._scene(rows)
+                records += [an.rank, scene, *scene.rays, geometry.build_scene(np.array(rows))]
+    rho, H = np.array(DENSITY["perfbench analyze, seeds 1-5"][0]), np.diag([1.0, 0.0, -1.0])
+    for g in (dynamics.rotation("y"), dynamics.custom(H)):
+        records += [g, dynamics._trajectory(_as_rows(rho), g, [0.0, 0.5], True),
+                    dynamics.trajectory(rho, g, 1.0, 3), dynamics.trajectory(rho, g, 1.0, 2, True)]
+    records += [state.decompose(rho), linalg.eig_hermitian3(rho), state.metric_tensor(H),
+                state.metric_tensor(np.eye(3) / 3.0)]
+    return records
+
+
+def _check_record(record) -> None:
+    """One record against its oracle: fields, copies, repr, ==, hash, keywords and frozenness."""
+    cls, old = type(record), _OLD[type(record)]
+    names = [f.name for f in fields(old)]
+    assert issubclass(cls, linalg._Record) and {"__slots__", "__init__"} <= set(vars(cls))
+    assert [name.lstrip("_") for name in cls.__slots__] == names
+    assert not hasattr(record, "__dict__")
+    # copied and pickled as the dataclasses were, before a lazy field is read
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and repr(clone) == repr(record)
+    values = [getattr(record, name) for name in names]
+    twin, other = old(*values), object()
+    assert repr(record) == repr(twin)
+    # built by keyword; == and != as the oracle's, on the same fields and on a changed last one
+    rebuilt = cls(**dict(zip(names, values)))
+    assert repr(rebuilt) == repr(record)
+    for new_other, old_other in ((rebuilt, old(*values)),
+                                 (cls(*values[:-1], other), old(*values[:-1], other))):
+        assert _outcome(lambda: record == new_other) == _outcome(lambda: twin == old_other)
+        assert _outcome(lambda: record != new_other) == _outcome(lambda: twin != old_other)
+    assert record.__eq__(other) is NotImplemented and record != twin and twin != record
+    if cls is Generator:  # a value compared and hashed by identity
+        assert hash(record) == object.__hash__(record) and record == record
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+    old_frozen = _outcome(setattr, twin, names[0], None)[0] == "raised"
+    assert (cls in _FROZEN) == old_frozen or cls is RankReport
+    for name in names:
+        if cls in _FROZEN:
+            for change in (lambda: setattr(record, name, None), lambda: delattr(record, name)):
+                with pytest.raises(AttributeError):
+                    change()
+        else:
+            clone = copy.copy(record)
+            setattr(clone, name, other)
+            assert getattr(clone, name) is other and getattr(record, name) is not other
 
 
 def test_records_print_and_compare_as_the_dataclasses():
-    """repr and == of Analysis and RankReport are the dataclasses', lazy eigenvalues included."""
+    """Every record prints, compares, copies and freezes as the dataclass it was."""
     for family in DENSITY.values():
         for rows in family[::7]:
             an, values = state._record(rows), linalg._eigvals(rows)
@@ -476,14 +563,22 @@ def test_records_print_and_compare_as_the_dataclasses():
     assert report != _OldRankReport(1, "Point", [1.0, 0.0, 0.0]) and report != (1, "Point")
     an = state._record(DENSITY["maximally mixed"][0])
     assert an != an.rank and an.__eq__(object()) is NotImplemented
-    for record, field in ((an, "eigenvalues"), (an, "rank"), (an, "params"), (report, "rank"),
-                          (report, "eigenvalues")):
-        with pytest.raises(AttributeError):
-            setattr(record, field, None)
-    with pytest.raises(TypeError):
-        hash(an)
-    # copied and pickled as the dataclasses were, a lazy eigenvalues field solved
-    for record in (an, report, state.analyse(np.eye(3) / 3.0)):
-        for clone in (copy.copy(record), copy.deepcopy(record),
-                      pickle.loads(pickle.dumps(record))):
-            assert type(clone) is type(record) and repr(clone) == repr(record)
+    # a lazy eigenvalues field, solved by the copies, the pickle and the reads
+    assert callable(an._eigenvalues) and callable(an.rank._eigenvalues)
+    records = [an, report, *_records()]
+    assert {type(record) for record in records} == set(_OLD)
+    for record in records:
+        _check_record(record)
+    # the two defaults: a fresh empty list of rays, and no scenes
+    v = [0.0, 0.0, 0.0]
+    scenes = EllipsoidScene("point", v, v, v), EllipsoidScene(case="point", semi_axes=v, frame=v,
+                                                               bloch=v)
+    assert scenes[0].rays == scenes[1].rays == [] and scenes[0].rays is not scenes[1].rays
+    assert repr(scenes[0]) == repr(_OLD[EllipsoidScene]("point", v, v, v))
+    assert repr(Trajectory([0.0], [])) == repr(_OLD[Trajectory]([0.0], []))
+    # the mutable records convert to arrays in place
+    scene = geometry._scene(DENSITY["real pure"][0])
+    assert geometry._scene_arrays(scene) is scene and isinstance(scene.frame, np.ndarray)
+    assert scene.rays and all(isinstance(ray.dir, np.ndarray) for ray in scene.rays)
+    pure = purestates._pure([1.0 + 0j, 0j, 0j])
+    assert purestates._pure_arrays(pure) is pure and isinstance(pure.amp, np.ndarray)

@@ -32,6 +32,7 @@ further apart than det3's rounding bound, and its float is within the
 bound of its rounding of the exact norm.
 """
 
+import functools
 import importlib.util
 import itertools
 import math
@@ -154,8 +155,9 @@ def _perfbench_rows(seeds) -> list:
     return found
 
 
+@functools.cache
 def _families() -> dict:
-    """Seeded rows of 3x3 and 4x4 matrices, by family."""
+    """Seeded rows of 3x3 and 4x4 matrices, by family: built once, read and never written."""
     rng = np.random.default_rng(2323)
     near = [_near_threshold(rng, 3 + i % 2) for i in range(1200)]
     # half of them within the skew's reach of the threshold, where the widening decides

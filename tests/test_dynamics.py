@@ -5,7 +5,6 @@ rotation covariance is pinned by direct conjugation followed by
 parameter extraction.
 """
 
-import dataclasses
 import math
 import sys
 
@@ -57,7 +56,7 @@ def test_canonical_generators_are_shared_values():
     for g in canonical_generators() + [custom(np.diag([1.0, 0.0, -1.0]))]:
         with pytest.raises(TypeError):
             g.matrix[0] = (0j, 0j, 0j)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             g.matrix = ()
         M = generator_matrix(g)
         assert M.dtype == complex and M.flags.writeable

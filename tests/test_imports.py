@@ -8,7 +8,8 @@ scenes, and on its exit-1 errors) read the library's scalar records, so
 numpy must not be in sys.modules when they exit, under python -O as
 well.  random takes its draws from numpy's generator and loads it: it is
 the control that the probe sees an import.  A lint keeps numpy out of the module level of
-the modules on that path.
+the modules on that path.  The records are plain classes: no command loads
+dataclasses, and no numpy-free command loads inspect (numpy imports it).
 """
 
 import ast
@@ -142,7 +143,7 @@ def test_scalar_commands_do_not_import_numpy(case, flags, files):
     assert got == code, err
     assert "Traceback" not in err
     assert "qutrit3d.cli" in names
-    assert "numpy" not in names
+    assert not {"numpy", "dataclasses", "inspect"} & names
 
 
 @pytest.mark.parametrize("case", sorted(WITH_NUMPY))
@@ -150,7 +151,7 @@ def test_numpy_commands_import_it(case, files):
     argv, code = WITH_NUMPY[case]
     got, err, names = _imports((), "qutrit3d", argv, files)
     assert got == code, err
-    assert "numpy" in names
+    assert "numpy" in names and "dataclasses" not in names
 
 
 def test_only_bridge_loads_spin1(files):
@@ -194,6 +195,6 @@ def test_no_module_level_numpy_import():
         found += [
             f"{name}.py: {imported}"
             for imported in _module_level_imports(tree)
-            if imported == "numpy" or imported.startswith("numpy.")
+            if imported in ("numpy", "dataclasses") or imported.startswith("numpy.")
         ]
     assert found == []

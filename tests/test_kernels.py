@@ -111,14 +111,17 @@ def _digest() -> str:
             h.update(np.ascontiguousarray(a).tobytes())
 
     for i in range(150):
-        add(*vars(eig_hermitian3(_hermitian(rng, 3))).values())
+        es = eig_hermitian3(_hermitian(rng, 3))
+        add(es.values, es.vectors)
         rho = _density(rng, 3, i % 3 + 1)
-        add(*vars(eig_hermitian3(rho)).values())
+        es = eig_hermitian3(rho)
+        add(es.values, es.vectors)
         add(*eig_sym3(np.eye(3) - 2.0 * rho.real))
         rho4 = to_two_qubit(rho)
         add(rho4, from_two_qubit(rho4), ppt_separable(rho))
         an, gamma = build_report(rho)
-        add(an.eigenvalues, np.nan if gamma is None else gamma, *vars(an.validity).values())
+        add(an.eigenvalues, np.nan if gamma is None else gamma)
+        add(*(getattr(an.validity, f) for f in ("c1_ok", "c2_ok", "c3_ok", "overall")))
         for text in (
             report_text((an, gamma)),
             json.dumps(report_dict((an, gamma))),
@@ -128,7 +131,8 @@ def _digest() -> str:
         # a double root in a random frame, split by a gap around DEGEN_GAP
         v, u = rng.standard_normal(3) + 1j * rng.standard_normal(3), rng.standard_normal(3)
         gap = 10.0 ** rng.uniform(-12.0, -6.0)
-        add(*vars(eig_hermitian3(np.outer(v, v.conj()) + gap * np.outer(u, u))).values())
+        es = eig_hermitian3(np.outer(v, v.conj()) + gap * np.outer(u, u))
+        add(es.values, es.vectors)
         add(eigvals_hermitian4(_hermitian(rng, 4)))
         # a two-qubit density off the symmetric sector
         rho4 = _density(rng, 4, i % 4 + 1)
