@@ -80,7 +80,7 @@ def _fmt(x: float) -> str:
 
 def _vec(v: list) -> str:
     x, y, z = v
-    return f"{_fmt(x)} {_fmt(y)} {_fmt(z)}"
+    return "%.12g %.12g %.12g" % (x + 0.0, y + 0.0, z + 0.0)  # _fmt's: -0.0 + 0.0 is 0.0
 
 
 def _float(value, where: str) -> float:
@@ -248,9 +248,9 @@ def build_report(rho: np.ndarray) -> tuple[Analysis, float | None]:
     return _report(_as_rows(rho))
 
 
-def _report(rows: list) -> tuple[Analysis, float | None]:
-    """The analysis record of rho's checked rows and a.Gamma.a (None where Gamma is undefined)."""
-    an = _record(rows)
+def _report(rows: list, framed: bool = False) -> tuple[Analysis, float | None]:
+    """The _record of rho's checked rows (``framed`` for report_dict) and a.Gamma.a or None."""
+    an = _record(rows, None, framed)
     try:
         gamma = _gamma_norm(an.params.a, an.params.T)
     except MetricUndefinedError:
@@ -268,16 +268,12 @@ def report_text(report: tuple[Analysis, float | None]) -> str:
         f"semi-axes: {_vec(an.semi_axes)}",
         f"gamma-norm: {'degenerate' if gamma is None else _fmt(gamma)}",
     ]
-    bad = first_violation(an.validity)
-    lines.append("validity: ok" if bad is None else f"validity: violated: {bad}")
-    if an.rank is not None:
-        lines.append(f"rank: {an.rank.rank}")
-        lines.append(f"case: {an.rank.case}")
-        lines.append(f"scene: {RANK_CASE_TO_SCENE[an.rank.case]}")
+    if an.rank is not None:  # a state: its validity is ok, and its minors are not read
+        lines += ["validity: ok", f"rank: {an.rank.rank}", f"case: {an.rank.case}",
+                  f"scene: {RANK_CASE_TO_SCENE[an.rank.case]}"]
     else:
-        lines.append("rank: n/a")
-        lines.append("case: n/a")
-        lines.append("scene: n/a")
+        lines += [f"validity: violated: {first_violation(an.validity)}", "rank: n/a",
+                  "case: n/a", "scene: n/a"]
     return "\n".join(lines) + "\n"
 
 
@@ -291,12 +287,7 @@ def report_dict(report: tuple[Analysis, float | None]) -> dict:
             "omega": an.params.omega,
             "tensor": an.params.T,
         },
-        "validity": {
-            "c1_ok": an.validity.c1_ok,
-            "c2_ok": an.validity.c2_ok,
-            "c3_ok": an.validity.c3_ok,
-            "overall": an.validity.overall,
-        },
+        "validity": an.validity._fields(),  # c1_ok, c2_ok, c3_ok, overall
         "tensor_eigenvalues": an.tensor_eigenvalues,
         "semi_axes": an.semi_axes,
         "gamma_norm": gamma,
@@ -317,9 +308,9 @@ def report_dict(report: tuple[Analysis, float | None]) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    report = _report(load_state_file(args.path))
+    report = _report(load_state_file(args.path), args.json)
     _emit(_dump(report_dict(report)) if args.json else report_text(report), args.out)
-    return EXIT_OK if report[0].validity.overall else EXIT_INVALID
+    return EXIT_OK if report[0].rank is not None else EXIT_INVALID
 
 
 def cmd_scene(args) -> int:
@@ -357,7 +348,7 @@ def cmd_pseudo(args) -> int:
     rho = _checked("--ax/--ay/--az", _density_rows, rows)
     report = _report(rho)
     _emit(_dump(density_payload(rho)) + report_text(report), args.out)
-    return EXIT_OK if report[0].validity.overall else EXIT_INVALID
+    return EXIT_OK if report[0].rank is not None else EXIT_INVALID
 
 
 def _generator_from_flag(flag: str):

@@ -89,9 +89,9 @@ def _scene(rows: list, verdict: tuple | None = None) -> EllipsoidScene:
     The case is the rank taxonomy's (see RANK_CASE_TO_SCENE): three_d
     when all three semi-axes are alive, segment for exactly one, point
     for none.  ``verdict`` is passed on to _record: a trajectory's samples
-    reuse rho0's state._verdict, so each costs one eigensolve, T's.
+    reuse rho0's state._verdict, so each costs one eigensolve, T's, framed.
     """
-    r = _record(rows, verdict)
+    r = _record(rows, verdict, True)
     if r.rank is None:
         raise InvalidStateError("state is not positive semidefinite")
     case = RANK_CASE_TO_SCENE[r.rank.case]

@@ -15,7 +15,7 @@ analysis and its CLI call them directly.
 The check, the solvers and the certificate work on Python scalars, call
 no BLAS and are written out on local variables per size: the check
 reads the 9 or 16 entries once, one Jacobi kernel per size solves them,
-and one certificate kernel (_at_least) factors 3x3 rows and a 4x4
+and one certificate kernel (_ldl) factors 3x3 rows and a 4x4
 matrix's leading block alike, adding row 3 for 4x4.  The 3x3 Jacobi
 kernel (rho and T) keeps the nine entries of A, and of V when
 eigenvectors are wanted, in local variables through every sweep, with
@@ -28,8 +28,8 @@ lists, in its order and on its operand types, so it gives its bits
 removes only the interpreter's indexing and loop cost.  The sort and
 the phase gauge are written out for three columns too (no generic
 _fix_phase is left); only a degenerate cluster's Gram-Schmidt loops
-over lists.  Eigenvalues never depend on V, so rho's spectrum (positivity,
-rank) skips it and is bit-identical to the full solve's.  Two reasons
+over lists.  Eigenvalues never depend on V, so rho's spectrum and a
+state's T skip it, bit-identical to the full solve's.  Two reasons
 for the scalars:
   * speed: for n <= 4 the interpreter's per-call cost dominates, so
     building a rotation matrix and two matmuls per rotation costs
@@ -47,8 +47,8 @@ not a closed form: Cardano-type solvers lose accuracy near double roots
 
 Where only lambda_min >= floor or the count of eigenvalues above it is
 read (a state's positivity and rank, the PPT test), the one caller,
-state._verdict, asks _at_least, which proves the Jacobi's answer without
-solving: a shifted LDL^dag certifies True (Rump, BIT 46 (2006)) and, by
+state._verdict, asks _at_least once, which proves the Jacobi's answers
+without a solve: a shifted LDL^dag certifies True (Rump, BIT 46 (2006)) and, by
 its inertia at two shifts, the count; a Rayleigh quotient from its first
 non-positive pivot certifies False.  In its band (an eigenvalue within
 CERT_MARGIN of floor, widened by the rows' skew, or an entry above 1) it
@@ -453,7 +453,7 @@ def _eigvals(rows: list) -> list:
     return sorted(vals, reverse=True)
 
 
-def _at_least(rows: list, floor: float, count: bool = False) -> bool | int | None:
+def _at_least(rows: list, floor: float, count: bool = False, ranked: bool = False):
     """Whether the Jacobi finds lambda_min >= floor for checked 3x3 or 4x4 rows, where provable.
 
     True or False only where it is proven, None in the band the proof
@@ -462,7 +462,7 @@ def _at_least(rows: list, floor: float, count: bool = False) -> bool | int | Non
     the margin m = CERT_MARGIN + CERT_SKEW ||A - A^dag||_F, which also
     covers the gap between both triangles, read by the Jacobi, and H, the
     Hermitian matrix of the lower one, read here.  P = H - (floor + m) 1
-    is factored as LDL^dag without pivoting: positive pivots with
+    is factored as LDL^dag without pivoting (_ldl): positive pivots with
     CERT_GAMMA sum_k d_k |l_k|^2 below m / 2 prove lambda_min > floor + m / 2,
     since P + dP = LDL^dag with ||dP|| within that sum.  At the first pivot
     d_k <= 0, _witness tries to prove lambda_min < floor - m.
@@ -472,12 +472,9 @@ def _at_least(rows: list, floor: float, count: bool = False) -> bool | int | Non
     (Sylvester), ||dP|| within CERT_GAMMA sum_k |d_k| |l_k|^2 (Higham, ASNA
     2nd ed., Thm 9.3); below m / 2 at floor +- m, equal counts (or all at
     floor + m) leave none within m / 2 of floor.  None for a zero or NaN pivot.
-
-    One kernel on locals serves 3x3 rows and a 4x4's leading block, with
-    row 3 added for 4x4.  It does the generic row loop's operations in its
-    order (tests/test_certified.py keeps that loop), but for the exact ones
-    left out: adding a leading 0.0 and subtracting row 0's empty sub, as
-    no term is -0.0.
+    ``ranked`` gives the pair (lambda_min >= -floor, that count) from one
+    entry scan and skew: the count's pass at floor + m, where all pivots
+    positive prove both, else the verdict's, then if True the count's second.
     """
     four = len(rows) == 4
     if four:
@@ -491,7 +488,7 @@ def _at_least(rows: list, floor: float, count: bool = False) -> bool | int | Non
         top = max(abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20),
                   abs(a21), abs(a22))
     if top > 1.0:
-        return None
+        return (None, None) if ranked else None
     y0, y1, y2 = a00.imag, a11.imag, a22.imag
     z10, z20, z21 = a10 - a01.conjugate(), a20 - a02.conjugate(), a21 - a12.conjugate()
     skew = (4.0 * y0 * y0 + 4.0 * y1 * y1 + 2.0 * (z10.real * z10.real + z10.imag * z10.imag)
@@ -504,51 +501,70 @@ def _at_least(rows: list, floor: float, count: bool = False) -> bool | int | Non
                 + 2.0 * (z31.real * z31.real + z31.imag * z31.imag)
                 + 2.0 * (z32.real * z32.real + z32.imag * z32.imag))
     margin = CERT_MARGIN + CERT_SKEW * math.sqrt(skew)
-    shift, found = floor + margin, None
-    while True:  # one pass for a verdict, a count's at floor + m and floor - m
-        # a non-positive pivot stops the factorization, a negative one only a verdict's
-        d0 = a00.real - shift
-        if not d0 > 0.0 and not (count and d0 < 0.0):  # also for a NaN pivot
-            return None if count else _witness(rows, [[]], floor - margin)
-        l10 = a10 / d0
-        n10 = l10.real * l10.real + l10.imag * l10.imag
-        sub = d0 * n10
-        d1 = a11.real - shift - sub
-        if not d1 > 0.0 and not (count and d1 < 0.0):
-            return None if count else _witness(rows, [[], [l10]], floor - margin)
-        bound = d0 + (d1 + sub)
-        l20 = a20 / d0
-        l21 = (a21 - l20 * d0 * l10.conjugate()) / d1
-        n20 = l20.real * l20.real + l20.imag * l20.imag
-        n21 = l21.real * l21.real + l21.imag * l21.imag
-        sub = d0 * n20 + d1 * n21
-        d2 = a22.real - shift - sub
-        if not d2 > 0.0 and not (count and d2 < 0.0):
-            return None if count else _witness(rows, [[], [l10], [l20, l21]], floor - margin)
-        bound += d2 + sub
-        if four:
-            l30 = a30 / d0
-            l31 = (a31 - l30 * d0 * l10.conjugate()) / d1
-            l32 = (a32 - l30 * d0 * l20.conjugate() - l31 * d1 * l21.conjugate()) / d2
-            n30 = l30.real * l30.real + l30.imag * l30.imag
-            n31 = l31.real * l31.real + l31.imag * l31.imag
-            n32 = l32.real * l32.real + l32.imag * l32.imag
-            sub = d0 * n30 + d1 * n31 + d2 * n32
-            d3 = a33.real - shift - sub
-            if not d3 > 0.0 and not (count and d3 < 0.0):
-                return None if count else _witness(
-                    rows, [[], [l10], [l20, l21], [l30, l31, l32]], floor - margin)
-            bound += d3 + sub
-        if not count:
-            return True if CERT_GAMMA * bound < margin / 2.0 else None
-        above = (d0 > 0.0) + (d1 > 0.0) + (d2 > 0.0) + (four and d3 > 0.0)
-        bound = abs(d0) * (1.0 + n10 + n20) + abs(d1) * (1.0 + n21) + abs(d2) + (
-            abs(d0) * n30 + abs(d1) * n31 + abs(d2) * n32 + abs(d3) if four else 0.0)
-        if not CERT_GAMMA * bound < margin / 2.0 or found not in (None, above):
-            return None
-        if above == len(rows) or found is not None:
-            return above
-        shift, found = floor - margin, above
+    if not (count or ranked):
+        return _ldl(rows, floor + margin, margin, floor - margin)
+    high = _ldl(rows, floor + margin, margin, None)
+    if high == len(rows):
+        return (True, high) if ranked else high
+    positive = _ldl(rows, -floor + margin, margin, -floor - margin) if ranked else True
+    low = _ldl(rows, floor - margin, margin, None) if positive and high is not None else None
+    n = high if low == high else None  # None unless both passes ran and agree
+    return (positive, n) if ranked else n
+
+
+def _ldl(rows: list, shift: float, margin: float, low: float | None):
+    """One pass of _at_least, H - shift 1 = LDL^dag: a verdict's (``low``, floor - m) or a count's.
+
+    One kernel on locals serves 3x3 rows and a 4x4's leading block, with
+    row 3 added for 4x4; it does the generic row loop's operations in its
+    order (tests/test_certified.py keeps that loop), but for the exact ones
+    left out, as no term is -0.0: a leading 0.0 added, row 0's empty sub.
+    """
+    count, four = low is None, len(rows) == 4
+    if four:
+        (a00, _, _, _), (a10, a11, _, _), (a20, a21, a22, _), (a30, a31, a32, a33) = rows
+    else:
+        (a00, _, _), (a10, a11, _), (a20, a21, a22) = rows
+    # a non-positive pivot stops the factorization, a negative one only a verdict's
+    d0 = a00.real - shift
+    if not d0 > 0.0 and not (count and d0 < 0.0):  # also for a NaN pivot
+        return None if count else _witness(rows, [[]], low)
+    l10 = a10 / d0
+    n10 = l10.real * l10.real + l10.imag * l10.imag
+    sub = d0 * n10
+    d1 = a11.real - shift - sub
+    if not d1 > 0.0 and not (count and d1 < 0.0):
+        return None if count else _witness(rows, [[], [l10]], low)
+    bound = d0 + (d1 + sub)
+    l20 = a20 / d0
+    l21 = (a21 - l20 * d0 * l10.conjugate()) / d1
+    n20 = l20.real * l20.real + l20.imag * l20.imag
+    n21 = l21.real * l21.real + l21.imag * l21.imag
+    sub = d0 * n20 + d1 * n21
+    d2 = a22.real - shift - sub
+    if not d2 > 0.0 and not (count and d2 < 0.0):
+        return None if count else _witness(rows, [[], [l10], [l20, l21]], low)
+    bound += d2 + sub
+    if four:
+        l30 = a30 / d0
+        l31 = (a31 - l30 * d0 * l10.conjugate()) / d1
+        l32 = (a32 - l30 * d0 * l20.conjugate() - l31 * d1 * l21.conjugate()) / d2
+        n30 = l30.real * l30.real + l30.imag * l30.imag
+        n31 = l31.real * l31.real + l31.imag * l31.imag
+        n32 = l32.real * l32.real + l32.imag * l32.imag
+        sub = d0 * n30 + d1 * n31 + d2 * n32
+        d3 = a33.real - shift - sub
+        if not d3 > 0.0 and not (count and d3 < 0.0):
+            return None if count else _witness(
+                rows, [[], [l10], [l20, l21], [l30, l31, l32]], low)
+        bound += d3 + sub
+    if not count:
+        return True if CERT_GAMMA * bound < margin / 2.0 else None
+    bound = abs(d0) * (1.0 + n10 + n20) + abs(d1) * (1.0 + n21) + abs(d2) + (
+        abs(d0) * n30 + abs(d1) * n31 + abs(d2) * n32 + abs(d3) if four else 0.0)
+    if not CERT_GAMMA * bound < margin / 2.0:
+        return None
+    return (d0 > 0.0) + (d1 > 0.0) + (d2 > 0.0) + (four and d3 > 0.0)
 
 
 def _witness(rows: list, L: list, ceiling: float) -> bool | None:

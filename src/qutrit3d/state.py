@@ -11,7 +11,8 @@ linalg._rows, which checks its shape, and a state's matrix is checked
 once (_density_rows), where it enters: at the public array edge
 (_as_rows) or in the CLI's parse.  The scalar core (_record, _verdict, _state_rows)
 takes checked rows, never checks them again and computes the Analysis,
-of lists, in Python floats from them and T's spectrum.  Each float
+of lists, in Python floats from them and T's spectrum (a state's T's
+frame and minors only when read).  Each float
 operation rounds once, as numpy's elementwise operations do, so the bits
 are the same, and no BLAS is called; the sampler takes only its draws
 from numpy.  The public functions return their records through
@@ -74,22 +75,28 @@ class MetricTensor(_Record):
         self.gamma, self.defined = gamma, defined
 
 
+def _lazy(slot: str) -> property:
+    """A frozen record's field in ``slot``: a function there is called with the record on read."""
+    def read(self):  # the function holds no reference to the record, so no cycle forms
+        value = getattr(self, slot)
+        if callable(value):
+            value = value(self)
+            object.__setattr__(self, slot, value)
+        return value
+    return property(read)
+
+
 class RankReport(_Record):
-    """rho's rank, geometry case and eigenvalues (a function held there is called on first read)."""
+    """rho's rank, geometry case and eigenvalues (_lazy)."""
 
     __slots__ = ("rank", "case", "_eigenvalues")
     __setattr__ = __delattr__ = _Record._frozen
+    eigenvalues = _lazy("_eigenvalues")
 
     def __init__(self, rank: int, case: str, eigenvalues):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "case", case)
         object.__setattr__(self, "_eigenvalues", eigenvalues)
-
-    @property
-    def eigenvalues(self):
-        if callable(self._eigenvalues):
-            object.__setattr__(self, "_eigenvalues", self._eigenvalues())
-        return self._eigenvalues
 
 
 def _as_rows(rho: np.ndarray) -> list:
@@ -208,7 +215,7 @@ def _bundle(a: list, T: list) -> StateParams:
 
 def validate(p: StateParams) -> ValidityReport:
     """Positivity verdict and minor diagnostics of a parameter bundle (_record of its rho)."""
-    return _record(_density_rows(_compose(_param_lists(p)))).validity
+    return _record(_density_rows(_compose(_param_lists(p))), None, True).validity
 
 
 def _metric(T: list) -> list | None:
@@ -277,13 +284,12 @@ def _verdict(rows: list, ranked: bool = False) -> tuple:
     By the Jacobi's eigenvalues ``values``: positive when the smallest is
     at least -RANK_TOL; ``rank`` (``ranked`` 3x3 rows of a state, else None)
     counts those above RANK_TOL.  linalg._at_least (called only here) proves
-    both without them, values None: a count of 3 at RANK_TOL, else the
-    verdict at -RANK_TOL and that count; one solve decides what it cannot.
+    both without them in one call, values None: a count of 3 at RANK_TOL,
+    else the verdict at -RANK_TOL and that count; one solve decides the rest.
     """
-    rank = _at_least(rows, RANK_TOL, True) if ranked else None
-    if ranked and rank == 3:
-        return True, 3, None
-    positive, values = _at_least(rows, -RANK_TOL), None
+    positive, rank = _at_least(rows, RANK_TOL, ranked=True) if ranked else \
+        (_at_least(rows, -RANK_TOL), None)
+    values = None
     if positive is None or positive and ranked and rank is None:
         values = _eigvals(rows)
         positive = values[-1] >= -RANK_TOL
@@ -318,22 +324,31 @@ class Analysis(_Record):
     ``semi_axes`` are the ellipsoid's.  ``rank`` is None when rho is not
     positive semidefinite.  The scalar core (_record) fills it with lists
     of Python floats, matrices as lists of rows; analyse() returns it with
-    numpy arrays, its rank sharing the array ``eigenvalues``.
+    numpy arrays, its rank sharing the array ``eigenvalues``.  The
+    eigenvalues, frame and validity may be solved when first read (_lazy).
     """
 
-    __slots__ = ("params", "_eigenvalues", "tensor_eigenvalues", "frame", "semi_axes",
-                 "validity", "rank")
+    __slots__ = ("params", "_eigenvalues", "tensor_eigenvalues", "_frame", "semi_axes",
+                 "_validity", "rank")
     __setattr__ = __delattr__ = _Record._frozen
-    eigenvalues = RankReport.eigenvalues
+    eigenvalues, frame, validity = RankReport.eigenvalues, _lazy("_frame"), _lazy("_validity")
 
     def __init__(self, params, eigenvalues, tensor_eigenvalues, frame, semi_axes, validity, rank):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_eigenvalues", eigenvalues)
         object.__setattr__(self, "tensor_eigenvalues", tensor_eigenvalues)
-        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "_frame", frame)
         object.__setattr__(self, "semi_axes", semi_axes)
-        object.__setattr__(self, "validity", validity)
+        object.__setattr__(self, "_validity", validity)
         object.__setattr__(self, "rank", rank)
+
+    def _frame_of(self) -> list:
+        """T's frame, solved with its values (the record's, bit for bit)."""
+        return _eigensystem3(self.params.T)[1]
+
+    def _validity_of(self) -> ValidityReport:
+        """The record's _validity: positive when rho has a rank."""
+        return _validity(self.tensor_eigenvalues, self.frame, self.params.a, self.rank is not None)
 
 
 def _validity(tvals: list, frame: list, a: list, positive: bool) -> ValidityReport:
@@ -373,32 +388,35 @@ def _validity(tvals: list, frame: list, a: list, positive: bool) -> ValidityRepo
 
 def analyse(rho: np.ndarray) -> Analysis:
     """Analyse a Hermitian trace-one matrix (_record), its record converted to arrays."""
-    r = _record(_as_rows(rho))
+    r = _record(_as_rows(rho), None, True)
     values = _array(r.eigenvalues)
     rank = None if r.rank is None else RankReport(r.rank.rank, r.rank.case, values)
     arrays = map(_array, (r.tensor_eigenvalues, r.frame, r.semi_axes))
     return Analysis(_state_params(r.params), values, *arrays, r.validity, rank)
 
 
-def _record(rows: list, verdict: tuple | None = None) -> Analysis:
+def _record(rows: list, verdict: tuple | None = None, framed: bool = False) -> Analysis:
     """Analyse rho's checked rows: its ranked _verdict and one eigensolve of T.
 
     Positivity and rank come from rho's _verdict, or from ``verdict``, that
     of a unitarily equivalent state (a trajectory's rho0), which skips
     rho's; the frame, semi-axes, minor diagnostics and geometry case from
     T's, which _params builds exactly symmetric, so it is not checked
-    again.  rho's eigenvalues are the verdict's, else solved when read.  A
-    matrix that is not positive is reported, not raised; InternalCheckError
-    means the geometry case failed its own consistency checks.
+    again.  A state's T is solved for its values (the full solve's bits)
+    and its frame when read, unless ``framed``.  rho's eigenvalues are the
+    verdict's, else solved when read, and the validity is derived when
+    read.  A matrix that is not positive is reported, not raised (its T
+    solved in full); InternalCheckError means the geometry case failed its
+    own consistency checks.
     """
     positive, n, values = _verdict(rows, True) if verdict is None else verdict
     p = _params(rows)
-    tvals, frame = _eigensystem3(p.T)
+    tvals, frame = (_eigvals(p.T), Analysis._frame_of) if positive and not framed else \
+        _eigensystem3(p.T)
     eps = _semi_axes(tvals)
-    values = (lambda: _eigvals(rows)) if values is None else values
+    values = (lambda _: _eigvals(rows)) if values is None else values
     rank = None if n is None else RankReport(n, _rank_case(n, tvals, eps[0], p.a), values)
-    validity = _validity(tvals, frame, p.a, positive)
-    return Analysis(p, values, tvals, frame, eps, validity, rank)
+    return Analysis(p, values, tvals, frame, eps, Analysis._validity_of, rank)
 
 
 def _rank_case(rank: int, tvals: list, eps_u: float, a: list) -> str:

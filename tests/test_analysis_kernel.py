@@ -329,6 +329,11 @@ def test_record_and_metric_are_the_list_codes(family):
     for rows in DENSITY[family]:
         _same(state._params, _old_params, rows)
         _same(state._record, _old_record, rows)
+        # the lazy record, its frame and validity unread, and the framed one equal the oracle
+        if _outcome(_old_record, rows)[0] == "ok":
+            old = _old_record(rows)
+            assert state._record(rows) == old and not state._record(rows) != old
+            assert state._record(rows, None, True) == old
         p = _old_params(rows)
         _same(state._gamma_norm, _old_gamma_norm, p.a, p.T)
         _same(state._metric, _old_metric, p.T)
@@ -341,6 +346,25 @@ def test_record_and_metric_are_the_list_codes(family):
 def test_eigensystem_is_the_list_codes(family):
     for rows in EIGEN[family]:
         _same(_eigensystem3, _old_eigensystem3, rows)
+
+
+def test_values_only_solve_is_the_full_solves_values():
+    """linalg._eigvals(T) is _eigensystem3(T)[0], bit for bit, signed zeros and tie order included.
+
+    A never reads V, and sorted(reverse=True) keeps ties in their order as
+    the strict > insertion sort does.  The rows: T of perfbench's analyze
+    inputs of seeds 1-5, of real pure, diagonal and maximally mixed states
+    (exact double and triple roots) and of +-0.0 entries; gaps within and
+    at DEGEN_GAP, near-scalar clusters, exact diagonal ties and generators.
+    """
+    rows = [_old_params(r).T for family in DENSITY.values() for r in family]
+    rows += [r for family in EIGEN.values() for r in family]
+    tied = 0
+    for T in rows:
+        values = linalg._eigvals(T)
+        assert repr(values) == repr(_eigensystem3(T)[0]), T
+        tied += len(set(values)) < 3
+    assert tied >= 20
 
 
 def test_families_reach_the_written_out_branches():
@@ -454,9 +478,16 @@ def test_gamma_norm_errors_are_the_list_codes():
 
 
 def test_vec_is_the_list_codes():
+    """One %-format of x + 0.0 prints each value as _fmt did: zeros, the %g switches, rounding."""
+    rng = np.random.default_rng(2929)
+    seeded = (rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200)).tolist()
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-5, -1e-5, 1e-4, 9.99999999999e-5, 1e12, 1e16,
+             -1e12, 0.9999999999995, 0.99999999999949, 1.0000000000005, 999999999999.5]
     for v in ([0.0, -0.0, 1e-300], [math.nan, math.inf, -math.inf], [1.0 / 3.0, -2.5e-13, 1e300],
-              (0.1, 0.2, 0.3), np.array([1e-12, -1e-12, 0.5]), [1, 2, 3]):
-        assert cli._vec(v) == _old_vec(v)
+              (0.1, 0.2, 0.3), np.array([1e-12, -1e-12, 0.5]), [1, 2, 3], [0, -7, 10**15],
+              *(edges[k:k + 3] for k in range(len(edges) - 2)),
+              *(seeded[k:k + 3] for k in range(0, 198, 3))):
+        assert cli._vec(v) == _old_vec(v), v
 
 
 # the records as the dataclasses they were: RankReport plain, Analysis frozen with slots
@@ -565,6 +596,17 @@ def test_records_print_and_compare_as_the_dataclasses():
     assert an != an.rank and an.__eq__(object()) is NotImplemented
     # a lazy eigenvalues field, solved by the copies, the pickle and the reads
     assert callable(an._eigenvalues) and callable(an.rank._eigenvalues)
+    # a state's frame and validity are lazy too: copied and pickled before either is read,
+    # each equals the record, and neither can be assigned
+    for rows in DENSITY["perfbench analyze, seeds 1-5"][:30]:
+        lazy = state._record(rows)
+        assert callable(lazy._validity) and callable(lazy._frame) == (lazy.rank is not None)
+        for clone in (copy.copy(lazy), copy.deepcopy(lazy), pickle.loads(pickle.dumps(lazy))):
+            assert clone == lazy and repr(clone) == repr(lazy)
+            assert clone == state._record(rows, None, True)
+        for name in ("frame", "validity", "_frame", "_validity"):
+            with pytest.raises(AttributeError):
+                setattr(state._record(rows), name, None)
     records = [an, report, *_records()]
     assert {type(record) for record in records} == set(_OLD)
     for record in records:

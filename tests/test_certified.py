@@ -509,6 +509,40 @@ def test_rank_matches_the_exact_count():
     assert all(proven[name] == len(f) for name, f in families.items() if name != "at RANK_TOL")
 
 
+
+def test_ranked_call_answers_as_the_count_and_the_verdict():
+    """_at_least(rows, RANK_TOL, ranked=True) is the two calls state._verdict made before.
+
+    They were the count at RANK_TOL, and unless it was 3 the verdict at
+    -RANK_TOL, the rank kept only where that was True; one call now runs the
+    entry scan and the skew once.  The rows: every 3x3 row of the families,
+    the perfbench inputs of seeds 1-5 and the exact-rank families.
+    """
+    rows = [r for family in _families().values() for r in family if len(r) == 3]
+    rows += [r for r in _perfbench_rows(seeds=(1, 2, 3, 4, 5)) if len(r) == 3]
+    rows += [r for family in _rank_families().values() for r in family]
+    answers = set()
+    for r in rows:
+        count = _at_least(r, RANK_TOL, True)
+        verdict = True if count == 3 else _at_least(r, -RANK_TOL)
+        want = (verdict, count if verdict else None)
+        assert repr(_at_least(r, RANK_TOL, ranked=True)) == repr(want), r
+        answers.add(want)
+    assert {(True, 1), (True, 2), (True, 3), (True, None), (False, None), (None, None)} <= answers
+
+
+def test_one_certificate_call_per_verdict(monkeypatch):
+    """state._verdict calls _at_least once, ranked or not, on states of every rank and non-states."""
+    calls = []
+    original = state._at_least
+    monkeypatch.setattr(state, "_at_least", lambda *a, **k: calls.append(1) or original(*a, **k))
+    for family in _rank_families().values():
+        for rows in family[:10] + [np.diag([0.8, 0.8, -0.6]).astype(complex).tolist()]:
+            for ranked in (True, False):
+                calls.clear()
+                state._verdict(rows, ranked)
+                assert len(calls) == 1
+
 # --- the metric norm a . Gamma . a against exact arithmetic ---------------------------
 # Gamma = (1 - T) / det(1 - T).  Everything below is exact, in Fractions of the floats the
 # code computes (its a and T); u = 2^-53.  With M = 1 - T, P = sum over the six Leibniz
