@@ -74,13 +74,12 @@ class CliIOError(QutritError):
 
 
 def _fmt(x: float) -> str:
-    s = format(float(x), ".12g")
-    return "0" if s == "-0" else s
+    return "%.12g" % (x + 0.0)  # -0.0 + 0.0 is 0.0: no "-0"
 
 
 def _vec(v: list) -> str:
     x, y, z = v
-    return "%.12g %.12g %.12g" % (x + 0.0, y + 0.0, z + 0.0)  # _fmt's: -0.0 + 0.0 is 0.0
+    return "%.12g %.12g %.12g" % (x + 0.0, y + 0.0, z + 0.0)  # _fmt's
 
 
 def _float(value, where: str) -> float:

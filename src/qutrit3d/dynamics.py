@@ -28,10 +28,10 @@ evolve (a one-sample trajectory) and trajectory take a matrix in through
 linalg._rows and check it once; they and generator_matrix return arrays
 through linalg._array (_scene_arrays for a scene).  The CLI hands the
 core the rows it parsed.  A sample is unitarily equivalent to rho0, so
-every scene reuses rho0's positivity and rank (state._verdict), proven
+every scene reuses rho0's positivity and rank (linalg._verdict), decided
 once: a scene trajectory costs one eigensolve per sample, T(theta)'s,
-and no solve of rho0 where linalg._at_least proves its verdict, one
-values-only solve in its band.  Without scenes only the positivity is
+and no solve of rho0 where _verdict proves its answer, one values-only
+solve in its band.  Without scenes only the positivity is
 read, at the same cost.
 """
 
@@ -41,9 +41,9 @@ import math
 from types import MappingProxyType
 
 from .geometry import EllipsoidScene, _scene, _scene_arrays
-from .linalg import _Record, _array, _eigensystem3, _eigvals, _hermitian_rows, _rows
+from .linalg import _Record, _array, _eigensystem3, _eigvals, _hermitian_rows, _rows, _verdict
 from .spin1 import _spin_rows
-from .state import _as_rows, _not_positive, _verdict
+from .state import _as_rows, _not_positive
 
 _SHORT = {"rotation": "rot", "one_axis_twist": "twist", "two_axis_counter": "counter"}
 # the upper triangle of a sample, row by row, and the pairs (j, k) of eigenvalues

@@ -45,15 +45,16 @@ Real input (the correlation tensor T) stays real throughout.  Jacobi,
 not a closed form: Cardano-type solvers lose accuracy near double roots
 (Kopp, arXiv:physics/0610206), where the positivity verdict lives.
 
-Where only lambda_min >= floor or the count of eigenvalues above it is
-read (a state's positivity and rank, the PPT test), the one caller,
-state._verdict, asks _at_least once, which proves the Jacobi's answers
-without a solve: a shifted LDL^dag certifies True (Rump, BIT 46 (2006)) and, by
-its inertia at two shifts, the count; a Rayleigh quotient from its first
-non-positive pivot certifies False.  In its band (an eigenvalue within
-CERT_MARGIN of floor, widened by the rows' skew, or an entry above 1) it
-answers None and the Jacobi decides.  The Jacobi stays the definition: no
-output byte depends on which answered, and every reader of values solves.
+Positivity, lambda_min >= -RANK_TOL, and a state's rank, the count of
+eigenvalues above RANK_TOL, are decided in one function, _verdict, for a
+state's check, the analysis and the PPT test.  It proves the Jacobi's
+answers without a solve: a shifted LDL^dag certifies positivity (Rump,
+BIT 46 (2006)) and, by its inertia at two shifts, the rank; a Rayleigh
+quotient from its first non-positive pivot certifies the opposite.  In
+its band (an eigenvalue within CERT_MARGIN of a threshold, widened by the
+rows' skew, or an entry above 1) one values-only Jacobi decides.  The
+Jacobi stays the definition: no output byte depends on which answered,
+and every reader of values solves.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import sys
 from .errors import InternalCheckError, NotHermitianError
 from .tolerances import (
     CERT_GAMMA, CERT_MARGIN, CERT_SKEW, DEGEN_GAP, GS_RESIDUAL, HERM_TOL, JACOBI_SCALE_FLOOR,
-    JACOBI_STOP,
+    JACOBI_STOP, RANK_TOL,
 )
 
 _MAX_SWEEPS = 60
@@ -453,28 +454,29 @@ def _eigvals(rows: list) -> list:
     return sorted(vals, reverse=True)
 
 
-def _at_least(rows: list, floor: float, count: bool = False, ranked: bool = False):
-    """Whether the Jacobi finds lambda_min >= floor for checked 3x3 or 4x4 rows, where provable.
+def _verdict(rows: list, ranked: bool = False) -> tuple:
+    """(positive, rank, values) of checked 3x3 or 4x4 rows: the package's one verdict.
 
-    True or False only where it is proven, None in the band the proof
-    cannot reach (the caller then runs the Jacobi).  None for an entry
-    above 1 in modulus; below that the Jacobi's error stays under half
-    the margin m = CERT_MARGIN + CERT_SKEW ||A - A^dag||_F, which also
-    covers the gap between both triangles, read by the Jacobi, and H, the
-    Hermitian matrix of the lower one, read here.  P = H - (floor + m) 1
-    is factored as LDL^dag without pivoting (_ldl): positive pivots with
-    CERT_GAMMA sum_k d_k |l_k|^2 below m / 2 prove lambda_min > floor + m / 2,
-    since P + dP = LDL^dag with ||dP|| within that sum.  At the first pivot
-    d_k <= 0, _witness tries to prove lambda_min < floor - m.
+    By the Jacobi's descending eigenvalues ``values``: positive when the
+    smallest is at least -RANK_TOL; ``rank`` (``ranked`` 3x3 rows of a
+    state, else None) counts those above RANK_TOL.  values is None exactly
+    where the certificate proves the answer; the Jacobi decides the rest.
+    It proves nothing for an entry above 1 in modulus; below that the
+    Jacobi's error stays under half the margin m = CERT_MARGIN + CERT_SKEW
+    ||A - A^dag||_F, which also covers the gap between both triangles, read
+    by the Jacobi, and H, the Hermitian matrix of the lower one, read here.
 
-    With ``count``, the Jacobi's count of eigenvalues above floor, or None:
-    past negative pivots P + dP has as many above 0 as positive pivots
-    (Sylvester), ||dP|| within CERT_GAMMA sum_k |d_k| |l_k|^2 (Higham, ASNA
-    2nd ed., Thm 9.3); below m / 2 at floor +- m, equal counts (or all at
-    floor + m) leave none within m / 2 of floor.  None for a zero or NaN pivot.
-    ``ranked`` gives the pair (lambda_min >= -floor, that count) from one
-    entry scan and skew: the count's pass at floor + m, where all pivots
-    positive prove both, else the verdict's, then if True the count's second.
+    Each pass factors P = H - shift 1 as LDL^dag without pivoting (_ldl).
+    Positivity, at shift -RANK_TOL + m: positive pivots with CERT_GAMMA
+    sum_k d_k |l_k|^2 below m / 2 prove lambda_min > -RANK_TOL + m / 2,
+    since P + dP = LDL^dag with ||dP|| within that sum; at the first pivot
+    d_k <= 0, _witness tries to prove lambda_min < -RANK_TOL - m.  The
+    rank, at RANK_TOL +- m: past negative pivots P + dP has as many
+    eigenvalues above 0 as positive pivots (Sylvester), ||dP|| within
+    CERT_GAMMA sum_k |d_k| |l_k|^2 (Higham, ASNA 2nd ed., Thm 9.3); below
+    m / 2 at both shifts, equal counts leave none within m / 2 of RANK_TOL.
+    Three positive pivots at RANK_TOL + m prove rank 3 and positivity in
+    one pass; else positivity is proven, then the second count.
     """
     four = len(rows) == 4
     if four:
@@ -487,33 +489,37 @@ def _at_least(rows: list, floor: float, count: bool = False, ranked: bool = Fals
         (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
         top = max(abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20),
                   abs(a21), abs(a22))
-    if top > 1.0:
-        return (None, None) if ranked else None
-    y0, y1, y2 = a00.imag, a11.imag, a22.imag
-    z10, z20, z21 = a10 - a01.conjugate(), a20 - a02.conjugate(), a21 - a12.conjugate()
-    skew = (4.0 * y0 * y0 + 4.0 * y1 * y1 + 2.0 * (z10.real * z10.real + z10.imag * z10.imag)
-            + 4.0 * y2 * y2 + 2.0 * (z20.real * z20.real + z20.imag * z20.imag)
-            + 2.0 * (z21.real * z21.real + z21.imag * z21.imag))
-    if four:
-        y3 = a33.imag
-        z30, z31, z32 = a30 - a03.conjugate(), a31 - a13.conjugate(), a32 - a23.conjugate()
-        skew = (skew + 4.0 * y3 * y3 + 2.0 * (z30.real * z30.real + z30.imag * z30.imag)
-                + 2.0 * (z31.real * z31.real + z31.imag * z31.imag)
-                + 2.0 * (z32.real * z32.real + z32.imag * z32.imag))
-    margin = CERT_MARGIN + CERT_SKEW * math.sqrt(skew)
-    if not (count or ranked):
-        return _ldl(rows, floor + margin, margin, floor - margin)
-    high = _ldl(rows, floor + margin, margin, None)
-    if high == len(rows):
-        return (True, high) if ranked else high
-    positive = _ldl(rows, -floor + margin, margin, -floor - margin) if ranked else True
-    low = _ldl(rows, floor - margin, margin, None) if positive and high is not None else None
-    n = high if low == high else None  # None unless both passes ran and agree
-    return (positive, n) if ranked else n
+    if top <= 1.0:
+        y0, y1, y2 = a00.imag, a11.imag, a22.imag
+        z10, z20, z21 = a10 - a01.conjugate(), a20 - a02.conjugate(), a21 - a12.conjugate()
+        skew = (4.0 * y0 * y0 + 4.0 * y1 * y1
+                + 2.0 * (z10.real * z10.real + z10.imag * z10.imag) + 4.0 * y2 * y2
+                + 2.0 * (z20.real * z20.real + z20.imag * z20.imag)
+                + 2.0 * (z21.real * z21.real + z21.imag * z21.imag))
+        if four:
+            y3 = a33.imag
+            z30, z31, z32 = a30 - a03.conjugate(), a31 - a13.conjugate(), a32 - a23.conjugate()
+            skew = (skew + 4.0 * y3 * y3 + 2.0 * (z30.real * z30.real + z30.imag * z30.imag)
+                    + 2.0 * (z31.real * z31.real + z31.imag * z31.imag)
+                    + 2.0 * (z32.real * z32.real + z32.imag * z32.imag))
+        margin = CERT_MARGIN + CERT_SKEW * math.sqrt(skew)
+        high = _ldl(rows, RANK_TOL + margin, margin, None) if ranked else None
+        if high == 3:
+            return True, 3, None
+        positive = _ldl(rows, -RANK_TOL + margin, margin, -RANK_TOL - margin)
+        if positive is False or positive and not ranked:
+            return positive, None, None
+        if positive and high is not None and _ldl(rows, RANK_TOL - margin, margin, None) == high:
+            return True, high, None
+    values = _eigvals(rows)
+    positive = values[-1] >= -RANK_TOL
+    if not (ranked and positive):
+        return positive, None, values
+    return True, (values[0] > RANK_TOL) + (values[1] > RANK_TOL) + (values[2] > RANK_TOL), values
 
 
 def _ldl(rows: list, shift: float, margin: float, low: float | None):
-    """One pass of _at_least, H - shift 1 = LDL^dag: a verdict's (``low``, floor - m) or a count's.
+    """One pass of _verdict, H - shift 1 = LDL^dag: positivity's (ceiling ``low``) or a count's.
 
     One kernel on locals serves 3x3 rows and a 4x4's leading block, with
     row 3 added for 4x4; it does the generic row loop's operations in its

@@ -26,8 +26,8 @@ reference (expectations) computes with numpy, and imports it.
 from __future__ import annotations
 
 from .errors import InvalidStateError, NotSymmetricError, TraceError
-from .linalg import _Record, _array, _hermitian_rows, _partial_transpose, _rows
-from .state import StateParams, _as_rows, _state_rows, _verdict, assert_density
+from .linalg import _Record, _array, _hermitian_rows, _partial_transpose, _rows, _verdict
+from .state import StateParams, _as_rows, _state_rows, assert_density
 from .tolerances import HERM_TOL, TRACE_TOL
 
 # eps_jkl, the Levi-Civita symbol: S_j = -i eps_j
@@ -238,7 +238,7 @@ def ppt_separable(rho: np.ndarray) -> bool:
 
     For two qubits PPT is necessary and sufficient, so this decides
     separability of the symmetric image exactly.  The verdict is a
-    state's, state._verdict of the partial transpose: lambda_min >=
+    state's, linalg._verdict of the partial transpose: lambda_min >=
     -RANK_TOL as the Jacobi finds it, proven without the solve where it can be.
     """
     return _verdict(_partial_transpose(_to_two_qubit(_as_rows(rho))))[0]

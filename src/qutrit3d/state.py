@@ -3,13 +3,13 @@
 Maps a 3x3 density matrix to and from the (Bloch vector a, off-diagonal
 correlations q, diagonal weights omega, correlation tensor T) picture
 and derives the metric tensor.  analyse() reads everything else from
-rho's positivity and rank (_verdict, which rarely solves rho) and T's
-spectrum (frame, semi-axes, principal-minor diagnostics, geometry case).
+rho's positivity and rank (linalg._verdict, which rarely solves rho) and
+T's spectrum (frame, semi-axes, principal-minor diagnostics, geometry case).
 
 Rows in, arrays at the edge.  Every argument comes in through
 linalg._rows, which checks its shape, and a state's matrix is checked
 once (_density_rows), where it enters: at the public array edge
-(_as_rows) or in the CLI's parse.  The scalar core (_record, _verdict, _state_rows)
+(_as_rows) or in the CLI's parse.  The scalar core (_record, _state_rows)
 takes checked rows, never checks them again and computes the Analysis,
 of lists, in Python floats from them and T's spectrum (a state's T's
 frame and minors only when read).  Each float
@@ -36,8 +36,8 @@ from .errors import (
     TraceError,
 )
 from .linalg import (
-    _ENTRY_MAX, _Record, _array, _at_least, _eigensystem3, _eigvals, _hermitian_rows, _rows,
-    _sum, det3, vector_norm,
+    _ENTRY_MAX, _Record, _array, _eigensystem3, _eigvals, _hermitian_rows, _rows, _sum, _verdict,
+    det3, vector_norm,
 )
 from .tolerances import RANK_TOL, SEGMENT_SLACK, SING_TOL, TRACE_TOL
 
@@ -278,26 +278,6 @@ def _semi_axes(tensor_eigenvalues: list) -> list:
             math.sqrt(0.0 if p2 < 0.0 else p2)]
 
 
-def _verdict(rows: list, ranked: bool = False) -> tuple:
-    """(positive, rank, values) of checked 3x3 or 4x4 rows: the package's one verdict.
-
-    By the Jacobi's eigenvalues ``values``: positive when the smallest is
-    at least -RANK_TOL; ``rank`` (``ranked`` 3x3 rows of a state, else None)
-    counts those above RANK_TOL.  linalg._at_least (called only here) proves
-    both without them in one call, values None: a count of 3 at RANK_TOL,
-    else the verdict at -RANK_TOL and that count; one solve decides the rest.
-    """
-    positive, rank = _at_least(rows, RANK_TOL, ranked=True) if ranked else \
-        (_at_least(rows, -RANK_TOL), None)
-    values = None
-    if positive is None or positive and ranked and rank is None:
-        values = _eigvals(rows)
-        positive = values[-1] >= -RANK_TOL
-        if ranked:
-            rank = (values[0] > RANK_TOL) + (values[1] > RANK_TOL) + (values[2] > RANK_TOL)
-    return positive, rank if positive else None, values
-
-
 def _state_rows(rows: list) -> list:
     """Checked rows, returned when _verdict finds them positive; else NotPositiveError."""
     positive, _, values = _verdict(rows)
@@ -396,7 +376,7 @@ def analyse(rho: np.ndarray) -> Analysis:
 
 
 def _record(rows: list, verdict: tuple | None = None, framed: bool = False) -> Analysis:
-    """Analyse rho's checked rows: its ranked _verdict and one eigensolve of T.
+    """Analyse rho's checked rows: its ranked linalg._verdict and one eigensolve of T.
 
     Positivity and rank come from rho's _verdict, or from ``verdict``, that
     of a unitarily equivalent state (a trajectory's rho0), which skips

@@ -23,8 +23,8 @@ RANK_TOL = 1e-9
 # Im(rho) n = (a x n)/2, so |a x n| <= 2 sqrt(RANK_TOL).
 SEGMENT_SLACK = 2.0 * math.sqrt(RANK_TOL)
 
-# Certified positivity verdicts (linalg._at_least).  A verdict
-# lambda_min >= floor is proven only outside the band floor +- CERT_MARGIN,
+# Certified verdicts (linalg._verdict): lambda_min >= -RANK_TOL and the count
+# above RANK_TOL are proven only outside the band threshold +- CERT_MARGIN,
 # widened by CERT_SKEW times ||A - A^dag||_F: the Jacobi's own error on
 # entries of modulus <= 1 stays below CERT_MARGIN / 2.  CERT_GAMMA bounds
 # the rounding of an LDL^dag of order <= 4 or of a Rayleigh quotient, in

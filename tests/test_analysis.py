@@ -218,7 +218,7 @@ def test_threshold_state_gets_one_verdict(tmp_path):
 
 
 def band_density():
-    """A non-diagonal state with lambda_min = -RANK_TOL + 1e-13: inside the band of _at_least."""
+    """A non-diagonal state with lambda_min = -RANK_TOL + 1e-13: inside the certificate's band."""
     c, s = np.cos(0.3), np.sin(0.3)
     R = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
     lam = RANK_TOL - 1e-13
@@ -238,8 +238,8 @@ def test_eigensolve_counts(monkeypatch):
     state's T is solved for its values unless its frame is read (scenes,
     analyse, validate, the JSON report), a non-state's T in full, and the
     generators need their eigenvectors.  eig_hermitian3 converts one
-    _eigensystem3.  linalg._at_least proves the positivity, PPT and rank
-    verdicts without a solve, except in its band, where the Jacobi runs
+    _eigensystem3.  linalg._verdict proves the positivity, PPT and rank
+    verdicts without a solve, except in its band, where it calls _eigvals
     once; rho's values are solved where they are read: classify_rank,
     analyse, the JSON report.  No path solves T twice.
     """
@@ -287,7 +287,7 @@ def test_eigensolve_counts(monkeypatch):
     assert count(spin1.ppt_separable, valid) == (0, 0, 0)
     # in the band the verdict falls back to one values-only spectrum
     band = band_density()
-    assert linalg._at_least(state._as_rows(band), -RANK_TOL) is None
+    assert linalg._verdict(state._as_rows(band))[2] is not None
     for fn, args in ((check_state, ()), (spin1.to_two_qubit, ()), (dynamics.evolve, (g, 1.0)),
                      (dynamics.trajectory, (g, 1.0, n))):
         assert count(fn, band, *args) == (0, 0, 1), fn.__name__
@@ -347,7 +347,7 @@ def test_text_outputs_solve_rho_only_in_the_band(monkeypatch, capsys):
     """Text analyze, scene, pseudo and validate call linalg._eigvals on rho only inside the band.
 
     The band holds the inputs whose positivity or, for a state, rank
-    linalg._at_least leaves unproven: none of the canonical files and
+    linalg._verdict leaves unproven: none of the canonical files and
     pseudo-qubit states, and of perfbench's 100 analyze inputs of seed 1
     only the renormalised non-positive states with an entry above 1, each
     solved once by the report and once by validate.
@@ -367,8 +367,7 @@ def test_text_outputs_solve_rho_only_in_the_band(monkeypatch, capsys):
     for item in _perfbench_inputs().analyze_inputs(1):
         rho = np.array(item["re"]) + 1j * np.array(item["im"])
         rows = state._as_rows(rho)
-        positive = linalg._at_least(rows, -RANK_TOL)
-        unproven = positive is None or positive and linalg._at_least(rows, RANK_TOL, True) is None
+        unproven = linalg._verdict(rows, True)[2] is not None
         values.clear()
         cli.report_text(cli.build_report(rho))
         validate(decompose(rho))
@@ -379,12 +378,12 @@ def test_text_outputs_solve_rho_only_in_the_band(monkeypatch, capsys):
 
 
 def test_verdict_fallbacks_are_counted(monkeypatch):
-    """The two paths of state._verdict that test_eigensolve_counts does not take.
+    """The two paths of linalg._verdict that test_eigensolve_counts does not take.
 
     Pseudo-qubit states a = (a_x, 0, 0) leave PPT near a . a = 1/3: with
     a_x = sqrt(1/3) + k 1e-9 the partial transpose's lambda_min crosses
     -RANK_TOL between k = 2.305 and 2.31, and for k in 2.29 .. 2.33 it lies
-    in linalg._at_least's band.  There ppt_separable is the Jacobi's
+    in the certificate's band.  There ppt_separable is the Jacobi's
     verdict, both ways, for one values-only solve; the neighbours outside
     the band are proven.  rho itself is proven a state, so it costs none.
     A proven non-state is refused with the Jacobi's eigenvalue, for one
@@ -406,8 +405,8 @@ def test_verdict_fallbacks_are_counted(monkeypatch):
         rho = pseudo_qubit(np.array([np.sqrt(1.0 / 3.0) + k * 1e-9, 0.0, 0.0]))
         rows = state._as_rows(rho)
         pt = linalg._partial_transpose(spin1._to_two_qubit(rows))
-        assert linalg._at_least(rows, -RANK_TOL) is True
-        band = linalg._at_least(pt, -RANK_TOL) is None
+        assert linalg._verdict(rows) == (True, None, None)
+        band = linalg._verdict(pt)[2] is not None
         assert band == (2.29 < k < 2.33), k
         verdict, cost = count(spin1.ppt_separable, rho)
         assert verdict == (linalg._eigvals(pt)[-1] >= -RANK_TOL), k
@@ -416,7 +415,7 @@ def test_verdict_fallbacks_are_counted(monkeypatch):
     assert verdicts == {k: k < 2.31 for k in verdicts}
 
     invalid = np.diag([0.8, 0.8, -0.6]).astype(complex)
-    assert linalg._at_least(state._as_rows(invalid), -RANK_TOL) is False
+    assert linalg._verdict(state._as_rows(invalid)) == (False, None, None)
     message = "not positive: min eigenvalue -6.000e-01 < -1e-09"
     assert count(check_state, invalid) == (message, (0, 1))
     assert count(spin1.to_two_qubit, invalid) == (message, (0, 1))

@@ -1,26 +1,33 @@
-"""The proven verdicts of linalg._at_least, against the Jacobi and against exact arithmetic.
+"""The proven verdicts of linalg._verdict, against the Jacobi and against exact arithmetic.
 
-_at_least(rows, floor) answers True or False only where it can prove what
-the Jacobi decides for lambda_min >= floor, and None elsewhere, where the
-callers run the Jacobi.  The agreement test compares every answer with
-_eigvals(rows)[-1] >= -RANK_TOL on seeded families: the perfbench input
-kinds for rho and for its partial transpose, spectra moved to within
-10^-13 .. 10^-6 of the threshold on either side, rows Hermitian only to
-within HERM_TOL, and zero rows, singular leading blocks and entries
-above 1.  The exact test decides lambda_min >= -RANK_TOL of exactly
-Hermitian rows with integers alone, from the signs of the coefficients of
-the characteristic polynomial of A + RANK_TOL 1; in _at_least's band,
-where state._verdict falls back to the Jacobi, it checks that fallback
-too, away from a stated margin.  With count, _at_least proves the number
-of eigenvalues above floor from the pivots' inertia at two shifts: it is
-checked against the Jacobi's count on the same families, against the
-exact count above RANK_TOL (Descartes' rule of signs on the same
-integers) on seeded states of every rank, near the threshold and with
-near-double roots, and for its share of None on the perfbench states.
-The kernels, one per
-size on local variables, must answer as the generic row loop they
-replaced, kept below verbatim as a frozen oracle, and hand _witness the
-same factor L and ceiling, on every family and on the perfbench inputs.
+_verdict(rows, ranked) answers (positive, rank, values): lambda_min >=
+-RANK_TOL and, ranked, the count above RANK_TOL, as the Jacobi's values
+decide them.  values is None exactly where the certificate proved the
+answer without them.  The agreement tests compare every proven answer
+with _eigvals(rows) on seeded families: the perfbench input kinds for
+rho and for its partial transpose, spectra moved to within 10^-13 ..
+10^-6 of the threshold on either side, rows Hermitian only to within
+HERM_TOL, and zero rows, singular leading blocks and entries above 1.
+The exact test decides lambda_min >= -RANK_TOL of exactly Hermitian rows
+with integers alone, from the signs of the coefficients of the
+characteristic polynomial of A + RANK_TOL 1; in the certificate's band,
+where _verdict falls back to the Jacobi, it checks that fallback too,
+away from a stated margin.  The rank is proven from the pivots' inertia
+at two shifts: it is checked against the exact count above RANK_TOL
+(Descartes' rule of signs on the same integers) on seeded states of
+every rank, near the threshold and with near-double roots, for its
+share of unproven answers on the perfbench states, and through the
+geometry case it decides.
+
+The pass at -RANK_TOL + m and the count pair at RANK_TOL +- m are all
+_verdict runs of the LDL^dag kernel (linalg._ldl).  The two functions
+it replaced, linalg._at_least and state._verdict, are kept below verbatim
+as a frozen oracle: _verdict must give their answers and hand _witness
+the same factor L and ceiling.  _at_least also reaches the shifts
+_verdict does not, a verdict at +RANK_TOL and counts at -RANK_TOL and on
+4x4, so the kernel is still checked there: against the Jacobi's count,
+and, one size per kernel on local variables, against the generic row
+loop it replaced, also kept verbatim.
 
 The metric norm a . Gamma . a of state._gamma_norm is checked the same
 way, in Fractions of the a and T the code computes: on dyadic rho, where
@@ -44,14 +51,14 @@ import numpy as np
 
 from qutrit3d import linalg, state
 from qutrit3d.errors import MetricUndefinedError
-from qutrit3d.linalg import _at_least, _eigvals, _partial_transpose
+from qutrit3d.linalg import _eigvals, _ldl, _partial_transpose, _verdict
 from qutrit3d.spin1 import _to_two_qubit
 from qutrit3d.tolerances import CERT_GAMMA, CERT_MARGIN, CERT_SKEW, HERM_TOL, RANK_TOL, SING_TOL
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-# --- the oracle: the generic certificate loop over nested lists, verbatim ----------
+# --- the oracles: the generic certificate loop over nested lists, verbatim ------------
 
 
 def _old_at_least(rows: list, floor: float) -> bool | None:
@@ -83,6 +90,64 @@ def _old_at_least(rows: list, floor: float) -> bool | None:
         d.append(t)
         bound += t + sub
     return True if CERT_GAMMA * bound < margin / 2.0 else None
+
+
+# ... and the certificate and verdict that _verdict merged, verbatim but for their names
+
+
+def _frozen_at_least(rows: list, floor: float, count: bool = False, ranked: bool = False):
+    four = len(rows) == 4
+    if four:
+        (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), \
+            (a30, a31, a32, a33) = rows
+        top = max(abs(a00), abs(a01), abs(a02), abs(a03), abs(a10), abs(a11), abs(a12),
+                  abs(a13), abs(a20), abs(a21), abs(a22), abs(a23), abs(a30), abs(a31),
+                  abs(a32), abs(a33))
+    else:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+        top = max(abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20),
+                  abs(a21), abs(a22))
+    if top > 1.0:
+        return (None, None) if ranked else None
+    y0, y1, y2 = a00.imag, a11.imag, a22.imag
+    z10, z20, z21 = a10 - a01.conjugate(), a20 - a02.conjugate(), a21 - a12.conjugate()
+    skew = (4.0 * y0 * y0 + 4.0 * y1 * y1 + 2.0 * (z10.real * z10.real + z10.imag * z10.imag)
+            + 4.0 * y2 * y2 + 2.0 * (z20.real * z20.real + z20.imag * z20.imag)
+            + 2.0 * (z21.real * z21.real + z21.imag * z21.imag))
+    if four:
+        y3 = a33.imag
+        z30, z31, z32 = a30 - a03.conjugate(), a31 - a13.conjugate(), a32 - a23.conjugate()
+        skew = (skew + 4.0 * y3 * y3 + 2.0 * (z30.real * z30.real + z30.imag * z30.imag)
+                + 2.0 * (z31.real * z31.real + z31.imag * z31.imag)
+                + 2.0 * (z32.real * z32.real + z32.imag * z32.imag))
+    margin = CERT_MARGIN + CERT_SKEW * math.sqrt(skew)
+    if not (count or ranked):
+        return _ldl(rows, floor + margin, margin, floor - margin)
+    high = _ldl(rows, floor + margin, margin, None)
+    if high == len(rows):
+        return (True, high) if ranked else high
+    positive = _ldl(rows, -floor + margin, margin, -floor - margin) if ranked else True
+    low = _ldl(rows, floor - margin, margin, None) if positive and high is not None else None
+    n = high if low == high else None  # None unless both passes ran and agree
+    return (positive, n) if ranked else n
+
+
+def _frozen_verdict(rows: list, ranked: bool = False) -> tuple:
+    positive, rank = _frozen_at_least(rows, RANK_TOL, ranked=True) if ranked else \
+        (_frozen_at_least(rows, -RANK_TOL), None)
+    values = None
+    if positive is None or positive and ranked and rank is None:
+        values = _eigvals(rows)
+        positive = values[-1] >= -RANK_TOL
+        if ranked:
+            rank = (values[0] > RANK_TOL) + (values[1] > RANK_TOL) + (values[2] > RANK_TOL)
+    return positive, rank if positive else None, values
+
+
+def _proven(rows: list, ranked: bool = False):
+    """_verdict's positivity, or with ``ranked`` its (positive, rank), where proven; else None."""
+    positive, rank, values = _verdict(rows, ranked)
+    return None if values is not None else (positive, rank) if ranked else positive
 
 
 def _perfbench_inputs():
@@ -139,8 +204,12 @@ def _image(rows) -> list:
     return _partial_transpose(_to_two_qubit(rows))
 
 
-def _perfbench_rows(seeds) -> list:
-    """rho and, where rho is a state, its partial transpose for every perfbench state input."""
+@functools.cache
+def _perfbench_rows(seeds: tuple) -> list:
+    """rho and, where rho is a state, its partial transpose for every perfbench state input.
+
+    Built once per seeds, read and never written.
+    """
     inputs = _perfbench_inputs()
     found = []
     for seed in seeds:
@@ -186,10 +255,11 @@ def _families() -> dict:
 
 
 def test_at_least_agrees_with_the_jacobi():
+    """A proven lambda_min >= -RANK_TOL is the Jacobi's, and none is proven in the band."""
     found = {name: [] for name in ("disagree", "band answered")}
     for name, family in _families().items():
         for rows in family:
-            verdict = _at_least(rows, -RANK_TOL)
+            verdict = _proven(rows)
             if verdict is not None and verdict != _jacobi(rows):
                 found["disagree"].append((name, rows))
             # the band where the Jacobi's own rounding could decide: never answered
@@ -203,14 +273,16 @@ def test_count_agrees_with_the_jacobi():
     """A proven count of eigenvalues above floor is the Jacobi's, 3x3 and 4x4, at both floors.
 
     None where an eigenvalue is within CERT_MARGIN / 4 of floor, for a
-    zero pivot, and for an entry above 1.
+    zero pivot, and for an entry above 1.  _verdict counts only 3x3 rows
+    at RANK_TOL; the frozen _at_least runs the kernel's count pair at
+    either floor on both sizes.
     """
     found = []
     for name, family in _families().items():
         for rows in family[::2]:
             values, lam = _eigvals(rows), np.linalg.eigvalsh(np.array(rows))
             for floor in (-RANK_TOL, RANK_TOL):
-                count = _at_least(rows, floor, True)
+                count = _frozen_at_least(rows, floor, True)
                 if count is not None and count != sum(v > floor for v in values):
                     found.append((name, floor, rows))
                 if count is not None and min(abs(lam - floor)) <= CERT_MARGIN / 4.0:
@@ -218,18 +290,20 @@ def test_count_agrees_with_the_jacobi():
     assert found == []
     shift = RANK_TOL + CERT_MARGIN  # exactly Hermitian rows have no skew
     zero_pivot = [[shift, 0.1, 0.0], [0.1, 0.5, 0.0], [0.0, 0.0, 0.5 - shift]]
-    assert zero_pivot[0][0] - shift == 0.0 and _at_least(zero_pivot, RANK_TOL, True) is None
+    assert zero_pivot[0][0] - shift == 0.0 and _frozen_at_least(zero_pivot, RANK_TOL, True) is None
     at_threshold = np.diag([0.6, 0.4 - RANK_TOL, RANK_TOL]).tolist()
-    assert _at_least(at_threshold, RANK_TOL, True) is None
-    assert _at_least((2.0 * np.array(at_threshold)).tolist(), -RANK_TOL, True) is None
-    assert _at_least(np.diag([0.6, 0.4, 0.0]).tolist(), RANK_TOL, True) == 2
+    assert _proven(at_threshold, True) is None
+    assert _frozen_at_least((2.0 * np.array(at_threshold)).tolist(), -RANK_TOL, True) is None
+    assert _proven(np.diag([0.6, 0.4, 0.0]).tolist(), True) == (True, 2)
 
 
 def test_kernels_answer_as_the_frozen_loop(monkeypatch):
     """The same answer, and the same L and ceiling handed to _witness, at both floors.
 
-    The rows are every family, 3x3 and 4x4, and the perfbench analyze and
-    bridge inputs of seeds 1-5 with their partial transposes.
+    The kernel's verdict pass runs through the frozen _at_least, which
+    reaches the floor +RANK_TOL that _verdict does not.  The rows are
+    every family, 3x3 and 4x4, and the perfbench analyze and bridge inputs
+    of seeds 1-5 with their partial transposes.
     """
     handed = []
     witness = linalg._witness
@@ -248,7 +322,7 @@ def test_kernels_answer_as_the_frozen_loop(monkeypatch):
             handed.clear()
             old = _old_at_least(r, floor), handed[:]
             handed.clear()
-            new = _at_least(r, floor), handed[:]
+            new = _frozen_at_least(r, floor), handed[:]
             if new != old:
                 found.append((r, floor, old, new))
     assert found == []
@@ -264,7 +338,7 @@ def test_at_least_decides_the_perfbench_inputs():
     Only analyze's renormalised non-positive states have entries above 1.
     """
     rows = _perfbench_rows(seeds=(1, 2))
-    verdicts = [_at_least(r, -RANK_TOL) for r in rows]
+    verdicts = [_proven(r) for r in rows]
     assert [v for v, r in zip(verdicts, rows) if v is not None and v != _jacobi(r)] == []
     within = [v for v, r in zip(verdicts, rows) if _largest(r) <= 1.0]
     assert len(within) >= 0.95 * len(rows)
@@ -282,8 +356,9 @@ def test_count_decides_the_perfbench_states():
             rows = inputs.matrix(item).tolist()
             values = _eigvals(rows)
             if values[-1] >= -RANK_TOL:
-                counts.append(_at_least(rows, RANK_TOL, True))
-                assert counts[-1] in (None, sum(v > RANK_TOL for v in values)), rows
+                proven = _proven(rows, True)
+                counts.append(proven and proven[1])
+                assert proven in (None, (True, sum(v > RANK_TOL for v in values))), rows
     assert len(counts) == 210 and counts.count(None) <= len(counts) // 100, counts.count(None)
     assert {1, 2, 3} <= set(counts)
 
@@ -295,7 +370,7 @@ def test_at_least_leaves_entries_above_one_to_the_jacobi():
         M = (Q * rng.uniform(0.1, 1.0, n)) @ Q.conj().T
         for largest in (1.0 + 2.0**-40, 2.0, 1e3):
             rows = _hermitian(largest / _largest(M) * M)
-            assert _largest(rows) > 1.0 and _at_least(rows, -RANK_TOL) is None
+            assert _largest(rows) > 1.0 and _proven(rows) is None
 
 
 # --- exact verdicts: every float is a dyadic rational, so a common power of two makes the
@@ -397,7 +472,7 @@ def test_at_least_agrees_with_the_exact_verdict():
     rows += [r for r in _perfbench_rows(seeds=(3,))[:160:4] if r == _hermitian(r)]
     answered = 0
     for r in rows:
-        verdict = _at_least(r, -RANK_TOL)
+        verdict = _proven(r)
         if verdict is not None:
             answered += 1
             assert verdict == _exact_verdict(r), r
@@ -408,7 +483,7 @@ _BAND_DELTA = 1e-15
 
 
 def test_positive_matches_the_exact_verdict_in_the_band():
-    """state._verdict where _at_least answers None: the Jacobi's verdict, against exact arithmetic.
+    """_verdict where it falls back to the Jacobi: its verdict, against exact arithmetic.
 
     Exactly Hermitian 3x3 and 4x4 rows with lambda_min within 10^-13 ..
     10^-10 of -RANK_TOL, on either side, and a second family within
@@ -425,13 +500,14 @@ def test_positive_matches_the_exact_verdict_in_the_band():
         inside[lo] = decided[lo] = 0
         for i in range(count):
             rows = _hermitian(_near_threshold(rng, 3 + i % 2, lo, -10.0))
-            if _at_least(rows, -RANK_TOL) is not None:
+            positive, _, values = _verdict(rows)
+            if values is None:
                 continue
             verdict = _exact_verdict(rows, RANK_TOL - _BAND_DELTA)
             if verdict != _exact_verdict(rows, RANK_TOL + _BAND_DELTA):
                 inside[lo] += 1
                 continue
-            assert state._verdict(rows)[0] == verdict, rows
+            assert positive == verdict, rows
             decided[lo] += 1
     assert inside[-13.0] == 0 and decided[-13.0] >= 120, (inside, decided)
     assert 0 < inside[-16.0] < decided[-16.0], (inside, decided)
@@ -481,7 +557,7 @@ def _rank_families() -> dict:
 
 
 def test_rank_matches_the_exact_count():
-    """A proven rank count, and state._verdict's rank, against the exact count above RANK_TOL.
+    """_verdict's rank, proven or the Jacobi's, against the exact count above RANK_TOL.
 
     Wherever the exact counts above RANK_TOL -+ delta, delta = 1e-15,
     agree, no eigenvalue is within delta of the threshold and both must
@@ -495,53 +571,125 @@ def test_rank_matches_the_exact_count():
     for name, family in families.items():
         inside[name] = proven[name] = 0
         for rows in family:
-            count = _at_least(rows, RANK_TOL, True)
+            positive, rank, values = _verdict(rows, True)
             want = _exact_rank(rows, RANK_TOL - _RANK_DELTA)
             if want != _exact_rank(rows, RANK_TOL + _RANK_DELTA):
                 inside[name] += 1
-                assert count is None, rows
+                assert values is not None, rows
                 continue
-            assert state._verdict(rows, True)[:2] == (True, want), rows
-            if count is not None:
-                assert count == want, rows
-                proven[name] += 1
+            assert (positive, rank) == (True, want), rows
+            proven[name] += values is None
     assert inside == {name: 4 if name == "at RANK_TOL" else 0 for name in families}, inside
     assert all(proven[name] == len(f) for name, f in families.items() if name != "at RANK_TOL")
 
 
 
-def test_ranked_call_answers_as_the_count_and_the_verdict():
-    """_at_least(rows, RANK_TOL, ranked=True) is the two calls state._verdict made before.
+def _case_states() -> dict:
+    """Seeded states whose geometry case turns on a mu = (1 - lambda)/2 near RANK_TOL, by rank.
 
-    They were the count at RANK_TOL, and unless it was 3 the verdict at
-    -RANK_TOL, the rank kept only where that was True; one call now runs the
-    entry scan and the skew once.  The rows: every 3x3 row of the families,
-    the perfbench inputs of seeds 1-5 and the exact-rank families.
+    s = RANK_TOL 10^U(-1, 1), or for one in three RANK_TOL -+ 10^U(-16, -11),
+    and a seeded rotation R.  Rank 2: Re rho =
+    R diag(s, m, 1 - s - m) R^T and the Bloch vector on the ellipsoid,
+    a . Gamma . a = 1, so rho is singular.  Rank 1: psi = R (1, i e, 0) / |.|
+    with e^2 = s / (1 - s), so Re rho has mu = (0, s, 1 - s).
     """
-    rows = [r for family in _families().values() for r in family if len(r) == 3]
-    rows += [r for r in _perfbench_rows(seeds=(1, 2, 3, 4, 5)) if len(r) == 3]
+    rng = np.random.default_rng(3030)
+    found = {2: [], 1: []}
+    for i in range(60):
+        R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        s = RANK_TOL * 10.0 ** rng.uniform(-1.0, 1.0) if i % 3 else \
+            RANK_TOL + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -11.0)
+        m = rng.uniform(0.2, 0.6)
+        mu, n = np.array([s, m, 1.0 - s - m]), rng.standard_normal(3)
+        a = R @ (2.0 * math.sqrt(s * m * (1.0 - s - m) / (mu @ (n * n))) * n)
+        E = np.array([[0.0, a[2], -a[1]], [-a[2], 0.0, a[0]], [a[1], -a[0], 0.0]])
+        found[2].append((R * mu) @ R.T - 0.5j * E)
+        e = math.sqrt(s / (1.0 - s))
+        psi = R @ np.array([1.0, 1j * e, 0.0]) / math.sqrt(1.0 + e * e)
+        found[1].append(np.outer(psi, psi.conj()))
+    return found
+
+
+def test_geometry_case_matches_the_exact_rank_of_re_rho():
+    """_rank_case against the exact count of mu above RANK_TOL, mu of (1 - T)/2 from the code's T.
+
+    That is Re rho as the code sees it.  A rank-2 state is Surface3D when
+    all three mu are above RANK_TOL, else SegmentInterior; a pure state is
+    a SegmentEndpoint when two are, else a Point.  Wherever the exact
+    counts above RANK_TOL -+ delta, delta = 1e-15, agree the case must
+    follow them; cases inside that margin are only counted (12 of the 40
+    at RANK_TOL with the seed below), and every case occurs.
+    """
+    cases = {2: (state.SEGMENT_INTERIOR, state.SURFACE_3D),
+             1: (state.POINT, state.SEGMENT_ENDPOINT)}
+    inside, seen = 0, set()
+    for rank, family in _case_states().items():
+        for rho in family:
+            an = state._record(state._as_rows(rho))
+            assert an.rank.rank == rank
+            re_rho = [[(Fraction(i == j) - Fraction(t)) / 2 for j, t in enumerate(row)]
+                      for i, row in enumerate(an.params.T)]
+            alive = _exact_rank(re_rho, RANK_TOL - _RANK_DELTA)
+            if alive != _exact_rank(re_rho, RANK_TOL + _RANK_DELTA):
+                inside += 1
+                continue
+            assert an.rank.case == cases[rank][alive > rank], rho
+            seen.add(an.rank.case)
+    assert inside == 12 and seen == set(cases[1] + cases[2]), (inside, seen)
+
+
+def test_verdict_answers_as_the_frozen_pair(monkeypatch):
+    """_verdict answers as the frozen state._verdict, repr for repr, with the same handoffs.
+
+    Ranked and not for 3x3 rows, unranked for 4x4: every family, the
+    exact-rank families and the perfbench analyze and bridge inputs of
+    seeds 1-5 with their partial transposes.  _witness must get the same L
+    and ceiling from both, and both proven and Jacobi-decided answers occur.
+    """
+    handed = []
+    witness = linalg._witness
+
+    def recorded(rows, L, ceiling):
+        handed.append(repr((L, ceiling)))
+        return witness(rows, L, ceiling)
+
+    monkeypatch.setattr(linalg, "_witness", recorded)
+    rows = [r for family in _families().values() for r in family]
     rows += [r for family in _rank_families().values() for r in family]
-    answers = set()
+    rows += _perfbench_rows(seeds=(1, 2, 3, 4, 5))
+    found, kinds = [], set()
     for r in rows:
-        count = _at_least(r, RANK_TOL, True)
-        verdict = True if count == 3 else _at_least(r, -RANK_TOL)
-        want = (verdict, count if verdict else None)
-        assert repr(_at_least(r, RANK_TOL, ranked=True)) == repr(want), r
-        answers.add(want)
-    assert {(True, 1), (True, 2), (True, 3), (True, None), (False, None), (None, None)} <= answers
+        for ranked in (False, True) if len(r) == 3 else (False,):
+            handed.clear()
+            old = repr(_frozen_verdict(r, ranked)), handed[:]
+            handed.clear()
+            positive, rank, values = answer = _verdict(r, ranked)
+            if (repr(answer), handed) != old:
+                found.append((r, ranked, old, answer))
+            kinds.add((positive, rank, values is None))
+    assert found == []
+    assert {(True, 1, True), (True, 2, True), (True, 3, True), (False, None, True),
+            (True, None, True), (True, None, False), (False, None, False)} <= kinds, kinds
 
 
-def test_one_certificate_call_per_verdict(monkeypatch):
-    """state._verdict calls _at_least once, ranked or not, on states of every rank and non-states."""
+def test_ldl_passes_per_verdict(monkeypatch):
+    """After one entry scan, the LDL^dag passes a proven verdict takes: at most three.
+
+    One unranked; ranked, one for rank 3 (its count at RANK_TOL + m proves
+    positivity too), two for a non-state (that count, then positivity) and
+    three for rank 1 or 2 (the second count).  None for an entry above 1.
+    """
     calls = []
-    original = state._at_least
-    monkeypatch.setattr(state, "_at_least", lambda *a, **k: calls.append(1) or original(*a, **k))
+    monkeypatch.setattr(linalg, "_ldl", lambda *args: calls.append(1) or _ldl(*args))
+    invalid = np.diag([0.8, 0.8, -0.6]).astype(complex).tolist()
     for family in _rank_families().values():
-        for rows in family[:10] + [np.diag([0.8, 0.8, -0.6]).astype(complex).tolist()]:
+        for rows in family[:10] + [invalid, [[2.0 * x for x in row] for row in invalid]]:
             for ranked in (True, False):
                 calls.clear()
-                state._verdict(rows, ranked)
-                assert len(calls) == 1
+                positive, rank, values = _verdict(rows, ranked)
+                want = 0 if _largest(rows) > 1.0 else 1 if not ranked or rank == 3 else \
+                    2 if not positive else 3
+                assert len(calls) == want if values is None else len(calls) <= 3, rows
 
 # --- the metric norm a . Gamma . a against exact arithmetic ---------------------------
 # Gamma = (1 - T) / det(1 - T).  Everything below is exact, in Fractions of the floats the

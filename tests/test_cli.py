@@ -902,13 +902,14 @@ def test_builtin_sum_only_where_it_is_left():
     assert callers == SUM_CALLERS
 
 
-# the functions of the package that call linalg._at_least: the one positivity and rank
-# verdict, state._verdict, which a state's check, the PPT test and the analysis all read
-AT_LEAST_CALLERS = {"state.py:_verdict"}
+# the functions of the package that call linalg._ldl, the LDL^dag certificate kernel: the
+# one positivity and rank verdict, linalg._verdict, which a state's check, the PPT test and
+# the analysis all read
+AT_LEAST_CALLERS = {"linalg.py:_verdict"}
 
 
 def test_at_least_only_where_the_verdict_is():
-    """_at_least( called only in AT_LEAST_CALLERS, as a name or an attribute."""
+    """_ldl( called only in AT_LEAST_CALLERS, as a name or an attribute."""
     callers = set()
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         name = os.path.basename(path)
@@ -916,10 +917,52 @@ def test_at_least_only_where_the_verdict_is():
             tree = ast.parse(fh.read(), filename=path)
         for stmt in tree.body:
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Call) and "_at_least" in (
+                if isinstance(node, ast.Call) and "_ldl" in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.add(f"{name}:{getattr(stmt, 'name', node.lineno)}")
     assert callers == AT_LEAST_CALLERS
+
+
+def _defaulted(fn, method: bool) -> list:
+    """(name, position or None) of fn's parameters with a default; a method's self is not counted."""
+    args = fn.args
+    names = [a.arg for a in args.posonlyargs + args.args]
+    found = [(n, i - method) for i, n in enumerate(names) if i >= len(names) - len(args.defaults)]
+    return found + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                   if d is not None]
+
+
+def test_every_default_of_a_private_function_is_set_somewhere():
+    """Each parameter with a default of a private function is set by a call in the package.
+
+    A call sets it by keyword, by passing more positional arguments than
+    its position, or through *args or **kwargs.  A default no call sets is
+    dead code: a mode that nothing runs.
+    """
+    trees = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, "r", encoding="utf-8") as fh:
+            trees.append((os.path.basename(path), ast.parse(fh.read(), filename=path)))
+    calls = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    dead = []
+    for name, tree in trees:
+        methods = {f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_") \
+                    or fn.name.startswith("__"):
+                continue
+            for param, i in _defaulted(fn, fn in methods):
+                if not any(any(isinstance(a, ast.Starred) for a in call.args)
+                           or i is not None and i < len(call.args)
+                           or any(k.arg in (param, None) for k in call.keywords)
+                           for call in calls.get(fn.name, ())):
+                    dead.append(f"{name}:{fn.name}({param})")
+    assert dead == []
 
 
 def _imported_names(node) -> set:

@@ -13,9 +13,10 @@ interpreter's child: ``bridge`` in both directions, and ``analyze``
 ``scene --format obj`` and ``evolve --scenes``.  The amplitude files include seeds whose parse
 printed other bytes under 3.12 while vector_norm called the builtin
 sum.  The children need no numpy: none of these commands imports it.
-The PPT certificate (linalg._at_least), which no CLI command runs on a
-partial transpose, rests on CPython's complex-by-float arithmetic, so a
-child under each interpreter also returns its answers on seeded rows.
+The verdict (linalg._verdict), which no CLI command runs on a partial
+transpose, rests on CPython's complex-by-float arithmetic, so a child
+under each interpreter also returns its full answers on seeded rows: the
+certificate's, and the Jacobi fallback's eigenvalues in its band.
 """
 
 import functools
@@ -29,7 +30,7 @@ import sys
 import numpy as np
 import pytest
 
-from qutrit3d.linalg import _at_least, _partial_transpose
+from qutrit3d.linalg import _partial_transpose, _verdict
 from qutrit3d.spin1 import _to_two_qubit, to_two_qubit
 from qutrit3d.state import random_density
 from qutrit3d.tolerances import RANK_TOL
@@ -53,14 +54,14 @@ for argv in json.load(open(sys.argv[1], encoding="utf-8")):
     results.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps(results))
 """
-# prints the _at_least answers at floors -RANK_TOL and +RANK_TOL for the [re, im] rows of
-# the JSON file argv[1], without numpy
+# prints the _verdict answers, unranked and for 3x3 ranked, for the [re, im] rows of the
+# JSON file argv[1], without numpy
 VERDICTS = """
 import json, sys
-from qutrit3d.linalg import _at_least
-from qutrit3d.tolerances import RANK_TOL
+from qutrit3d.linalg import _verdict
 rows = [[[complex(*x) for x in row] for row in M] for M in json.load(open(sys.argv[1]))]
-print(json.dumps([[_at_least(M, f) for f in (-RANK_TOL, RANK_TOL)] for M in rows]))
+print(json.dumps([[_verdict(M, r) for r in ((False, True) if len(M) == 3 else (False,))]
+                  for M in rows]))
 """
 PROBE = (
     "import os, sys; "
@@ -256,7 +257,7 @@ def test_bridge_bytes_under_every_cpython(tmp_path):
 
 
 def test_certificate_verdicts_under_every_cpython(tmp_path):
-    """Each other CPython's numpy-free child gives this one's _at_least answers."""
+    """Each other CPython's numpy-free child gives this one's _verdict answers, values and all."""
     others = _other_cpythons()
     if not others:
         pytest.skip("no other CPython >= 3.10 found on PATH or under $PYENV_ROOT/versions")
@@ -264,8 +265,13 @@ def test_certificate_verdicts_under_every_cpython(tmp_path):
     path = str(tmp_path / "rows.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([[[[x.real, x.imag] for x in row] for row in M] for M in rows], fh)
-    want = [[_at_least(M, f) for f in (-RANK_TOL, RANK_TOL)] for M in rows]
-    assert {v for pair in want for v in pair} == {True, False, None}
+    want = json.loads(json.dumps(
+        [[_verdict(M, r) for r in ((False, True) if len(M) == 3 else (False,))] for M in rows]))
+    # proven and Jacobi-decided verdicts, both ways, and proven ranks
+    kinds = {(positive, rank, values is None) for answers in want
+             for positive, rank, values in answers}
+    assert {(True, None, True), (False, None, True), (True, None, False), (False, None, False),
+            (True, 1, True), (True, 2, True), (True, 3, True)} <= kinds, kinds
     assert _run(sys.executable, path, VERDICTS) == want
     for python, version in sorted(others.items()):
         assert _run(python, path, VERDICTS) == want, (version, python)

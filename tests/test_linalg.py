@@ -406,7 +406,7 @@ def test_unconverged_jacobi_raises(monkeypatch):
     with pytest.raises(InternalCheckError, match="sweep limit 1 reached"):
         eigvals_hermitian4(random_hermitian(rng, n=4))
     # rho's values-only spectrum and real input take the same limit and message; a state
-    # with lambda_min = -RANK_TOL lies in linalg._at_least's band, so check_state solves it
+    # with lambda_min = -RANK_TOL lies in linalg._verdict's band, so check_state solves it
     Q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
     band = Q @ np.diag([0.7, 0.3 + RANK_TOL, -RANK_TOL]) @ Q.conj().T
     with pytest.raises(InternalCheckError, match=r"^Jacobi sweep limit 1 reached: off-diagonal "):
