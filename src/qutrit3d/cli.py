@@ -18,7 +18,8 @@ OBJ mesh, trajectory, unbiased bases, samples and payloads read the
 library's records as the scalar core fills them, with lists: plain
 __slots__ classes on linalg._Record, which compare and print as before
 but which fields(), asdict() and replace() refuse, with no __dict__
-for vars().  Only random imports numpy, for its generator's draws.  Every
+for vars().  Only random imports numpy, for its generator's draws, and only
+scene and evolve load geometry (the report's scene case is state's).  Every
 exit-1 message about a file names it.  Output leaves one way: _dump
 renders every JSON payload, _emit writes a command's text as it is to
 stdout or --out, main prints the error line.
@@ -45,10 +46,10 @@ from .errors import (
     QutritError,
     TraceError,
 )
-from .geometry import RANK_CASE_TO_SCENE, _scene, export_scene_obj, scene_to_dict
 from .linalg import _dot, _sum
 from .state import (
     PSEUDO_TENSOR,
+    RANK_CASE_TO_SCENE,
     Analysis,
     ValidityReport,
     _as_rows,
@@ -67,6 +68,14 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
+
+
+def __getattr__(name: str):  # PEP 562: cli.scene_to_dict, which perfbench reads, is geometry's
+    if name != "scene_to_dict":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .geometry import scene_to_dict
+    globals()[name] = scene_to_dict
+    return scene_to_dict
 
 
 class CliIOError(QutritError):
@@ -291,13 +300,8 @@ def report_dict(report: tuple[Analysis, float | None]) -> dict:
         "semi_axes": an.semi_axes,
         "gamma_norm": gamma,
         "metric": "degenerate" if metric is None else metric,
-        "rank": None
-        if an.rank is None
-        else {
-            "rank": an.rank.rank,
-            "case": an.rank.case,
-            "eigenvalues": an.eigenvalues,
-        },
+        "rank": None if an.rank is None else {
+            "rank": an.rank.rank, "case": an.rank.case, "eigenvalues": an.eigenvalues},
         "scene_case": None if an.rank is None else RANK_CASE_TO_SCENE[an.rank.case],
     }
 
@@ -313,14 +317,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scene(args) -> int:
+    from .geometry import _scene, export_scene_obj, scene_to_dict
+
     scene = _scene(load_state_file(args.path))
     if args.format == "json":
-        _emit(_dump(scene_to_dict(scene)), args.out)
+        text = _dump(scene_to_dict(scene))
     else:
-        _emit(
-            export_scene_obj(scene, lat=args.lat, lon=args.lon, surface_only=args.surface_only),
-            args.out,
-        )
+        text = export_scene_obj(scene, lat=args.lat, lon=args.lon, surface_only=args.surface_only)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -365,6 +369,7 @@ def _generator_from_flag(flag: str):
 
 def cmd_evolve(args) -> int:
     from .dynamics import _grid, _trajectory
+    from .geometry import scene_to_dict
 
     rho = load_state_file(args.path)
     g = _generator_from_flag(args.generator)

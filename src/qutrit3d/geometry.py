@@ -13,6 +13,7 @@ Python floats from checked rows, build_scene checks its input once and
 converts that record to arrays in place (through linalg._array), and
 scene_to_dict and the exporters, the OBJ mesh included, read either on
 Python floats (an array through linalg._rows).
+The case, its checks and RANK_CASE_TO_SCENE are state's (_rank_case).
 """
 
 from __future__ import annotations
@@ -22,31 +23,11 @@ import math
 
 from .errors import DegenerateMeshError, InternalCheckError, InvalidStateError
 from .linalg import _Record, _array, _dot3, _rows, vector_norm
-from .state import (
-    FULL_3D,
-    POINT,
-    SEGMENT_ENDPOINT,
-    SEGMENT_INTERIOR,
-    SURFACE_3D,
-    _as_rows,
-    _record,
-)
+from .state import CASE_POINT, CASE_SEGMENT, CASE_THREE_D, RANK_CASE_TO_SCENE, _as_rows, _record
 from .tolerances import LINE_EPS, SEGMENT_SLACK
-
-CASE_THREE_D = "three_d"
-CASE_SEGMENT = "segment"
-CASE_POINT = "point"
 
 SOLID = "solid"
 DASHED = "dashed"
-
-RANK_CASE_TO_SCENE = {
-    FULL_3D: CASE_THREE_D,
-    SURFACE_3D: CASE_THREE_D,
-    SEGMENT_INTERIOR: CASE_SEGMENT,
-    SEGMENT_ENDPOINT: CASE_SEGMENT,
-    POINT: CASE_POINT,
-}
 
 
 class Ray(_Record):
@@ -86,10 +67,10 @@ def _scene_arrays(s: EllipsoidScene) -> EllipsoidScene:
 def _scene(rows: list, verdict: tuple | None = None) -> EllipsoidScene:
     """Scene of a valid state's checked rows: ellipsoid frame, Bloch vector, rays.
 
-    The case is the rank taxonomy's (see RANK_CASE_TO_SCENE): three_d
-    when all three semi-axes are alive, segment for exactly one, point
-    for none.  ``verdict`` is passed on to _record: a trajectory's samples
-    reuse rho0's linalg._verdict, so each costs one eigensolve, T's, framed.
+    The case is the record's, checked there (state.RANK_CASE_TO_SCENE): three_d
+    when all three semi-axes are alive, segment for exactly one (its a checked
+    here to lie along u), point for none.  A trajectory's samples pass rho0's
+    linalg._verdict on to _record (``verdict``): each costs one eigensolve, T's, framed.
     """
     r = _record(rows, verdict, True)
     if r.rank is None:
@@ -104,8 +85,6 @@ def _scene(rows: list, verdict: tuple | None = None) -> EllipsoidScene:
             raise InternalCheckError("segment Bloch vector is not parallel to the u-axis")
         rays = [Ray(v, SOLID, "v"), Ray(w, DASHED, "w")]
     elif case == CASE_POINT:
-        if vector_norm(a) >= SEGMENT_SLACK:
-            raise InternalCheckError("point case requires a vanishing Bloch vector")
         rays = [Ray(u, SOLID, "u"), Ray(v, SOLID, "v"), Ray(w, DASHED, "w")]
     return EllipsoidScene(case, r.semi_axes, r.frame, a, rays)
 

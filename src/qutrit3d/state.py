@@ -4,7 +4,8 @@ Maps a 3x3 density matrix to and from the (Bloch vector a, off-diagonal
 correlations q, diagonal weights omega, correlation tensor T) picture
 and derives the metric tensor.  analyse() reads everything else from
 rho's positivity and rank (linalg._verdict, which rarely solves rho) and
-T's spectrum (frame, semi-axes, principal-minor diagnostics, geometry case).
+T's spectrum (frame, semi-axes, principal-minor diagnostics, geometry case:
+decided and self-checked by _rank_case, its scene named by RANK_CASE_TO_SCENE).
 
 Rows in, arrays at the edge.  Every argument comes in through
 linalg._rows, which checks its shape, and a state's matrix is checked
@@ -41,12 +42,16 @@ from .linalg import (
 )
 from .tolerances import RANK_TOL, SEGMENT_SLACK, SING_TOL, TRACE_TOL
 
-# Rank/geometry taxonomy labels.
+# Rank/geometry taxonomy labels, and the scene case each one draws.
 FULL_3D = "Full3D"
 SURFACE_3D = "Surface3D"
 SEGMENT_INTERIOR = "SegmentInterior"
 SEGMENT_ENDPOINT = "SegmentEndpoint"
 POINT = "Point"
+CASE_THREE_D, CASE_SEGMENT, CASE_POINT = "three_d", "segment", "point"
+RANK_CASE_TO_SCENE = {
+    FULL_3D: CASE_THREE_D, SURFACE_3D: CASE_THREE_D, SEGMENT_INTERIOR: CASE_SEGMENT,
+    SEGMENT_ENDPOINT: CASE_SEGMENT, POINT: CASE_POINT}
 
 # the pseudo-qubit tensor identity/3, entry for entry as np.eye(3) / 3.0
 PSEUDO_TENSOR = ((1.0 / 3.0, 0.0, 0.0), (0.0, 1.0 / 3.0, 0.0), (0.0, 0.0, 1.0 / 3.0))
@@ -408,17 +413,20 @@ def _rank_case(rank: int, tvals: list, eps_u: float, a: list) -> str:
     origin.  The semi-axes are eps_j = 2 sqrt(mu_k mu_l) with mu = (1 -
     lambda)/2 the eigenvalues of Re(rho), so which axes are alive is the
     rank of Re(rho), read against the same RANK_TOL as the rank of rho.
+    Each degenerate case checks a against SEGMENT_SLACK (InternalCheckError).
     """
     if rank == 3:
         return FULL_3D
     mu = [(1.0 - t) / 2.0 for t in tvals]  # ascending
     if rank == 2 and mu[0] > RANK_TOL:
         return SURFACE_3D
+    a_len = vector_norm(a)
     if rank == 1 and mu[1] <= RANK_TOL:
+        if a_len >= SEGMENT_SLACK:
+            raise InternalCheckError("point case requires a vanishing Bloch vector")
         return POINT
     if abs(tvals[1] + tvals[2]) >= SEGMENT_SLACK:
         raise InternalCheckError("segment requires lambda_v = -lambda_w")
-    a_len = vector_norm(a)
     if rank == 2:
         if a_len >= eps_u + SEGMENT_SLACK:
             raise InternalCheckError("segment-interior Bloch vector exceeds eps_u")

@@ -15,14 +15,6 @@ HERM_TOL = 1e-10
 # mu = (1 - lambda)/2 say which ellipsoid semi-axes are alive.
 RANK_TOL = 1e-9
 
-# Slack of the segment and point self-checks.  They compare lengths that
-# are square roots of products of mu, so the slack is a length derived
-# from RANK_TOL, not a threshold of its own: for a real unit vector n
-# with n^T Re(rho) n = mu <= RANK_TOL, |Im(rho) n| <= |rho n| <=
-# sqrt(n^dag rho n) = sqrt(mu) (rho^2 <= rho for a state), and
-# Im(rho) n = (a x n)/2, so |a x n| <= 2 sqrt(RANK_TOL).
-SEGMENT_SLACK = 2.0 * math.sqrt(RANK_TOL)
-
 # Certified verdicts (linalg._verdict): lambda_min >= -RANK_TOL and the count
 # above RANK_TOL are proven only outside the band threshold +- CERT_MARGIN,
 # widened by CERT_SKEW times ||A - A^dag||_F: the Jacobi's own error on
@@ -33,6 +25,22 @@ SEGMENT_SLACK = 2.0 * math.sqrt(RANK_TOL)
 CERT_MARGIN = RANK_TOL / 100.0
 CERT_SKEW = 16.0
 CERT_GAMMA = 64.0 * 2.0**-53
+
+# Slack, a length, of the geometry case's self-checks (state._rank_case and
+# geometry._scene).  The verdict takes lambda_min >= -RANK_TOL up to its Jacobi's
+# error d (about 1e-16; e = CERT_MARGIN / 2 bounds it): rho + s 1 >= 0 for s =
+# RANK_TOL + d.  With mu the eigenvalues of Re(rho), ascending (eps_j = 2
+# sqrt(mu_k mu_l)), and mu' = mu + s, a lies in the ellipsoid sum_j a_j^2 /
+# (mu'_k mu'_l) <= 4: |a| <= 2 sqrt(mu'_1 mu'_2), and |a x n| <= 2 sqrt(mu'(n)
+# (1 + 2 s)) for a real unit n.  A dead axis (computed mu <= RANK_TOL) has mu'
+# <= 2 (RANK_TOL + d), hence 2 sqrt(2 (RANK_TOL + e)).  Exact bounds and room:
+#   point |a|, segment |a - (a.u) u|: 2 sqrt(2 (RANK_TOL + d) (1 + 3 s)), below
+#     the slack by (e - d) / (2 RANK_TOL), 0.25%;
+#   segment |lambda_v + lambda_w| = 2 |mu_0| + 2 |tr(rho) - 1|: 1/45000 of it;
+#   interior |a| - eps_u, endpoint ||a| - eps_u|: 2 sqrt(s (1 + 2 s)), 0.71 of
+#     it (the lower side by rho's v-w block, det (eps_u^2 - a_u^2) / 4 <= s (1 +
+#     2 s)), which leaves room for eps_u's rounding, at most 2 sqrt(d).
+SEGMENT_SLACK = 2.0 * math.sqrt(2.0 * RANK_TOL + CERT_MARGIN)
 
 # det(1 - T) below this means the metric tensor is treated as undefined.
 SING_TOL = 1e-10

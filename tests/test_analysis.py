@@ -21,7 +21,7 @@ import pytest
 
 import qutrit3d
 from qutrit3d import cli, dynamics, geometry, linalg, spin1, state
-from qutrit3d.errors import NotPositiveError
+from qutrit3d.errors import InternalCheckError, NotPositiveError
 from qutrit3d.geometry import RANK_CASE_TO_SCENE, build_scene
 from qutrit3d.purestates import pseudo_qubit
 from qutrit3d.state import (
@@ -37,7 +37,7 @@ from qutrit3d.state import (
     random_density,
     validate,
 )
-from qutrit3d.tolerances import RANK_TOL
+from qutrit3d.tolerances import RANK_TOL, SEGMENT_SLACK
 
 MODULES = (linalg, state, geometry, dynamics, spin1, cli, qutrit3d)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -99,11 +99,66 @@ def _near_segment(rng):
     return _rank2_with_null(n / np.linalg.norm(n), rng)
 
 
+def _rotated(rng, *columns):
+    """The columns in the frame of a seeded random rotation R."""
+    R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return [R @ np.asarray(c) for c in columns]
+
+
+def _at_rank_tol(rng):
+    """RANK_TOL (1 + delta), |delta| <= 3e-7: within T's rounding of the Point threshold."""
+    return RANK_TOL * (1.0 + rng.uniform(-3e-7, 3e-7))
+
+
+def _point_threshold(rng):
+    # psi = R(sqrt(1 - k) e_x + i sqrt(k) e_y): mu = (0, k, 1 - k), |a| = 2 sqrt(k (1 - k))
+    k = _at_rank_tol(rng)
+    (psi,) = _rotated(rng, [np.sqrt(1.0 - k), 1j * np.sqrt(k), 0.0])
+    return np.outer(psi, psi.conj())
+
+
+def _shift(rng):
+    """s just inside RANK_TOL: rho - s 1 keeps lambda_min >= -RANK_TOL."""
+    return RANK_TOL * (1.0 - rng.uniform(1e-3, 2e-3))
+
+
+def _shifted_point_threshold(rng):
+    # (1 + 3 s)|psi><psi| - s 1 with its mu_1 at RANK_TOL: |a| near 2 sqrt(2 RANK_TOL)
+    s = _shift(rng)
+    c = 1.0 + 3.0 * s
+    k = (_at_rank_tol(rng) + s) / c
+    (psi,) = _rotated(rng, [np.sqrt(1.0 - k), 1j * np.sqrt(k), 0.0])
+    return c * np.outer(psi, psi.conj()) - s * np.eye(3)
+
+
+def _shifted_segment_off_axis(rng):
+    # p|phi><phi| + q|e_y><e_y| - s 1, phi = sqrt(1 - k) e_x + i sqrt(k) e_z: u = e_z, a along e_y
+    s, q = _shift(rng), 0.3
+    p = 1.0 - q + 3.0 * s
+    k = (_shift(rng) + s) / p
+    phi, ey = _rotated(rng, [np.sqrt(1.0 - k), 0.0, 1j * np.sqrt(k)], [0.0, 1.0, 0.0])
+    return p * np.outer(phi, phi.conj()) + q * np.outer(ey, ey) - s * np.eye(3)
+
+
+def _real_endpoint_threshold(rng):
+    # R diag(1 - k + s, k, -s) R^T: rho's solve and T's round k to either side of RANK_TOL
+    s, k = _shift(rng), _at_rank_tol(rng)
+    x, y, z = _rotated(rng, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+    rho = (1.0 - k + s) * np.outer(x, x) + k * np.outer(y, y) - s * np.outer(z, z)
+    return rho.astype(complex)
+
+
+# family: (sampler, its ranks, its cases)
 BOUNDARY_FAMILIES = {
-    "complex_pure_noise": (_complex_pure_noise, 1, {SEGMENT_ENDPOINT}),
-    "real_pure_noise": (_real_pure_noise, 1, {POINT}),
-    "segment_noise": (_segment_noise, 2, {SEGMENT_INTERIOR}),
-    "near_segment": (_near_segment, 2, {SURFACE_3D, SEGMENT_INTERIOR}),
+    "complex_pure_noise": (_complex_pure_noise, {1}, {SEGMENT_ENDPOINT}),
+    "real_pure_noise": (_real_pure_noise, {1}, {POINT}),
+    "segment_noise": (_segment_noise, {2}, {SEGMENT_INTERIOR}),
+    "near_segment": (_near_segment, {2}, {SURFACE_3D, SEGMENT_INTERIOR}),
+    "point_threshold": (_point_threshold, {1}, {POINT, SEGMENT_ENDPOINT}),
+    "shifted_point_threshold": (_shifted_point_threshold, {1}, {POINT, SEGMENT_ENDPOINT}),
+    "shifted_segment_off_axis": (_shifted_segment_off_axis, {2}, {SEGMENT_INTERIOR}),
+    "real_endpoint_threshold": (
+        _real_endpoint_threshold, {1, 2}, {POINT, SEGMENT_ENDPOINT, SEGMENT_INTERIOR}),
 }
 
 
@@ -115,13 +170,13 @@ def test_boundary_families_get_one_case(family, tmp_path, capsys):
     the rank of rho, so noise far below it cannot leave a pure state
     with live axes that the segment or point checks then reject.
     """
-    make, rank, cases = BOUNDARY_FAMILIES[family]
+    make, ranks, cases = BOUNDARY_FAMILIES[family]
     rng = np.random.default_rng([20260814, sorted(BOUNDARY_FAMILIES).index(family)])
     seen = set()
     for i in range(300):
         rho = make(rng)
         an, _ = cli.build_report(rho)
-        assert an.rank is not None and an.rank.rank == rank
+        assert an.rank is not None and an.rank.rank in ranks
         assert an.rank.case in cases
         seen.add(an.rank.case)
         assert build_scene(rho).case == RANK_CASE_TO_SCENE[an.rank.case]
@@ -135,6 +190,33 @@ def test_boundary_families_get_one_case(family, tmp_path, capsys):
             scene_case = json.loads(capsys.readouterr().out)["case"]
             assert scene_line == f"scene: {scene_case}"
     assert seen == cases
+
+
+@pytest.mark.parametrize(
+    "family", ["point_threshold", "shifted_point_threshold", "shifted_segment_off_axis"])
+def test_threshold_families_get_scene_trajectories(family):
+    """Scene trajectories of states at a degenerate case's threshold pass every self-check.
+
+    A rotation keeps Re(rho)'s spectrum, so its samples keep the family's
+    scenes; a twist moves it, and its samples only have to get a scene.
+    """
+    make, _, cases = BOUNDARY_FAMILIES[family]
+    rng = np.random.default_rng([20261020, sorted(BOUNDARY_FAMILIES).index(family)])
+    scenes = {RANK_CASE_TO_SCENE[case] for case in cases}
+    for _ in range(20):
+        rho = make(rng)
+        traj = dynamics.trajectory(rho, dynamics.rotation("x"), 3.0, 6, with_scenes=True)
+        assert {scene.case for scene in traj.scenes} <= scenes
+        traj = dynamics.trajectory(rho, dynamics.one_axis_twist("z"), 3.0, 6, with_scenes=True)
+        assert len(traj.scenes) == 6
+
+
+def test_the_record_runs_the_point_check():
+    """The point case's check is _rank_case's, so analyze and scene run it alike."""
+    tvals = [1.0, 1.0, -1.0]  # mu = (0, 0, 1)
+    assert state._rank_case(1, tvals, 0.0, [0.5 * SEGMENT_SLACK, 0.0, 0.0]) == POINT
+    with pytest.raises(InternalCheckError, match="point case requires a vanishing Bloch vector"):
+        state._rank_case(1, tvals, 0.0, [SEGMENT_SLACK, 0.0, 0.0])
 
 
 def _count_calls(monkeypatch, name):

@@ -631,6 +631,38 @@ def test_unconverged_eigensolve_exits_3(monkeypatch, capsys, tmp_path):
     assert cli.main(["analyze", data_path("pseudo_boundary")]) == 0
 
 
+def test_point_threshold_state_gets_its_scene(tmp_path, capsys):
+    """A valid pure state classed Point with |a| near 2 sqrt(RANK_TOL) is drawn, not exit 3.
+
+    Its computed mu_1 is at most RANK_TOL while |a| is above 2 sqrt(RANK_TOL):
+    only a slack with room for T's rounding of mu lets every command agree.
+    """
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"amplitudes": [
+        [0.6796323626121934, 2.8204779810951697e-06],
+        [-0.7334526130941735, 2.0938040383733084e-06],
+        [0.012129098709163998, -3.142707301469538e-05]]}))
+    assert cli.main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a: 4.60497457373e-05 4.27861314776e-05 6.98340786171e-06",
+        "q: 0.017792238417 -0.0164866558469 0.996956264591",
+        "omega: 0.461900148318 0.537952735659 0.000147116023158",
+        "tensor eigenvalues: 1 0.999999998 -0.999999998",
+        "semi-axes: 6.32455487666e-05 0 0",
+        "gamma-norm: degenerate",
+        "validity: ok",
+        "rank: 1",
+        "case: Point",
+        "scene: point",
+    ]
+    assert cli.main(["scene", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["case"] == "point"
+    for generator in ("rot:x", "twist:z"):
+        argv = ["evolve", str(path), "--generator", generator, "--theta", "3", "--steps", "50"]
+        assert cli.main(argv + ["--scenes"]) == 0, generator
+        assert len(json.loads(capsys.readouterr().out)) == 50
+
+
 def test_internal_check_failure_exits_3(tmp_path, monkeypatch, capsys):
     # a complex pure state is a segment endpoint, checked for |a| = eps_u;
     # halving eps_u breaks that check

@@ -8,7 +8,8 @@ scenes, and on its exit-1 errors) read the library's scalar records, so
 numpy must not be in sys.modules when they exit, under python -O as
 well.  random takes its draws from numpy's generator and loads it: it is
 the control that the probe sees an import.  A lint keeps numpy out of the module level of
-the modules on that path.  The records are plain classes: no command loads
+the modules on that path, and another keeps the modules of single commands out of cli's:
+only scene and evolve load geometry.  The records are plain classes: no command loads
 dataclasses, and no numpy-free command loads inspect (numpy imports it).
 """
 
@@ -163,6 +164,26 @@ def test_only_bridge_loads_spin1(files):
         assert ("qutrit3d.spin1" in names) == loaded, case
 
 
+def test_only_scene_commands_load_geometry(files):
+    """The report's scene case is state's: only scene and evolve --scenes load geometry."""
+    commands = {**NUMPY_FREE, **WITH_NUMPY}
+    for case in ("analyze_text", "analyze_json", "pseudo", "mub", "ortho", "bridge_to2q",
+                 "random", "scene_json", "evolve_scenes"):
+        argv, code = commands[case]
+        got, err, names = _imports((), "qutrit3d", argv, files)
+        assert got == code, err
+        assert ("qutrit3d.geometry" in names) == case.startswith(("scene", "evolve")), case
+
+
+def test_cli_scene_to_dict_is_geometrys():
+    """cli.scene_to_dict resolves to geometry's on first read; other missing names raise."""
+    from qutrit3d import cli, geometry
+
+    assert cli.scene_to_dict is geometry.scene_to_dict
+    with pytest.raises(AttributeError, match="no attribute 'export_scene_obj'"):
+        cli.export_scene_obj
+
+
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
 def test_package_import_loads_no_numpy(flags, files, tmp_path):
     # a module that imports the package and resolves one quick-start name
@@ -182,8 +203,9 @@ def _module_level_imports(tree):
             continue
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module
+        elif isinstance(node, ast.ImportFrom):  # ".geometry" for from .geometry import x
+            base = "." * node.level + (node.module or "")
+            yield from [base] if node.module else (base + alias.name for alias in node.names)
         stack.extend(ast.iter_child_nodes(node))
 
 
@@ -198,3 +220,11 @@ def test_no_module_level_numpy_import():
             if imported in ("numpy", "dataclasses") or imported.startswith("numpy.")
         ]
     assert found == []
+
+
+def test_cli_imports_command_modules_in_their_commands():
+    """cli loads geometry, dynamics, spin1 and purestates inside the commands that run them."""
+    with open(os.path.join(SRC, "cli.py"), "r", encoding="utf-8") as fh:
+        imported = set(_module_level_imports(ast.parse(fh.read(), filename="cli.py")))
+    assert imported & {".geometry", ".dynamics", ".spin1", ".purestates"} == set()
+    assert ".state" in imported  # the lint reads relative imports
