@@ -19,7 +19,7 @@ library's records as the scalar core fills them, with lists: plain
 __slots__ classes on linalg._Record, which compare and print as before
 but which fields(), asdict() and replace() refuse, with no __dict__
 for vars().  Only random imports numpy, for its generator's draws, and only
-scene and evolve load geometry (the report's scene case is state's).  Every
+scene and evolve --scenes load geometry (the report's scene case is state's).  Every
 exit-1 message about a file names it.  Output leaves one way: _dump
 renders every JSON payload, _emit writes a command's text as it is to
 stdout or --out, main prints the error line.
@@ -125,7 +125,7 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _grid(obj, path: str, key: str, n: int) -> list:
+def _number_grid(obj, path: str, key: str, n: int) -> list:
     rows = obj.get(key)
     if not isinstance(rows, list) or len(rows) != n:
         raise CliIOError(f'{path}: "{key}" must be a {n}x{n} array')
@@ -152,7 +152,7 @@ def _read_json(path: str) -> dict:
 
 def _matrix_from_obj(obj: dict, path: str, n: int) -> list:
     """path's n x n {"re": .., "im": ..} matrix as rows of Python complex re + 1j * im."""
-    re, im = _grid(obj, path, "re", n), _grid(obj, path, "im", n)
+    re, im = _number_grid(obj, path, "re", n), _number_grid(obj, path, "im", n)
     return [[x + 1j * y for x, y in zip(rrow, irow)] for rrow, irow in zip(re, im)]
 
 
@@ -369,7 +369,6 @@ def _generator_from_flag(flag: str):
 
 def cmd_evolve(args) -> int:
     from .dynamics import _grid, _trajectory
-    from .geometry import scene_to_dict
 
     rho = load_state_file(args.path)
     g = _generator_from_flag(args.generator)
@@ -377,6 +376,7 @@ def cmd_evolve(args) -> int:
     traj = _trajectory(rho, g, thetas, args.scenes)
     records = [{"theta": t, "state": density_payload(s)} for t, s in zip(thetas, traj.states)]
     if traj.scenes is not None:
+        from .geometry import scene_to_dict
         for record, scene in zip(records, traj.scenes):
             record["scene"] = scene_to_dict(scene)
     _emit(_dump(records), args.out)

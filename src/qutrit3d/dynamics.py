@@ -32,7 +32,8 @@ every scene reuses rho0's positivity and rank (linalg._verdict), decided
 once: a scene trajectory costs one eigensolve per sample, T(theta)'s,
 and no solve of rho0 where _verdict proves its answer, one values-only
 solve in its band.  Without scenes only the positivity is
-read, at the same cost.
+read, at the same cost, and geometry is not loaded: _trajectory and
+trajectory import it once per call, to draw scenes.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ from __future__ import annotations
 import math
 from types import MappingProxyType
 
-from .geometry import EllipsoidScene, _scene, _scene_arrays
-from .linalg import _Record, _array, _eigensystem3, _eigvals, _hermitian_rows, _rows, _verdict
+from .linalg import _Record, _array, _eigensystem3, _hermitian_rows, _rows
 from .spin1 import _spin_rows
-from .state import _as_rows, _not_positive
+from .state import _as_rows, _state_rows
 
 _SHORT = {"rotation": "rot", "one_axis_twist": "twist", "two_axis_counter": "counter"}
 # the upper triangle of a sample, row by row, and the pairs (j, k) of eigenvalues
@@ -198,16 +198,14 @@ def _trajectory(rows: list, g: Generator, thetas: list, with_scenes: bool) -> Tr
     trajectory.  Each pair phase is formed in real arithmetic from
     cos/sin of theta lambda_j, and the upper triangle is mirrored.  At
     theta = 0 a sample is the rows as they are.  NotPositiveError unless
-    the rows are a state (their _verdict, ranked and kept for the scenes,
-    as _state_rows raises it); ValueError when
+    the rows are a state (_state_rows: their _verdict, ranked and kept for
+    the scenes); ValueError when
     theta * max|lambda| is not a finite float.  Scenes are _scene of each sample's rows, which
     the core built and does not check again, with rho0's verdict: a
     sample is unitarily equivalent to rho0, so it has rho0's eigenvalues,
     positivity and rank, and its scene solves T alone.
     """
-    verdict = _verdict(rows, with_scenes)
-    if not verdict[0]:
-        raise _not_positive(verdict[2] or _eigvals(rows))
+    verdict = _state_rows(rows, with_scenes)
     lam, u, uc, constant, phased = g.frame
     big = max(abs(lam[0]), abs(lam[-1]))
     (d0, d1, d2), (ra, rb, rc) = _in_eigenframe(rows, u, uc)
@@ -240,7 +238,10 @@ def _trajectory(rows: list, g: Generator, thetas: list, with_scenes: bool) -> Tr
             [e01.conjugate(), complex(e11), e12],
             [e02.conjugate(), e12.conjugate(), complex(e22)],
         ])
-    scenes = [_scene(s, verdict) for s in states] if with_scenes else None
+    scenes = None
+    if with_scenes:  # only a scene loads geometry
+        from .geometry import _scene
+        scenes = [_scene(s, verdict) for s in states]
     return Trajectory(thetas=thetas, states=states, scenes=scenes)
 
 
@@ -263,5 +264,8 @@ def trajectory(
     the generator, solved when it was built.
     """
     t = _trajectory(_as_rows(rho0), g, _grid(theta_max, n), with_scenes)
-    scenes = None if t.scenes is None else [_scene_arrays(s) for s in t.scenes]
+    scenes = None
+    if with_scenes:
+        from .geometry import _scene_arrays
+        scenes = [_scene_arrays(s) for s in t.scenes]
     return Trajectory(_array(t.thetas), [_array(s) for s in t.states], scenes)

@@ -11,9 +11,10 @@ eigenvector, which for real pure states points along the state vector).
 Rows in, arrays at the edge: _scene builds an EllipsoidScene of lists of
 Python floats from checked rows, build_scene checks its input once and
 converts that record to arrays in place (through linalg._array), and
-scene_to_dict and the exporters, the OBJ mesh included, read either on
-Python floats (an array through linalg._rows).
-The case, its checks and RANK_CASE_TO_SCENE are state's (_rank_case).
+scene_to_dict, through which both exporters read a scene once, reads
+either on Python floats (an array through linalg._rows).  The case, its
+checks and RANK_CASE_TO_SCENE are state's (_rank_case); state._state_rows
+refuses a matrix that is not a state.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import DegenerateMeshError, InternalCheckError, InvalidStateError
+from .errors import DegenerateMeshError, InternalCheckError
 from .linalg import _Record, _array, _dot3, _rows, vector_norm
-from .state import CASE_POINT, CASE_SEGMENT, CASE_THREE_D, RANK_CASE_TO_SCENE, _as_rows, _record
+from .state import (
+    CASE_POINT, CASE_SEGMENT, CASE_THREE_D, RANK_CASE_TO_SCENE, _as_rows, _record, _state_rows,
+)
 from .tolerances import LINE_EPS, SEGMENT_SLACK
 
 SOLID = "solid"
@@ -72,9 +75,7 @@ def _scene(rows: list, verdict: tuple | None = None) -> EllipsoidScene:
     here to lie along u), point for none.  A trajectory's samples pass rho0's
     linalg._verdict on to _record (``verdict``): each costs one eigensolve, T's, framed.
     """
-    r = _record(rows, verdict, True)
-    if r.rank is None:
-        raise InvalidStateError("state is not positive semidefinite")
+    r = _record(rows, _state_rows(rows, True) if verdict is None else verdict, True)
     case = RANK_CASE_TO_SCENE[r.rank.case]
     a = r.params.a
     u, v, w = (list(col) for col in zip(*r.frame))
@@ -111,18 +112,20 @@ def export_scene_json(s: EllipsoidScene) -> str:
     return json.dumps(scene_to_dict(s), indent=2)
 
 
-def _fnum(x: float) -> str:
-    return repr(float(x))
+def _vertex(p: list) -> str:
+    return f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}"
 
 
 def export_scene_obj(
     s: EllipsoidScene, lat: int, lon: int, surface_only: bool = False
 ) -> str:
-    """Wavefront OBJ text for a scene.
+    """Wavefront OBJ text for a scene, its fields read once through scene_to_dict.
 
     The three_d case meshes a UV sphere (lat rings of lon points plus two
     poles, lat*lon + 2 vertices; 4 <= lat <= 1024 and 8 <= lon <= 2048
-    bound it) scaled by the semi-axes and rotated into the lab frame;
+    bound it) scaled by the semi-axes and rotated into the lab frame:
+    vertex 1 is the top pole, 2 + i*lon + (j mod lon) point j of ring i
+    and lat*lon + 2 the bottom pole, each longitude turned once;
     degenerate cases emit the segment and annotation rays as line
     records.  A nonzero Bloch vector is always emitted as a line record
     tagged by comment.  With surface_only=True only the mesh is
@@ -132,76 +135,48 @@ def export_scene_obj(
         raise ValueError(f"mesh needs 4 <= lat <= 1024, 8 <= lon <= 2048, got lat={lat}, lon={lon}")
     if surface_only and s.case != CASE_THREE_D:
         raise DegenerateMeshError(f"no surface mesh for a {s.case} scene")
-
-    lines: list[str] = [
-        "# ellipsoid scene",
-        f"# case: {s.case}",
-        "# coordinates: right-handed, y-up; vertices are lab-frame (x, y, z)",
-        f"# semi-axes: {_fnum(s.semi_axes[0])} {_fnum(s.semi_axes[1])} {_fnum(s.semi_axes[2])}",
-    ]
-    vcount = 0
-
-    def add_vertex(point: list) -> int:
-        nonlocal vcount
-        lines.append(f"v {_fnum(point[0])} {_fnum(point[1])} {_fnum(point[2])}")
-        vcount += 1
-        return vcount
-
-    frame = _floats(s.frame, (3, 3))
-    if s.case == CASE_THREE_D:
-        radii = _floats(s.semi_axes)
-
-        def add_surface_vertex(unit: tuple) -> int:
-            scaled = [r * x for r, x in zip(radii, unit)]
-            return add_vertex([_dot3(row, scaled) for row in frame])
-
-        top = add_surface_vertex((0.0, 0.0, 1.0))
-        ring_start = vcount + 1
-        for i in range(1, lat + 1):
-            alpha = math.pi * i / (lat + 1)
-            sin_a, cos_a = math.sin(alpha), math.cos(alpha)
-            for j in range(lon):
-                beta = 2.0 * math.pi * j / lon
-                add_surface_vertex((sin_a * math.cos(beta), sin_a * math.sin(beta), cos_a))
-        bottom = add_surface_vertex((0.0, 0.0, -1.0))
-
-        def ring(i: int, j: int) -> int:
-            return ring_start + i * lon + (j % lon)
-
-        for j in range(lon):
-            lines.append(f"f {top} {ring(0, j)} {ring(0, j + 1)}")
-        for i in range(lat - 1):
-            for j in range(lon):
-                lines.append(
-                    f"f {ring(i, j)} {ring(i + 1, j)} {ring(i + 1, j + 1)} {ring(i, j + 1)}"
-                )
-        for j in range(lon):
-            lines.append(f"f {bottom} {ring(lat - 1, j + 1)} {ring(lat - 1, j)}")
-
+    d = scene_to_dict(s)
+    case, (r0, r1, r2), frame = d["case"], d["semi_axes"], d["frame"]
+    lines = ["# ellipsoid scene", f"# case: {case}",
+             "# coordinates: right-handed, y-up; vertices are lab-frame (x, y, z)",
+             f"# semi-axes: {float(r0)!r} {float(r1)!r} {float(r2)!r}"]
+    n = 0  # vertices written
+    if case == CASE_THREE_D:
+        (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = frame
+        turns = [(math.cos(b), math.sin(b)) for b in [2.0 * math.pi * j / lon for j in range(lon)]]
+        alphas = [math.pi * i / (lat + 1) for i in range(1, lat + 1)]
+        rings = [(math.sin(a), math.cos(a), turns) for a in alphas]
+        pole = [(1.0, 0.0)]  # a ring of one point at sin(alpha) = 0.0: (0.0, 0.0, +-1.0)
+        for sin_a, cos_a, ring in [(0.0, 1.0, pole), *rings, (0.0, -1.0, pole)]:
+            for cos_b, sin_b in ring:
+                x, y, z = r0 * (sin_a * cos_b), r1 * (sin_a * sin_b), r2 * cos_a
+                lines.append(f"v {float(f00 * x + f01 * y + f02 * z)!r} "
+                             f"{float(f10 * x + f11 * y + f12 * z)!r} "
+                             f"{float(f20 * x + f21 * y + f22 * z)!r}")
+        n = lat * lon + 2
+        lines += [f"f 1 {2 + j} {2 + (j + 1) % lon}" for j in range(lon)]
+        for k in range(2, n - lon, lon):  # the first point of each ring but the last
+            lines += [f"f {k + j} {k + lon + j} {k + lon + (j + 1) % lon} {k + (j + 1) % lon}"
+                      for j in range(lon)]
+        lines += [f"f {n} {n - lon + (j + 1) % lon} {n - lon + j}" for j in range(lon)]
     if surface_only:
         return "\n".join(lines) + "\n"
 
-    bloch = _floats(s.bloch)
+    bloch = d["bloch"]
     has_bloch = vector_norm(bloch) > LINE_EPS
-    origin_index = 0
-    if s.rays or has_bloch:
-        origin_index = add_vertex([0.0, 0.0, 0.0])
-
-    if s.case == CASE_SEGMENT:
-        half = float(s.semi_axes[0])
-        lines.append("# segment")
-        a_idx = add_vertex([-half * row[0] for row in frame])
-        b_idx = add_vertex([half * row[0] for row in frame])
-        lines.append(f"l {a_idx} {b_idx}")
-
-    for r in s.rays:
-        lines.append(f"# ray {r.label} {r.style}")
-        tip = add_vertex(_floats(r.dir))
-        lines.append(f"l {origin_index} {tip}")
-
+    if d["rays"] or has_bloch:
+        lines.append("v 0.0 0.0 0.0")
+        n += 1
+    origin = n
+    if case == CASE_SEGMENT:
+        half = float(r0)
+        lines += ["# segment", _vertex([-half * row[0] for row in frame]),
+                  _vertex([half * row[0] for row in frame]), f"l {n + 1} {n + 2}"]
+        n += 2
+    tips = [(f"# ray {r['label']} {r['style']}", r["dir"]) for r in d["rays"]]
     if has_bloch:
-        lines.append("# bloch")
-        tip = add_vertex(bloch)
-        lines.append(f"l {origin_index} {tip}")
-
+        tips.append(("# bloch", bloch))
+    for comment, tip in tips:
+        n += 1
+        lines += [comment, _vertex(tip), f"l {origin} {n}"]
     return "\n".join(lines) + "\n"

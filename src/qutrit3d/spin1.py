@@ -119,7 +119,8 @@ def _to_two_qubit(rows: list) -> list:
     halving stays a complex product: its real part's zero sign can
     depend on the imaginary sum.
     """
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = _state_rows(rows)
+    _state_rows(rows)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
     r00, r11 = 0.5 * (a00.real + a00.real), 0.5 * (a11.real + a11.real)
     r22 = 0.5 * (a22.real + a22.real)
     r01, i01 = 0.5 * (a01.real + a10.real), 0.5 * (a01.imag - a10.imag)

@@ -283,22 +283,22 @@ def _semi_axes(tensor_eigenvalues: list) -> list:
             math.sqrt(0.0 if p2 < 0.0 else p2)]
 
 
-def _state_rows(rows: list) -> list:
-    """Checked rows, returned when _verdict finds them positive; else NotPositiveError."""
-    positive, _, values = _verdict(rows)
-    if not positive:
-        raise _not_positive(values or _eigvals(rows))
-    return rows
+def _state_rows(rows: list, ranked: bool = False) -> tuple:
+    """_verdict of checked rows, returned when it finds them positive; else NotPositiveError.
+
+    The one gate that turns a failed verdict into the "not positive" error.
+    """
+    verdict = _verdict(rows, ranked)
+    if not verdict[0]:
+        values = verdict[2] or _eigvals(rows)
+        raise NotPositiveError(f"not positive: min eigenvalue {values[-1]:.3e} < -{RANK_TOL:g}")
+    return verdict
 
 
 def check_state(rho: np.ndarray) -> np.ndarray:
     """rho as a complex density matrix; NotPositiveError unless it is a state."""
     _state_rows(_as_rows(rho))
     return _array(rho, complex)
-
-
-def _not_positive(eigenvalues) -> NotPositiveError:
-    return NotPositiveError(f"not positive: min eigenvalue {eigenvalues[-1]:.3e} < -{RANK_TOL:g}")
 
 
 class Analysis(_Record):
@@ -438,9 +438,8 @@ def _rank_case(rank: int, tvals: list, eps_u: float, a: list) -> str:
 
 def classify_rank(rho: np.ndarray) -> RankReport:
     """Rank and geometry case of a valid state (_record); NotPositiveError otherwise."""
-    an = _record(_as_rows(rho))
-    if an.rank is None:
-        raise _not_positive(an.eigenvalues)
+    rows = _as_rows(rho)
+    an = _record(rows, _state_rows(rows, True))
     return RankReport(an.rank.rank, an.rank.case, _array(an.eigenvalues))
 
 

@@ -1054,8 +1054,12 @@ def test_overflowing_report_exits_with_one_message(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: --ax/--ay/--az: density matrix overflows"), err
-    for path in files:
-        assert _main(capsys, "scene", path) == (2, "", "error: state is not positive semidefinite\n")
+    # scene, evolve and bridge reject them with one not-positive line
+    for path, power in zip(files, ("155", "155", "300")):
+        line = f"error: not positive: min eigenvalue -1.000e+{power} < -1e-09\n"
+        for argv in (("scene", path), ("bridge", path, "--direction", "to2q"),
+                     ("evolve", path, "--generator", "rot:x", "--theta", "1", "--steps", "3")):
+            assert _main(capsys, *argv) == (2, "", line), argv
 
     # an entry that T = 1 - 2 Re(rho) would double past the solver's entry
     # bound is rejected where the file is read, and the message names it

@@ -1,10 +1,14 @@
 """Ellipsoid scene tests.
 
 Scene geometry is checked against the diagonal-tensor form of known
-states, exports against parse-back of the emitted text.
+states, exports against parse-back of the emitted text.  The straight-pass
+OBJ writer is checked against the writer it replaced, kept below verbatim
+(_old_export_scene_obj): the same string, or the same exception type and
+message, for seeded scenes of every case in both forms and hand-built ones.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,13 +21,17 @@ from qutrit3d.geometry import (
     DASHED,
     SOLID,
     EllipsoidScene,
+    Ray,
+    _floats,
+    _scene,
     build_scene,
     export_scene_json,
     export_scene_obj,
 )
 from qutrit3d.dynamics import evolve, rotation
-from qutrit3d.linalg import eig_sym3
-from qutrit3d.state import decompose, gamma_norm, random_density
+from qutrit3d.linalg import _dot3, eig_sym3, vector_norm
+from qutrit3d.state import _as_rows, decompose, gamma_norm, random_density
+from qutrit3d.tolerances import LINE_EPS
 
 
 def obj_vertices(text):
@@ -225,3 +233,156 @@ def test_obj_rejects_coarse_mesh():
         export_scene_obj(s, lat=3, lon=8)
     with pytest.raises(ValueError):
         export_scene_obj(s, lat=4, lon=7)
+
+
+def _fnum(x: float) -> str:
+    return repr(float(x))
+
+
+def _old_export_scene_obj(
+    s: EllipsoidScene, lat: int, lon: int, surface_only: bool = False
+) -> str:
+    """The OBJ writer with numbering closures and one cos/sin pair per vertex, verbatim."""
+    if not (4 <= lat <= 1024 and 8 <= lon <= 2048):
+        raise ValueError(f"mesh needs 4 <= lat <= 1024, 8 <= lon <= 2048, got lat={lat}, lon={lon}")
+    if surface_only and s.case != CASE_THREE_D:
+        raise DegenerateMeshError(f"no surface mesh for a {s.case} scene")
+
+    lines: list[str] = [
+        "# ellipsoid scene",
+        f"# case: {s.case}",
+        "# coordinates: right-handed, y-up; vertices are lab-frame (x, y, z)",
+        f"# semi-axes: {_fnum(s.semi_axes[0])} {_fnum(s.semi_axes[1])} {_fnum(s.semi_axes[2])}",
+    ]
+    vcount = 0
+
+    def add_vertex(point: list) -> int:
+        nonlocal vcount
+        lines.append(f"v {_fnum(point[0])} {_fnum(point[1])} {_fnum(point[2])}")
+        vcount += 1
+        return vcount
+
+    frame = _floats(s.frame, (3, 3))
+    if s.case == CASE_THREE_D:
+        radii = _floats(s.semi_axes)
+
+        def add_surface_vertex(unit: tuple) -> int:
+            scaled = [r * x for r, x in zip(radii, unit)]
+            return add_vertex([_dot3(row, scaled) for row in frame])
+
+        top = add_surface_vertex((0.0, 0.0, 1.0))
+        ring_start = vcount + 1
+        for i in range(1, lat + 1):
+            alpha = math.pi * i / (lat + 1)
+            sin_a, cos_a = math.sin(alpha), math.cos(alpha)
+            for j in range(lon):
+                beta = 2.0 * math.pi * j / lon
+                add_surface_vertex((sin_a * math.cos(beta), sin_a * math.sin(beta), cos_a))
+        bottom = add_surface_vertex((0.0, 0.0, -1.0))
+
+        def ring(i: int, j: int) -> int:
+            return ring_start + i * lon + (j % lon)
+
+        for j in range(lon):
+            lines.append(f"f {top} {ring(0, j)} {ring(0, j + 1)}")
+        for i in range(lat - 1):
+            for j in range(lon):
+                lines.append(
+                    f"f {ring(i, j)} {ring(i + 1, j)} {ring(i + 1, j + 1)} {ring(i, j + 1)}"
+                )
+        for j in range(lon):
+            lines.append(f"f {bottom} {ring(lat - 1, j + 1)} {ring(lat - 1, j)}")
+
+    if surface_only:
+        return "\n".join(lines) + "\n"
+
+    bloch = _floats(s.bloch)
+    has_bloch = vector_norm(bloch) > LINE_EPS
+    origin_index = 0
+    if s.rays or has_bloch:
+        origin_index = add_vertex([0.0, 0.0, 0.0])
+
+    if s.case == CASE_SEGMENT:
+        half = float(s.semi_axes[0])
+        lines.append("# segment")
+        a_idx = add_vertex([-half * row[0] for row in frame])
+        b_idx = add_vertex([half * row[0] for row in frame])
+        lines.append(f"l {a_idx} {b_idx}")
+
+    for r in s.rays:
+        lines.append(f"# ray {r.label} {r.style}")
+        tip = add_vertex(_floats(r.dir))
+        lines.append(f"l {origin_index} {tip}")
+
+    if has_bloch:
+        lines.append("# bloch")
+        tip = add_vertex(bloch)
+        lines.append(f"l {origin_index} {tip}")
+
+    return "\n".join(lines) + "\n"
+
+
+def _obj_states():
+    """Seeded states of every scene case: rank 2 and 3 (three_d), complex pure states
+    and real rank-2 states (segment), real pure states up to a phase (point)."""
+    rng = np.random.default_rng(3401)
+    out = [random_density(r, rng) for r in (2, 3) for _ in range(5)]
+    for _ in range(5):
+        psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        psi /= np.linalg.norm(psi)
+        out.append(np.outer(psi, psi.conj()))
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        p = rng.uniform(0.1, 0.9)
+        out.append((Q @ np.diag([p, 1.0 - p, 0.0]) @ Q.T).astype(complex))
+        q = rng.standard_normal(3)
+        q = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * q / np.linalg.norm(q)
+        out.append(np.outer(q, q.conj()))
+    return out
+
+
+def _hand_built_scenes():
+    """Array scenes as the tests above build them, and a list scene of ints and signed zeros."""
+    Q, _ = np.linalg.qr(np.random.default_rng(3402).standard_normal((3, 3)))
+    return [
+        EllipsoidScene(CASE_THREE_D, np.ones(3), np.eye(3), np.zeros(3), []),
+        EllipsoidScene(CASE_THREE_D, np.array([1.0, 0.5, 0.5]), np.eye(3), np.zeros(3), []),
+        EllipsoidScene(CASE_THREE_D, np.array([0.9, 0.4, 0.0]), Q, np.array([0.1, -0.2, 0.0]),
+                       [Ray(Q[:, 2], DASHED, "w")]),
+        EllipsoidScene(CASE_SEGMENT, np.array([0.8, 0.0, 0.0]), Q, 0.8 * Q[:, 0],
+                       [Ray(Q[:, 1], SOLID, "v"), Ray(Q[:, 2], DASHED, "w")]),
+        EllipsoidScene(CASE_THREE_D, [1, 0, -0.0], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                       [0, 0, 1], [Ray([0, 1, 0], SOLID, "v")]),
+        EllipsoidScene(CASE_SEGMENT, [1, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], []),
+        EllipsoidScene(CASE_POINT, [0, 0, 0], [[0, 1, 0], [1, 0, 0], [0, 0, -1]], [0, 0, 0],
+                       [Ray([0, 1, 0], SOLID, "u"), Ray([1, 0, 0], SOLID, "v"),
+                        Ray([0, 0, -1], DASHED, "w")]),
+    ]
+
+
+def _outcome(writer, *args, **kwargs):
+    try:
+        return writer(*args, **kwargs)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+def test_obj_writer_matches_the_frozen_writer():
+    scenes = _hand_built_scenes()
+    for rho in _obj_states():
+        scenes += [_scene(_as_rows(rho)), build_scene(rho)]
+    assert {s.case for s in scenes} == {CASE_THREE_D, CASE_SEGMENT, CASE_POINT}
+    meshes = [(4, 8), (12, 24), (5, 9), (3, 8), (4, 7), (1025, 8), (4, 2049)]
+    drawn, raised = set(), set()
+    for s in scenes:
+        for lat, lon in meshes:
+            for surface_only in (False, True):
+                want = _outcome(_old_export_scene_obj, s, lat, lon, surface_only)
+                got = _outcome(export_scene_obj, s, lat, lon, surface_only=surface_only)
+                assert got == want, (s.case, lat, lon, surface_only)
+                if isinstance(want, str):
+                    drawn.add((s.case, surface_only))
+                else:
+                    raised.add(want[0])
+    assert drawn == {(CASE_THREE_D, True), (CASE_THREE_D, False), (CASE_SEGMENT, False),
+                     (CASE_POINT, False)}
+    assert raised == {ValueError, DegenerateMeshError}

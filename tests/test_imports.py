@@ -8,9 +8,10 @@ scenes, and on its exit-1 errors) read the library's scalar records, so
 numpy must not be in sys.modules when they exit, under python -O as
 well.  random takes its draws from numpy's generator and loads it: it is
 the control that the probe sees an import.  A lint keeps numpy out of the module level of
-the modules on that path, and another keeps the modules of single commands out of cli's:
-only scene and evolve load geometry.  The records are plain classes: no command loads
-dataclasses, and no numpy-free command loads inspect (numpy imports it).
+the modules on that path, and another keeps the modules of single commands out of cli's,
+and geometry out of dynamics': only scene and evolve --scenes load geometry.  The records
+are plain classes: no command loads dataclasses, and no numpy-free command loads inspect
+(numpy imports it).
 """
 
 import ast
@@ -168,11 +169,11 @@ def test_only_scene_commands_load_geometry(files):
     """The report's scene case is state's: only scene and evolve --scenes load geometry."""
     commands = {**NUMPY_FREE, **WITH_NUMPY}
     for case in ("analyze_text", "analyze_json", "pseudo", "mub", "ortho", "bridge_to2q",
-                 "random", "scene_json", "evolve_scenes"):
+                 "random", "evolve", "scene_json", "evolve_scenes"):
         argv, code = commands[case]
         got, err, names = _imports((), "qutrit3d", argv, files)
         assert got == code, err
-        assert ("qutrit3d.geometry" in names) == case.startswith(("scene", "evolve")), case
+        assert ("qutrit3d.geometry" in names) == (case in ("scene_json", "evolve_scenes")), case
 
 
 def test_cli_scene_to_dict_is_geometrys():
@@ -209,22 +210,26 @@ def _module_level_imports(tree):
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _module_level(name: str) -> set:
+    with open(os.path.join(SRC, name), "r", encoding="utf-8") as fh:
+        return set(_module_level_imports(ast.parse(fh.read(), filename=name)))
+
+
 def test_no_module_level_numpy_import():
-    found = []
-    for name in SCALAR_MODULES:
-        with open(os.path.join(SRC, f"{name}.py"), "r", encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
-        found += [
-            f"{name}.py: {imported}"
-            for imported in _module_level_imports(tree)
-            if imported in ("numpy", "dataclasses") or imported.startswith("numpy.")
-        ]
+    found = [
+        f"{name}.py: {imported}"
+        for name in SCALAR_MODULES
+        for imported in _module_level(f"{name}.py")
+        if imported in ("numpy", "dataclasses") or imported.startswith("numpy.")
+    ]
     assert found == []
 
 
 def test_cli_imports_command_modules_in_their_commands():
-    """cli loads geometry, dynamics, spin1 and purestates inside the commands that run them."""
-    with open(os.path.join(SRC, "cli.py"), "r", encoding="utf-8") as fh:
-        imported = set(_module_level_imports(ast.parse(fh.read(), filename="cli.py")))
+    """cli loads geometry, dynamics, spin1 and purestates inside the commands that run them,
+    and dynamics loads geometry inside the functions that draw scenes."""
+    imported = _module_level("cli.py")
     assert imported & {".geometry", ".dynamics", ".spin1", ".purestates"} == set()
     assert ".state" in imported  # the lint reads relative imports
+    imported = _module_level("dynamics.py")
+    assert ".geometry" not in imported and ".state" in imported
