@@ -26,11 +26,10 @@ kernel does the floating-point operations of a generic loop over nested
 lists, in its order and on its operand types, so it gives its bits
 (frozen copies of the loops in the tests check that); writing them out
 removes only the interpreter's indexing and loop cost.  The sort and
-the phase gauge are written out for three columns too (no generic
-_fix_phase is left); only a degenerate cluster's Gram-Schmidt loops
-over lists.  Eigenvalues never depend on V, so rho's spectrum and a
-state's T skip it, bit-identical to the full solve's.  Two reasons
-for the scalars:
+the phase gauge are written out for three columns too; only a
+degenerate cluster's Gram-Schmidt loops over lists.  Eigenvalues never
+depend on V, so rho's spectrum and a state's T skip it, bit-identical
+to the full solve's.  Two reasons for the scalars:
   * speed: for n <= 4 the interpreter's per-call cost dominates, so
     building a rotation matrix and two matmuls per rotation costs
     several times more than the scalar update;

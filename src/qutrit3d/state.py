@@ -146,21 +146,12 @@ def _identity_minus(M) -> list:
 
 
 def _params(rows: list) -> StateParams:
-    """StateParams of lists of a checked density matrix's rows, T = 1 - 2 Re(rho).
-
-    The operations of _bundle(a, _identity_minus(2 Re(rho))), entry by entry on locals.
-    """
+    """StateParams of lists of a checked density matrix's rows: _bundle(a, 1 - 2 Re(rho))."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
-    t00, t11, t22 = 1.0 - 2.0 * a00.real, 1.0 - 2.0 * a11.real, 1.0 - 2.0 * a22.real
-    d0, d1, d2 = (t00 + t00) / 2.0, (t11 + t11) / 2.0, (t22 + t22) / 2.0
-    q0 = ((0.0 - 2.0 * a12.real) + (0.0 - 2.0 * a21.real)) / 2.0
-    q1 = ((0.0 - 2.0 * a02.real) + (0.0 - 2.0 * a20.real)) / 2.0
-    q2 = ((0.0 - 2.0 * a01.real) + (0.0 - 2.0 * a10.real)) / 2.0
-    return StateParams(
-        [2.0 * a21.imag, 2.0 * a02.imag, 2.0 * a10.imag], [q0, q1, q2],
-        [(1.0 - d0) / 2.0, (1.0 - d1) / 2.0, (1.0 - d2) / 2.0],
-        [[d0, q2, q1], [q2, d1, q0], [q1, q0, d2]],
-    )
+    return _bundle([2.0 * a21.imag, 2.0 * a02.imag, 2.0 * a10.imag], [
+        [1.0 - 2.0 * a00.real, 0.0 - 2.0 * a01.real, 0.0 - 2.0 * a02.real],
+        [0.0 - 2.0 * a10.real, 1.0 - 2.0 * a11.real, 0.0 - 2.0 * a12.real],
+        [0.0 - 2.0 * a20.real, 0.0 - 2.0 * a21.real, 1.0 - 2.0 * a22.real]])
 
 
 def compose(p: StateParams) -> np.ndarray:
@@ -212,10 +203,10 @@ def params_from_bloch_tensor(a: np.ndarray, T: np.ndarray) -> StateParams:
 def _bundle(a: list, T: list) -> StateParams:
     """StateParams of lists of a Bloch vector and a tensor's rows; T becomes (T + T^t)/2."""
     (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = T
-    d = [(t00 + t00) / 2.0, (t11 + t11) / 2.0, (t22 + t22) / 2.0]
-    q = [(t12 + t21) / 2.0, (t02 + t20) / 2.0, (t01 + t10) / 2.0]
-    omega = [(1.0 - t) / 2.0 for t in d]
-    return StateParams(a, q, omega, [[d[0], q[2], q[1]], [q[2], d[1], q[0]], [q[1], q[0], d[2]]])
+    d0, d1, d2 = (t00 + t00) / 2.0, (t11 + t11) / 2.0, (t22 + t22) / 2.0
+    q0, q1, q2 = (t12 + t21) / 2.0, (t02 + t20) / 2.0, (t01 + t10) / 2.0
+    return StateParams(a, [q0, q1, q2], [(1.0 - d0) / 2.0, (1.0 - d1) / 2.0, (1.0 - d2) / 2.0],
+                       [[d0, q2, q1], [q2, d1, q0], [q1, q0, d2]])
 
 
 def validate(p: StateParams) -> ValidityReport:
@@ -246,21 +237,18 @@ def gamma_norm(a: np.ndarray, T: np.ndarray) -> float:
 def _gamma_norm(a: list, T: list) -> float:
     """a . Gamma . a of a Bloch vector and T's rows, on Python floats in a fixed order.
 
-    On locals: M = 1 - T as _identity_minus, d = det3(M), w_j = a . M[:, j]
-    and (w . a) / d, each summed in index order.  ValueError when d
-    overflows, MetricUndefinedError when d <= SING_TOL, then ValueError when
-    the norm overflows.
+    M = _identity_minus(T) and d = det3(M), as _metric takes them; w_j =
+    a . M[:, j] and (w . a) / d, each summed in index order.  ValueError
+    when d overflows, MetricUndefinedError when d <= SING_TOL, then
+    ValueError when the norm overflows.
     """
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = T
-    m00, m01, m02 = 1.0 - t00, 0.0 - t01, 0.0 - t02
-    m10, m11, m12 = 0.0 - t10, 1.0 - t11, 0.0 - t12
-    m20, m21, m22 = 0.0 - t20, 0.0 - t21, 1.0 - t22
-    d = (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
-         + m02 * (m10 * m21 - m11 * m20))
+    M = _identity_minus(T)
+    d = det3(M)
     if not math.isfinite(d):
         raise ValueError("det(1 - T) overflows")
     if d <= SING_TOL:
         raise MetricUndefinedError(f"det(1 - T) = {d:.3e} is not above {SING_TOL:g}")
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
     a0, a1, a2 = a
     g = ((a0 * m00 + a1 * m10 + a2 * m20) * a0 + (a0 * m01 + a1 * m11 + a2 * m21) * a1
          + (a0 * m02 + a1 * m12 + a2 * m22) * a2) / d

@@ -73,6 +73,16 @@ NORM_TOL = 1e-10
 # Two pure states are orthogonal when |<psi|psi'>| is at most this.
 ORTHO_TOL = 1e-10
 
+# Band around ORTHO_TOL, a modulus, in which ortho's two verdicts (cli.cmd_ortho) may
+# differ.  Both read |<psi|psi'>| of amplitudes normalised within NORM_TOL, by two
+# roundings: _dot's complex products and sum, and purestates.orthogonal's dot products
+# of r and k.  Each real and imaginary part is a sum of six products, each through at
+# most four roundings, so within gamma_4 |psi| |psi'| < 5 u (1 + NORM_TOL)^2 of the exact
+# one (Higham, ASNA 2nd ed., Sec. 3.1, and Cauchy-Schwarz), u = 2^-53: the two complex
+# values differ by at most sqrt(2) times twice that.  Each modulus adds one ulp of its
+# own, below 2 u |<psi|psi'>|, which is below 2 ORTHO_TOL in the band.
+ORTHO_SLACK = (2.0 * math.sqrt(2.0) * 5.0 * (1.0 + NORM_TOL) ** 2 + 8.0 * ORTHO_TOL) * 2.0**-53
+
 # Slack on the pseudo-qubit ball condition a.a <= 4/9.
 BALL_TOL = 1e-12
 

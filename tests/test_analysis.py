@@ -353,6 +353,8 @@ def test_eigensolve_counts(monkeypatch):
     assert count(validate, decompose(invalid)) == (1, 0, 0)
     assert count(classify_rank, valid) == (0, 1, 1)
     assert count(analyse, valid) == (1, 0, 1)
+    # random prints rho's verdict's rank and builds no record
+    assert count(cli.main, ["random", "--rank", "2", "--seed", "5"]) == (0, 0, 0)
     # the frame of a text report's record is solved when it is first read, once
     an, _ = cli.build_report(valid)
     assert count(lambda: (an.validity, an.frame, an.validity)) == (1, 0, 0)

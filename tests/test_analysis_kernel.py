@@ -1,12 +1,14 @@
 """The written-out analysis core gives the list code's bits, answers and errors.
 
 linalg._eigensystem3 sorts and gauges T's three eigenvector columns on
-local variables, and state._params, _validity, _semi_axes, _record,
-_gamma_norm and _metric, and cli._vec, read their three or nine entries
-into locals once.  Each must do the floating-point operations of the list
-code it replaced, in the same order: that code is kept below verbatim as
-the oracle (_fix_phase, _identity_minus, _bundle, _one_minus and _dot3
-with it).  Results are compared by repr, so -0.0 for 0.0, a complex for a
+local variables, and state._bundle, _validity, _semi_axes, _record and
+cli._vec read their three or nine entries into locals once;
+state._params hands _bundle a and the rows of 1 - 2 Re(rho), and
+_gamma_norm and _metric read 1 - T and det(1 - T) from _identity_minus
+and det3.  Each must do the floating-point operations of the list code
+it replaced, in the same order: that code is kept below verbatim as the
+oracle (_fix_phase, _identity_minus, _bundle, _one_minus and _dot3 with
+it).  Results are compared by repr, so -0.0 for 0.0, a complex for a
 float or a reordered column counts as a difference, and where the oracle
 raises the change must raise the same type and message.  The families
 aim at the branches written out: ties of eigenvalues (the sort's order)
@@ -321,6 +323,23 @@ DENSITY = _density_rows()
 EIGEN = _eigensystem_rows()
 
 
+def _bundle_inputs(rows: list) -> list:
+    """(a, T) that no rho gives, for state._bundle, which params_from_bloch_tensor, pseudo and
+    pseudo_qubit reach directly.
+
+    T is not symmetric; then negated and with its zeros' signs flipped;
+    then scaled so its largest diagonal entry is 1e308 in modulus, where
+    t + t overflows, as may an off-diagonal pair's sum.
+    """
+    a = [x.imag for x in rows[1]]
+    T = [[x.real + 3.0 * x.imag + 0.25 * (j - i) for j, x in enumerate(row)]
+         for i, row in enumerate(rows)]
+    scale = 1e308 / max(abs(T[0][0]), abs(T[1][1]), abs(T[2][2]))
+    huge = [[x * scale for x in row] for row in T]
+    return [(a, T), ([-x for x in a], [[-x for x in row] for row in T]), (a, huge),
+            (a, [[-0.0 if x == 0.0 else x for x in row] for row in T])]
+
+
 # --- the tests -----------------------------------------------------------------
 
 
@@ -328,6 +347,10 @@ EIGEN = _eigensystem_rows()
 def test_record_and_metric_are_the_list_codes(family):
     for rows in DENSITY[family]:
         _same(state._params, _old_params, rows)
+        inputs = _bundle_inputs(rows)
+        for a, T in inputs:
+            _same(state._bundle, _bundle, a, T)
+        assert math.inf in map(abs, state._bundle(*inputs[2]).omega)
         _same(state._record, _old_record, rows)
         # the lazy record, its frame and validity unread, and the framed one equal the oracle
         if _outcome(_old_record, rows)[0] == "ok":

@@ -6,6 +6,7 @@ documented exit-code contract and output invariants via subprocesses.
 
 import ast
 import glob
+import itertools
 import json
 import os
 import re
@@ -18,7 +19,7 @@ import pytest
 
 from qutrit3d import cli, linalg, purestates, spin1, state
 from qutrit3d.errors import InternalCheckError
-from qutrit3d.tolerances import HERM_TOL, NORM_TOL, TRACE_TOL
+from qutrit3d.tolerances import HERM_TOL, NORM_TOL, ORTHO_TOL, TRACE_TOL
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src", "qutrit3d")
@@ -482,6 +483,54 @@ def test_ortho_tests_the_modulus_of_the_overlap(tmp_path):
     assert "rk-condition verdict: not orthogonal" in res.stdout
 
 
+# the two roundings of |<a|b>| of these files lie 2.2e-17 apart, one on each side of
+# ORTHO_TOL: _dot's above it, purestates.orthogonal's below
+STRADDLING_PAIR = (
+    [[-0.5053130683420448, 0.7259303922355961], [-0.3845243942507319, -0.09328910154497962],
+     [0.16025390088045777, -0.18825671197345403]],
+    [[-0.014816408666589315, -0.1751792175251659], [0.20895641415768454, -0.0391144547756559],
+     [0.10274876678292345, -0.9556896374430608]],
+)
+
+
+def test_ortho_verdicts_within_rounding_of_the_tolerance_exit_0(tmp_path):
+    """Two roundings of one modulus that straddle ORTHO_TOL print their verdicts and exit 0."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"amplitudes": STRADDLING_PAIR[0]}))
+    b.write_text(json.dumps({"amplitudes": STRADDLING_PAIR[1]}))
+    res = run_cli("ortho", str(a), str(b))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines() == [
+        "inner-product modulus: 1.00000009027e-10",
+        "inner-product verdict: not orthogonal",
+        "rk-condition verdict: orthogonal",
+    ]
+
+
+def test_ortho_family_at_the_tolerance_never_exits_3(tmp_path, capsys):
+    """Seeded pairs with |<a|b>| = ORTHO_TOL up to rounding: some straddle it, none exits 3."""
+    rng = np.random.default_rng(4051)
+    straddling = 0
+    for k in range(200):
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        v -= np.vdot(u, v) * u
+        v /= np.linalg.norm(v)
+        w = np.sqrt(1.0 - ORTHO_TOL**2) * v + ORTHO_TOL * np.exp(2j * np.pi * rng.random()) * u
+        paths = []
+        for name, psi in (("a", u), ("b", w)):
+            path = tmp_path / f"{name}{k}.json"
+            path.write_text(json.dumps({"amplitudes": [[x.real, x.imag] for x in psi.tolist()]}))
+            paths.append(str(path))
+        assert cli.main(["ortho", *paths]) == 0, paths
+        out, err = capsys.readouterr()
+        verdicts = [line.rsplit(": ", 1)[1] for line in out.splitlines()[1:]]
+        straddling += verdicts[0] != verdicts[1]
+        assert err == ""
+    assert straddling >= 1
+
+
 def test_random_seeding_and_rank():
     first = run_cli("random", "--rank", "2", "--seed", "5")
     second = run_cli("random", "--rank", "2", "--seed", "5")
@@ -498,9 +547,13 @@ def test_random_seeding_and_rank():
     explicit = run_cli("random", "--rank", "2", "--seed", "6", env_extra={"QUTRIT_SEED": "5"})
     assert explicit.stdout == different.stdout
 
-    for rank in (1, 2, 3):
-        res = run_cli("random", "--rank", str(rank), "--seed", "1")
-        assert res.stdout.rstrip().splitlines()[-1] == f"rank: {rank}"
+    # the printed rank is the printed matrix's
+    for rank, seed in itertools.product((1, 2, 3), (1, 2)):
+        res = run_cli("random", "--rank", str(rank), "--seed", str(seed))
+        payload, printed = res.stdout.rsplit("}\n", 1)
+        obj = json.loads(payload + "}")
+        rho = np.array(obj["re"]) + 1j * np.array(obj["im"])
+        assert printed == f"rank: {state.classify_rank(rho).rank}\n" == f"rank: {rank}\n"
 
     # a seed that is not a non-negative integer is a parse failure naming its source
     for argv, env, where in (
@@ -995,6 +1048,40 @@ def test_every_default_of_a_private_function_is_set_somewhere():
                            for call in calls.get(fn.name, ())):
                     dead.append(f"{name}:{fn.name}({param})")
     assert dead == []
+
+
+# a private name as the source mentions it: "_" and a letter, not inside a word; a "'" or
+# "|" before it marks a subscript of a formula (mu'_k, ||A||_F), not a name
+PRIVATE_NAME = re.compile(r"(?<![\w'|])_[A-Za-z]\w*")
+
+
+def test_every_private_name_mentioned_is_defined():
+    """Each _name in src/, in code, docstrings and comments alike, is defined in src/.
+
+    Functions, classes (nested and methods included), module-level names
+    and __slots__ entries count as defined.  A docstring that cites a
+    function a later change removed points the reader at nothing.
+    """
+    defined, sources = set(), {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, "r", encoding="utf-8") as fh:
+            sources[os.path.basename(path)] = text = fh.read()
+        tree = ast.parse(text, filename=path)
+        defined.update(node.name for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                defined.update(n.id for t in stmt.targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+            if isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, ast.Assign) and any(
+                            getattr(t, "id", None) == "__slots__" for t in item.targets):
+                        defined.update(ast.literal_eval(item.value))
+    stale = [f"{name}:{i} {m.group()}" for name, text in sources.items()
+             for i, line in enumerate(text.splitlines(), 1)
+             for m in PRIVATE_NAME.finditer(line) if m.group() not in defined]
+    assert stale == []
 
 
 def _imported_names(node) -> set:
