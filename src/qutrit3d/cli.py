@@ -20,9 +20,10 @@ __slots__ classes on linalg._Record, which compare and print as before
 but which fields(), asdict() and replace() refuse, with no __dict__
 for vars().  Only random imports numpy, for its generator's draws, and only
 scene and evolve --scenes load geometry (the report's scene case is state's).  Every
-exit-1 message about a file names it.  Output leaves one way: _dump
-renders every JSON payload, _emit writes a command's text as it is to
-stdout or --out, main prints the error line.
+exit-1 message about a file names it.  Output leaves one way: each cmd_*
+returns its exit code and its text (_dump renders every JSON payload), and
+main writes the text once, through _emit, to stdout or --out, then prints
+the one error line; a failed write to either exits 1.
 """
 
 from __future__ import annotations
@@ -215,37 +216,31 @@ def _dump(obj) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Write text as it is to stdout, or to the file out."""
-    if out is None:
-        print(text, end="")
-        return
+    """Write text as it is to stdout, flushed, or to the file out; an OSError is a CliIOError."""
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if out is None:
+            print(text, end="", flush=True)  # nothing left for the exit-time flush to fail on
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise CliIOError(f"cannot write {out}: {exc}") from exc
+        raise CliIOError(f"cannot write {'stdout' if out is None else out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # report assembly
 
 
-_C1_TEXT = "diagonal weight outside [0, 1] (c1)"
-_C2_TEXT = "2x2 principal minor negative (c2)"
-_C3_TEXT = "determinant minor negative (c3)"
-_SPECTRUM_TEXT = "negative eigenvalue with all minors inside tolerance (spectrum)"
-
-
 def first_violation(v: ValidityReport) -> str | None:
     if v.overall:
         return None
     if not v.c1_ok:
-        return _C1_TEXT
+        return "diagonal weight outside [0, 1] (c1)"
     if not v.c2_ok:
-        return _C2_TEXT
+        return "2x2 principal minor negative (c2)"
     if not v.c3_ok:
-        return _C3_TEXT
-    return _SPECTRUM_TEXT
+        return "determinant minor negative (c3)"
+    return "negative eigenvalue with all minors inside tolerance (spectrum)"
 
 
 def build_report(rho: np.ndarray) -> tuple[Analysis, float | None]:
@@ -284,7 +279,6 @@ def report_text(report: tuple[Analysis, float | None]) -> str:
 
 def report_dict(report: tuple[Analysis, float | None]) -> dict:
     an, gamma = report
-    metric = _metric(an.params.T)
     return {
         "params": {
             "a": an.params.a,
@@ -296,7 +290,7 @@ def report_dict(report: tuple[Analysis, float | None]) -> dict:
         "tensor_eigenvalues": an.tensor_eigenvalues,
         "semi_axes": an.semi_axes,
         "gamma_norm": gamma,
-        "metric": "degenerate" if metric is None else metric,
+        "metric": "degenerate" if gamma is None else _metric(an.params.T),  # gamma's det verdict
         "rank": None if an.rank is None else {
             "rank": an.rank.rank, "case": an.rank.case, "eigenvalues": an.eigenvalues},
         "scene_case": None if an.rank is None else RANK_CASE_TO_SCENE[an.rank.case],
@@ -307,13 +301,13 @@ def report_dict(report: tuple[Analysis, float | None]) -> dict:
 # commands
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, str]:
     report = _report(load_state_file(args.path), args.json)
-    _emit(_dump(report_dict(report)) if args.json else report_text(report), args.out)
-    return EXIT_OK if report[0].rank is not None else EXIT_INVALID
+    text = _dump(report_dict(report)) if args.json else report_text(report)
+    return EXIT_OK if report[0].rank is not None else EXIT_INVALID, text
 
 
-def cmd_scene(args) -> int:
+def cmd_scene(args) -> tuple[int, str]:
     from .geometry import _scene, export_scene_obj, scene_to_dict
 
     scene = _scene(load_state_file(args.path))
@@ -321,11 +315,10 @@ def cmd_scene(args) -> int:
         text = _dump(scene_to_dict(scene))
     else:
         text = export_scene_obj(scene, lat=args.lat, lon=args.lon, surface_only=args.surface_only)
-    _emit(text, args.out)
-    return EXIT_OK
+    return EXIT_OK, text
 
 
-def cmd_mub(args) -> int:
+def cmd_mub(args) -> tuple[int, str]:
     from .purestates import _mub
 
     bases = list(_mub())
@@ -336,19 +329,17 @@ def cmd_mub(args) -> int:
     report = _report(_density_rows(_projector(state.amp)))
     out = _dump(amplitudes_payload(state.amp))
     out += f"cross-basis overlap modulus: {_fmt(_sum(cross) / len(cross))}\n"
-    out += report_text(report)
-    _emit(out, args.out)
-    return EXIT_OK
+    return EXIT_OK, out + report_text(report)
 
 
-def cmd_pseudo(args) -> int:
+def cmd_pseudo(args) -> tuple[int, str]:
     # build the tensor-=identity/3 state for any requested vector and let
     # the validity report say whether it is admissible, mirroring analyze
     rows = _compose(_bundle([args.ax, args.ay, args.az], PSEUDO_TENSOR))
     rho = _checked("--ax/--ay/--az", _density_rows, rows)
     report = _report(rho)
-    _emit(_dump(density_payload(rho)) + report_text(report), args.out)
-    return EXIT_OK if report[0].rank is not None else EXIT_INVALID
+    text = _dump(density_payload(rho)) + report_text(report)
+    return EXIT_OK if report[0].rank is not None else EXIT_INVALID, text
 
 
 def _generator_from_flag(flag: str):
@@ -364,7 +355,7 @@ def _generator_from_flag(flag: str):
     return GENERATORS[flag]
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> tuple[int, str]:
     from .dynamics import _grid, _trajectory
 
     rho = load_state_file(args.path)
@@ -376,11 +367,10 @@ def cmd_evolve(args) -> int:
         from .geometry import scene_to_dict
         for record, scene in zip(records, traj.scenes):
             record["scene"] = scene_to_dict(scene)
-    _emit(_dump(records), args.out)
-    return EXIT_OK
+    return EXIT_OK, _dump(records)
 
 
-def cmd_bridge(args) -> int:
+def cmd_bridge(args) -> tuple[int, str]:
     from .spin1 import _from_two_qubit, _to_two_qubit
 
     if args.direction == "to2q":
@@ -388,8 +378,7 @@ def cmd_bridge(args) -> int:
     else:
         rho4 = _matrix_from_obj(_read_json(args.path), args.path, 4)
         rho = _checked(args.path, _from_two_qubit, rho4)
-    _emit(_dump(density_payload(rho)), args.out)
-    return EXIT_OK
+    return EXIT_OK, _dump(density_payload(rho))
 
 
 def _load_pure(path: str):
@@ -399,7 +388,7 @@ def _load_pure(path: str):
     return _pure_from_obj(obj, path)
 
 
-def cmd_ortho(args) -> int:
+def cmd_ortho(args) -> tuple[int, str]:
     from . import purestates
 
     p = _load_pure(args.path_a)
@@ -410,14 +399,13 @@ def cmd_ortho(args) -> int:
     text = f"inner-product modulus: {_fmt(overlap)}\n"
     for name, ok in (("inner-product", inner_verdict), ("rk-condition", rk_verdict)):
         text += f"{name} verdict: {'orthogonal' if ok else 'not orthogonal'}\n"
-    _emit(text, None)
     # two roundings of one modulus: within ORTHO_SLACK of ORTHO_TOL each verdict stands
     if inner_verdict != rk_verdict and abs(overlap - ORTHO_TOL) > ORTHO_SLACK:
-        raise InternalCheckError("orthogonality criteria disagree")
-    return EXIT_OK
+        raise InternalCheckError("orthogonality criteria disagree", text)
+    return EXIT_OK, text
 
 
-def cmd_random(args) -> int:
+def cmd_random(args) -> tuple[int, str]:
     seed = args.seed
     if seed is None:
         env = os.environ.get("QUTRIT_SEED")
@@ -430,8 +418,7 @@ def cmd_random(args) -> int:
     if not positive:  # a mixture of projectors is positive
         values = values or _eigvals(rho)
         raise InternalCheckError(f"sampled state is not positive: {values[-1]:.3e}")
-    _emit(_dump(density_payload(rho)) + f"rank: {rank}\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, _dump(density_payload(rho)) + f"rank: {rank}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +499,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ortho", help="compare two orthogonality criteria on pure states")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.set_defaults(func=cmd_ortho)
+    p.set_defaults(func=cmd_ortho, out=None)
 
     p = with_out("random", help="sample a random density matrix")
     p.add_argument("--rank", type=int, choices=(1, 2, 3), default=3)
@@ -523,15 +510,21 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    text, error = "", None
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except (CliIOError, ValueError) as exc:
         code, error = EXIT_IO, exc
     except (InvalidStateError, OutOfBallError, NotSymmetricError, DegenerateMeshError) as exc:
         code, error = EXIT_INVALID, exc
-    except InternalCheckError as exc:
-        code, error = EXIT_INTERNAL, exc
-    print(f"error: {error}", file=sys.stderr)
+    except InternalCheckError as exc:  # ortho's carries the verdicts it prints before failing
+        code, text, error = EXIT_INTERNAL, exc.text, exc
+    try:
+        if text:  # a failed command leaves --out as it was
+            _emit(text, args.out)
+    except CliIOError as exc:
+        code, error = EXIT_IO, exc
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
     return code

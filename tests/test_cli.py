@@ -1,11 +1,16 @@
 """End-to-end tests for the command-line interface.
 
 Golden-file comparisons are byte-level; everything else checks the
-documented exit-code contract and output invariants via subprocesses.
+documented exit-code contract and output invariants.  run_cli calls
+cli.main in this process; run_child starts `python -m qutrit3d`, and only
+the tests of what a process adds (the entry point, -O, interpreter exit)
+use it.
 """
 
 import ast
+import contextlib
 import glob
+import io
 import itertools
 import json
 import os
@@ -13,6 +18,7 @@ import re
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,17 +35,38 @@ GOLDEN = os.path.join(HERE, "golden")
 CANONICAL = ("mixed", "ket0", "pseudo_boundary")
 
 
+def _child_env(env_extra):
+    """os.environ without QUTRIT_SEED, then env_extra."""
+    env = {k: v for k, v in os.environ.items() if k != "QUTRIT_SEED"}
+    return {**env, **(env_extra or {})}
+
+
+def run_child(*args, env_extra=None, flags=(), stdout=subprocess.PIPE):
+    """`python *flags -m qutrit3d *args` in a child process, as subprocess.run returns it."""
+    return subprocess.run([sys.executable, *flags, "-m", "qutrit3d", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=_child_env(env_extra))
+
+
 def run_cli(*args, env_extra=None, flags=()):
-    env = dict(os.environ)
-    env.pop("QUTRIT_SEED", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "qutrit3d", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    """What run_child returns; in this process, through cli.main, when no flag is given.
+
+    os.environ is the child's for the call and restored after, stdout and
+    stderr are captured, every warning is raised, and argparse's SystemExit
+    gives the exit code.
+    """
+    if flags:
+        return run_child(*args, env_extra=env_extra, flags=flags)
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.dict(os.environ, _child_env(env_extra), clear=True),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    argv = [sys.executable, "-m", "qutrit3d", *args]
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
 def data_path(name):
@@ -576,6 +603,19 @@ def test_out_flag_writes_file(tmp_path):
     assert out.read_text() == read_golden("analyze_mixed.txt")
 
 
+def test_out_flag_failures(tmp_path):
+    """A file that cannot be written is one exit-1 line; a failed command leaves --out as it was."""
+    res = run_cli("analyze", data_path("mixed"), "--out", str(tmp_path))
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr.startswith(f"error: cannot write {tmp_path}: ")
+    assert len(res.stderr.splitlines()) == 1
+    out = tmp_path / "report.txt"
+    out.write_text("kept")
+    res = run_cli("analyze", str(tmp_path / "missing.json"), "--out", str(out))
+    assert res.returncode == 1 and res.stderr.startswith("error: cannot read ")
+    assert out.read_text() == "kept"
+
+
 def test_help_documents_exit_codes():
     res = run_cli("--help")
     assert res.returncode == 0
@@ -931,23 +971,30 @@ def test_no_array_edge_inside_the_package():
     assert found == []
 
 
-# the one JSON renderer and the one writer: the CLI's text leaves through _emit, and
-# main prints the one error line; geometry.export_scene_json is a library function
+# the one JSON renderer and the one writer: each cmd_* returns its code and text, main
+# writes the text through _emit and prints the one error line; geometry.export_scene_json
+# is a library function
 OUTPUT_CALLS = {
     "dumps": {"cli.py:_dump", "geometry.py:export_scene_json"},
     "print": {"cli.py:_emit", "cli.py:main"},
+    "_emit": {"cli.py:main"},
 }
 
 
 def test_output_leaves_through_one_renderer_and_one_writer():
-    """json.dumps and print are called only where OUTPUT_CALLS allows, and --out is declared once."""
-    found, out_flags = [], 0
+    """json.dumps, print and _emit are called only where OUTPUT_CALLS allows; one --out flag.
+
+    No cmd_* calls any of them: each returns its exit code and text to main.
+    """
+    found, out_flags, commands = [], 0, set()
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         name = os.path.basename(path)
         with open(path, "r", encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=path)
         for stmt in tree.body:
             where = f"{name}:{getattr(stmt, 'name', '')}"
+            if where.startswith("cli.py:cmd_"):
+                commands.add(where)
             for node in ast.walk(stmt):
                 if not isinstance(node, ast.Call):
                     continue
@@ -960,6 +1007,7 @@ def test_output_leaves_through_one_renderer_and_one_writer():
                     out_flags += 1
     assert found == []
     assert out_flags == 1
+    assert len(commands) == 8 and not commands & set().union(*OUTPUT_CALLS.values())
 
 
 # the functions of the package that still call the builtin sum: none.  CPython 3.12
@@ -1098,6 +1146,32 @@ def test_analyze_golden_bytes_under_optimize():
         res = run_cli("analyze", data_path(name), flags=("-O",))
         assert res.returncode == 0, res.stderr
         assert res.stdout == read_golden(f"analyze_{name}.txt"), name
+
+
+def test_module_entry_point_exits_0_1_2_without_a_traceback():
+    """One `python -m qutrit3d` child per exit code: a fresh interpreter, its exit, its streams."""
+    runs = (
+        (("analyze", data_path("mixed")), 0, read_golden("analyze_mixed.txt"), ""),
+        (("analyze", data_path("missing")), 1, "", "error: cannot read "),
+        (("scene", data_path("ket0"), "--format", "obj", "--surface-only"), 2, "", "error: "),
+    )
+    for argv, code, out, err in runs:
+        res = run_child(*argv)
+        assert (res.returncode, res.stdout) == (code, out), (argv, res.stderr)
+        assert res.stderr.startswith(err) and len(res.stderr.splitlines()) == (code != 0), argv
+        assert "Traceback" not in res.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+def test_failed_write_to_stdout_exits_1_with_one_error_line():
+    """stdout on a full device: one error line, exit 1, nothing left for the exit-time flush."""
+    evolve = ("evolve", data_path("mixed"), "--generator", "rot:x", "--theta", "1")
+    for argv in (("analyze", data_path("mixed")), evolve):
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            res = run_child(*argv, stdout=full)
+        assert res.returncode == 1, (argv, res.stderr)
+        assert res.stderr.startswith("error: cannot write stdout: "), res.stderr
+        assert len(res.stderr.splitlines()) == 1, res.stderr
 
 
 def _main(capsys, *argv):
