@@ -215,32 +215,40 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write text as it is to stdout, flushed, or to the file out; an OSError is a CliIOError."""
+def _emit(text: str, out: str | None) -> str | None:
+    """Write text as it is to stdout, flushed, or to the file out; the message of a failed write."""
     try:
         if out is None:
-            print(text, end="", flush=True)  # nothing left for the exit-time flush to fail on
+            print(text, end="", flush=True)  # a failed write fails here, not at interpreter exit
         else:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
-        raise CliIOError(f"cannot write {'stdout' if out is None else out}: {exc}") from exc
+        if out is None:  # drop the bytes stdout still holds: the exit-time flush has none to fail on
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return f"cannot write {'stdout' if out is None else out}: {exc}"
 
 
 # ---------------------------------------------------------------------------
 # report assembly
 
 
+_C1_TEXT = "diagonal weight outside [0, 1] (c1)"
+_C2_TEXT = "2x2 principal minor negative (c2)"
+_C3_TEXT = "determinant minor negative (c3)"
+_SPECTRUM_TEXT = "negative eigenvalue with all minors inside tolerance (spectrum)"
+
+
 def first_violation(v: ValidityReport) -> str | None:
     if v.overall:
         return None
     if not v.c1_ok:
-        return "diagonal weight outside [0, 1] (c1)"
+        return _C1_TEXT
     if not v.c2_ok:
-        return "2x2 principal minor negative (c2)"
+        return _C2_TEXT
     if not v.c3_ok:
-        return "determinant minor negative (c3)"
-    return "negative eigenvalue with all minors inside tolerance (spectrum)"
+        return _C3_TEXT
+    return _SPECTRUM_TEXT
 
 
 def build_report(rho: np.ndarray) -> tuple[Analysis, float | None]:
@@ -518,13 +526,11 @@ def main(argv=None) -> int:
         code, error = EXIT_IO, exc
     except (InvalidStateError, OutOfBallError, NotSymmetricError, DegenerateMeshError) as exc:
         code, error = EXIT_INVALID, exc
-    except InternalCheckError as exc:  # ortho's carries the verdicts it prints before failing
-        code, text, error = EXIT_INTERNAL, exc.text, exc
-    try:
-        if text:  # a failed command leaves --out as it was
-            _emit(text, args.out)
-    except CliIOError as exc:
-        code, error = EXIT_IO, exc
+    except InternalCheckError as exc:  # ortho's second argument: the lines it prints before failing
+        code, error, text = EXIT_INTERNAL, exc.args[0], "".join(exc.args[1:])
+    failed = text and _emit(text, args.out)  # a failed command leaves --out as it was
+    if failed:
+        code, error = EXIT_IO, failed
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
     return code

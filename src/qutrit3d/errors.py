@@ -56,7 +56,3 @@ class DegenerateMeshError(QutritError):
 
 class InternalCheckError(QutritError):
     """A library self-check failed: two routes to one result disagree."""
-
-    def __init__(self, message, text=""):  # text: what the command prints before the error line
-        super().__init__(message)
-        self.text = text

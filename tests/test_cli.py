@@ -370,9 +370,9 @@ def test_evolve_with_scenes_and_custom_generator(tmp_path):
     ).returncode == 1
 
 
-def test_evolve_steps_above_the_bound_exit_1(capsys):
+def test_evolve_steps_above_the_bound_exit_1():
     argv = ["evolve", data_path("mixed"), "--generator", "rot:x", "--theta", "1"]
-    code, out, err = _main(capsys, *argv, "--steps", "100001")
+    code, out, err = _main(*argv, "--steps", "100001")
     assert (code, out) == (1, "")
     assert err == "error: trajectory takes at most 100000 samples, got 100001\n"
 
@@ -1163,24 +1163,24 @@ def test_module_entry_point_exits_0_1_2_without_a_traceback():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
-def test_failed_write_to_stdout_exits_1_with_one_error_line():
-    """stdout on a full device: one error line, exit 1, nothing left for the exit-time flush."""
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_failed_write_to_stdout_exits_1_with_one_error_line(unbuffered, monkeypatch):
+    """stdout on a full device, block-buffered or not: one error line, exit 1, no exit-time flush error."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else None
     evolve = ("evolve", data_path("mixed"), "--generator", "rot:x", "--theta", "1")
-    for argv in (("analyze", data_path("mixed")), evolve):
+    for argv in (("analyze", data_path("mixed")), evolve, (*evolve, "--steps", "2000")):
         with open("/dev/full", "w", encoding="utf-8") as full:
-            res = run_child(*argv, stdout=full)
+            res = run_child(*argv, env_extra=env, stdout=full)
         assert res.returncode == 1, (argv, res.stderr)
         assert res.stderr.startswith("error: cannot write stdout: "), res.stderr
         assert len(res.stderr.splitlines()) == 1, res.stderr
 
 
-def _main(capsys, *argv):
-    """cli.main in process with every warning raised: (exit code, stdout, stderr)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = cli.main([str(a) for a in argv])
-    out, err = capsys.readouterr()
-    return code, out, err
+def _main(*argv):
+    """run_cli's (exit code, stdout, stderr) of argv, whose paths may be Path objects."""
+    res = run_cli(*map(str, argv))
+    return res.returncode, res.stdout, res.stderr
 
 
 NONFINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
@@ -1195,7 +1195,7 @@ def _diag_third_file(path, re12=0.0, im12=0.0):
     return path
 
 
-def test_overflowing_report_exits_with_one_message(tmp_path, capsys):
+def test_overflowing_report_exits_with_one_message(tmp_path):
     # a finite, Hermitian, trace-one file whose metric norm or det(1 - T)
     # overflows ends with one error line: no inf, Infinity, "degenerate"
     # or numpy overflow warning
@@ -1206,12 +1206,12 @@ def test_overflowing_report_exits_with_one_message(tmp_path, capsys):
     ]
     runs = [("analyze", f) for f in files] + [("analyze", "--json", f) for f in files]
     for argv in runs + [("pseudo", "--ax", "1e155")]:
-        code, out, err = _main(capsys, *argv)
+        code, out, err = _main(*argv)
         assert code == 1, (argv, out, err)
         assert not NONFINITE_TOKEN.search(out), argv
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "overflows" in err
     # a Bloch vector whose density matrix overflows is named by its flags
-    code, out, err = _main(capsys, "pseudo", "--ay", "1e308")
+    code, out, err = _main("pseudo", "--ay", "1e308")
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: --ax/--ay/--az: density matrix overflows"), err
@@ -1220,20 +1220,20 @@ def test_overflowing_report_exits_with_one_message(tmp_path, capsys):
         line = f"error: not positive: min eigenvalue -1.000e+{power} < -1e-09\n"
         for argv in (("scene", path), ("bridge", path, "--direction", "to2q"),
                      ("evolve", path, "--generator", "rot:x", "--theta", "1", "--steps", "3")):
-            assert _main(capsys, *argv) == (2, "", line), argv
+            assert _main(*argv) == (2, "", line), argv
 
     # an entry that T = 1 - 2 Re(rho) would double past the solver's entry
     # bound is rejected where the file is read, and the message names it
     big = _diag_third_file(tmp_path / "re8e306.json", re12=8e306)
     for argv in (("analyze", big), ("analyze", "--json", big), ("scene", big),
                  ("bridge", big, "--direction", "to2q")):
-        code, out, err = _main(capsys, *argv)
+        code, out, err = _main(*argv)
         assert (code, out) == (1, ""), argv
         assert len(err.splitlines()) == 1, argv
         assert err.startswith(f"error: {big}: density matrix overflows"), (argv, err)
 
     # controls below the overflow keep their output and exit 2
-    code, out, err = _main(capsys, "analyze", _diag_third_file(tmp_path / "im110.json", im12=1e110))
+    code, out, err = _main("analyze", _diag_third_file(tmp_path / "im110.json", im12=1e110))
     assert (code, err) == (2, "")
     assert out == (
         "a: 0 0 -2e+110\nq: 0 0 0\n"
@@ -1243,7 +1243,7 @@ def test_overflowing_report_exits_with_one_message(tmp_path, capsys):
         "gamma-norm: 9e+220\nvalidity: violated: 2x2 principal minor negative (c2)\n"
         "rank: n/a\ncase: n/a\nscene: n/a\n"
     )
-    code, out, err = _main(capsys, "pseudo", "--ax", "1e100")
+    code, out, err = _main("pseudo", "--ax", "1e100")
     assert (code, err) == (2, "")
     assert "a: 1e+100 0 0\n" in out and "gamma-norm: 2.25e+200\n" in out
 
@@ -1339,7 +1339,7 @@ def _fuzz_payloads(rng):
                 yield kind, mutate(kind, obj)
 
 
-def test_cli_fuzz_of_input_files(tmp_path, capsys):
+def test_cli_fuzz_of_input_files(tmp_path):
     """Mutated input files end in exit 0, 1 or 2 with finite output and no escaping exception."""
     mixed = data_path("mixed")
     commands = {
@@ -1368,7 +1368,7 @@ def test_cli_fuzz_of_input_files(tmp_path, capsys):
         for argv in (runs[n % len(runs)], runs[(n + 3) % len(runs)]):
             argv = [a.replace("{f}", str(path)) for a in argv]
             try:
-                code, out, err = _main(capsys, *argv)
+                code, out, err = _main(*argv)
             except Exception as exc:  # name the input that let it escape
                 pytest.fail(f"{argv} on {text!r} raised {exc!r}")
             assert code in (0, 1, 2), (argv, text, err)

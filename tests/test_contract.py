@@ -1,4 +1,4 @@
-"""The CLI contract as a seeded property test, in process through cli.main.
+"""The CLI contract as a seeded property test, in process through test_cli.run_cli.
 
 Finite input exits 0, 1 or 2.  stderr is empty or exactly one `error:`
 line, and an exit-1 line names the file when the command read one.
@@ -12,18 +12,15 @@ amplitudes near 1e-155 and pairs at ORTHO_TOL, over every command and flag.
 """
 
 import json
-import re
-import warnings
 
 import numpy as np
 import pytest
 
-from qutrit3d import cli, spin1
+from qutrit3d import spin1
 from qutrit3d.tolerances import ORTHO_TOL, RANK_TOL
 from test_analysis import BOUNDARY_FAMILIES
-from test_cli import STRADDLING_PAIR
+from test_cli import NONFINITE_TOKEN, STRADDLING_PAIR, run_cli
 
-NONFINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 GENERATORS = [f"{kind}:{axis}" for kind in ("rot", "twist", "counter") for axis in "xyz"]
 
 
@@ -123,22 +120,17 @@ def _amplitudes(path, psi) -> str:
     return _write(path, {"amplitudes": [[c.real, c.imag] for c in np.asarray(psi).tolist()]})
 
 
-def _check(capsys, monkeypatch, argv, out_file, env=None):
+def _check(argv, out_file, env=None):
     """Run argv twice: the contract on the first run, the same bytes on the second; --out is stdout."""
     runs = []
     for _ in range(2):
-        monkeypatch.delenv("QUTRIT_SEED", raising=False)
-        for key, value in (env or {}).items():
-            monkeypatch.setenv(key, value)
         if out_file.exists():
             out_file.unlink()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = cli.main(argv)
-        out, err = capsys.readouterr()
+        res = run_cli(*argv, env_extra=env)
+        out = res.stdout
         if str(out_file) in argv and out_file.exists():
             out += out_file.read_text()
-        runs.append((code, out, err))
+        runs.append((res.returncode, out, res.stderr))
     code, out, err = runs[0]
     assert code in (0, 1, 2), (argv, err)
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (argv, err)
@@ -151,16 +143,16 @@ def _check(capsys, monkeypatch, argv, out_file, env=None):
 
 
 @pytest.mark.parametrize("family", sorted(STATE_FAMILIES))
-def test_state_families_keep_the_contract(family, tmp_path, capsys, monkeypatch):
+def test_state_families_keep_the_contract(family, tmp_path):
     rng = np.random.default_rng([20261021, sorted(STATE_FAMILIES).index(family)])
     out = tmp_path / "out.txt"
     for i in range(4):
         f = _density(tmp_path / f"{i}.json", STATE_FAMILIES[family](rng))
         for argv in _state_commands(rng, f, str(out)):
-            _check(capsys, monkeypatch, argv, out)
+            _check(argv, out)
 
 
-def test_custom_generators_with_near_degenerate_spectra(tmp_path, capsys, monkeypatch):
+def test_custom_generators_with_near_degenerate_spectra(tmp_path):
     """G = U diag(l, l + gap, m) U^dag, gap 1e-17..1e-6, |theta| <= 1e3, with and without scenes."""
     rng = np.random.default_rng(202610211)
     out = tmp_path / "out.txt"
@@ -174,10 +166,10 @@ def test_custom_generators_with_near_degenerate_spectra(tmp_path, capsys, monkey
         theta = repr(float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)))
         argv = ["evolve", states[i % 3], "--generator", f"custom:{g}", "--theta", theta,
                 "--steps", str(2 + i % 3)] + ["--scenes"] * (i % 2)
-        _check(capsys, monkeypatch, argv + ["--out", str(out)] * (i % 3 == 0), out)
+        _check(argv + ["--out", str(out)] * (i % 3 == 0), out)
 
 
-def test_pseudo_at_the_edge_of_the_ball(tmp_path, capsys, monkeypatch):
+def test_pseudo_at_the_edge_of_the_ball(tmp_path):
     """|a| = 2/3 (1 +- eps): exit 0 inside, 2 outside, never 3."""
     rng = np.random.default_rng(202610212)
     out = tmp_path / "out.txt"
@@ -188,11 +180,11 @@ def test_pseudo_at_the_edge_of_the_ball(tmp_path, capsys, monkeypatch):
         a = (2.0 / 3.0) * (1.0 + eps) * n / np.linalg.norm(n)
         ax, ay, az = (repr(x) for x in a.tolist())
         argv = ["pseudo", "--ax", ax, "--ay", ay, "--az", az]
-        codes.add(_check(capsys, monkeypatch, argv + ["--out", str(out)] * (i % 4 == 0), out))
+        codes.add(_check(argv + ["--out", str(out)] * (i % 4 == 0), out))
     assert codes == {0, 2}
 
 
-def test_from2q_of_perturbed_symmetric_states(tmp_path, capsys, monkeypatch):
+def test_from2q_of_perturbed_symmetric_states(tmp_path):
     rng = np.random.default_rng(202610213)
     out = tmp_path / "out.txt"
     for i in range(12):
@@ -200,10 +192,10 @@ def test_from2q_of_perturbed_symmetric_states(tmp_path, capsys, monkeypatch):
         X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho4 = rho4 + 10.0 ** rng.uniform(-16.0, -9.0) * (X + X.conj().T)
         argv = ["bridge", _density(tmp_path / f"{i}.json", rho4), "--direction", "from2q"]
-        _check(capsys, monkeypatch, argv + ["--out", str(out)] * (i % 2), out)
+        _check(argv + ["--out", str(out)] * (i % 2), out)
 
 
-def test_amplitudes_near_1e_155_and_pairs_at_ortho_tol(tmp_path, capsys, monkeypatch):
+def test_amplitudes_near_1e_155_and_pairs_at_ortho_tol(tmp_path):
     """Tiny components, and ortho on pairs with |<a|b>| at ORTHO_TOL: some verdicts straddle it."""
     rng = np.random.default_rng(202610214)
     out = tmp_path / "out.txt"
@@ -212,7 +204,7 @@ def test_amplitudes_near_1e_155_and_pairs_at_ortho_tol(tmp_path, capsys, monkeyp
         psi[1:] = 10.0 ** rng.uniform(-156.0, -154.0, 2) * np.exp(2j * np.pi * rng.random(2))
         f = _amplitudes(tmp_path / f"tiny{i}.json", np.roll(psi, i))
         for argv in _state_commands(rng, f, str(out))[::2] + [["ortho", f, f]]:
-            _check(capsys, monkeypatch, argv, out)
+            _check(argv, out)
     pairs = [tuple(np.array([complex(*c) for c in psi]) for psi in STRADDLING_PAIR)]
     for _ in range(40):
         u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -224,17 +216,17 @@ def test_amplitudes_near_1e_155_and_pairs_at_ortho_tol(tmp_path, capsys, monkeyp
         pairs.append((u, np.sqrt(1.0 - t * t) * v + t * np.exp(2j * np.pi * rng.random()) * u))
     for i, (u, w) in enumerate(pairs):
         a, b = _amplitudes(tmp_path / f"a{i}.json", u), _amplitudes(tmp_path / f"b{i}.json", w)
-        _check(capsys, monkeypatch, ["ortho", a, b], out)
+        _check(["ortho", a, b], out)
 
 
-def test_mub_and_random_over_their_flags(tmp_path, capsys, monkeypatch):
+def test_mub_and_random_over_their_flags(tmp_path):
     out = tmp_path / "out.txt"
     for basis in range(1, 5):
         for vector in range(1, 4):
             argv = ["mub", "--basis", str(basis), "--vector", str(vector)]
-            _check(capsys, monkeypatch, argv + ["--out", str(out)] * (vector == 3), out)
+            _check(argv + ["--out", str(out)] * (vector == 3), out)
     for rank in (1, 2, 3):
         for seed in (0, 7, 2**63):
-            _check(capsys, monkeypatch, ["random", "--rank", str(rank), "--seed", str(seed)], out)
-        _check(capsys, monkeypatch, ["random", "--rank", str(rank), "--out", str(out)], out,
+            _check(["random", "--rank", str(rank), "--seed", str(seed)], out)
+        _check(["random", "--rank", str(rank), "--out", str(out)], out,
                env={"QUTRIT_SEED": str(rank)})
