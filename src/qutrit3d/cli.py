@@ -19,11 +19,12 @@ library's records as the scalar core fills them, with lists: plain
 __slots__ classes on linalg._Record, which compare and print as before
 but which fields(), asdict() and replace() refuse, with no __dict__
 for vars().  Only random imports numpy, for its generator's draws, and only
-scene and evolve --scenes load geometry (the report's scene case is state's).  Every
-exit-1 message about a file names it.  Output leaves one way: each cmd_*
-returns its exit code and its text (_dump renders every JSON payload), and
-main writes the text once, through _emit, to stdout or --out, then prints
-the one error line; a failed write to either exits 1.
+scene and evolve --scenes load geometry (the report's scene case is state's).
+Output leaves one way: each cmd_* returns its exit code and its text
+(_dump renders every JSON payload), and main writes the text once,
+--help's too, through _emit, to stdout or --out, then prints the one
+error line; a failed write to either exits 1.  Every exit-1 and exit-2
+error line about a file names it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .errors import (
     NotHermitianError,
     NotNormalizedError,
     NotSymmetricError,
-    OutOfBallError,
     QutritError,
     TraceError,
 )
@@ -433,11 +433,18 @@ def cmd_random(args) -> tuple[int, str]:
 # parser and dispatch
 
 
+class _Help(Exception):
+    """-h or --help: the help text, which main writes as a command's."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with the parse exit code."""
+    """argparse that reports usage problems with the parse exit code and hands main its help."""
 
     def error(self, message):
         self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 @functools.cache
@@ -518,17 +525,20 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
-    text, error = "", None
+    text, error, out = "", None, None
     try:
+        args = make_parser().parse_args(argv)
+        out = args.out
         code, text = args.func(args)
+    except _Help as exc:
+        code, text = EXIT_OK, exc.args[0]
     except (CliIOError, ValueError) as exc:
         code, error = EXIT_IO, exc
-    except (InvalidStateError, OutOfBallError, NotSymmetricError, DegenerateMeshError) as exc:
-        code, error = EXIT_INVALID, exc
+    except (InvalidStateError, NotSymmetricError, DegenerateMeshError) as exc:  # about args.path
+        code, error = EXIT_INVALID, f"{args.path}: {exc}"
     except InternalCheckError as exc:  # ortho's second argument: the lines it prints before failing
         code, error, text = EXIT_INTERNAL, exc.args[0], "".join(exc.args[1:])
-    failed = text and _emit(text, args.out)  # a failed command leaves --out as it was
+    failed = text and _emit(text, out)  # a failed command leaves --out as it was
     if failed:
         code, error = EXIT_IO, failed
     if error is not None:

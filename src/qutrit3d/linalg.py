@@ -13,23 +13,24 @@ lists; the solvers never check their rows again, and the package's
 analysis and its CLI call them directly.
 
 The check, the solvers and the certificate work on Python scalars, call
-no BLAS and are written out on local variables per size: the check
-reads the 9 or 16 entries once, one Jacobi kernel per size solves them,
-and one certificate kernel (_ldl) factors 3x3 rows and a 4x4
-matrix's leading block alike, adding row 3 for 4x4.  The 3x3 Jacobi
-kernel (rho and T) keeps the nine entries of A, and of V when
-eigenvectors are wanted, in local variables through every sweep, with
-its three pair rotations written out; the 4x4 kernel (the partial
-transpose, values only) rotates each pair's 2x2 core on locals and
-streams the two other rows and columns through a fixed plan.  Each
-kernel does the floating-point operations of a generic loop over nested
-lists, in its order and on its operand types, so it gives its bits
-(frozen copies of the loops in the tests check that); writing them out
-removes only the interpreter's indexing and loop cost.  The sort and
-the phase gauge are written out for three columns too; only a
-degenerate cluster's Gram-Schmidt loops over lists.  Eigenvalues never
-depend on V, so rho's spectrum and a state's T skip it, bit-identical
-to the full solve's.  Two reasons for the scalars:
+no BLAS and are written out on local variables per size: the check reads
+the 9 or 16 entries once, one Jacobi kernel per size solves them, and
+the certificate is written out end to end: one kernel (_ldl) factors 3x3
+rows and a 4x4 matrix's leading block alike, adding row 3 for 4x4, and
+one (_witness) refutes at its first non-positive pivot by a Rayleigh
+quotient.  The 3x3 Jacobi kernel (rho and T) keeps the nine entries of
+A, and of V when eigenvectors are wanted, in local variables through
+every sweep, with its three pair rotations written out; the 4x4 kernel
+(the partial transpose, values only) rotates each pair's 2x2 core on
+locals and streams the two other rows and columns through a fixed plan.
+Each kernel does the floating-point operations of a generic loop over
+nested lists, in its order and on its operand types, so it gives its
+bits (frozen copies of the loops in the tests check that); writing them
+out removes only the interpreter's indexing and loop cost.  The sort and
+the phase gauge are written out for three columns too; only a degenerate
+cluster's Gram-Schmidt loops over lists.  Eigenvalues never depend on V,
+so rho's spectrum and a state's T skip it, bit-identical to the full
+solve's.  Two reasons for the scalars:
   * speed: for n <= 4 the interpreter's per-call cost dominates, so
     building a rotation matrix and two matmuls per rotation costs
     several times more than the scalar update;
@@ -522,8 +523,9 @@ def _ldl(rows: list, shift: float, margin: float, low: float | None):
 
     One kernel on locals serves 3x3 rows and a 4x4's leading block, with
     row 3 added for 4x4; it does the generic row loop's operations in its
-    order (tests/test_certified.py keeps that loop), but for the exact ones
-    left out, as no term is -0.0: a leading 0.0 added, row 0's empty sub.
+    order (tests/test_certified.py keeps that loop, and _witness's, as
+    frozen oracles), but for the exact ones left out, as no term is -0.0:
+    a leading 0.0 added, row 0's empty sub.
     """
     count, four = low is None, len(rows) == 4
     if four:
@@ -580,21 +582,39 @@ def _witness(rows: list, L: list, ceiling: float) -> bool | None:
     r = x^dag H x / x^dag x, summed on the lower triangle, bounds
     lambda_min from above; its rounding is within CERT_GAMMA |x|^T |H| |x|
     / x^dag x, at most CERT_GAMMA (k + 1) for entries of modulus <= 1.
+    Written out on locals for k = 0..3, it does all of the generic loop's
+    operations (the tests' frozen oracle) in its order and on its operand
+    types, the float x_k = 1.0 too, so num and xx keep the loop's bits.
     """
     k = len(L) - 1
-    x = [0.0] * k + [1.0]
-    for j in range(k - 1, -1, -1):
-        z = 0.0
-        for i in range(j + 1, k + 1):
-            z -= L[i][j].conjugate() * x[i]
-        x[j] = z
-    num = xx = 0.0
-    for i, z in enumerate(x):
-        row, y = rows[i], 0.0
-        for j in range(i):
-            y += row[j] * x[j]
-        w = z.real * z.real + z.imag * z.imag
-        num += row[i].real * w + 2.0 * (z.conjugate() * y).real
+    x0 = x1 = x2 = x3 = 1.0  # x_k; back substitution gives x_k-1 .. x_0
+    if k == 1:
+        _, (l10,) = L
+        x0 = 0.0 - l10.conjugate() * x1
+    elif k == 2:
+        _, (l10,), (l20, l21) = L
+        x1 = 0.0 - l21.conjugate() * x2
+        x0 = 0.0 - l10.conjugate() * x1 - l20.conjugate() * x2
+    elif k == 3:
+        _, (l10,), (l20, l21), (l30, l31, l32) = L
+        x2 = 0.0 - l32.conjugate() * x3
+        x1 = 0.0 - l21.conjugate() * x2 - l31.conjugate() * x3
+        x0 = 0.0 - l10.conjugate() * x1 - l20.conjugate() * x2 - l30.conjugate() * x3
+    # row i adds H_ii |x_i|^2 + 2 Re(conj(x_i) y_i), y_i = sum_j<i H_ij x_j, to num
+    r, w = rows[0], x0.real * x0.real + x0.imag * x0.imag
+    num, xx = 0.0 + (r[0].real * w + 2.0 * (x0.conjugate() * 0.0).real), 0.0 + w
+    if k:
+        r, w = rows[1], x1.real * x1.real + x1.imag * x1.imag
+        num += r[1].real * w + 2.0 * (x1.conjugate() * (0.0 + r[0] * x0)).real
+        xx += w
+    if k > 1:
+        r, w = rows[2], x2.real * x2.real + x2.imag * x2.imag
+        num += r[2].real * w + 2.0 * (x2.conjugate() * (0.0 + r[0] * x0 + r[1] * x1)).real
+        xx += w
+    if k > 2:
+        r, w = rows[3], x3.real * x3.real + x3.imag * x3.imag
+        num += r[3].real * w + 2.0 * (
+            x3.conjugate() * (0.0 + r[0] * x0 + r[1] * x1 + r[2] * x2)).real
         xx += w
     if not (k + 1) * xx < math.inf:  # no product above overflowed
         return None

@@ -92,6 +92,34 @@ def _old_at_least(rows: list, floor: float) -> bool | None:
     return True if CERT_GAMMA * bound < margin / 2.0 else None
 
 
+def _old_sums(rows: list, L: list) -> tuple:
+    """num and xx of the generic Rayleigh-quotient loop that linalg._witness writes out."""
+    k = len(L) - 1
+    x = [0.0] * k + [1.0]
+    for j in range(k - 1, -1, -1):
+        z = 0.0
+        for i in range(j + 1, k + 1):
+            z -= L[i][j].conjugate() * x[i]
+        x[j] = z
+    num = xx = 0.0
+    for i, z in enumerate(x):
+        row, y = rows[i], 0.0
+        for j in range(i):
+            y += row[j] * x[j]
+        w = z.real * z.real + z.imag * z.imag
+        num += row[i].real * w + 2.0 * (z.conjugate() * y).real
+        xx += w
+    return num, xx
+
+
+def _old_witness(rows: list, L: list, ceiling: float) -> bool | None:
+    k = len(L) - 1
+    num, xx = _old_sums(rows, L)
+    if not (k + 1) * xx < math.inf:  # no product above overflowed
+        return None
+    return False if num / xx + CERT_GAMMA * (k + 1) < ceiling else None
+
+
 # ... and the certificate and verdict that _verdict merged, verbatim but for their names
 
 
@@ -326,6 +354,68 @@ def test_kernels_answer_as_the_frozen_loop(monkeypatch):
             if new != old:
                 found.append((r, floor, old, new))
     assert found == []
+
+
+def _witness_rows() -> list:
+    """Seeded Hermitian rows L D L^dag, 3x3 and 4x4, real and complex, 10 per (n, k, kind).
+
+    d_j lies in 0.05 .. 0.25 for j < k and in -0.25 .. -0.05 at j = k, far
+    from any shift _verdict takes, so its first non-positive pivot is at
+    k, for every k = 0 .. n - 1; the unit lower L has entries below 1/2.
+    """
+    rng = np.random.default_rng(3737)
+    found = []
+    for n, real in itertools.product((3, 4), (True, False)):
+        for k in range(n):
+            for _ in range(10):
+                L = rng.uniform(-0.5, 0.5, (n, n)) + (0.0 if real else 1j) * rng.uniform(
+                    -0.5, 0.5, (n, n))
+                L = np.tril(L, -1) + np.eye(n)
+                signs = [1.0] * k + [-1.0] + rng.choice((-1.0, 1.0), n - k - 1).tolist()
+                rows = _hermitian((L * (signs * rng.uniform(0.05, 0.25, n))) @ L.conj().T)
+                found.append([[x.real for x in row] for row in rows] if real else rows)
+    return found
+
+
+def test_witness_answers_as_the_frozen_loop(monkeypatch):
+    """At the frozen loop's quotient and one ulp to either side, _witness answers as the loop.
+
+    The ceiling num / xx + CERT_GAMMA (k + 1), of the frozen sums, and
+    its two neighbours give None, None and False, so the written-out
+    quotient equals the loop's to the bit.  (rows, L) are what _verdict
+    hands _witness on seeded families reaching k = 0, 1, 2 (3x3 and 4x4)
+    and 3 (4x4), and on the perfbench inputs of seeds 1-5 with their
+    partial transposes.
+    """
+    handed, witness = [], linalg._witness
+    monkeypatch.setattr(linalg, "_witness", lambda rows, L, ceiling: handed.append((rows, L)))
+    for rows in _witness_rows() + _perfbench_rows(seeds=(1, 2, 3, 4, 5)):
+        _verdict(rows)
+    monkeypatch.undo()
+    found, reached = [], set()
+    for rows, L in handed:
+        k = len(L) - 1
+        num, xx = _old_sums(rows, L)
+        q = num / xx + CERT_GAMMA * (k + 1)
+        for ceiling, want in ((math.nextafter(q, -math.inf), None), (q, None),
+                              (math.nextafter(q, math.inf), False)):
+            if (witness(rows, L, ceiling), _old_witness(rows, L, ceiling)) != (want, want):
+                found.append((rows, L, ceiling))
+        reached.add((len(rows), k, isinstance(rows[0][0], complex)))
+    assert found == []
+    assert reached == {(n, k, c) for n in (3, 4) for k in range(n) for c in (False, True)}
+
+
+def test_witness_overflow_guard():
+    """x^dag x past the largest float over k + 1 gives None in both, even below ceiling inf."""
+    rows = [[complex(i == j) for j in range(4)] for i in range(4)]
+    for k in (1, 2, 3):
+        for big in (1e154, 1e200):  # (k + 1) xx overflows; xx itself does
+            L = [[0j] * i for i in range(k + 1)]
+            L[k][0] = complex(-big)
+            num, xx = _old_sums(rows, L)
+            assert math.isfinite(num / xx) == (big == 1e154), (k, big)
+            assert linalg._witness(rows, L, math.inf) is _old_witness(rows, L, math.inf) is None
 
 
 def _largest(rows) -> float:

@@ -1169,7 +1169,8 @@ def test_failed_write_to_stdout_exits_1_with_one_error_line(unbuffered, monkeypa
     monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     env = {"PYTHONUNBUFFERED": "1"} if unbuffered else None
     evolve = ("evolve", data_path("mixed"), "--generator", "rot:x", "--theta", "1")
-    for argv in (("analyze", data_path("mixed")), evolve, (*evolve, "--steps", "2000")):
+    for argv in (("analyze", data_path("mixed")), evolve, (*evolve, "--steps", "2000"),
+                 ("--help",)):
         with open("/dev/full", "w", encoding="utf-8") as full:
             res = run_child(*argv, env_extra=env, stdout=full)
         assert res.returncode == 1, (argv, res.stderr)
@@ -1217,7 +1218,7 @@ def test_overflowing_report_exits_with_one_message(tmp_path):
     assert err.startswith("error: --ax/--ay/--az: density matrix overflows"), err
     # scene, evolve and bridge reject them with one not-positive line
     for path, power in zip(files, ("155", "155", "300")):
-        line = f"error: not positive: min eigenvalue -1.000e+{power} < -1e-09\n"
+        line = f"error: {path}: not positive: min eigenvalue -1.000e+{power} < -1e-09\n"
         for argv in (("scene", path), ("bridge", path, "--direction", "to2q"),
                      ("evolve", path, "--generator", "rot:x", "--theta", "1", "--steps", "3")):
             assert _main(*argv) == (2, "", line), argv

@@ -15,6 +15,7 @@ are plain classes: no command loads dataclasses, and no numpy-free command loads
 """
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -120,13 +121,21 @@ runpy.run_module(module, run_name="__main__", alter_sys=True)
 
 
 def _imports(flags, module, argv, files, path=None):
-    """(exit code, stderr, modules loaded at exit) of ``python -m module argv`` in a child."""
+    """(exit code, stderr, modules loaded at exit) of ``python -m module argv`` in a child.
+
+    One child per (flags, module, formatted argv, path), cached: the
+    commands that several tests ask about run once.
+    """
+    return _child(tuple(flags), module, tuple(a.format(**files) for a in argv), path)
+
+
+@functools.cache
+def _child(flags, module, argv, path):
     env = dict(os.environ)
     env.pop("QUTRIT_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [path, os.path.dirname(SRC), env.get("PYTHONPATH")])
     )
-    argv = [a.format(**files) for a in argv]
     res = subprocess.run(
         [sys.executable, *flags, "-c", _PROBE, module, *argv],
         capture_output=True,
@@ -134,7 +143,7 @@ def _imports(flags, module, argv, files, path=None):
         env=env,
     )
     err, _, loaded = res.stderr.rpartition("MODULES ")
-    return res.returncode, err, set(json.loads(loaded))
+    return res.returncode, err, frozenset(json.loads(loaded))
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
