@@ -1,7 +1,8 @@
 """The CLI contract as a seeded property test, in process through test_cli.run_cli.
 
 Finite input exits 0, 1 or 2.  stderr is empty or exactly one `error:`
-line, and an exit-1 or exit-2 line names the file when the command read one.
+line.  When the command read a file, exit 1 prints a line that names it,
+and so does exit 2 when it prints one.
 stdout (or the --out file) holds no nan or inf, and a second run prints
 the same bytes.  The inputs are seeded families at the package's
 thresholds: near double roots of Re rho, near the maximally mixed state,
@@ -135,7 +136,7 @@ def _check(argv, out_file, env=None):
     assert code in (0, 1, 2), (argv, err)
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (argv, err)
     files = [a.split(":", 1)[-1] for a in argv if a.endswith(".json")]
-    if code in (1, 2) and err and files:
+    if files and (code == 1 or (code == 2 and err)):
         assert any(f in err for f in files), (argv, err)
     assert not NONFINITE_TOKEN.search(out), argv
     assert runs[1] == runs[0], argv
