@@ -87,11 +87,6 @@ def _fmt(x: float) -> str:
     return "%.12g" % (x + 0.0)  # -0.0 + 0.0 is 0.0: no "-0"
 
 
-def _vec(v: list) -> str:
-    x, y, z = v
-    return "%.12g %.12g %.12g" % (x + 0.0, y + 0.0, z + 0.0)  # _fmt's
-
-
 def _float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CliIOError(f"{where} is not a number")
@@ -267,22 +262,23 @@ def _report(rows: list, framed: bool = False) -> tuple[Analysis, float | None]:
 
 
 def report_text(report: tuple[Analysis, float | None]) -> str:
+    """The ten lines ``analyze`` prints, the values as _fmt prints them; a state's minors unread."""
     an, gamma = report
-    lines = [
-        f"a: {_vec(an.params.a)}",
-        f"q: {_vec(an.params.q)}",
-        f"omega: {_vec(an.params.omega)}",
-        f"tensor eigenvalues: {_vec(an.tensor_eigenvalues)}",
-        f"semi-axes: {_vec(an.semi_axes)}",
-        f"gamma-norm: {'degenerate' if gamma is None else _fmt(gamma)}",
-    ]
-    if an.rank is not None:  # a state: its validity is ok, and its minors are not read
-        lines += ["validity: ok", f"rank: {an.rank.rank}", f"case: {an.rank.case}",
-                  f"scene: {RANK_CASE_TO_SCENE[an.rank.case]}"]
-    else:
-        lines += [f"validity: violated: {first_violation(an.validity)}", "rank: n/a",
-                  "case: n/a", "scene: n/a"]
-    return "\n".join(lines) + "\n"
+    p = an.params
+    (a0, a1, a2), (q0, q1, q2), (w0, w1, w2) = p.a, p.q, p.omega
+    (t0, t1, t2), (e0, e1, e2) = an.tensor_eigenvalues, an.semi_axes
+    head = ("a: %.12g %.12g %.12g\nq: %.12g %.12g %.12g\nomega: %.12g %.12g %.12g\n"
+            "tensor eigenvalues: %.12g %.12g %.12g\nsemi-axes: %.12g %.12g %.12g\n"
+            "gamma-norm: %s\n") % (
+        a0 + 0.0, a1 + 0.0, a2 + 0.0, q0 + 0.0, q1 + 0.0, q2 + 0.0, w0 + 0.0, w1 + 0.0,
+        w2 + 0.0, t0 + 0.0, t1 + 0.0, t2 + 0.0, e0 + 0.0, e1 + 0.0, e2 + 0.0,
+        "degenerate" if gamma is None else _fmt(gamma))
+    rank = an.rank
+    if rank is not None:
+        return head + "validity: ok\nrank: %s\ncase: %s\nscene: %s\n" % (
+            rank.rank, rank.case, RANK_CASE_TO_SCENE[rank.case])
+    return head + "validity: violated: %s\nrank: n/a\ncase: n/a\nscene: n/a\n" % (
+        first_violation(an.validity),)
 
 
 def report_dict(report: tuple[Analysis, float | None]) -> dict:

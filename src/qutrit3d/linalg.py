@@ -449,9 +449,17 @@ def _eig3(M: np.ndarray, dtype: type) -> EigenSystem3:
 
 
 def _eigvals(rows: list) -> list:
-    """Descending eigenvalues of checked 3x3 or 4x4 Hermitian rows; 3x3 ones equal the full solve's."""
-    vals = _jacobi3(rows, with_vectors=False)[0] if len(rows) == 3 else _jacobi4(rows)
-    return sorted(vals, reverse=True)
+    """Descending eigenvalues of checked 3x3 or 4x4 Hermitian rows; 3x3 as _eigensystem3 sorts."""
+    if len(rows) == 4:
+        return sorted(_jacobi4(rows), reverse=True)
+    l0, l1, l2 = _jacobi3(rows, False)[0]
+    if l1 > l0:
+        l0, l1 = l1, l0
+    if l2 > l1:
+        l1, l2 = l2, l1
+        if l1 > l0:
+            l0, l1 = l1, l0
+    return [l0, l1, l2]
 
 
 def _verdict(rows: list, ranked: bool = False) -> tuple:

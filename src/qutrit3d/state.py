@@ -402,18 +402,20 @@ def _rank_case(rank: int, tvals: list, eps_u: float, a: list) -> str:
     lambda)/2 the eigenvalues of Re(rho), so which axes are alive is the
     rank of Re(rho), read against the same RANK_TOL as the rank of rho.
     Each degenerate case checks a against SEGMENT_SLACK (InternalCheckError).
+    On locals: mu_min and mu_mid, and |a| as vector_norm sums three floats.
     """
     if rank == 3:
         return FULL_3D
-    mu = [(1.0 - t) / 2.0 for t in tvals]  # ascending
-    if rank == 2 and mu[0] > RANK_TOL:
+    t0, t1, t2 = tvals  # descending, so mu ascending
+    if rank == 2 and (1.0 - t0) / 2.0 > RANK_TOL:
         return SURFACE_3D
-    a_len = vector_norm(a)
-    if rank == 1 and mu[1] <= RANK_TOL:
+    a0, a1, a2 = a
+    a_len = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    if rank == 1 and (1.0 - t1) / 2.0 <= RANK_TOL:
         if a_len >= SEGMENT_SLACK:
             raise InternalCheckError("point case requires a vanishing Bloch vector")
         return POINT
-    if abs(tvals[1] + tvals[2]) >= SEGMENT_SLACK:
+    if abs(t1 + t2) >= SEGMENT_SLACK:
         raise InternalCheckError("segment requires lambda_v = -lambda_w")
     if rank == 2:
         if a_len >= eps_u + SEGMENT_SLACK:

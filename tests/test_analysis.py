@@ -12,6 +12,7 @@ import gc
 import importlib.util
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -217,6 +218,55 @@ def test_the_record_runs_the_point_check():
     assert state._rank_case(1, tvals, 0.0, [0.5 * SEGMENT_SLACK, 0.0, 0.0]) == POINT
     with pytest.raises(InternalCheckError, match="point case requires a vanishing Bloch vector"):
         state._rank_case(1, tvals, 0.0, [SEGMENT_SLACK, 0.0, 0.0])
+
+
+BELOW_SLACK = math.nextafter(SEGMENT_SLACK, 0.0)
+
+
+def test_segment_check_raises_at_exactly_segment_slack():
+    """|lambda_v + lambda_w| = SEGMENT_SLACK raises; one ulp below, the pure state is an endpoint.
+
+    mu = (0, (1 - SEGMENT_SLACK) / 2, 1 / 2) at rank 1: not the point case.
+    """
+    origin = [0.0, 0.0, 0.0]
+    with pytest.raises(InternalCheckError, match="segment requires lambda_v = -lambda_w"):
+        state._rank_case(1, [1.0, SEGMENT_SLACK, 0.0], 0.0, origin)
+    assert state._rank_case(1, [1.0, BELOW_SLACK, 0.0], 0.0, origin) == SEGMENT_ENDPOINT
+
+
+@pytest.mark.parametrize("eps_u", [0.0, 0.25])
+def test_segment_interior_check_raises_at_exactly_eps_u_plus_slack(eps_u):
+    """|a| = eps_u + SEGMENT_SLACK raises for a rank-2 segment state; one ulp below is interior."""
+    bound = eps_u + SEGMENT_SLACK
+    for length in (bound, math.nextafter(bound, 0.0)):
+        assert math.sqrt(length * length) == length  # |(length, 0, 0)| is length itself
+    with pytest.raises(InternalCheckError, match="segment-interior Bloch vector exceeds eps_u"):
+        state._rank_case(2, [1.0, 0.0, 0.0], eps_u, [0.0, bound, 0.0])
+    below = math.nextafter(bound, 0.0)
+    assert state._rank_case(2, [1.0, 0.0, 0.0], eps_u, [0.0, below, 0.0]) == SEGMENT_INTERIOR
+
+
+def test_endpoint_check_raises_at_exactly_segment_slack_either_side():
+    """||a| - eps_u| = SEGMENT_SLACK raises with |a| above eps_u or below it; one ulp less passes."""
+    tvals = [1.0, 0.0, 0.0]  # mu = (0, 1/2, 1/2): a segment, not the point case
+    for eps_u, a in ((0.0, [0.0, 0.0, SEGMENT_SLACK]), (SEGMENT_SLACK, [0.0, 0.0, 0.0])):
+        with pytest.raises(InternalCheckError, match="pure segment state requires"):
+            state._rank_case(1, tvals, eps_u, a)
+    assert state._rank_case(1, tvals, 0.0, [0.0, 0.0, BELOW_SLACK]) == SEGMENT_ENDPOINT
+    assert state._rank_case(1, tvals, BELOW_SLACK, [0.0, 0.0, 0.0]) == SEGMENT_ENDPOINT
+
+
+def test_mu_never_lands_on_rank_tol():
+    """mu = (1 - t) / 2 equals RANK_TOL only if 1 - t = 2 RANK_TOL, which no double t gives.
+
+    Near 1, 1 - t is exact (Sterbenz) and a multiple of t's ulp 2^-53; 2
+    RANK_TOL is not one.  So the mu tests' > and <= against RANK_TOL never
+    meet equality, and flipping them is an equivalent mutant.
+    """
+    t = 1.0 - 2.0 * RANK_TOL
+    assert math.fmod(2.0 * RANK_TOL, 2.0**-53) != 0.0
+    assert {(1.0 - u) / 2.0 for u in (math.nextafter(t, 0.0), t, math.nextafter(t, 2.0))} \
+        .isdisjoint({RANK_TOL})
 
 
 def _count_calls(monkeypatch, name):

@@ -2,7 +2,7 @@
 
 linalg._eigensystem3 sorts and gauges T's three eigenvector columns on
 local variables, and state._bundle, _validity, _semi_axes, _record and
-cli._vec read their three or nine entries into locals once;
+cli.report_text read their three or nine entries into locals once;
 state._params hands _bundle a and the rows of 1 - 2 Re(rho), and
 _gamma_norm and _metric read 1 - T and det(1 - T) from _identity_minus
 and det3.  Each must do the floating-point operations of the list code
@@ -27,6 +27,7 @@ import os
 import pickle
 from dataclasses import field, fields, make_dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,6 +154,13 @@ def _old_record(rows: list, spectrum: tuple | None = None) -> Analysis:
 
 def _old_vec(v: list) -> str:
     return " ".join(cli._fmt(x) for x in v)
+
+
+def _vector_lines(r) -> list:
+    """The five vector lines of record r's report, each vector as _old_vec prints it."""
+    vectors = (r.params.a, r.params.q, r.params.omega, r.tensor_eigenvalues, r.semi_axes)
+    names = ("a", "q", "omega", "tensor eigenvalues", "semi-axes")
+    return [f"{name}: {_old_vec(v)}" for name, v in zip(names, vectors)]
 
 
 # --- comparison ----------------------------------------------------------------
@@ -361,8 +369,7 @@ def test_record_and_metric_are_the_list_codes(family):
         _same(state._gamma_norm, _old_gamma_norm, p.a, p.T)
         _same(state._metric, _old_metric, p.T)
         r = _old_record(rows)
-        for v in (r.params.a, r.params.q, r.params.omega, r.tensor_eigenvalues, r.semi_axes):
-            assert cli._vec(v) == _old_vec(v)
+        assert cli.report_text((r, None)).splitlines()[:5] == _vector_lines(r)
 
 
 @pytest.mark.parametrize("family", sorted(EIGEN))
@@ -501,7 +508,7 @@ def test_gamma_norm_errors_are_the_list_codes():
 
 
 def test_vec_is_the_list_codes():
-    """One %-format of x + 0.0 prints each value as _fmt did: zeros, the %g switches, rounding."""
+    """report_text's one %-format of x + 0.0 prints each value as _fmt did: zeros, %g, rounding."""
     rng = np.random.default_rng(2929)
     seeded = (rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200)).tolist()
     edges = [0.0, -0.0, 5e-324, -5e-324, 1e-5, -1e-5, 1e-4, 9.99999999999e-5, 1e12, 1e16,
@@ -510,7 +517,9 @@ def test_vec_is_the_list_codes():
               (0.1, 0.2, 0.3), np.array([1e-12, -1e-12, 0.5]), [1, 2, 3], [0, -7, 10**15],
               *(edges[k:k + 3] for k in range(len(edges) - 2)),
               *(seeded[k:k + 3] for k in range(0, 198, 3))):
-        assert cli._vec(v) == _old_vec(v), v
+        record = SimpleNamespace(params=SimpleNamespace(a=v, q=v, omega=v), tensor_eigenvalues=v,
+                                 semi_axes=v, rank=None, validity=ValidityReport(*[False] * 4))
+        assert cli.report_text((record, None)).splitlines()[:5] == _vector_lines(record), v
 
 
 # the records as the dataclasses they were: RankReport plain, Analysis frozen with slots

@@ -1,28 +1,24 @@
 """End-to-end tests for the command-line interface.
 
 Golden-file comparisons are byte-level; everything else checks the
-documented exit-code contract and output invariants.  run_cli calls
-cli.main in this process; run_child starts `python -m qutrit3d`, and only
-the tests of what a process adds (the entry point, -O, interpreter exit)
-use it.
+documented exit-code contract and output invariants.  cli_runner's
+run_cli calls cli.main in this process; its run_child starts `python -m
+qutrit3d`, and only the tests of what a process adds (the entry point,
+-O, interpreter exit) use it.
 """
 
 import ast
-import contextlib
 import glob
-import io
 import itertools
 import json
+import math
 import os
 import re
-import subprocess
-import sys
-import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 
+from cli_runner import run_child, run_cli
 from qutrit3d import cli, linalg, purestates, spin1, state
 from qutrit3d.errors import InternalCheckError
 from qutrit3d.tolerances import HERM_TOL, NORM_TOL, ORTHO_TOL, TRACE_TOL
@@ -33,40 +29,6 @@ DATA = os.path.join(HERE, "data")
 GOLDEN = os.path.join(HERE, "golden")
 
 CANONICAL = ("mixed", "ket0", "pseudo_boundary")
-
-
-def _child_env(env_extra):
-    """os.environ without QUTRIT_SEED, then env_extra."""
-    env = {k: v for k, v in os.environ.items() if k != "QUTRIT_SEED"}
-    return {**env, **(env_extra or {})}
-
-
-def run_child(*args, env_extra=None, flags=(), stdout=subprocess.PIPE):
-    """`python *flags -m qutrit3d *args` in a child process, as subprocess.run returns it."""
-    return subprocess.run([sys.executable, *flags, "-m", "qutrit3d", *args], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env=_child_env(env_extra))
-
-
-def run_cli(*args, env_extra=None, flags=()):
-    """What run_child returns; in this process, through cli.main, when no flag is given.
-
-    os.environ is the child's for the call and restored after, stdout and
-    stderr are captured, every warning is raised, and argparse's SystemExit
-    gives the exit code.
-    """
-    if flags:
-        return run_child(*args, env_extra=env_extra, flags=flags)
-    out, err = io.StringIO(), io.StringIO()
-    with (mock.patch.dict(os.environ, _child_env(env_extra), clear=True),
-          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
-          warnings.catch_warnings()):
-        warnings.simplefilter("error")
-        try:
-            code = cli.main(list(args))
-        except SystemExit as exc:
-            code = exc.code
-    argv = [sys.executable, "-m", "qutrit3d", *args]
-    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
 def data_path(name):
@@ -1378,3 +1340,24 @@ def test_cli_fuzz_of_input_files(tmp_path):
                 json.loads(out, parse_constant=_reject_constant)
             codes.append(code)
     assert len(codes) >= 500 and {0, 1, 2} <= set(codes)
+
+
+def test_trace_off_by_exactly_trace_tol_is_accepted(tmp_path):
+    """|tr rho - 1| = TRACE_TOL passes the trace check; the next float above exits 1.
+
+    The real diagonal 0.5, 0.25, 0.25 sums to 1 exactly, so |tr - 1| is the
+    sum of the diagonal's imaginary parts, each within HERM_TOL / 2.
+    """
+    y0, y1 = TRACE_TOL / 2.0, TRACE_TOL / 4.0
+    for total, code in ((TRACE_TOL, 0), (math.nextafter(TRACE_TOL, 1.0), 1)):
+        y2 = total - (y0 + y1)  # exact (Sterbenz): total and y0 + y1 within a factor 2
+        assert y0 + y1 + y2 == total and max(y0, y1, abs(y2)) <= HERM_TOL / 2.0
+        path = tmp_path / f"trace{code}.json"
+        path.write_text(json.dumps({"re": [[0.5, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.25]],
+                                    "im": [[y0, 0.0, 0.0], [0.0, y1, 0.0], [0.0, 0.0, y2]]}))
+        res = run_cli("analyze", str(path))
+        assert res.returncode == code, res.stderr
+        if code:
+            assert res.stderr == f"error: {path}: density matrix trace = 1, expected 1\n"
+        else:
+            assert res.stderr == "" and "validity: ok" in res.stdout

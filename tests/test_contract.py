@@ -1,4 +1,4 @@
-"""The CLI contract as a seeded property test, in process through test_cli.run_cli.
+"""The CLI contract as a seeded property test, in process through cli_runner.run_cli.
 
 Finite input exits 0, 1 or 2.  stderr is empty or exactly one `error:`
 line.  When the command read a file, exit 1 prints a line that names it,
@@ -19,8 +19,9 @@ import pytest
 
 from qutrit3d import spin1
 from qutrit3d.tolerances import ORTHO_TOL, RANK_TOL
+from cli_runner import run_cli
 from test_analysis import BOUNDARY_FAMILIES
-from test_cli import NONFINITE_TOKEN, STRADDLING_PAIR, run_cli
+from test_cli import NONFINITE_TOKEN, STRADDLING_PAIR
 
 GENERATORS = [f"{kind}:{axis}" for kind in ("rot", "twist", "counter") for axis in "xyz"]
 
