@@ -16,9 +16,8 @@ Every command runs on Python scalars: a state or amplitude file is
 parsed straight to rows and checked once, there, and the report, scene,
 OBJ mesh, trajectory, unbiased bases, samples and payloads read the
 library's records as the scalar core fills them, with lists: plain
-__slots__ classes on linalg._Record, which compare and print as before
-but which fields(), asdict() and replace() refuse, with no __dict__
-for vars().  Only random imports numpy, for its generator's draws, and only
+__slots__ classes on linalg._Record, which compare and print field by
+field.  Only random imports numpy, for its generator's draws, and only
 scene and evolve --scenes load geometry (the report's scene case is state's).
 Output leaves one way: each cmd_* returns its exit code and its text
 (_dump renders every JSON payload), and main writes the text once,

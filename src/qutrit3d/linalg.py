@@ -13,21 +13,22 @@ lists; the solvers never check their rows again, and the package's
 analysis and its CLI call them directly.
 
 The check, the solvers and the certificate work on Python scalars, call
-no BLAS and are written out on local variables per size: the check reads
-the 9 or 16 entries once, one Jacobi kernel per size solves them, and
-the certificate is written out end to end: one kernel (_ldl) factors 3x3
-rows and a 4x4 matrix's leading block alike, adding row 3 for 4x4, and
-one (_witness) refutes at its first non-positive pivot by a Rayleigh
-quotient.  The 3x3 Jacobi kernel (rho and T) keeps the nine entries of
-A, and of V when eigenvectors are wanted, in local variables through
-every sweep, with its three pair rotations written out; the 4x4 kernel
-(the partial transpose, values only) rotates each pair's 2x2 core on
-locals and streams the two other rows and columns through a fixed plan.
-Each kernel does the floating-point operations of a generic loop over
-nested lists, in its order and on its operand types, so it gives its
-bits (frozen copies of the loops in the tests check that); writing them
-out removes only the interpreter's indexing and loop cost.  The sort and
-the phase gauge are written out for three columns too; only a degenerate
+no BLAS and are written out on local variables.  One Jacobi kernel per
+size solves; all else reads a 4x4 in one layout, its 3x3 leading block
+plus row 3 (and column 3 where both triangles are read), so a 4x4 only
+adds those entries to the 3x3's expressions: the check, _verdict's entry
+scan and skew, the certificate's LDL^dag (_ldl) and the Rayleigh
+quotient (_witness) that refutes at its first non-positive pivot.  The
+3x3 Jacobi kernel (rho and T) keeps the nine entries of A, and of V when
+eigenvectors are wanted, in local variables through every sweep, with
+its three pair rotations written out; the 4x4 kernel (the partial
+transpose, values only) rotates each pair's 2x2 core on locals and
+streams the two other rows and columns through a fixed plan.  Each
+kernel does the floating-point operations of a generic loop over nested
+lists, in its order and on its operand types, so it gives its bits
+(frozen copies of the loops in the tests check that); writing them out
+removes only the interpreter's indexing and loop cost.  The sort and the
+phase gauge are written out for three columns too; only a degenerate
 cluster's Gram-Schmidt loops over lists.  Eigenvalues never depend on V,
 so rho's spectrum and a state's T skip it, bit-identical to the full
 solve's.  Two reasons for the scalars:
@@ -132,41 +133,39 @@ def _array(x, dtype=None):
 
 
 def _hermitian_rows(rows: list, what: str, bound: float = _ENTRY_MAX) -> list:
-    """3x3 or 4x4 rows of Python numbers, returned once checked, on locals per size.
+    """3x3 or 4x4 rows of Python numbers, returned once checked: a 4x4 as 3x3 block + row 3.
 
     NotHermitianError for a non-finite entry or max |M - M^dag| above
     HERM_TOL, ValueError for an entry above _ENTRY_MAX in modulus
     (_entry_error), then for one above ``bound`` (a density matrix's is
-    half of it, for T = 1 - 2 Re(rho)).  max() drops a NaN that is not its
-    first argument, so the entries' sum tests for one.  The deviation is
-    read on the diagonal and one triangle: |a_ij - conj a_ji| and
-    |a_ji - conj a_ij| are the same float, and |a_ii - conj a_ii| is |2 Im a_ii|.
+    half of it, for T = 1 - 2 Re(rho)).  The moduli's max, the entries'
+    sum and the deviation are read on the 3x3 block, then on a 4x4's row
+    and column 3.  max() is exact but drops a NaN that is not its first
+    argument, so the sum, read for nothing else, tests for one.  The
+    deviation is read on the diagonal and one triangle: |a_ij - conj a_ji|
+    and |a_ji - conj a_ij| are the same float, and |a_ii - conj a_ii| is |2 Im a_ii|.
     """
     dev = None
     try:
-        if len(rows) == 3:
-            (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
-            top = max(abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20),
-                      abs(a21), abs(a22))
-            total = a00 + a01 + a02 + a10 + a11 + a12 + a20 + a21 + a22
-            if top <= _ENTRY_MAX and total == total:  # false for a NaN or infinite entry
-                dev = max(abs(2.0 * a00.imag), abs(2.0 * a11.imag), abs(2.0 * a22.imag),
-                          abs(a01 - a10.conjugate()), abs(a02 - a20.conjugate()),
-                          abs(a12 - a21.conjugate()))
-        else:
+        four = len(rows) == 4
+        if four:
             (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), \
                 (a30, a31, a32, a33) = rows
-            top = max(abs(a00), abs(a01), abs(a02), abs(a03), abs(a10), abs(a11), abs(a12),
-                      abs(a13), abs(a20), abs(a21), abs(a22), abs(a23), abs(a30), abs(a31),
-                      abs(a32), abs(a33))
-            total = (a00 + a01 + a02 + a03 + a10 + a11 + a12 + a13 + a20 + a21 + a22 + a23
-                     + a30 + a31 + a32 + a33)
-            if top <= _ENTRY_MAX and total == total:
-                dev = max(abs(2.0 * a00.imag), abs(2.0 * a11.imag), abs(2.0 * a22.imag),
-                          abs(2.0 * a33.imag), abs(a01 - a10.conjugate()),
-                          abs(a02 - a20.conjugate()), abs(a03 - a30.conjugate()),
-                          abs(a12 - a21.conjugate()), abs(a13 - a31.conjugate()),
-                          abs(a23 - a32.conjugate()))
+        else:
+            (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+        top = max(abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20),
+                  abs(a21), abs(a22))
+        total = a00 + a01 + a02 + a10 + a11 + a12 + a20 + a21 + a22
+        if four:
+            top = max(top, abs(a03), abs(a13), abs(a23), abs(a30), abs(a31), abs(a32), abs(a33))
+            total = total + a03 + a13 + a23 + a30 + a31 + a32 + a33
+        if top <= _ENTRY_MAX and total == total:  # false for a NaN or infinite entry
+            dev = max(abs(2.0 * a00.imag), abs(2.0 * a11.imag), abs(2.0 * a22.imag),
+                      abs(a01 - a10.conjugate()), abs(a02 - a20.conjugate()),
+                      abs(a12 - a21.conjugate()))
+            if four:
+                dev = max(dev, abs(2.0 * a33.imag), abs(a03 - a30.conjugate()),
+                          abs(a13 - a31.conjugate()), abs(a23 - a32.conjugate()))
     except OverflowError:  # abs() of a complex whose modulus is above max float
         pass
     if dev is None:
@@ -490,13 +489,12 @@ def _verdict(rows: list, ranked: bool = False) -> tuple:
     if four:
         (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), \
             (a30, a31, a32, a33) = rows
-        top = max(abs(a00), abs(a01), abs(a02), abs(a03), abs(a10), abs(a11), abs(a12),
-                  abs(a13), abs(a20), abs(a21), abs(a22), abs(a23), abs(a30), abs(a31),
-                  abs(a32), abs(a33))
     else:
         (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
-        top = max(abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20),
-                  abs(a21), abs(a22))
+    top = max(abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20), abs(a21),
+              abs(a22))
+    if four:
+        top = max(top, abs(a03), abs(a13), abs(a23), abs(a30), abs(a31), abs(a32), abs(a33))
     if top <= 1.0:
         y0, y1, y2 = a00.imag, a11.imag, a22.imag
         z10, z20, z21 = a10 - a01.conjugate(), a20 - a02.conjugate(), a21 - a12.conjugate()

@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,6 +255,25 @@ def test_endpoint_check_raises_at_exactly_segment_slack_either_side():
             state._rank_case(1, tvals, eps_u, a)
     assert state._rank_case(1, tvals, 0.0, [0.0, 0.0, BELOW_SLACK]) == SEGMENT_ENDPOINT
     assert state._rank_case(1, tvals, BELOW_SLACK, [0.0, 0.0, 0.0]) == SEGMENT_ENDPOINT
+
+
+def test_scene_segment_check_raises_at_exactly_segment_slack(monkeypatch):
+    """_scene's |a - (a.u) u| = SEGMENT_SLACK raises; one ulp below, the segment scene is built.
+
+    A stand-in _record hands _scene a segment with u = e_x and a = (1/2, s, 0):
+    a - (a.u) u is (0, s, 0) exactly, and its norm sqrt(s * s) is s itself.
+    """
+    a = [0.5, SEGMENT_SLACK, 0.0]
+    frame = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    record = SimpleNamespace(rank=SimpleNamespace(case=SEGMENT_ENDPOINT),
+                             params=SimpleNamespace(a=a), frame=frame, semi_axes=[1.0, 0.0, 0.0])
+    monkeypatch.setattr(geometry, "_record", lambda rows, verdict, framed: record)
+    for s in (SEGMENT_SLACK, BELOW_SLACK):
+        assert math.sqrt(s * s) == s
+    with pytest.raises(InternalCheckError, match="segment Bloch vector is not parallel"):
+        geometry._scene([], (True, 1, None))
+    a[1] = BELOW_SLACK
+    assert geometry._scene([], (True, 1, None)).case == geometry.CASE_SEGMENT
 
 
 def test_mu_never_lands_on_rank_tol():

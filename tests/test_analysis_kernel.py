@@ -20,10 +20,8 @@ just below SING_TOL or overflowing.
 """
 
 import copy
-import importlib.util
 import itertools
 import math
-import os
 import pickle
 from dataclasses import field, fields, make_dataclass
 from fractions import Fraction
@@ -43,8 +41,7 @@ from qutrit3d.state import (
     Analysis, MetricTensor, RankReport, StateParams, ValidityReport, _as_rows,
 )
 from qutrit3d.tolerances import DEGEN_GAP, RANK_TOL, SING_TOL
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from test_analysis import _perfbench_inputs
 
 
 # --- the oracle: the list code, verbatim ------------------------------------
@@ -187,15 +184,6 @@ def _same(new, old, *args) -> None:
 
 
 # --- families ------------------------------------------------------------------
-
-
-def _perfbench_inputs():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", os.path.join(ROOT, "perfbench", "inputs.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _rotation(rng) -> np.ndarray:

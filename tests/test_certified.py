@@ -40,10 +40,8 @@ bound of its rounding of the exact norm.
 """
 
 import functools
-import importlib.util
 import itertools
 import math
-import os
 from fractions import Fraction
 from itertools import chain
 
@@ -54,8 +52,7 @@ from qutrit3d.errors import MetricUndefinedError
 from qutrit3d.linalg import _eigvals, _ldl, _partial_transpose, _verdict
 from qutrit3d.spin1 import _to_two_qubit
 from qutrit3d.tolerances import CERT_GAMMA, CERT_MARGIN, CERT_SKEW, HERM_TOL, RANK_TOL, SING_TOL
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from test_analysis import _perfbench_inputs
 
 
 # --- the oracles: the generic certificate loop over nested lists, verbatim ------------
@@ -176,16 +173,6 @@ def _proven(rows: list, ranked: bool = False):
     """_verdict's positivity, or with ``ranked`` its (positive, rank), where proven; else None."""
     positive, rank, values = _verdict(rows, ranked)
     return None if values is not None else (positive, rank) if ranked else positive
-
-
-def _perfbench_inputs():
-    """perfbench/inputs.py, the benchmark's seeded input kinds (numpy only), as a module."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", os.path.join(ROOT, "perfbench", "inputs.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _jacobi(rows) -> bool:

@@ -643,12 +643,26 @@ NONFINITE_CASES = {
         ["evolve", os.path.join(DATA, "mixed.json"), "--generator", "custom:{f}", "--theta", "1"],
     ),
     "pseudo_flag_nan": (None, None, ["pseudo", "--ax", "nan"]),
+    "pseudo_flag_not_a_number": (None, None, ["pseudo", "--ax", "abc"]),
+    "pure_file_without_amplitudes": (
+        None,
+        None,
+        ["ortho", os.path.join(DATA, "mixed.json"), os.path.join(DATA, "ket0.json")],
+    ),
     "pseudo_flag_inf": (None, None, ["pseudo", "--az=-inf"]),
     "theta_flag_inf": (
         None,
         None,
         ["evolve", os.path.join(DATA, "mixed.json"), "--generator", "rot:z", "--theta", "inf"],
     ),
+}
+
+# the whole stderr of the cases whose message no other test reads
+NONFINITE_MESSAGES = {
+    "pseudo_flag_not_a_number":
+        "qutrit3d pseudo: error: argument --ax: not a finite number: 'abc'\n",
+    "pure_file_without_amplitudes":
+        f'error: {os.path.join(DATA, "mixed.json")}: pure-state file needs an "amplitudes" key\n',
 }
 
 
@@ -665,6 +679,8 @@ def test_nonfinite_input_exits_1(tmp_path, case):
     assert "error: " in res.stderr and "Traceback" not in res.stderr
     if name is not None:  # the message names the file it rejects
         assert res.stderr.startswith(f"error: {path}: "), res.stderr
+    if case in NONFINITE_MESSAGES:
+        assert res.stderr == NONFINITE_MESSAGES[case]
 
 
 def test_unconverged_eigensolve_exits_3(monkeypatch, capsys, tmp_path):

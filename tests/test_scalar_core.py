@@ -24,11 +24,7 @@ import pytest
 from qutrit3d import cli, geometry, linalg, purestates, spin1, state
 from qutrit3d.errors import MetricUndefinedError
 from qutrit3d.tolerances import RANK_TOL, SING_TOL
-
-
-def _rotation(rng):
-    Q, R = np.linalg.qr(rng.standard_normal((3, 3)))
-    return Q * np.sign(np.diag(R))
+from test_analysis_kernel import _rotation
 
 
 def _states():

@@ -121,6 +121,10 @@ def test_compose_rejects_inconsistent_params():
     asym.T[0, 1] = 0.2
     with pytest.raises(InconsistentParamsError):
         compose(asym)
+    off = params_from_bloch_tensor([0.0, 0.0, 0.5], np.eye(3) / 3.0)
+    off.q = off.q + np.array([0.1, 0.0, 0.0])
+    with pytest.raises(InconsistentParamsError, match="^q does not match the off-diagonals of T$"):
+        compose(off)
     # a non-finite entry of any field: compose used to return a NaN matrix,
     # which validate then called a non-Hermitian density matrix
     for name in ("a", "q", "omega", "T"):
@@ -245,6 +249,8 @@ def test_random_density_rank_and_reproducibility():
     a = random_density(rank=3, rng=12345)
     b = random_density(rank=3, rng=12345)
     assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="^rank must be 1, 2 or 3, got 4$"):
+        random_density(4)
 
 
 def test_is_valid_density():
